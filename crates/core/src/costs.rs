@@ -193,9 +193,6 @@ pub struct CostModel {
     pub resolve_ns: u64,
     /// One page copied by copy-on-write.
     pub cow_ns: u64,
-    /// mmap/munmap-style map manipulation per call (folded into faults
-    /// and services; kept for ablations).
-    pub map_ns: u64,
     /// Clock-hand bookkeeping of one eviction (TLB shootdown, page-table
     /// update). The I/O, if any, is billed separately.
     pub evict_ns: u64,
@@ -233,7 +230,6 @@ impl Default for CostModel {
             probe_ns: 200,
             resolve_ns: 8_000,
             cow_ns: 30_000,
-            map_ns: 25_000,
             evict_ns: 25_000,              // page-table + TLB bookkeeping
             swap_io_ns: 2_000_000,         // one 4 KB page to disk
             swap_in_ns: 2_000_000,         // one 4 KB page from disk

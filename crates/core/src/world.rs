@@ -285,44 +285,12 @@ impl Default for World {
 const FAULT_LOOP_LIMIT: u32 = 64;
 
 impl World {
-    /// Creates a world with the conventional directory skeleton.
+    /// Creates a world with the conventional directory skeleton and
+    /// every subsystem at its default. The environment is never read:
+    /// the same program behaves the same from any shell, and the
+    /// setters below are the only switches.
     pub fn new() -> World {
         let mut kernel = Kernel::new();
-        // `HVM_BBCACHE=off|0|false` disables the decoded basic-block
-        // cache (DESIGN.md §12) — the CI identity lanes re-prove every
-        // suite against the pure fetch+decode interpreter this way.
-        if let Ok(v) = std::env::var("HVM_BBCACHE") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.set_bbcache(false);
-            }
-        }
-        // `LDL_SNAPSHOT=off|0|false` disables persistent prelink
-        // snapshots (DESIGN.md §15) — the CI identity lanes re-prove
-        // every suite against full from-scratch resolution this way.
-        if let Ok(v) = std::env::var("LDL_SNAPSHOT") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.set_link_snapshots(false);
-            }
-        }
-        // `HSFS_JOURNAL=off|0|false` disables the shared partition's
-        // block-write pipeline + journal (DESIGN.md §13) — the CI
-        // identity lane re-proves that a crash-free run is observably
-        // identical (and identically priced) either way.
-        if let Ok(v) = std::env::var("HSFS_JOURNAL") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.vfs.shared.fs.set_durability(false);
-            }
-        }
-        // `HSFS_INTEGRITY=off|0|false` disables the end-to-end block
-        // checksums, replica region, and scrub machinery (DESIGN.md
-        // §14) — the CI identity lane re-proves that a corruption-free
-        // run is observably identical (and identically priced) either
-        // way.
-        if let Ok(v) = std::env::var("HSFS_INTEGRITY") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.vfs.shared.fs.set_integrity(false);
-            }
-        }
         for dir in [
             "/src",
             "/bin",
@@ -512,16 +480,16 @@ impl World {
     }
 
     /// Enables or disables the decoded basic-block cache at runtime
-    /// (overrides the `HVM_BBCACHE` environment hook; the differential
-    /// suite uses this to run the same workload both ways).
+    /// (on by default; the differential suite and the `(bbcache off)`
+    /// bench rows run the same workload both ways).
     pub fn set_bbcache(&mut self, enabled: bool) {
         self.kernel.set_bbcache(enabled);
     }
 
     /// Enables or disables persistent prelink snapshots at runtime
-    /// (overrides the `LDL_SNAPSHOT` environment hook; the identity
-    /// suite and the `(snapshot off)` bench lanes run the same workload
-    /// both ways). Affects processes spawned afterwards.
+    /// (on by default; the identity suite and the `(snapshot off)`
+    /// bench rows run the same workload both ways). Affects processes
+    /// spawned afterwards.
     pub fn set_link_snapshots(&mut self, enabled: bool) {
         self.kernel.set_link_snapshots(enabled);
     }
@@ -831,19 +799,11 @@ impl World {
                     self.exits.insert(pid, code);
                 }
                 RunEvent::AllExited => {
-                    self.drain_injections(0);
-                    self.pump_pressure();
-                    self.pump_smp();
-                    self.pump_bb();
-                    self.drain_sanitizer();
+                    self.drain_journals(0);
                     return WorldExit::AllExited;
                 }
                 RunEvent::Deadlock => {
-                    self.drain_injections(0);
-                    self.pump_pressure();
-                    self.pump_smp();
-                    self.pump_bb();
-                    self.drain_sanitizer();
+                    self.drain_journals(0);
                     return WorldExit::Deadlock;
                 }
                 RunEvent::Break { pid, code } => {
@@ -880,19 +840,22 @@ impl World {
             // Publish injections decided during this slice (kernel
             // syscalls inject outside the linker's journal), then any
             // pressure and shootdown work the rebalance pass did.
-            self.drain_injections(ev_pid);
-            self.pump_pressure();
-            self.pump_smp();
-            self.pump_bb();
-            self.drain_sanitizer();
+            self.drain_journals(ev_pid);
             self.pump_scrub();
         }
-        self.drain_injections(0);
+        self.drain_journals(0);
+        WorldExit::StepLimit
+    }
+
+    /// Moves every subsystem journal into the trace ring, in a fixed
+    /// order: injections (attributed to `pid`), pressure, SMP, block
+    /// cache, sanitizer.
+    fn drain_journals(&mut self, pid: Pid) {
+        self.drain_injections(pid);
         self.pump_pressure();
         self.pump_smp();
         self.pump_bb();
         self.drain_sanitizer();
-        WorldExit::StepLimit
     }
 
     /// Runs until everything exits (or a generous slice cap).
@@ -1042,10 +1005,11 @@ impl World {
                     self.costs.lookup_ns,
                     TraceEvent::AddrTranslated { addr, path },
                 ),
-                LinkEvent::SegmentMapped { base, module } => (
-                    self.costs.map_ns,
-                    TraceEvent::SegmentMapped { base, module },
-                ),
+                // Mapping is not billed on its own: its cost rides the
+                // fault or service record that triggered it.
+                LinkEvent::SegmentMapped { base, module } => {
+                    (0, TraceEvent::SegmentMapped { base, module })
+                }
                 LinkEvent::SymbolResolved {
                     module,
                     symbol,
@@ -1429,11 +1393,7 @@ impl World {
     fn halt(&mut self, crash: bool) {
         // Get pending diagnostics into the ring before the state that
         // produced them disappears.
-        self.drain_injections(0);
-        self.pump_pressure();
-        self.pump_smp();
-        self.pump_bb();
-        self.drain_sanitizer();
+        self.drain_journals(0);
         if !crash {
             self.kernel.vfs.shared.fs.barrier();
         }
@@ -1549,8 +1509,8 @@ impl World {
     }
 
     /// Enables or disables the shared partition's durability pipeline
-    /// (see the `HSFS_JOURNAL` environment hook). Disabling makes every
-    /// write immediately durable — the pre-§13 behavior.
+    /// (on by default). Disabling makes every write immediately
+    /// durable — the pre-§13 behavior.
     pub fn set_durability(&mut self, on: bool) {
         self.kernel.vfs.shared.fs.set_durability(on);
     }
@@ -1559,8 +1519,8 @@ impl World {
 
     /// Enables or disables the end-to-end integrity machinery — block
     /// checksums, self-describing address stamps, the replica region,
-    /// and scrub — on the shared partition (see the `HSFS_INTEGRITY`
-    /// environment hook). On by default with the durability pipeline.
+    /// and scrub — on the shared partition. On by default with the
+    /// durability pipeline.
     pub fn set_integrity(&mut self, on: bool) {
         self.kernel.vfs.shared.fs.set_integrity(on);
     }
@@ -1614,45 +1574,18 @@ impl World {
         let corrupt = report.findings.len() as u64;
         let mut repaired = 0u64;
         for f in &report.findings {
-            self.corruptions_detected += 1;
-            self.trace.record(
-                0,
-                0,
-                TraceEvent::CorruptionDetected {
-                    ino: f.ino,
-                    block: f.offset,
-                    reason: f.reason,
-                },
-            );
-            self.log.push(format!(
-                "scrub: corruption detected ino {} block {} ({})",
-                f.ino, f.offset, f.reason
-            ));
-            match f.repaired_from {
+            self.record_corruption(f.ino, f.offset, f.reason, f.repaired_from);
+            let outcome = match f.repaired_from {
                 Some(source) => {
                     repaired += 1;
-                    self.blocks_repaired += 1;
-                    self.trace.record(
-                        0,
-                        self.costs.repair_ns,
-                        TraceEvent::BlockRepaired {
-                            ino: f.ino,
-                            block: f.offset,
-                            source,
-                        },
-                    );
-                    self.log.push(format!(
-                        "scrub: ino {} block {} healed from {}",
-                        f.ino, f.offset, source
-                    ));
+                    format!("healed from {}", source.name())
                 }
-                None => {
-                    self.log.push(format!(
-                        "scrub: ino {} block {} uncorrectable; page poisoned",
-                        f.ino, f.offset
-                    ));
-                }
-            }
+                None => "uncorrectable; page poisoned".to_string(),
+            };
+            self.log.push(format!(
+                "scrub: ino {} block {} ({}) {outcome}",
+                f.ino, f.offset, f.reason
+            ));
         }
         self.trace.record(
             0,
@@ -1664,6 +1597,34 @@ impl World {
             },
         );
         Some(report)
+    }
+
+    /// Counts and traces one corrupt block found by a scrub pass or
+    /// boot fsck: a free `CorruptionDetected` record, plus a
+    /// `BlockRepaired` record priced at `repair_ns` when it healed from
+    /// `source`.
+    fn record_corruption(
+        &mut self,
+        ino: hsfs::Ino,
+        block: u64,
+        reason: &'static str,
+        source: Option<hsfs::tools::RepairSource>,
+    ) {
+        self.corruptions_detected += 1;
+        self.trace
+            .record(0, 0, TraceEvent::CorruptionDetected { ino, block, reason });
+        if let Some(source) = source {
+            self.blocks_repaired += 1;
+            self.trace.record(
+                0,
+                self.costs.repair_ns,
+                TraceEvent::BlockRepaired {
+                    ino,
+                    block,
+                    source: source.name(),
+                },
+            );
+        }
     }
 
     /// Resolves `path` to a shared-partition inode without perturbing
@@ -1742,47 +1703,25 @@ impl World {
         let fs_stats = sfs.fs.stats;
         let issues = hsfs::tools::fsck_boot(sfs);
         for issue in &issues {
+            use hsfs::tools::RepairVerdict;
             let verdict = hsfs::tools::fsck_repair(&mut self.kernel.vfs.shared, issue);
-            // Corrupt blocks get the full integrity bookkeeping: typed
-            // trace records and counters, with successful heals priced
-            // like a scrub repair (the scan itself rides fsck for free).
+            // Corrupt blocks get the same bookkeeping as a scrub finding
+            // (the scan itself rides fsck for free).
             if let hsfs::tools::FsckIssue::CorruptBlock {
                 ino,
                 offset,
                 reason,
-            } = issue
+            } = *issue
             {
-                self.corruptions_detected += 1;
-                self.trace.record(
-                    0,
-                    0,
-                    TraceEvent::CorruptionDetected {
-                        ino: *ino,
-                        block: *offset,
-                        reason,
-                    },
-                );
-                if let hsfs::tools::RepairVerdict::Repaired(ref d) = verdict {
-                    self.blocks_repaired += 1;
-                    let source = if d.ends_with("replica") {
-                        "replica"
-                    } else {
-                        "journal"
-                    };
-                    self.trace.record(
-                        0,
-                        self.costs.repair_ns,
-                        TraceEvent::BlockRepaired {
-                            ino: *ino,
-                            block: *offset,
-                            source,
-                        },
-                    );
-                }
+                let source = match verdict {
+                    RepairVerdict::Healed(source, _) => Some(source),
+                    _ => None,
+                };
+                self.record_corruption(ino, offset, reason, source);
             }
             let detail = match verdict {
-                hsfs::tools::RepairVerdict::Repaired(d) => d,
-                hsfs::tools::RepairVerdict::Unrepaired(d) => format!("UNREPAIRED: {d}"),
+                RepairVerdict::Repaired(d) | RepairVerdict::Healed(_, d) => d,
+                RepairVerdict::Unrepaired(d) => format!("UNREPAIRED: {d}"),
             };
             self.log.push(format!("fsck: {detail}"));
             self.trace.record(0, 0, TraceEvent::FsckRepaired { detail });

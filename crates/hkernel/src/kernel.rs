@@ -292,9 +292,13 @@ impl Kernel {
     /// Enables or disables decoded basic-block caching for spaces
     /// created from now on, and reconfigures every live space (a
     /// disabled cache clears silently, so switching is unobservable).
+    /// Zombies are skipped: their caches were released at exit.
     pub fn set_bbcache(&mut self, enabled: bool) {
         self.bb_enabled = enabled;
         for proc in self.procs.values_mut() {
+            if matches!(proc.state, ProcState::Zombie(_)) {
+                continue;
+            }
             let asid = proc.aspace.bbcache().asid();
             proc.aspace.bbcache_mut().configure(asid, enabled);
         }
@@ -831,12 +835,8 @@ impl Kernel {
         let Some((pid, resident)) = victim else {
             return RunEvent::AllExited;
         };
+        // Like every exit, the kill frees the victim's frames at once.
         self.finalize_exit(pid, 137);
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            // Unlike ordinary zombies (whose memory lives until reaped),
-            // the whole point of the kill is the frames: free them now.
-            proc.aspace.release_all();
-        }
         // The mass reclaim tears down every translation the victim had
         // cached: one remote invalidation covering its resident set.
         self.shootdown(pid, 0, resident as u32);

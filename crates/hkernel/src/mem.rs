@@ -769,10 +769,14 @@ impl AddressSpace {
         self.stats.pages_unmapped += mapped;
     }
 
-    /// Immediately frees everything (the OOM path — ordinary zombies
-    /// keep their memory until reaped so parents can inspect it).
+    /// Frees everything a dead process's space holds: pool charges,
+    /// the page-table allocations, and the block cache, which is left
+    /// disabled. Only the counters survive, for the reap to fold in.
     pub fn release_all(&mut self) {
         self.surrender();
+        self.entries = Vec::new();
+        self.free = Vec::new();
+        self.bb.release();
     }
 
     /// Restores an evicted shared page after its fault bounced through
@@ -1786,6 +1790,27 @@ mod tests {
         ));
         // Nothing from the failed call may remain.
         assert_eq!(a.page_count(), 1);
+    }
+
+    /// A dead space holds no memory: releasing it drops every decoded
+    /// block (the dispatch front-end's copy included), disables the
+    /// cache, and empties the page table, keeping only the counters.
+    #[test]
+    fn release_all_frees_tables_and_cached_blocks() {
+        let mut a = AddressSpace::new();
+        a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
+        a.bbcache_mut().configure(1, true);
+        let code: Arc<[Instr]> = vec![Instr::Syscall].into();
+        a.bbcache_mut().insert(0x1000, code.clone(), None, 0);
+        assert!(a.bbcache_mut().lookup(0x1000, 0, |_, _| 0).is_some());
+        assert!(Arc::strong_count(&code) > 1, "cached twice over");
+        a.release_all();
+        assert_eq!(Arc::strong_count(&code), 1, "no decoded block survives");
+        assert!(a.bbcache().is_empty());
+        assert!(!a.bbcache().enabled());
+        assert_eq!(a.page_count(), 0);
+        let kept = a.bbcache().stats();
+        assert_eq!((kept.built, kept.hits), (1, 1), "counters survive");
     }
 
     #[test]

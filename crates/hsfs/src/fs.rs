@@ -12,6 +12,7 @@ use crate::journal::{
 };
 use crate::path as fspath;
 use crate::stats::FsStats;
+use crate::tools::RepairSource;
 use hfault::{FaultHandle, FaultSite};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1463,7 +1464,7 @@ impl FileSystem {
     /// overwritten. Returns the repair source; on `None` the block is
     /// uncorrectable and, when the live tree holds the corrupt bytes,
     /// its page is poisoned (reads fail typed, maps raise `Eio`).
-    pub fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<&'static str> {
+    pub fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
         let mut d = self.durable.take()?;
         let pre = d.read_disk_block(ino, offset);
         let src = d.repair_block(ino, offset);
@@ -1565,9 +1566,9 @@ pub struct ScrubFinding {
     pub offset: u64,
     /// Detection reason (`"checksum"` or `"address-stamp"`).
     pub reason: &'static str,
-    /// Repair source (`"replica"` or `"journal"`), `None` when the
-    /// block is uncorrectable (contained via poisoning).
-    pub repaired_from: Option<&'static str>,
+    /// Repair source, `None` when the block is uncorrectable
+    /// (contained via poisoning).
+    pub repaired_from: Option<RepairSource>,
 }
 
 #[cfg(test)]

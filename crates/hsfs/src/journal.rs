@@ -31,6 +31,7 @@
 //! separately by the World at reboot.
 
 use crate::fs::{FileSystem, Ino};
+use crate::tools::RepairSource;
 use hfault::{FaultHandle, FaultSite};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -855,7 +856,7 @@ impl Durable {
     /// Repairs one corrupt block on the disk image: replica region
     /// first, then the newest committed journal copy. Returns the
     /// repair source, or `None` when no intact copy exists.
-    pub(crate) fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<&'static str> {
+    pub(crate) fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
         let expect = *self.stamps.get(&(ino, offset))?;
         if let Some((bytes, crc)) = self.replica.get(&(ino, offset)) {
             if *crc == expect && fnv1a(bytes) == expect {
@@ -866,7 +867,7 @@ impl Durable {
                     bytes: good,
                 });
                 self.claims.insert((ino, offset), (ino, offset));
-                return Some("replica");
+                return Some(RepairSource::Replica);
             }
         }
         let committed: BTreeSet<u64> = self
@@ -894,7 +895,7 @@ impl Durable {
                             bytes: good,
                         });
                         self.claims.insert((ino, offset), (ino, offset));
-                        return Some("journal");
+                        return Some(RepairSource::Journal);
                     }
                     // Newest committed copy predates the expected
                     // content (e.g. a stale tail) — nothing older helps.

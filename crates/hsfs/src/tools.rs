@@ -134,11 +134,33 @@ pub enum FsckKind {
     CorruptBlock,
 }
 
+/// Where a healed block's good bytes came from (DESIGN.md §14).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RepairSource {
+    /// The block's copy in the replica region.
+    Replica,
+    /// The newest committed journal record carrying the block.
+    Journal,
+}
+
+impl RepairSource {
+    /// The source's name in trace records and log lines.
+    pub fn name(self) -> &'static str {
+        match self {
+            RepairSource::Replica => "replica",
+            RepairSource::Journal => "journal",
+        }
+    }
+}
+
 /// What repairing one [`FsckIssue`] did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RepairVerdict {
     /// The issue was fixed; the detail says how.
     Repaired(String),
+    /// A [`FsckIssue::CorruptBlock`] was rewritten from an intact copy
+    /// at the named source; the detail says which block.
+    Healed(RepairSource, String),
     /// The issue could not be fixed. Reachable only for an
     /// uncorrectable [`FsckIssue::CorruptBlock`] (no intact replica or
     /// journal copy) — every other issue class has a repair.
@@ -291,9 +313,13 @@ pub fn fsck_repair(sfs: &mut SharedFs, issue: &FsckIssue) -> RepairVerdict {
             offset,
             reason,
         } => match sfs.fs.repair_block(*ino, *offset) {
-            Some(src) => RepairVerdict::Repaired(format!(
-                "healed ino {ino} block @{offset} ({reason}) from {src}"
-            )),
+            Some(src) => RepairVerdict::Healed(
+                src,
+                format!(
+                    "healed ino {ino} block @{offset} ({reason}) from {}",
+                    src.name()
+                ),
+            ),
             None => RepairVerdict::Unrepaired(format!(
                 "ino {ino} block @{offset} ({reason}): uncorrectable, page poisoned"
             )),
@@ -314,7 +340,7 @@ pub fn fsck_report(sfs: &mut SharedFs, boot: bool) -> FsckReport {
         .iter()
         .map(|issue| {
             let (repaired, detail) = match fsck_repair(sfs, issue) {
-                RepairVerdict::Repaired(d) => (true, d),
+                RepairVerdict::Repaired(d) | RepairVerdict::Healed(_, d) => (true, d),
                 RepairVerdict::Unrepaired(d) => (false, d),
             };
             FsckFinding {
@@ -539,14 +565,14 @@ mod tests {
         assert_eq!(issues[0].block(), Some(0));
         let v = fsck_repair(&mut s, &issues[0]);
         assert!(
-            matches!(v, RepairVerdict::Repaired(ref d) if d.contains("replica")),
+            matches!(v, RepairVerdict::Healed(RepairSource::Replica, _)),
             "{v:?}"
         );
         assert!(fsck_shared(&mut s).is_empty(), "healed");
         assert_eq!(s.fs.read_at(ino, 0, 4).unwrap(), vec![7u8; 4]);
         // Repairing the already-healed block again is harmless.
         let v2 = fsck_repair(&mut s, &issues[0]);
-        assert!(matches!(v2, RepairVerdict::Repaired(_)), "{v2:?}");
+        assert!(matches!(v2, RepairVerdict::Healed(..)), "{v2:?}");
     }
 
     /// The structured report carries kind + ino + block + repaired flag

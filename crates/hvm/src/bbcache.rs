@@ -577,6 +577,20 @@ impl BbCache {
         self.blocks.is_empty()
     }
 
+    /// Disables the cache and frees every table it holds, the dispatch
+    /// front-end included, keeping only the counters. The owner's space
+    /// is dead, so the cache must never be switched back on. Silent,
+    /// like the teardown [`BbCache::flush`].
+    pub fn release(&mut self) {
+        self.enabled = false;
+        self.mutation += 1;
+        self.blocks = FastMap::default();
+        self.by_page = FastMap::default();
+        self.gens = FastMap::default();
+        self.src_pages = FastMap::default();
+        self.l1 = Vec::new();
+    }
+
     fn clear_silent(&mut self) {
         self.mutation += 1;
         self.blocks.clear();

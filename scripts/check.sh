@@ -5,6 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> product crates read no environment (worlds are configured by setters)"
+if grep -rn 'std::env' crates/{core,hkernel,hlink,hsfs,hvm,hobj,hfault,hsan}/src; then
+  echo "std::env in a product crate: the test knobs belong in tests/common" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -22,247 +22,38 @@
 //!    sites — unreachable without pressure (see `e8_chaos`) — inject
 //!    under thrash, stay contained, and replay exactly from the seed.
 
-use hemlock::{
-    CostModel, FaultPlan, FaultSite, ShareClass, TraceBuffer, Unsettled, World, WorldExit,
+mod common;
+
+use common::{
+    build_pressure, expected_checksum, knobs, run_pressured, shared_words, spawn_workers,
+    trace_cost, trace_count, Mask, Observables, SETTLE_SLICES, WORKERS,
 };
+use hemlock::{CostModel, FaultPlan, FaultSite, TraceBuffer, Unsettled, World, WorldExit};
 use proptest::prelude::*;
 
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Workers in the acceptance scenario.
-const WORKERS: usize = 4;
-
-/// Bytes of private buffer each worker churns through (4 pages).
-const BUF_BYTES: u32 = 16_384;
-
-/// Write/read stride over the buffer.
-const STRIDE: u32 = 256;
-
-/// The checksum worker `id` prints: Σ over offsets of (offset + id).
-fn expected_checksum(id: u32) -> u32 {
-    let touches = BUF_BYTES / STRIDE; // 64
-    STRIDE * (touches * (touches - 1) / 2) + touches * id
-}
-
-/// Shared data: per-worker result slots, a completion counter, and the
-/// spin-lock word guarding it (cf. `examples/parallel.rs`). Workers
-/// dirty this page, so eviction must take a writeback.
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-/// The worker: dirties its shared result slot *early* (so the clock
-/// hand finds a dirty unreferenced shared page mid-churn), then makes
-/// three passes over a 4-page private buffer — the anon working set the
-/// pool must swap — and finally publishes its checksum and bumps
-/// `done_count` under the test-and-set lock.
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)        ; worker id (patched by the launcher)
-        la   r8, results       ; dirty results[id] now: the page ages
-        sll  r12, r16, 2       ; out during the churn below and must be
-        add  r8, r8, r12       ; written back before eviction
-        sw   r0, 0(r8)
-        li   r13, 3            ; passes over the private buffer
-pass:   la   r8, buf
-        li   r9, 0             ; byte offset
-        li   r10, 16384        ; buffer size
-fill:   add  r11, r8, r9
-        add  r12, r9, r16      ; value = offset + id
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0            ; checksum the buffer back
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results       ; publish results[id]
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock     ; done_count += 1 under the TAS lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-/// CI sweep hook: `PRESSURE_BUDGET=<frames>` overrides the calibrated
-/// half-working-set budget of the acceptance test, so the chaos matrix
-/// can sweep budgets without recompiling (cf. `CHAOS_SEED` in e8).
-/// `0` (the matrix default) means "calibrate as usual".
-fn budget_override() -> Option<u64> {
-    std::env::var("PRESSURE_BUDGET")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|b| *b > 0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the whole suite on an n-CPU world
-/// (default 1). Pressure semantics — invisibility, reconciliation,
-/// deterministic OOM — must hold at any CPU count.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-fn build_pressure_world() -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
-
-/// Everything a pressured run is judged on. Simulated time is *not*
-/// here: pressure is charged honestly, so time legitimately differs.
-#[derive(Debug, PartialEq, Eq)]
-struct Observables {
-    settled: Result<WorldExit, Unsettled>,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    /// `(done_count, results[0..workers])`, or `None` if no worker
-    /// lived long enough to instantiate the shared segment.
-    shared: Option<(u32, Vec<u32>)>,
-}
-
-/// Final shared memory, read through the registry like
-/// `examples/parallel.rs` does.
-fn shared_words(world: &mut World, workers: usize) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..workers)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
-/// Runs `workers` pressure workers and collects every observable. The
-/// trace ring is widened so thrash-scale runs evict no records and the
-/// journal reconciliation stays exact.
+/// Runs `workers` pressure workers on the matrix's CPU count and
+/// collects every guest observable.
 fn run_pressure(
     workers: usize,
     quantum: u64,
     budget: Option<u64>,
-    swap_pages: Option<u32>,
     plan: Option<FaultPlan>,
 ) -> (Observables, World) {
-    let (mut world, exe) = build_pressure_world();
-    world.set_cpus(cpus_override());
+    let mut world = common::world();
+    world.set_cpus(knobs().cpus);
+    let (replay, world) = run_pressured(world, workers, quantum, budget, plan, Mask::Nothing);
+    (replay.obs, world)
+}
+
+/// A pressure world (with a widened trace ring) holding all four
+/// workers, spawned but not yet run.
+fn spawned_pressure_world() -> (World, Vec<hkernel::Pid>) {
+    let mut world = common::world();
+    world.set_cpus(knobs().cpus);
+    let exe = build_pressure(&mut world);
     *world.trace_mut() = TraceBuffer::new(1 << 20);
-    if let Some(frames) = budget {
-        world.set_frame_budget(frames);
-    }
-    if let Some(pages) = swap_pages {
-        world.set_swap_pages(pages);
-    }
-    if let Some(plan) = plan {
-        world.arm_faults(plan);
-    }
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..workers {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
-    world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world, workers);
-    let obs = Observables {
-        settled,
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-    };
-    (obs, world)
-}
-
-/// Trace records of one kind.
-fn trace_count(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .count() as u64
-}
-
-/// Summed cost of one kind of trace record.
-fn trace_cost(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .map(|r| r.cost_ns)
-        .sum()
+    let pids = spawn_workers(&mut world, &exe, 0..WORKERS);
+    (world, pids)
 }
 
 // --- 2. the acceptance scenario: half-budget thrash ------------------
@@ -274,7 +65,7 @@ fn trace_cost(world: &World, kind: &str) -> u64 {
 /// nanoseconds they carry.
 #[test]
 fn half_budget_thrash_is_identical_and_reconciles() {
-    let (baseline, base_world) = run_pressure(WORKERS, 300, None, None, None);
+    let (baseline, base_world) = run_pressure(WORKERS, 300, None, None);
     assert_eq!(baseline.settled, Ok(WorldExit::AllExited));
     assert_eq!(baseline.exits, vec![Some(0); WORKERS]);
     let expected_consoles: Vec<String> = (0..WORKERS as u32)
@@ -292,8 +83,8 @@ fn half_budget_thrash_is_identical_and_reconciles() {
     let peak = base_stats.peak_resident_frames;
     assert!(peak >= 16, "scenario touches a real working set ({peak})");
 
-    let budget = budget_override().unwrap_or_else(|| (peak / 2).max(1));
-    let (pressured, world) = run_pressure(WORKERS, 300, Some(budget), None, None);
+    let budget = knobs().pressure_budget.unwrap_or((peak / 2).max(1));
+    let (pressured, world) = run_pressure(WORKERS, 300, Some(budget), None);
     assert_eq!(pressured, baseline, "eviction changed a guest observable");
 
     let stats = world.stats();
@@ -359,11 +150,11 @@ proptest! {
         quantum in 40u64..400,
         budget_pct in 4u64..120,
     ) {
-        let (baseline, base_world) = run_pressure(workers, quantum, None, None, None);
+        let (baseline, base_world) = run_pressure(workers, quantum, None, None);
         prop_assert_eq!(&baseline.settled, &Ok(WorldExit::AllExited));
         let peak = base_world.stats().peak_resident_frames;
         let budget = (peak * budget_pct / 100).max(1);
-        let (pressured, world) = run_pressure(workers, quantum, Some(budget), None, None);
+        let (pressured, world) = run_pressure(workers, quantum, Some(budget), None);
         prop_assert_eq!(&pressured, &baseline, "budget {} of peak {}", budget, peak);
         let stats = world.stats();
         prop_assert_eq!(stats.oom_kills, 0);
@@ -388,32 +179,10 @@ proptest! {
 /// the unbounded run, and the whole outcome replays.
 #[test]
 fn oom_kills_exactly_one_victim_deterministically() {
-    let (baseline, _) = run_pressure(WORKERS, 300, None, None, None);
+    let (baseline, _) = run_pressure(WORKERS, 300, None, None);
 
     let run_oom = || {
-        let (mut world, exe) = build_pressure_world();
-        world.set_cpus(cpus_override());
-        *world.trace_mut() = TraceBuffer::new(1 << 20);
-        let image_wid = {
-            let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-            hobj::binfmt::decode_image(&bytes)
-                .unwrap()
-                .find_export("wid")
-                .unwrap()
-        };
-        let mut pids = Vec::new();
-        for id in 0..WORKERS {
-            let pid = world.spawn(&exe).unwrap();
-            let proc = world.kernel.procs.get_mut(&pid).unwrap();
-            proc.aspace
-                .write_bytes(
-                    &mut world.kernel.vfs.shared,
-                    image_wid,
-                    &(id as u32).to_le_bytes(),
-                )
-                .unwrap();
-            pids.push(pid);
-        }
+        let (mut world, pids) = spawned_pressure_world();
         // Calibrate from the spawned images themselves: every worker
         // holds the same anon resident set, so a budget of 3.5× one
         // image fits three workers but not four.
@@ -485,28 +254,7 @@ fn oom_kills_exactly_one_victim_deterministically() {
 /// moving to completion.
 #[test]
 fn exhausted_swap_still_kills_deterministically() {
-    let (mut world, exe) = build_pressure_world();
-    world.set_cpus(cpus_override());
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..WORKERS {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
+    let (mut world, pids) = spawned_pressure_world();
     let per = world.kernel.procs[&pids[0]].aspace.resident_pages();
     // Low enough that four slots of swap cannot absorb the overshoot
     // (cf. the no-swap test: 3.5× fits three workers *with* headroom).
@@ -540,14 +288,14 @@ fn exhausted_swap_still_kills_deterministically() {
 /// non-settles name the live processes — and replay from the seed.
 #[test]
 fn swap_chaos_is_contained_and_replays() {
-    let (baseline, base_world) = run_pressure(WORKERS, 300, None, None, None);
+    let (baseline, base_world) = run_pressure(WORKERS, 300, None, None);
     let budget = (base_world.stats().peak_resident_frames / 2).max(1);
     let plan = |seed: u64| {
         FaultPlan::new(seed, 150_000).only(&[FaultSite::SwapWrite, FaultSite::SwapRead])
     };
     let mut fired = 0u64;
     for seed in [1u64, 42, 0xDEAD_BEEF] {
-        let (out, world) = run_pressure(WORKERS, 300, Some(budget), None, Some(plan(seed)));
+        let (out, world) = run_pressure(WORKERS, 300, Some(budget), Some(plan(seed)));
         let stats = world.stats();
         fired += stats.faults_injected;
         match &out.settled {
@@ -570,8 +318,7 @@ fn swap_chaos_is_contained_and_replays() {
             assert_eq!(out, baseline, "no injections ⇒ the unpressured answer");
         }
         // The whole outcome replays exactly from the seed.
-        let (replay, replay_world) =
-            run_pressure(WORKERS, 300, Some(budget), None, Some(plan(seed)));
+        let (replay, replay_world) = run_pressure(WORKERS, 300, Some(budget), Some(plan(seed)));
         assert_eq!(replay, out, "seed {seed}: chaos outcome must replay");
         assert_eq!(
             replay_world.stats().faults_injected,

@@ -22,275 +22,27 @@
 //!    its workers genuinely share instants on different CPUs, and the
 //!    lock-elided twin of the same schedule is still caught by hsan.
 
-use hemlock::{
-    CostModel, FaultPlan, FaultSite, ShareClass, TraceBuffer, TraceEvent, Unsettled, World,
-    WorldExit,
+mod common;
+
+use common::{
+    half_budget, run_pressured, run_sanitized, trace_cost, trace_count, Mask, Replay,
+    SHCOUNT_ELIDED, SHCOUNT_LOCKED, WORKERS,
 };
+use hemlock::{CostModel, FaultPlan, FaultSite, TraceEvent, World, WorldExit};
 use proptest::prelude::*;
 
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Workers in the pressure scenario.
-const WORKERS: usize = 4;
-
-/// Shared data for the pressure workers (cf. `tests/e10_pressure.rs`).
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-/// The pressure worker: dirties its shared slot, churns a 4-page anon
-/// buffer (the working set reclaim must swap), then publishes its
-/// checksum under the TAS lock (cf. `tests/e10_pressure.rs`).
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-/// TAS-guarded shared counter (cf. `tests/e9_sanitizer.rs`).
-const COUNTER_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-.globl lock
-lock:   .word 0
-"#;
-
-const COUNTER_LOCKED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:
-acq:    la   a0, lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, lock
-        sw   r0, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-const COUNTER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-/// Everything a run is judged on for cross-CPU-count comparison.
-/// Simulated time is *not* here: contention is charged honestly, so
-/// time legitimately differs with the CPU count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observables {
-    settled: Result<WorldExit, Unsettled>,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    shared: Option<(u32, Vec<u32>)>,
-}
-
-/// Full fidelity for replay comparison: observables plus the clock and
-/// the whole trace stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Replay {
-    obs: Observables,
-    sim_ns: u64,
-    trace: Vec<String>,
-}
-
-fn build_pressure_world() -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
-
-/// Final shared memory of the pressure scenario.
-fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..WORKERS)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
 /// Runs `workers` pressure workers on `cpus` CPUs under `budget` frames
-/// and collects every observable plus the full trace.
-fn run_pressured(
+/// and collects every observable plus the trace.
+fn run_smp(
     workers: usize,
     quantum: u64,
     cpus: u32,
     budget: Option<u64>,
     plan: Option<FaultPlan>,
 ) -> (Replay, World) {
-    let (mut world, exe) = build_pressure_world();
-    *world.trace_mut() = TraceBuffer::new(1 << 20);
+    let mut world = common::world();
     world.set_cpus(cpus);
-    if let Some(frames) = budget {
-        world.set_frame_budget(frames);
-    }
-    if let Some(plan) = plan {
-        world.arm_faults(plan);
-    }
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..workers {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
-    world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world);
-    let obs = Observables {
-        settled,
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-    };
-    let replay = Replay {
-        obs,
-        sim_ns: CostModel::default().time(&world.stats()).0,
-        trace: world
-            .trace()
-            .records()
-            .map(|r| format!("{} {} {} {}", r.seq, r.pid, r.cost_ns, r.event))
-            .collect(),
-    };
-    (replay, world)
-}
-
-/// The unbounded peak working set, used to pick a binding budget.
-fn calibrated_half_budget() -> u64 {
-    let (_, world) = run_pressured(WORKERS, 300, 1, None, None);
-    (world.stats().peak_resident_frames / 2).max(1)
-}
-
-fn trace_count(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .count() as u64
-}
-
-fn trace_cost(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .map(|r| r.cost_ns)
-        .sum()
+    run_pressured(world, workers, quantum, budget, plan, Mask::Nothing)
 }
 
 // --- 2. single-CPU identity ------------------------------------------
@@ -303,8 +55,8 @@ fn default_world_is_single_cpu_with_zero_smp_counters() {
     let world = World::new();
     assert_eq!(world.cpus(), 1);
 
-    let budget = calibrated_half_budget();
-    let (_, world) = run_pressured(WORKERS, 300, 1, Some(budget), None);
+    let budget = half_budget(common::world());
+    let (_, world) = run_smp(WORKERS, 300, 1, Some(budget), None);
     let stats = world.stats();
     assert!(stats.page_evictions > 0, "budget {budget} must bind");
     assert_eq!(stats.shootdowns, 0);
@@ -319,55 +71,19 @@ fn default_world_is_single_cpu_with_zero_smp_counters() {
 /// trace record and simulated nanosecond.
 #[test]
 fn explicit_single_cpu_is_trace_identical_to_default() {
-    let budget = calibrated_half_budget();
-    let (default_run, _) = {
-        // Bypass set_cpus entirely for the reference run.
-        let (mut world, exe) = build_pressure_world();
-        *world.trace_mut() = TraceBuffer::new(1 << 20);
-        world.set_frame_budget(budget);
-        let image_wid = {
-            let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-            hobj::binfmt::decode_image(&bytes)
-                .unwrap()
-                .find_export("wid")
-                .unwrap()
-        };
-        let mut pids = Vec::new();
-        for id in 0..WORKERS {
-            let pid = world.spawn(&exe).unwrap();
-            let proc = world.kernel.procs.get_mut(&pid).unwrap();
-            proc.aspace
-                .write_bytes(
-                    &mut world.kernel.vfs.shared,
-                    image_wid,
-                    &(id as u32).to_le_bytes(),
-                )
-                .unwrap();
-            pids.push(pid);
-        }
-        world.quantum = 300;
-        let settled = world.run_to_settle(SETTLE_SLICES);
-        let shared = shared_words(&mut world);
-        (
-            Replay {
-                obs: Observables {
-                    settled,
-                    exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-                    consoles: pids.iter().map(|p| world.console(*p)).collect(),
-                    shared,
-                },
-                sim_ns: CostModel::default().time(&world.stats()).0,
-                trace: world
-                    .trace()
-                    .records()
-                    .map(|r| format!("{} {} {} {}", r.seq, r.pid, r.cost_ns, r.event))
-                    .collect(),
-            },
-            world,
-        )
-    };
-    let (explicit, _) = run_pressured(WORKERS, 300, 1, Some(budget), None);
+    let budget = half_budget(common::world());
+    // Bypass set_cpus entirely for the reference run.
+    let (default_run, default_world) = run_pressured(
+        common::world(),
+        WORKERS,
+        300,
+        Some(budget),
+        None,
+        Mask::Nothing,
+    );
+    let (explicit, explicit_world) = run_smp(WORKERS, 300, 1, Some(budget), None);
     assert_eq!(explicit, default_run, "set_cpus(1) must be a no-op");
+    assert_eq!(explicit_world.trace_dump(), default_world.trace_dump());
 }
 
 // --- 1. the determinism property -------------------------------------
@@ -385,12 +101,13 @@ proptest! {
         cpus_pow in 0u32..4,
     ) {
         let cpus = 1u32 << cpus_pow; // 1, 2, 4, 8
-        let budget = calibrated_half_budget();
-        let (first, _) = run_pressured(WORKERS, quantum, cpus, Some(budget), None);
-        let (second, _) = run_pressured(WORKERS, quantum, cpus, Some(budget), None);
+        let budget = half_budget(common::world());
+        let (first, first_world) = run_smp(WORKERS, quantum, cpus, Some(budget), None);
+        let (second, second_world) = run_smp(WORKERS, quantum, cpus, Some(budget), None);
         prop_assert_eq!(&first, &second, "cpus={} must replay exactly", cpus);
+        prop_assert_eq!(first_world.trace_dump(), second_world.trace_dump());
 
-        let (single, _) = run_pressured(WORKERS, quantum, 1, Some(budget), None);
+        let (single, _) = run_smp(WORKERS, quantum, 1, Some(budget), None);
         prop_assert_eq!(
             &first.obs, &single.obs,
             "cpus={} changed a guest observable", cpus
@@ -406,9 +123,9 @@ proptest! {
 /// reconcile with the counters and the cost model exactly.
 #[test]
 fn shootdowns_fire_and_reconcile_with_the_trace() {
-    let budget = calibrated_half_budget();
+    let budget = half_budget(common::world());
     for cpus in [2u32, 4] {
-        let (replay, world) = run_pressured(WORKERS, 300, cpus, Some(budget), None);
+        let (replay, world) = run_smp(WORKERS, 300, cpus, Some(budget), None);
         assert_eq!(
             replay.obs.settled,
             Ok(WorldExit::AllExited),
@@ -428,11 +145,7 @@ fn shootdowns_fire_and_reconcile_with_the_trace() {
             stats.ipis * model.ipi_ns + stats.shootdowns * model.shootdown_ns,
             "trace costs must reconcile with the billed counters"
         );
-        let shootdown_records = world
-            .trace()
-            .records()
-            .filter(|r| matches!(r.event, TraceEvent::TlbShootdown { .. }))
-            .count() as u64;
+        let shootdown_records = trace_count(&world, "TlbShootdown");
         assert!(shootdown_records > 0);
         assert_eq!(
             stats.ipis, shootdown_records,
@@ -446,13 +159,13 @@ fn shootdowns_fire_and_reconcile_with_the_trace() {
 /// traced, and it still changes no guest answer.
 #[test]
 fn steals_are_counted_and_traced() {
-    let (replay, world) = run_pressured(3, 200, 2, None, None);
+    let (replay, world) = run_smp(3, 200, 2, None, None);
     assert_eq!(replay.obs.settled, Ok(WorldExit::AllExited));
     let stats = world.stats();
     assert!(stats.cross_cpu_steals > 0, "3 workers on 2 CPUs must steal");
     assert_eq!(trace_count(&world, "CpuSteal"), stats.cross_cpu_steals);
 
-    let (single, _) = run_pressured(3, 200, 1, None, None);
+    let (single, _) = run_smp(3, 200, 1, None, None);
     assert_eq!(replay.obs, single.obs, "steals changed a guest observable");
 }
 
@@ -462,10 +175,10 @@ fn steals_are_counted_and_traced() {
 /// the trace, and no guest observable moves.
 #[test]
 fn dropped_shootdown_ipis_are_retransmitted_and_billed() {
-    let budget = calibrated_half_budget();
-    let (plain, plain_world) = run_pressured(WORKERS, 300, 4, Some(budget), None);
+    let budget = half_budget(common::world());
+    let (plain, plain_world) = run_smp(WORKERS, 300, 4, Some(budget), None);
     let plan = FaultPlan::new(7, 1_000_000).only(&[FaultSite::ShootdownDrop]);
-    let (chaos, chaos_world) = run_pressured(WORKERS, 300, 4, Some(budget), Some(plan));
+    let (chaos, chaos_world) = run_smp(WORKERS, 300, 4, Some(budget), Some(plan));
 
     assert_eq!(
         chaos.obs, plain.obs,
@@ -486,39 +199,16 @@ fn dropped_shootdown_ipis_are_retransmitted_and_billed() {
 
     // And the chaos run replays from its seed.
     let plan = FaultPlan::new(7, 1_000_000).only(&[FaultSite::ShootdownDrop]);
-    let (again, _) = run_pressured(WORKERS, 300, 4, Some(budget), Some(plan));
+    let (again, _) = run_smp(WORKERS, 300, 4, Some(budget), Some(plan));
     assert_eq!(again, chaos, "chaos outcome must replay from its seed");
 }
 
 // --- 4. cross-CPU locking --------------------------------------------
 
-fn run_counter(worker_src: &str, workers: usize, cpus: u32) -> (u32, World) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shcount.o", COUNTER_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", worker_src).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    world.set_cpus(cpus);
-    world.arm_sanitizer();
-    let mut pids = Vec::new();
-    for _ in 0..workers {
-        pids.push(world.spawn(&exe).unwrap());
-    }
-    world.quantum = 50;
-    let exit = world.run_to_settle(SETTLE_SLICES).expect("world settles");
-    assert_eq!(exit, WorldExit::AllExited);
-    for pid in pids {
-        assert_eq!(world.exit_code(pid), Some(0));
-    }
+/// Runs `workers` counter workers on `cpus` CPUs with hsan armed and
+/// returns the final count.
+fn count_sanitized(worker_src: &str, workers: usize, cpus: u32) -> (u32, World) {
+    let mut world = run_sanitized(common::world(), worker_src, workers, cpus);
     let count = world
         .peek_shared_word("/shared/lib/shcount", "count")
         .unwrap();
@@ -532,14 +222,14 @@ fn run_counter(worker_src: &str, workers: usize, cpus: u32) -> (u32, World) {
 /// same sub-quantum on different CPUs are unordered, and hsan sees it.
 #[test]
 fn tas_counter_is_race_free_across_cpus_and_elided_twin_is_not() {
-    let (count, world) = run_counter(COUNTER_LOCKED, 4, 4);
+    let (count, world) = count_sanitized(SHCOUNT_LOCKED, 4, 4);
     assert_eq!(count, 4 * 5, "locked counter must sum exactly");
     assert_eq!(world.stats().races_detected, 0, "log: {:?}", world.log);
     assert!(world.races().is_empty());
     let san = world.stats();
     assert!(san.sync_edges > 0, "TAS edges must be observed");
 
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4);
+    let (_, world) = count_sanitized(SHCOUNT_ELIDED, 4, 4);
     assert!(
         world.stats().races_detected >= 1,
         "elided lock must be reported across CPUs"
@@ -557,7 +247,7 @@ fn tas_counter_is_race_free_across_cpus_and_elided_twin_is_not() {
 /// world everything lands on CPU 0.
 #[test]
 fn sanitizer_sees_accesses_from_every_cpu() {
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4);
+    let (_, world) = count_sanitized(SHCOUNT_ELIDED, 4, 4);
     let san = world.sanitizer().expect("armed");
     let san = san.lock().unwrap();
     assert!(
@@ -566,7 +256,7 @@ fn sanitizer_sees_accesses_from_every_cpu() {
         san.cpu_accesses()
     );
 
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 1);
+    let (_, world) = count_sanitized(SHCOUNT_ELIDED, 4, 1);
     let san = world.sanitizer().expect("armed");
     let san = san.lock().unwrap();
     assert_eq!(

@@ -29,168 +29,11 @@
 //!    partial run retires exactly the instructions that executed and
 //!    hands control back to the dispatch loop.
 
-use hemlock::{
-    CostModel, FaultPlan, FaultSite, ShareClass, TraceBuffer, Unsettled, World, WorldExit,
-};
+mod common;
+
+use common::{half_budget, run_pressured, run_sanitized, Mask, Replay, SHCOUNT_ELIDED, WORKERS};
+use hemlock::{FaultPlan, FaultSite, ShareClass, World, WorldExit};
 use proptest::prelude::*;
-
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Workers in the pressure scenario.
-const WORKERS: usize = 4;
-
-/// Shared data for the pressure workers (cf. `tests/e11_smp.rs`).
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-/// The pressure worker (cf. `tests/e11_smp.rs`): dirties its shared
-/// slot, churns a 4-page anon buffer, publishes under the TAS lock.
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-/// Everything a run is judged on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observables {
-    settled: Result<WorldExit, Unsettled>,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    shared: Option<(u32, Vec<u32>)>,
-}
-
-/// Full fidelity for the cache-on/cache-off comparison: observables,
-/// the simulated clock, the filtered trace stream, and `WorldStats`
-/// with the three `bblock` counters zeroed (they are the only fields
-/// allowed to differ).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Replay {
-    obs: Observables,
-    sim_ns: u64,
-    trace: Vec<String>,
-    stats: String,
-}
-
-fn build_pressure_world() -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
-
-/// Final shared memory of the pressure scenario.
-fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..WORKERS)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
-/// `WorldStats` with the three `bblock` counters masked off, as a
-/// comparable string (the struct deliberately has no `PartialEq`).
-fn masked_stats(world: &World) -> String {
-    let mut stats = world.stats();
-    stats.bblocks_built = 0;
-    stats.bblock_hits = 0;
-    stats.bblock_invalidations = 0;
-    format!("{stats:?}")
-}
-
-/// The trace stream for comparison. `BlockInvalidated` records are the
-/// cache's own 0-cost diagnostics — they exist only on a cache-on run
-/// and occupy sequence slots, so the comparison drops them and compares
-/// (pid, cost, event) in stream order rather than by `seq`.
-fn comparable_trace(world: &World) -> Vec<String> {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() != "BlockInvalidated")
-        .map(|r| format!("{} {} {}", r.pid, r.cost_ns, r.event))
-        .collect()
-}
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
     world
@@ -203,66 +46,19 @@ fn trace_cause_count(world: &World, cause: &str) -> u64 {
         .count() as u64
 }
 
-/// Runs the pressure scenario and collects every observable.
-fn run_pressured(
+/// Runs the pressure scenario with the cache on or off and collects
+/// every observable.
+fn run_cache(
     cache: bool,
     quantum: u64,
     cpus: u32,
     budget: Option<u64>,
     plan: Option<FaultPlan>,
 ) -> (Replay, World) {
-    let (mut world, exe) = build_pressure_world();
-    *world.trace_mut() = TraceBuffer::new(1 << 20);
+    let mut world = common::world();
     world.set_bbcache(cache);
     world.set_cpus(cpus);
-    if let Some(frames) = budget {
-        world.set_frame_budget(frames);
-    }
-    if let Some(plan) = plan {
-        world.arm_faults(plan);
-    }
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..WORKERS {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
-    world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world);
-    let obs = Observables {
-        settled,
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-    };
-    let replay = Replay {
-        obs,
-        sim_ns: CostModel::default().time(&world.stats()).0,
-        trace: comparable_trace(&world),
-        stats: masked_stats(&world),
-    };
-    (replay, world)
-}
-
-/// The unbounded peak working set, used to pick a binding budget.
-fn calibrated_half_budget() -> u64 {
-    let (_, world) = run_pressured(true, 300, 1, None, None);
-    (world.stats().peak_resident_frames / 2).max(1)
+    run_pressured(world, WORKERS, quantum, budget, plan, Mask::BbCache)
 }
 
 // --- 1. the differential property -------------------------------------
@@ -281,9 +77,9 @@ proptest! {
         pressured in 0u32..2,
     ) {
         let cpus = if four_cpus == 1 { 4 } else { 1 };
-        let budget = (pressured == 1).then(calibrated_half_budget);
-        let (on, on_world) = run_pressured(true, quantum, cpus, budget, None);
-        let (off, off_world) = run_pressured(false, quantum, cpus, budget, None);
+        let budget = (pressured == 1).then(|| half_budget(common::world()));
+        let (on, on_world) = run_cache(true, quantum, cpus, budget, None);
+        let (off, off_world) = run_cache(false, quantum, cpus, budget, None);
         prop_assert_eq!(&on, &off, "cache must be invisible (cpus={})", cpus);
 
         // The cache must actually have been exercised on / idle off.
@@ -310,10 +106,10 @@ proptest! {
 /// across the fast path, not just across host runs.
 #[test]
 fn chaos_outcomes_are_identical_with_cache_off() {
-    let budget = calibrated_half_budget();
+    let budget = half_budget(common::world());
     let plan = || FaultPlan::new(7, 1_000_000).only(&[FaultSite::ShootdownDrop]);
-    let (on, on_world) = run_pressured(true, 300, 4, Some(budget), Some(plan()));
-    let (off, _) = run_pressured(false, 300, 4, Some(budget), Some(plan()));
+    let (on, on_world) = run_cache(true, 300, 4, Some(budget), Some(plan()));
+    let (off, _) = run_cache(false, 300, 4, Some(budget), Some(plan()));
     assert_eq!(on, off, "chaos must be cache-blind");
     assert!(on_world.stats().faults_injected > 0, "plan must inject");
     assert!(on_world.kernel.bb_stats().hits > 0);
@@ -324,54 +120,10 @@ fn chaos_outcomes_are_identical_with_cache_off() {
 /// verdict, same racing PCs — with the cache on or off.
 #[test]
 fn sanitizer_verdicts_are_identical_with_cache_off() {
-    const COUNTER_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-"#;
-    const COUNTER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
     let run = |cache: bool| {
-        let mut world = World::new();
+        let mut world = common::world();
         world.set_bbcache(cache);
-        world
-            .install_template("/shared/lib/shcount.o", COUNTER_DATA)
-            .unwrap();
-        world
-            .install_template("/src/worker.o", COUNTER_ELIDED)
-            .unwrap();
-        let exe = world
-            .link(
-                "/bin/worker",
-                &[
-                    ("/src/worker.o", ShareClass::StaticPrivate),
-                    ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-                ],
-            )
-            .unwrap();
-        world.set_cpus(4);
-        world.arm_sanitizer();
-        for _ in 0..4 {
-            world.spawn(&exe).unwrap();
-        }
-        world.quantum = 50;
-        assert_eq!(
-            world.run_to_settle(SETTLE_SLICES).expect("settles"),
-            WorldExit::AllExited
-        );
+        let world = run_sanitized(world, SHCOUNT_ELIDED, 4, 4);
         let races = world.races().to_vec();
         (world.stats().races_detected, races, world)
     };
@@ -462,8 +214,8 @@ main:   addi sp, sp, -8
 /// "pinning" discipline is that eviction always lands between blocks.
 #[test]
 fn eviction_drops_cached_blocks_built_on_other_cpus() {
-    let budget = calibrated_half_budget();
-    let (on, on_world) = run_pressured(true, 300, 4, Some(budget), None);
+    let budget = half_budget(common::world());
+    let (on, on_world) = run_cache(true, 300, 4, Some(budget), None);
     assert_eq!(on.obs.settled, Ok(WorldExit::AllExited));
     let stats = on_world.stats();
     assert!(stats.page_evictions > 0, "budget {budget} must bind");
@@ -473,7 +225,7 @@ fn eviction_drops_cached_blocks_built_on_other_cpus() {
         "evictions must drop cached blocks"
     );
     // And the pressured, evicting, multi-CPU run still matches cache-off.
-    let (off, _) = run_pressured(false, 300, 4, Some(budget), None);
+    let (off, _) = run_cache(false, 300, 4, Some(budget), None);
     assert_eq!(on, off);
 }
 
@@ -682,7 +434,8 @@ loop:   addi r16, r16, -1
 /// the same answers.
 #[test]
 fn cache_can_be_disabled_mid_run() {
-    let (mut world, exe) = build_pressure_world();
+    let mut world = World::new();
+    let exe = common::build_pressure(&mut world);
     let pid = world.spawn(&exe).unwrap();
     world.quantum = 50;
     assert_eq!(world.run(20), WorldExit::StepLimit);
@@ -693,16 +446,4 @@ fn cache_can_be_disabled_mid_run() {
     assert_eq!(world.exit_code(pid), Some(0), "log: {:?}", world.log);
     let cold = world.kernel.bb_stats();
     assert_eq!(cold.entries, warm.entries, "no entries after the switch");
-}
-
-/// The `HVM_BBCACHE` env hook: `off` disables the cache at `World::new`
-/// (the CI nightly lane runs the whole suite this way).
-#[test]
-fn env_hook_disables_the_cache() {
-    // Env mutation is process-global; keep the window tiny and restore.
-    std::env::set_var("HVM_BBCACHE", "off");
-    let world = World::new();
-    std::env::remove_var("HVM_BBCACHE");
-    assert!(!world.kernel.bbcache_enabled());
-    assert!(World::new().kernel.bbcache_enabled(), "default is on");
 }

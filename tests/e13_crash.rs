@@ -34,103 +34,13 @@
 //! `CrashTear`) stay contained, and the whole pipeline adds *zero*
 //! simulated cost to crash-free runs.
 
-use hemlock::{FaultPlan, FaultSite, ShareClass, World, WorldExit};
+mod common;
+
+use common::{
+    build_counter, expected_checksum, knobs, pat, run_prog, spawn_workers, SETTLE_SLICES, WORKERS,
+};
+use hemlock::{FaultPlan, FaultSite, World, WorldExit};
 use hsfs::FsError;
-
-/// Scheduler slices before a guest run counts as stuck.
-const RUN_SLICES: u64 = 200_000;
-
-/// CI sweep hook: `CRASH_SEED=<n>` folds extra entropy into the seeded
-/// chaos-crash plans, so the nightly matrix explores disjoint death
-/// points while any single run stays fully reproducible.
-fn crash_seed_offset() -> u64 {
-    std::env::var("CRASH_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the seeded-chaos and pressure tests
-/// on an n-CPU world (default 1). The exhaustive enumeration pins both
-/// 1 and 4 CPUs explicitly; recovery must be CPU-count-independent.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// CI sweep hook: `PRESSURE_BUDGET=<frames>` overrides the frame
-/// budget of the crash-under-pressure test (cf. e10).
-fn budget_override() -> Option<u64> {
-    std::env::var("PRESSURE_BUDGET")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|b| *b > 0)
-}
-
-/// Deterministic byte pattern: recognizable, offset-sensitive.
-fn pat(tag: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| tag.wrapping_add((i as u8).wrapping_mul(131)))
-        .collect()
-}
-
-// --- the counter module (cf. tests/persistence_and_admin.rs) ---
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-fn build_counter(world: &mut World) -> String {
-    world
-        .install_template("/shared/lib/counter.o", COUNTER)
-        .unwrap();
-    world.install_template("/src/main.o", MAIN).unwrap();
-    world
-        .link(
-            "/bin/p",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
-
-fn run_prog(world: &mut World, exe: &str) -> i32 {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    world.exit_code(pid).unwrap()
-}
 
 // --- the canonical multi-segment workload ---
 
@@ -158,8 +68,8 @@ const SURVIVORS: &[&str] = &[
 /// classification must use the crash-free reference run's index.
 fn run_workload(world: &mut World) -> u64 {
     let exe = build_counter(world);
-    assert_eq!(run_prog(world, &exe), 1);
-    assert_eq!(run_prog(world, &exe), 2);
+    assert_eq!(run_prog(world, &exe).0, 1);
+    assert_eq!(run_prog(world, &exe).0, 2);
     let vfs = &mut world.kernel.vfs;
     vfs.mkdir_all("/shared/data", 0o755, 0).unwrap();
     vfs.create_file("/shared/data/a", 0o644, 0).unwrap();
@@ -196,7 +106,7 @@ struct Reference {
 }
 
 fn reference(cpus: u32) -> Reference {
-    let mut world = World::new();
+    let mut world = common::world();
     world.set_cpus(cpus);
     let baseline = world.disk_seq();
     let ack = run_workload(&mut world);
@@ -260,7 +170,7 @@ fn observe(world: &mut World) -> Recovered {
 /// workload (live behavior is identical — the death is invisible),
 /// pull the plug, reboot, and snapshot the recovered state.
 fn crash_at(k: u64, tear: bool, cpus: u32) -> (World, Recovered) {
-    let mut world = World::new();
+    let mut world = common::world();
     world.set_cpus(cpus);
     world.set_crash_at(k, tear);
     let _ = run_workload(&mut world);
@@ -411,7 +321,7 @@ fn check_acknowledged(world: &mut World, k: u64) {
     );
     // Survivors relink through ldl and the counter keeps counting.
     assert_eq!(
-        run_prog(world, "/bin/p"),
+        run_prog(world, "/bin/p").0,
         3,
         "k={k}: survivor failed to relink and continue"
     );
@@ -463,10 +373,10 @@ fn crash_point_exhaustion_smp() {
 /// byte-identically from its seed.
 #[test]
 fn seeded_chaos_crashes_recover() {
-    let cpus = cpus_override();
+    let cpus = knobs().cpus;
     let reference = reference(cpus);
     let run = |seed: u64| -> (Recovered, bool) {
-        let mut world = World::new();
+        let mut world = common::world();
         world.set_cpus(cpus);
         world.arm_faults(
             FaultPlan::new(seed, 30_000).only(&[FaultSite::CrashPoint, FaultSite::CrashTear]),
@@ -503,7 +413,7 @@ fn seeded_chaos_crashes_recover() {
     };
     let mut deaths = 0;
     for base in 0..8u64 {
-        let seed = (base + 1) ^ crash_seed_offset();
+        let seed = (base + 1) ^ knobs().crash_seed;
         let (rec, died) = run(seed);
         deaths += died as u64;
         let (again, _) = run(seed);
@@ -521,7 +431,7 @@ fn seeded_chaos_crashes_recover() {
 /// exactly the chaos site that tears it.
 #[test]
 fn torn_write_heals_across_reboot() {
-    let mut world = World::new();
+    let mut world = common::world();
     world
         .kernel
         .vfs
@@ -574,109 +484,13 @@ fn torn_write_heals_across_reboot() {
 
 // --- satellite: crash under pressure recycles swap files ---
 
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-const PRESSURE_WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-const PRESSURE_WORKERS: usize = 4;
-
-/// The checksum worker `id` prints (cf. e10): Σ over offsets of
-/// (offset + id), with a 256-byte stride over 16 KiB.
-fn expected_checksum(id: u32) -> u32 {
-    let touches = 16_384 / 256;
-    256 * (touches * (touches - 1) / 2) + touches * id
-}
-
 /// One pressured cycle on an already-built world: spawn the workers,
 /// run to completion, assert every checksum. Swap traffic is forced by
 /// the tight frame budget set at build time.
 fn pressure_cycle(world: &mut World, exe: &str) {
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..PRESSURE_WORKERS {
-        let pid = world.spawn(exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
+    let pids = spawn_workers(world, exe, 0..WORKERS);
     world.quantum = 300;
-    assert_eq!(world.run(400_000), WorldExit::AllExited);
+    assert_eq!(world.run(SETTLE_SLICES), WorldExit::AllExited);
     for (id, pid) in pids.iter().enumerate() {
         assert_eq!(world.exit_code(*pid), Some(0));
         assert_eq!(
@@ -703,24 +517,10 @@ fn swap_entries(world: &mut World) -> Vec<String> {
 /// *recycle* the name with fresh content, not resurrect the old file.
 #[test]
 fn crash_under_pressure_recycles_swap_files() {
-    let mut world = World::new();
-    world.set_cpus(cpus_override());
-    world.set_frame_budget(budget_override().unwrap_or(12));
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world
-        .install_template("/src/worker.o", PRESSURE_WORKER)
-        .unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
+    let mut world = common::world();
+    world.set_cpus(knobs().cpus);
+    world.set_frame_budget(knobs().pressure_budget.unwrap_or(12));
+    let exe = common::build_pressure(&mut world);
     pressure_cycle(&mut world, &exe);
     let s1 = world.stats();
     assert!(s1.swap_outs > 0, "the budget must force swap traffic");
@@ -775,7 +575,7 @@ fn crash_under_pressure_recycles_swap_files() {
 #[test]
 fn pipeline_adds_zero_simulated_cost_when_crash_free() {
     let run = |durable: bool| {
-        let mut world = World::new();
+        let mut world = common::world();
         if !durable {
             world.set_durability(false);
         }
@@ -809,7 +609,7 @@ fn pipeline_adds_zero_simulated_cost_when_crash_free() {
 /// reboot test has always relied on.
 #[test]
 fn clean_reboot_loses_nothing() {
-    let mut world = World::new();
+    let mut world = common::world();
     let _ = run_workload(&mut world);
     let digest = world.shared_digest();
     world.reboot();
@@ -821,5 +621,5 @@ fn clean_reboot_loses_nothing() {
     assert_eq!(size_of(&mut world, "/shared/data/c"), Some(5000));
     assert_eq!(size_of(&mut world, "/shared/data/a"), Some(12292));
     assert_eq!(size_of(&mut world, "/shared/data/b"), Some(65_536));
-    assert_eq!(run_prog(&mut world, "/bin/p"), 3);
+    assert_eq!(run_prog(&mut world, "/bin/p").0, 3);
 }

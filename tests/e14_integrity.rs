@@ -40,47 +40,12 @@
 //! 7. **Integrity off is an identity**: same observables, same
 //!    simulated time, zero integrity-region writes.
 
-use hemlock::{FaultPlan, FaultSite, ShareClass, TraceEvent, World, WorldExit};
-use hsfs::tools::{fsck_report, FsckKind};
+mod common;
+
+use common::{build_counter, knobs, pat, run_prog, trace_count, RUN_SLICES};
+use hemlock::{FaultPlan, TraceEvent, World, WorldExit};
+use hsfs::tools::{fsck_report, FsckKind, RepairSource};
 use hsfs::{CorruptKind, FsError};
-
-/// Scheduler slices before a guest run counts as stuck.
-const RUN_SLICES: u64 = 200_000;
-
-/// CI sweep hook: `CHAOS_SEED=<n>` folds extra entropy into the
-/// seeded corruption plans, so the nightly matrix explores disjoint
-/// injection schedules while any single run stays reproducible.
-fn chaos_seed_offset() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the chaos test on an n-CPU world
-/// (default 1) — corruption and repair must be CPU-count-independent.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// CI sweep hook: `CORRUPT_SITE=<name>` restricts the seeded chaos to
-/// one corruption site (`bit_rot` / `misdirected_write` /
-/// `lost_write`); unset or unknown runs all three mixed.
-fn corrupt_sites() -> Vec<FaultSite> {
-    match std::env::var("CORRUPT_SITE").ok().as_deref() {
-        Some("bit_rot") => vec![FaultSite::BitRot],
-        Some("misdirected_write") => vec![FaultSite::MisdirectedWrite],
-        Some("lost_write") => vec![FaultSite::LostWrite],
-        _ => vec![
-            FaultSite::BitRot,
-            FaultSite::MisdirectedWrite,
-            FaultSite::LostWrite,
-        ],
-    }
-}
 
 const BS: u64 = hsfs::BLOCK_SIZE as u64;
 
@@ -93,84 +58,17 @@ const ALL_KINDS: [CorruptKind; 3] = [
     CorruptKind::MisdirectedWrite,
 ];
 
-/// Deterministic byte pattern: recognizable, offset-sensitive.
-fn pat(tag: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| tag.wrapping_add((i as u8).wrapping_mul(131)))
-        .collect()
-}
-
 /// A world holding one multi-block data segment whose every block is
 /// stamped (the shared partition is durable — and integrity-stamped —
 /// from birth).
 fn data_world(tag: u8) -> World {
-    let mut world = World::new();
+    let mut world = common::world();
     let vfs = &mut world.kernel.vfs;
     vfs.mkdir_all("/shared/data", 0o755, 0).unwrap();
     vfs.create_file("/shared/data/f", 0o644, 0).unwrap();
     vfs.write("/shared/data/f", 0, &pat(tag, (FILE_BLOCKS * BS) as usize))
         .unwrap();
     world
-}
-
-fn trace_count(world: &World, pred: impl Fn(&TraceEvent) -> bool) -> u64 {
-    world.trace().records().filter(|r| pred(&r.event)).count() as u64
-}
-
-// --- the counter module (cf. tests/e13_crash.rs) ---
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-fn build_counter(world: &mut World) -> String {
-    world
-        .install_template("/shared/lib/counter.o", COUNTER)
-        .unwrap();
-    world.install_template("/src/main.o", MAIN).unwrap();
-    world
-        .link(
-            "/bin/p",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
-
-fn run_prog(world: &mut World, exe: &str) -> i32 {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    world.exit_code(pid).unwrap()
 }
 
 /// Corrupts every stamped block of `path` on the medium, returning how
@@ -232,24 +130,15 @@ fn any_single_block_corruption_heals_invisibly() {
                 let f = &report.findings[0];
                 assert_eq!(f.offset, block * BS);
                 assert_eq!(f.reason, reason, "{kind:?} block {block}");
-                assert_eq!(f.repaired_from, Some("replica"));
+                assert_eq!(f.repaired_from, Some(RepairSource::Replica));
                 // Counters reconcile with the report and the trace.
                 let s = world.stats();
                 assert_eq!(s.corruptions_detected, 1);
                 assert_eq!(s.blocks_repaired, 1);
                 assert_eq!(s.eio_kills, 0);
                 assert_eq!(s.blocks_scrubbed, twin_stats.blocks_scrubbed);
-                assert_eq!(
-                    trace_count(&world, |e| matches!(
-                        e,
-                        TraceEvent::CorruptionDetected { .. }
-                    )),
-                    1
-                );
-                assert_eq!(
-                    trace_count(&world, |e| matches!(e, TraceEvent::BlockRepaired { .. })),
-                    1
-                );
+                assert_eq!(trace_count(&world, "CorruptionDetected"), 1);
+                assert_eq!(trace_count(&world, "BlockRepaired"), 1);
                 assert_eq!(world.poisoned_blocks(), 0);
                 // Every observable matches the uninjected twin…
                 assert_eq!(world.shared_digest(), twin_live);
@@ -288,10 +177,10 @@ fn any_single_block_corruption_heals_invisibly() {
 /// The counter keeps its acknowledged value and keeps counting.
 #[test]
 fn boot_fsck_heals_disk_corruption_before_first_map() {
-    let mut world = World::new();
+    let mut world = common::world();
     let exe = build_counter(&mut world);
-    assert_eq!(run_prog(&mut world, &exe), 1);
-    assert_eq!(run_prog(&mut world, &exe), 2);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
+    assert_eq!(run_prog(&mut world, &exe).0, 2);
     world.barrier();
     let live = world.shared_digest();
     let hit = corrupt_whole_file(
@@ -306,6 +195,16 @@ fn boot_fsck_heals_disk_corruption_before_first_map() {
     let s = world.stats();
     assert_eq!(s.corruptions_detected, hit, "log: {:?}", world.log);
     assert_eq!(s.blocks_repaired, hit);
+    // Every heal is traced with its typed source: the replica region.
+    let sources: Vec<&str> = world
+        .trace()
+        .records()
+        .filter_map(|r| match r.event {
+            TraceEvent::BlockRepaired { source, .. } => Some(source),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sources, vec![RepairSource::Replica.name(); hit as usize]);
     assert_eq!(world.poisoned_blocks(), 0);
     assert!(!world.log.iter().any(|l| l.contains("UNREPAIRED")));
     assert_eq!(world.shared_digest(), live, "boot fsck must heal the rot");
@@ -314,7 +213,7 @@ fn boot_fsck_heals_disk_corruption_before_first_map() {
         Some(2),
         "acknowledged counter value survived the rot"
     );
-    assert_eq!(run_prog(&mut world, "/bin/p"), 3);
+    assert_eq!(run_prog(&mut world, "/bin/p").0, 3);
     // And the healed disk replays to the same state a second time
     // (the third bump is barriered so the crash cannot discard it).
     world.barrier();
@@ -341,9 +240,9 @@ fn boot_fsck_heals_disk_corruption_before_first_map() {
 /// and untouched segments stay fully usable.
 #[test]
 fn uncorrectable_corruption_is_contained_to_the_reader() {
-    let mut world = World::new();
+    let mut world = common::world();
     let exe = build_counter(&mut world);
-    assert_eq!(run_prog(&mut world, &exe), 1);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
     world.barrier();
     let hit = corrupt_whole_file(&mut world, "/shared/lib/counter", CorruptKind::BitRot, true);
     assert!(hit > 0);
@@ -415,17 +314,9 @@ fn clean_scrub_is_a_priced_noop() {
     // No state change, and the pass itself is journaled.
     assert_eq!(world.shared_digest(), live);
     assert_eq!(world.kernel.vfs.shared.fs.disk_digest(), disk);
-    assert_eq!(
-        trace_count(&world, |e| matches!(e, TraceEvent::ScrubPass { .. })),
-        1
-    );
-    assert_eq!(
-        trace_count(&world, |e| matches!(
-            e,
-            TraceEvent::CorruptionDetected { .. } | TraceEvent::BlockRepaired { .. }
-        )),
-        0
-    );
+    assert_eq!(trace_count(&world, "ScrubPass"), 1);
+    assert_eq!(trace_count(&world, "CorruptionDetected"), 0);
+    assert_eq!(trace_count(&world, "BlockRepaired"), 0);
     // With integrity off there is nothing to scrub — and no cost.
     let mut off = data_world(0x42);
     off.set_integrity(false);
@@ -441,26 +332,26 @@ fn clean_scrub_is_a_priced_noop() {
 /// those of a run on a clean disk.
 #[test]
 fn periodic_scrub_heals_during_run() {
-    let mut world = World::new();
+    let mut world = common::world();
     let exe = build_counter(&mut world);
-    assert_eq!(run_prog(&mut world, &exe), 1);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
     // Rot a block of the (unmapped) template object behind the
     // kernel's back, then let the scheduler-driven scrub find it.
     assert!(world.corrupt_shared_block("/shared/lib/counter.o", 0, CorruptKind::LostWrite));
     world.set_scrub_interval(Some(1));
-    assert_eq!(run_prog(&mut world, &exe), 2);
+    assert_eq!(run_prog(&mut world, &exe).0, 2);
     let s = world.stats();
     assert!(s.blocks_scrubbed > 0, "the every-N-slices hook must fire");
     assert_eq!(s.corruptions_detected, 1);
     assert_eq!(s.blocks_repaired, 1);
     assert_eq!(world.poisoned_blocks(), 0);
     assert!(
-        trace_count(&world, |e| matches!(e, TraceEvent::ScrubPass { .. })) > 0,
+        trace_count(&world, "ScrubPass") > 0,
         "scrub passes are journaled"
     );
     world.set_scrub_interval(None);
     let before = world.stats().blocks_scrubbed;
-    assert_eq!(run_prog(&mut world, &exe), 3);
+    assert_eq!(run_prog(&mut world, &exe).0, 3);
     assert_eq!(
         world.stats().blocks_scrubbed,
         before,
@@ -477,11 +368,11 @@ fn periodic_scrub_heals_during_run() {
 #[test]
 fn chaos_corruption_sites_replay_and_self_heal() {
     let files = 6u8;
-    let sites = corrupt_sites();
+    let sites = &knobs().corrupt_sites;
     let run = |seed: u64| {
-        let mut world = World::new();
-        world.set_cpus(cpus_override());
-        world.arm_faults(FaultPlan::new(seed, 200_000).only(&sites));
+        let mut world = common::world();
+        world.set_cpus(knobs().cpus);
+        world.arm_faults(FaultPlan::new(seed, 200_000).only(sites));
         world
             .kernel
             .vfs
@@ -534,7 +425,7 @@ fn chaos_corruption_sites_replay_and_self_heal() {
     };
     let mut injected = 0;
     for base in 1..=6u64 {
-        let seed = base ^ chaos_seed_offset();
+        let seed = base ^ knobs().chaos_seed;
         let first = run(seed);
         assert_eq!(first, run(seed), "seed {seed}: chaos did not replay");
         injected += first.0;
@@ -544,7 +435,7 @@ fn chaos_corruption_sites_replay_and_self_heal() {
 
 // --- 7. integrity off is an identity ---
 
-/// With the machinery off (`HSFS_INTEGRITY=off` / `set_integrity`),
+/// With the machinery off (`World::set_integrity(false)`),
 /// a clean run is observable-for-observable identical — same guest
 /// output, same digests, same simulated time — and writes zero
 /// integrity-region blocks. (Integrity itself is also free on the
@@ -553,13 +444,13 @@ fn chaos_corruption_sites_replay_and_self_heal() {
 #[test]
 fn integrity_off_is_an_identity() {
     let run = |on: bool| {
-        let mut world = World::new();
+        let mut world = common::world();
         if !on {
             world.set_integrity(false);
         }
         let exe = build_counter(&mut world);
-        let a = run_prog(&mut world, &exe);
-        let b = run_prog(&mut world, &exe);
+        let a = run_prog(&mut world, &exe).0;
+        let b = run_prog(&mut world, &exe).0;
         let stats = world.stats();
         let (data, integ) = world.write_amplification();
         assert_eq!(integ == 0, !on, "integrity writes iff enabled");

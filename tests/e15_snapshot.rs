@@ -34,20 +34,12 @@
 //!    the same recovery with snapshots disabled — hits only when the
 //!    record and every module it describes committed coherently.
 
-use hemlock::{CostModel, ShareClass, TraceBuffer, World, WorldExit};
+mod common;
+
+use common::{knobs, run_prog, run_sanitized, settle, spawn_workers, Mask, Replay};
+use common::{SHARED_DATA, SHCOUNT_ELIDED, WORKER, WORKERS};
+use hemlock::{CostModel, ShareClass, TraceBuffer, World};
 use proptest::prelude::*;
-
-/// Scheduler slices before a run counts as stuck / unsettled.
-const RUN_SLICES: u64 = 200_000;
-const SETTLE_SLICES: u64 = 400_000;
-
-/// CI sweep hook: `CPUS=<n>` runs the crash sweep on an n-CPU world.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
 
 // --- the pure-code chain (no data mutation ⇒ warm boots validate) ----
 
@@ -112,16 +104,13 @@ fn build_chain(world: &mut World) -> String {
         .unwrap()
 }
 
-/// Spawns, runs to completion, returns (exit code, console).
-fn run_prog(world: &mut World, exe: &str) -> (i32, String) {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    (world.exit_code(pid).unwrap(), world.console(pid))
+/// A world with the matrix's knobs applied and prelink snapshots pinned
+/// on or off: every test here depends on the snapshot toggle, while the
+/// block-cache knob still reaches the whole suite.
+fn snap_world(snapshots: bool) -> World {
+    let mut world = common::world();
+    world.set_link_snapshots(snapshots);
+    world
 }
 
 fn sim_ns(world: &World) -> u64 {
@@ -134,145 +123,13 @@ fn snap_path(world: &World) -> String {
 
 // --- 1. cold identity (the differential property) ---------------------
 
-/// The e12 pressure worker, linked as four *distinct* executables so
-/// the cold boot consults four distinct snapshot records — four free
-/// misses, four free rebuilds — instead of memoizing after the first.
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 2
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 8192
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 8192
-"#;
-
-const WORKERS: usize = 4;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Replay {
-    settled: String,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    shared: Option<(u32, Vec<u32>)>,
-    sim_ns: u64,
-    trace: Vec<String>,
-    stats: String,
-}
-
-/// Final shared memory of the pressure scenario (cf. `e12_bbcache.rs`).
-fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..WORKERS)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
-/// `WorldStats` with the four snapshot counters (mirrors *and* the
-/// embedded `ldl` copies) masked off — the only fields allowed to
-/// differ between a snapshots-on and a snapshots-off cold run.
-fn masked_stats(world: &World) -> String {
-    let mut stats = world.stats();
-    stats.snapshot_hits = 0;
-    stats.snapshot_misses = 0;
-    stats.snapshot_invalidations = 0;
-    stats.snapshot_rebuilds = 0;
-    stats.ldl.snapshot_hits = 0;
-    stats.ldl.snapshot_misses = 0;
-    stats.ldl.snapshot_invalidations = 0;
-    stats.ldl.snapshot_rebuilds = 0;
-    format!("{stats:?}")
-}
-
-/// The trace stream for comparison. `SnapshotMiss` and
-/// `SnapshotRebuilt` are the cache's own 0-cost diagnostics — they
-/// exist only on a snapshots-on run. `SnapshotHit` and
-/// `SnapshotInvalidated` are *priced*, so they stay in: one appearing
-/// on a cold run is an identity violation, not noise.
-fn comparable_trace(world: &World) -> Vec<String> {
-    world
-        .trace()
-        .records()
-        .filter(|r| !matches!(r.event.kind(), "SnapshotMiss" | "SnapshotRebuilt"))
-        .map(|r| format!("{} {} {}", r.pid, r.cost_ns, r.event))
-        .collect()
-}
-
-/// Runs the four-distinct-exe pressure scenario cold and collects
-/// every observable.
+/// Runs the pressure scenario cold, with the worker linked as four
+/// *distinct* executables so the boot consults four distinct snapshot
+/// records — four free misses, four free rebuilds — instead of
+/// memoizing after the first, and collects every observable.
 fn run_cold(snapshots: bool, quantum: u64, cpus: u32) -> (Replay, World) {
-    let mut world = World::new();
+    let mut world = snap_world(snapshots);
     *world.trace_mut() = TraceBuffer::new(1 << 20);
-    world.set_link_snapshots(snapshots);
     world.set_cpus(cpus);
     world
         .install_template("/shared/lib/shared_data.o", SHARED_DATA)
@@ -289,36 +146,10 @@ fn run_cold(snapshots: bool, quantum: u64, cpus: u32) -> (Replay, World) {
                 ],
             )
             .unwrap();
-        let image_wid = {
-            let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-            hobj::binfmt::decode_image(&bytes)
-                .unwrap()
-                .find_export("wid")
-                .unwrap()
-        };
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
+        pids.extend(spawn_workers(&mut world, &exe, id..id + 1));
     }
     world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world);
-    let replay = Replay {
-        settled: format!("{settled:?}"),
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-        sim_ns: sim_ns(&world),
-        trace: comparable_trace(&world),
-        stats: masked_stats(&world),
-    };
+    let replay = settle(&mut world, &pids, Mask::Snapshots);
     (replay, world)
 }
 
@@ -336,8 +167,8 @@ proptest! {
         four_cpus in 0u32..2,
     ) {
         let cpus = if four_cpus == 1 { 4 } else { 1 };
-        let (on, on_world) = run_cold(true, quantum, cpus);
-        let (off, off_world) = run_cold(false, quantum, cpus);
+        let (on, mut on_world) = run_cold(true, quantum, cpus);
+        let (off, mut off_world) = run_cold(false, quantum, cpus);
         prop_assert_eq!(&on, &off, "cold snapshots must be invisible (cpus={})", cpus);
 
         // The on-run exercised the free paths; the off-run never moved.
@@ -353,6 +184,17 @@ proptest! {
             "disabled snapshots moved: {:?}",
             idle
         );
+        // And only the on-run wrote snapshot files.
+        for id in 0..WORKERS {
+            let exe = format!("/bin/worker{id}");
+            let path = hlink::snapshot::path_for(&on_world.kernel.vfs, &exe);
+            prop_assert!(on_world.kernel.vfs.read_all(&path).is_ok(), "no snapshot for {}", exe);
+            prop_assert!(
+                off_world.kernel.vfs.read_all(&path).is_err(),
+                "disabled snapshots wrote {}",
+                path
+            );
+        }
     }
 
     /// Across a clean reboot, the snapshot world relinks from the
@@ -366,8 +208,7 @@ proptest! {
     ) {
         let cpus = if four_cpus == 1 { 4 } else { 1 };
         let boot_twice = |snapshots: bool| {
-            let mut world = World::new();
-            world.set_link_snapshots(snapshots);
+            let mut world = snap_world(snapshots);
             world.set_cpus(cpus);
             world.quantum = quantum;
             let exe = build_chain(&mut world);
@@ -418,8 +259,7 @@ proptest! {
 #[test]
 fn stale_snapshot_costs_exactly_one_validation() {
     let run = |snapshots: bool| {
-        let mut world = World::new();
-        world.set_link_snapshots(snapshots);
+        let mut world = snap_world(snapshots);
         let exe = build_chain(&mut world);
         assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
         world.reboot();
@@ -444,28 +284,6 @@ fn stale_snapshot_costs_exactly_one_validation() {
     );
 }
 
-/// The `LDL_SNAPSHOT=off` env hook disables the subsystem at
-/// `World::new` (the CI nightly matrix runs the whole suite this way).
-#[test]
-fn env_hook_disables_snapshots() {
-    // Env mutation is process-global; keep the window tiny and restore.
-    std::env::set_var("LDL_SNAPSHOT", "off");
-    let mut world = World::new();
-    std::env::remove_var("LDL_SNAPSHOT");
-    let exe = build_chain(&mut world);
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
-    let s = world.stats();
-    assert_eq!(
-        s.snapshot_misses + s.snapshot_rebuilds + s.snapshot_hits,
-        0,
-        "env-disabled snapshots moved: {s:?}"
-    );
-    assert!(
-        world.kernel.vfs.read_all(&snap_path(&world)).is_err(),
-        "no snapshot file may be written while disabled"
-    );
-}
-
 // --- 3. counters reconcile with the trace ------------------------------
 
 /// Every `LdlStats` snapshot counter folded into `WorldStats` equals
@@ -473,10 +291,7 @@ fn env_hook_disables_snapshots() {
 /// record per priced event, one free record per free event.
 #[test]
 fn snapshot_counters_match_trace_record_counts() {
-    let mut world = World::new();
-    // Force the state under test: the nightly matrix runs this suite
-    // with `LDL_SNAPSHOT=off` in the environment too.
-    world.set_link_snapshots(true);
+    let mut world = snap_world(true);
     *world.trace_mut() = TraceBuffer::new(1 << 20);
     let exe = build_chain(&mut world);
     // Miss + rebuilds (cold), then a warm-boot hit, then an
@@ -525,8 +340,7 @@ fn snapshot_counters_match_trace_record_counts() {
 /// record), respawn, and the world must fall back to a full resolve —
 /// right answer, one more invalidation, never a panic.
 fn corrupt_and_respawn(mutate: impl FnOnce(&mut World, &str)) {
-    let mut world = World::new();
-    world.set_link_snapshots(true);
+    let mut world = snap_world(true);
     let exe = build_chain(&mut world);
     assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
     let path = snap_path(&world);
@@ -580,8 +394,7 @@ proptest! {
 /// file sends the next boot's spawn down the free cold path.
 #[test]
 fn removed_snapshot_is_a_miss_not_an_invalidation() {
-    let mut world = World::new();
-    world.set_link_snapshots(true);
+    let mut world = snap_world(true);
     let exe = build_chain(&mut world);
     assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
     let path = snap_path(&world);
@@ -613,10 +426,7 @@ fn chain_boot1(world: &mut World) {
 /// snapshots for the respawn (the live run is identical either way, so
 /// both twins recover from the byte-identical disk), and respawn.
 fn crash_respawn(k: u64, tear: bool, cpus: u32, snapshots: bool) -> (World, (i32, String)) {
-    let mut world = World::new();
-    // Boot 1 always rebuilds a snapshot (regardless of the ambient
-    // `LDL_SNAPSHOT` environment): the sweep is over *its* write units.
-    world.set_link_snapshots(true);
+    let mut world = snap_world(true);
     world.set_cpus(cpus);
     world.set_crash_at(k, tear);
     chain_boot1(&mut world);
@@ -634,11 +444,10 @@ fn crash_respawn(k: u64, tear: bool, cpus: u32, snapshots: bool) -> (World, (i32
 /// invalidated, or missed, but never *believed wrongly*.
 #[test]
 fn crash_sweep_never_resurrects_a_stale_snapshot() {
-    let cpus = cpus_override();
+    let cpus = knobs().cpus;
     // Crash-free reference: the write window of the first boot.
     let (ack, total) = {
-        let mut world = World::new();
-        world.set_link_snapshots(true);
+        let mut world = snap_world(true);
         world.set_cpus(cpus);
         let exe = build_chain(&mut world);
         let ack = world.barrier();
@@ -720,54 +529,8 @@ fn crash_sweep_never_resurrects_a_stale_snapshot() {
 /// the workers linked through a snapshot hit or a full resolve.
 #[test]
 fn sanitizer_verdicts_are_identical_with_snapshots_off() {
-    const COUNTER_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-"#;
-    const COUNTER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
     let run = |snapshots: bool| {
-        let mut world = World::new();
-        world.set_link_snapshots(snapshots);
-        world
-            .install_template("/shared/lib/shcount.o", COUNTER_DATA)
-            .unwrap();
-        world
-            .install_template("/src/worker.o", COUNTER_ELIDED)
-            .unwrap();
-        let exe = world
-            .link(
-                "/bin/worker",
-                &[
-                    ("/src/worker.o", ShareClass::StaticPrivate),
-                    ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-                ],
-            )
-            .unwrap();
-        world.set_cpus(4);
-        world.arm_sanitizer();
-        for _ in 0..4 {
-            world.spawn(&exe).unwrap();
-        }
-        world.quantum = 50;
-        assert_eq!(
-            world.run_to_settle(SETTLE_SLICES).expect("settles"),
-            WorldExit::AllExited
-        );
+        let world = run_sanitized(snap_world(snapshots), SHCOUNT_ELIDED, 4, 4);
         let races = world.races().to_vec();
         (world.stats().races_detected, races, world)
     };

@@ -169,14 +169,17 @@ fn trace_records_fault_protocol_in_order() {
     // (`BlockInvalidated` is host-speed diagnostics and is 0-cost by
     // design — the block cache must not perturb simulated time; a
     // prelink-snapshot miss and rebuild are likewise free by design,
-    // so a cold boot with snapshots on prices like one without.)
+    // so a cold boot with snapshots on prices like one without. A
+    // `SegmentMapped` record is free because the cost model bills no
+    // separate map step: mapping rides the fault or service record
+    // that triggered it, so stamping it too would over-report.)
     assert!(world
         .trace()
         .records_for(pid)
         .filter(|r| {
             !matches!(
                 r.event.kind(),
-                "BlockInvalidated" | "SnapshotMiss" | "SnapshotRebuilt"
+                "BlockInvalidated" | "SnapshotMiss" | "SnapshotRebuilt" | "SegmentMapped"
             )
         })
         .all(|r| r.cost_ns > 0));

@@ -14,6 +14,9 @@
 //!   `htrace` journal (`FaultInjected` / `RecoveryTaken` records);
 //! * the entire outcome replays exactly from the seed.
 
+mod common;
+
+use common::{knobs, trace_count, SETTLE_SLICES};
 use hemlock::{FaultPlan, FaultSite, ShareClass, Unsettled, World, WorldExit};
 use proptest::prelude::*;
 
@@ -26,44 +29,11 @@ const RATE_BOUND_PPM: u32 = 50_000;
 /// Processes spawned per scenario.
 const NPROCS: usize = 3;
 
-/// Extra entropy folded into every generated plan seed, so the CI chaos
-/// job's seed matrix (`CHAOS_SEED=1..n`) explores disjoint schedules
-/// while any single run stays fully reproducible.
-fn chaos_seed_offset() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the whole suite on an n-CPU world
-/// (default 1). Every containment and replay property must hold for
-/// any CPU count — the interleave is deterministic either way.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Mirrors the `LDL_SNAPSHOT` env hook (the nightly matrix also runs
-/// this suite with prelink snapshots disabled): the snapshot-corruption
-/// site can only fire while the subsystem is on.
-fn snapshots_enabled() -> bool {
-    !matches!(
-        std::env::var("LDL_SNAPSHOT").ok().as_deref(),
-        Some("off") | Some("0") | Some("false")
-    )
-}
-
 /// Builds the scenario world: a *pure* public module (no mutable shared
 /// state, so each process's output is independent of the others' fate)
 /// and a main program that calls into it and prints the result.
 fn build_world() -> (World, String) {
-    let mut world = World::new();
+    let mut world = common::world();
     world
         .install_template(
             "/shared/lib/mathmod.o",
@@ -157,7 +127,7 @@ struct Outcome {
 /// `InodeAlloc` reachable instead.
 fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
     let (mut world, exe) = build_world();
-    world.set_cpus(cpus_override());
+    world.set_cpus(knobs().cpus);
     if warm {
         let pid = world.spawn(&exe).unwrap();
         assert_eq!(world.run_to_settle(SETTLE_SLICES), Ok(WorldExit::AllExited));
@@ -173,7 +143,6 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
     }
     let settled = world.run_to_settle(SETTLE_SLICES);
     let stats = world.stats();
-    let trace = world.trace();
     Outcome {
         settled,
         exits: pids
@@ -183,15 +152,9 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         consoles: pids.iter().map(|p| p.map(|p| world.console(p))).collect(),
         injected: stats.faults_injected,
         recovered: stats.faults_recovered,
-        trace_injected: trace
-            .records()
-            .filter(|r| r.event.kind() == "FaultInjected")
-            .count() as u64,
-        trace_recovered: trace
-            .records()
-            .filter(|r| r.event.kind() == "RecoveryTaken")
-            .count() as u64,
-        trace_evicted: trace.evicted(),
+        trace_injected: trace_count(&world, "FaultInjected"),
+        trace_recovered: trace_count(&world, "RecoveryTaken"),
+        trace_evicted: world.trace().evicted(),
         link_retries: stats.ldl.link_retries,
     }
 }
@@ -272,7 +235,7 @@ proptest! {
         seed in any::<u64>(),
         rate in 0u32..RATE_BOUND_PPM + 1,
     ) {
-        let seed = seed ^ chaos_seed_offset();
+        let seed = seed ^ knobs().chaos_seed;
         for warm in [false, true] {
             let baseline = run_scenario_at(None, warm);
             let out = run_scenario_at(Some(FaultPlan::new(seed, rate)), warm);
@@ -348,10 +311,10 @@ fn full_rate_per_site_is_contained() {
             assert_eq!(out.injected, 0, "these sites need pressure to fire");
             continue;
         }
-        // The identity matrix also runs this suite with
-        // `LDL_SNAPSHOT=off`; a disabled subsystem never reads
-        // snapshot bytes, so there is nothing to corrupt.
-        if site == FaultSite::SnapshotCorrupt && !snapshots_enabled() {
+        // The identity matrix also runs this suite with snapshots off;
+        // a disabled subsystem never reads snapshot bytes, so there is
+        // nothing to corrupt.
+        if site == FaultSite::SnapshotCorrupt && !knobs().link_snapshots {
             assert_eq!(out.injected, 0, "disabled snapshots must not consult");
             continue;
         }

@@ -16,90 +16,16 @@
 //!    with fault injection report no races, and the sanitizer does not
 //!    perturb chaos determinism.
 
+mod common;
+
+use common::{build_shcount, knobs, trace_count, SETTLE_SLICES, SHCOUNT_ELIDED, SHCOUNT_LOCKED};
 use hemlock::{CostModel, FaultPlan, ShareClass, World, WorldExit};
 use proptest::prelude::*;
 
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// CI sweep hook: `CPUS=<n>` runs the whole suite on an n-CPU world
-/// (default 1). The sanitizer's verdicts are schedule-dependent but
-/// must stay deterministic and false-positive-free for any CPU count.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// The shared data of the counter application: the counter and the
-/// spin-lock word that guards it (cf. `examples/parallel.rs`).
-const SHARED_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-.globl lock
-lock:   .word 0
-"#;
-
-/// A worker that increments `count` ITERS times under the test-and-set
-/// spin lock.
-const WORKER_LOCKED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5            ; iterations
-loop:
-acq:    la   a0, lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq       ; spin while old value was 1
-        la   r8, count         ; critical section: count += 1
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, lock          ; unlock
-        sw   r0, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-/// The same worker with the lock elided — the seeded race.
-const WORKER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5            ; iterations
-loop:   la   r8, count         ; unguarded: count += 1
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
 /// Builds the counter world and returns it with the executable path.
 fn build_counter_world(worker_src: &str) -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shcount.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", worker_src).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
+    let mut world = common::world();
+    let exe = build_shcount(&mut world, worker_src);
     (world, exe)
 }
 
@@ -122,7 +48,7 @@ fn run_counter(
     armed: bool,
 ) -> (Observables, World) {
     let (mut world, exe) = build_counter_world(worker_src);
-    world.set_cpus(cpus_override());
+    world.set_cpus(knobs().cpus);
     if armed {
         world.arm_sanitizer();
     }
@@ -162,7 +88,7 @@ fn export_offset(world: &mut World, instance: &str, symbol: &str) -> u32 {
 /// the final counter value. The sanitizer watches; it never touches.
 #[test]
 fn armed_run_is_observably_identical() {
-    for (src, label) in [(WORKER_LOCKED, "locked"), (WORKER_ELIDED, "elided")] {
+    for (src, label) in [(SHCOUNT_LOCKED, "locked"), (SHCOUNT_ELIDED, "elided")] {
         let (unarmed, _) = run_counter(src, 3, 50, false);
         let (armed, world) = run_counter(src, 3, 50, true);
         assert_eq!(unarmed, armed, "{label}: armed run perturbed the guest");
@@ -175,7 +101,7 @@ fn armed_run_is_observably_identical() {
 /// The unarmed fast path stays free: no sanitizer counters move.
 #[test]
 fn unarmed_world_reports_nothing() {
-    let (_, world) = run_counter(WORKER_ELIDED, 3, 50, false);
+    let (_, world) = run_counter(SHCOUNT_ELIDED, 3, 50, false);
     let stats = world.stats();
     assert!(!world.sanitizer_armed());
     assert_eq!(stats.races_detected, 0);
@@ -199,14 +125,14 @@ proptest! {
         workers in 2usize..5,
     ) {
         // Disciplined: zero reports, correct sum.
-        let (obs, world) = run_counter(WORKER_LOCKED, workers, quantum, true);
+        let (obs, world) = run_counter(SHCOUNT_LOCKED, workers, quantum, true);
         prop_assert_eq!(world.stats().races_detected, 0, "log: {:?}", world.log);
         prop_assert!(world.races().is_empty());
         prop_assert_eq!(obs.count, workers as u32 * 5);
         prop_assert_eq!(obs.exit, WorldExit::AllExited);
 
         // Lock-elided: the race is reported and located.
-        let (_, mut world) = run_counter(WORKER_ELIDED, workers, quantum, true);
+        let (_, mut world) = run_counter(SHCOUNT_ELIDED, workers, quantum, true);
         let stats = world.stats();
         prop_assert!(stats.races_detected >= 1, "elided lock went unreported");
         let count_off = export_offset(&mut world, "/shared/lib/shcount", "count");
@@ -227,7 +153,7 @@ proptest! {
 /// worker module's text and differ only by the access kind.
 #[test]
 fn race_report_names_both_pcs_and_the_segment() {
-    let (_, world) = run_counter(WORKER_ELIDED, 3, 50, true);
+    let (_, world) = run_counter(SHCOUNT_ELIDED, 3, 50, true);
     let races = world.races();
     assert!(!races.is_empty(), "log: {:?}", world.log);
     let r = &races[0];
@@ -237,13 +163,8 @@ fn race_report_names_both_pcs_and_the_segment() {
     assert_ne!(r.second_pc, 0, "second PC recorded");
     assert!(r.second_is_write || r.first_is_write, "at least one store");
     // The trace ring carries the same finding at zero simulated cost.
-    let race_records: Vec<_> = world
-        .trace()
-        .records()
-        .filter(|rec| rec.event.kind() == "RaceDetected")
-        .collect();
-    assert_eq!(race_records.len(), races.len());
-    assert!(race_records.iter().all(|rec| rec.cost_ns == 0));
+    assert_eq!(trace_count(&world, "RaceDetected"), races.len() as u64);
+    assert_eq!(common::trace_cost(&world, "RaceDetected"), 0);
     // And the log names the path for humans.
     assert!(world
         .log
@@ -255,7 +176,7 @@ fn race_report_names_both_pcs_and_the_segment() {
 /// word, and each word is reported at most once.
 #[test]
 fn one_report_per_raced_word() {
-    let (_, world) = run_counter(WORKER_ELIDED, 4, 30, true);
+    let (_, world) = run_counter(SHCOUNT_ELIDED, 4, 30, true);
     let races = world.races();
     let mut offsets: Vec<u32> = races.iter().map(|r| r.offset).collect();
     offsets.sort_unstable();
@@ -274,7 +195,7 @@ fn one_report_per_raced_word() {
 #[test]
 fn armed_run_is_identical_under_thrash() {
     let run_pressured = |armed: bool, budget: Option<u64>| {
-        let (mut world, exe) = build_counter_world(WORKER_LOCKED);
+        let (mut world, exe) = build_counter_world(SHCOUNT_LOCKED);
         if let Some(frames) = budget {
             world.set_frame_budget(frames);
         }
@@ -336,7 +257,7 @@ fn armed_run_is_identical_under_thrash() {
 #[test]
 fn chaos_with_sanitizer_has_no_false_positives() {
     let build = || {
-        let mut world = World::new();
+        let mut world = common::world();
         world
             .install_template(
                 "/shared/lib/mathmod.o",
@@ -388,7 +309,7 @@ fn chaos_with_sanitizer_has_no_false_positives() {
     };
     let run = |seed: u64, sanitize: bool| {
         let (mut world, exe) = build();
-        world.set_cpus(cpus_override());
+        world.set_cpus(knobs().cpus);
         world.arm_faults(FaultPlan::new(seed, 50_000));
         if sanitize {
             world.arm_sanitizer();
@@ -414,14 +335,7 @@ fn chaos_with_sanitizer_has_no_false_positives() {
         // and recovery paths are not races.
         assert_eq!(stats.races_detected, 0, "seed {seed}: log {:?}", world.log);
         assert!(world.races().is_empty());
-        assert_eq!(
-            world
-                .trace()
-                .records()
-                .filter(|r| r.event.kind() == "RaceDetected")
-                .count(),
-            0
-        );
+        assert_eq!(trace_count(&world, "RaceDetected"), 0);
         // Counters reconcile exactly as in the unsanitized chaos run.
         assert_eq!(stats.faults_injected, plain_stats.faults_injected);
         assert_eq!(stats.faults_recovered, plain_stats.faults_recovered);

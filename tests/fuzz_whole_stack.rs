@@ -7,6 +7,8 @@
 //! barriers, armed disk deaths, power cuts, and reboots must keep the
 //! host panic-free and every recovery convergent (DESIGN.md §13).
 
+mod common;
+
 use hemlock::{ShareClass, World};
 use hobj::binfmt;
 use hobj::hasm::assemble;
@@ -78,7 +80,7 @@ proptest! {
         )
     ) {
         let src = program(&seeds);
-        let mut world = World::new();
+        let mut world = common::world();
         world.install_template("/src/fuzz.o", &src).unwrap();
         let exe = world
             .link("/bin/fuzz", &[("/src/fuzz.o", ShareClass::StaticPrivate)])
@@ -115,7 +117,7 @@ proptest! {
         )
     ) {
         let src = program(&seeds);
-        let mut world = World::new();
+        let mut world = common::world();
         world.install_template("/src/fuzz.o", &src).unwrap();
         world
             .install_template(
@@ -158,7 +160,7 @@ proptest! {
             1..24,
         )
     ) {
-        let mut world = World::new();
+        let mut world = common::world();
         world
             .install_template(
                 "/shared/lib/cell.o",

@@ -2,69 +2,18 @@
 //! the paper's §3 crash-survivable address table and §5 garbage-collection
 //! story, end to end through the whole stack.
 
+mod common;
+
+use common::{build_counter, run_prog, RUN_SLICES};
 use hemlock::{ShareClass, World, WorldExit};
 use hsfs::tools;
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-fn build(world: &mut World) -> String {
-    world
-        .install_template("/shared/lib/counter.o", COUNTER)
-        .unwrap();
-    world.install_template("/src/main.o", MAIN).unwrap();
-    world
-        .link(
-            "/bin/p",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
-
-fn run(world: &mut World, exe: &str) -> i32 {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(200_000),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    world.exit_code(pid).unwrap()
-}
 
 #[test]
 fn shared_state_survives_reboot() {
     let mut world = World::new();
-    let exe = build(&mut world);
-    assert_eq!(run(&mut world, &exe), 1);
-    assert_eq!(run(&mut world, &exe), 2);
+    let exe = build_counter(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
+    assert_eq!(run_prog(&mut world, &exe).0, 2);
 
     // Crash + reboot: in-kernel table and all caches are lost; the disk
     // survives; the boot scan rebuilds the mapping.
@@ -78,14 +27,14 @@ fn shared_state_survives_reboot() {
             .unwrap(),
         2
     );
-    assert_eq!(run(&mut world, &exe), 3);
+    assert_eq!(run_prog(&mut world, &exe).0, 3);
 }
 
 #[test]
 fn segments_are_perusable_and_cleanable() {
     let mut world = World::new();
-    let exe = build(&mut world);
-    assert_eq!(run(&mut world, &exe), 1);
+    let exe = build_counter(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
     // Add a raw (non-module) data segment too.
     world
         .kernel
@@ -122,8 +71,8 @@ fn segments_are_perusable_and_cleanable() {
 #[test]
 fn fsck_detects_and_boot_scan_repairs_crash_damage() {
     let mut world = World::new();
-    let exe = build(&mut world);
-    assert_eq!(run(&mut world, &exe), 1);
+    let exe = build_counter(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
     let n_segments = world.list_segments().len();
     // Lose the table mid-flight (no reboot): fsck reports every segment.
     world.kernel.vfs.shared.linear_table_clear_for_test();
@@ -181,7 +130,7 @@ fn position_dependence_copying_a_segment_breaks_its_pointers() {
         .link("/bin/chase", &[("/src/main.o", ShareClass::StaticPrivate)])
         .unwrap();
     let pid = world.spawn(&exe).unwrap();
-    assert_eq!(world.run(200_000), WorldExit::AllExited);
+    assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(42));
     // The pointer it followed was orig's address, not copy's.
     let followed = u32::from_le_bytes(content[0..4].try_into().unwrap());

@@ -6,24 +6,11 @@
 //! and *default portion of address space* (private vs. public). These
 //! tests verify each cell behaviorally, end to end.
 
+mod common;
+
+use common::COUNTER;
 use hemlock::{ShareClass, World, WorldExit};
 use hkernel::layout;
-
-/// A module with one exported counter and a bump function.
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
 
 /// main: bump twice, return the second result.
 const MAIN: &str = r#"
