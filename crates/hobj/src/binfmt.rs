@@ -49,15 +49,58 @@ impl fmt::Display for BinError {
     }
 }
 
-/// Computes the CRC-32 (IEEE, reflected) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The IEEE CRC-32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `CRC32_TABLES[0][b]` is
+/// the CRC of byte `b`, and `CRC32_TABLES[k][b]` is that CRC advanced
+/// through `k` further zero bytes, so eight lookups fold eight bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Computes the CRC-32 (IEEE, reflected) of `data`, eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = !0;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -601,11 +644,66 @@ mod tests {
         ));
     }
 
+    /// The bitwise CRC-32 the table kernel must reproduce exactly.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference() {
+        let mut x: u32 = 0x9E37_79B9;
+        let data: Vec<u8> = (0..4108)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        // Every length through 4100 covers every remainder after the
+        // 8-byte steps, from empty to many steps.
+        for len in 0..=4100 {
+            let s = &data[..len];
+            assert_eq!(crc32(s), crc32_bitwise(s), "length {len}");
+        }
+        // Sub-slices starting at every offset within a word.
+        for off in 1..8 {
+            for len in [1, 7, 8, 9, 63, 64, 65, 4096] {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} length {len}");
+            }
+        }
+    }
+
     #[test]
     fn crc32_known_vector() {
         // CRC-32 of "123456789" is 0xCBF43926 (IEEE reflected).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn every_single_bit_flip_fails_the_checksum() {
+        let bytes = encode_image(&sample_image());
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                assert_eq!(
+                    decode_image(&bad),
+                    Err(BinError::BadChecksum),
+                    "flip of bit {bit} in byte {i}"
+                );
+            }
+        }
     }
 
     #[test]

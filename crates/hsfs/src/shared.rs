@@ -235,6 +235,18 @@ impl SharedFs {
         self.linear.len()
     }
 
+    /// The inodes the address table maps, in slot order, one per base
+    /// address: where a base was registered twice, its earlier entry —
+    /// the one a lookup finds. Unlike [`SharedFs::addr_to_ino`], this
+    /// reads the table without counting lookups or probe steps.
+    pub(crate) fn table_inos(&self) -> Vec<Ino> {
+        let mut entries = self.linear.clone();
+        // Stable: entries sharing a base keep their table order.
+        entries.sort_by_key(|&(base, _)| base);
+        entries.dedup_by_key(|&mut (base, _)| base);
+        entries.into_iter().map(|(_, ino)| ino).collect()
+    }
+
     /// Retires a single table entry (both structures) without touching
     /// the file system — the repair for a stale entry found by fsck.
     pub(crate) fn drop_table_entry(&mut self, ino: Ino) {

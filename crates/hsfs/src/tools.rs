@@ -10,7 +10,7 @@
 
 use crate::error::FsError;
 use crate::fs::NodeKind;
-use crate::shared::{SharedFs, SHARED_INODES, SLOT_SIZE};
+use crate::shared::{SharedFs, SLOT_SIZE};
 use crate::Ino;
 
 /// One row of the segment listing.
@@ -238,13 +238,11 @@ pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
             }
         }
     }
-    // Scan the whole slot space for table entries without a backing file.
-    for slot in 0..SHARED_INODES {
-        let addr = SharedFs::addr_of_ino(slot);
-        if let Ok((ino, _)) = sfs.addr_to_ino(addr) {
-            if sfs.fs.metadata(ino).is_err() || !files.contains(&ino) {
-                issues.push(FsckIssue::StaleTableEntry { ino });
-            }
+    // Table entries without a backing file, in slot order (`files` is
+    // in inode order).
+    for ino in sfs.table_inos() {
+        if files.binary_search(&ino).is_err() {
+            issues.push(FsckIssue::StaleTableEntry { ino });
         }
     }
     // End-to-end block verification against the checksum region (a
@@ -516,6 +514,45 @@ mod tests {
             s.addr_to_ino(SharedFs::addr_of_ino(ino)),
             Err(FsError::BadAddress)
         );
+    }
+
+    /// fsck's stale-entry walk reports exactly what probing every slot
+    /// address does, on a table holding a stale entry and a base
+    /// registered twice.
+    #[test]
+    fn stale_walk_matches_slot_probe_scan() {
+        let mut s = populated();
+        let stale = s.fs.resolve("/jobs/a/seg1").unwrap();
+        let reused = s.fs.resolve("/standalone").unwrap();
+        s.fs.unlink("/jobs/a/seg1").unwrap();
+        s.fs.unlink("/standalone").unwrap();
+        // The freed inode is reused, registered a second time, and
+        // freed again: its base is now stale twice over.
+        assert_eq!(s.create_file("/again", 0o666, 1).unwrap(), reused);
+        s.fs.unlink("/again").unwrap();
+        assert_eq!(s.slot_count(), 4, "seg1, seg2 and /standalone's base twice");
+        let mut files = Vec::new();
+        s.fs.for_each_inode(|ino, kind| {
+            if *kind == NodeKind::File {
+                files.push(ino);
+            }
+        });
+        let mut probed = Vec::new();
+        for slot in 0..crate::shared::SHARED_INODES {
+            if let Ok((ino, _)) = s.addr_to_ino(SharedFs::addr_of_ino(slot)) {
+                if s.fs.metadata(ino).is_err() || !files.contains(&ino) {
+                    probed.push(FsckIssue::StaleTableEntry { ino });
+                }
+            }
+        }
+        let mut expected = [stale, reused];
+        expected.sort();
+        let expected: Vec<FsckIssue> = expected
+            .iter()
+            .map(|&ino| FsckIssue::StaleTableEntry { ino })
+            .collect();
+        assert_eq!(probed, expected);
+        assert_eq!(fsck_shared(&mut s), probed);
     }
 
     /// `fsck_boot` flags crash-surviving swap files; `fsck_shared`

@@ -30,6 +30,9 @@ cargo test -q --release --test e14_integrity
 echo "==> prelink snapshots (e15: identity, staleness, crash sweep)"
 cargo test -q --release --test e15_snapshot
 
+echo "==> perfbench suite (same-seed replay, sim-ledger conservation, skew = failure)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
