@@ -285,19 +285,6 @@ impl CostModel {
         ns += (s.snapshot_hits + s.snapshot_invalidations) * self.snapshot_validate_ns;
         SimTime(ns)
     }
-
-    /// Time attributable to the file system only (for the rwho
-    /// comparison, where the interesting delta is I/O + parsing).
-    pub fn fs_time(&self, s: &WorldStats) -> SimTime {
-        let blocks = s.root_fs.blocks_read
-            + s.root_fs.blocks_written
-            + s.shared_fs.blocks_read
-            + s.shared_fs.blocks_written;
-        SimTime(
-            blocks * self.disk_block_ns
-                + (s.root_fs.lookups + s.shared_fs.lookups) * self.lookup_ns,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -142,15 +142,6 @@ pub struct RaceRecord {
     pub second_is_write: bool,
 }
 
-/// A recorded process exit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExitRecord {
-    /// The process.
-    pub pid: Pid,
-    /// Its status (negative ⇒ killed by the runtime).
-    pub code: i32,
-}
-
 /// Errors from the host-level `World` API.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorldError {
@@ -231,7 +222,6 @@ pub struct World {
     /// fault-driven linking (the eager baseline for experiment E2).
     pub eager: bool,
     /// Accumulated stats from processes that have been reaped.
-    reaped_cow: u64,
     reaped_ldl: hlink::ldl::LdlStats,
     /// Fault-path trace ring (see [`crate::htrace`]).
     trace: TraceBuffer,
@@ -318,7 +308,6 @@ impl World {
             log: Vec::new(),
             quantum: 10_000,
             eager: false,
-            reaped_cow: 0,
             reaped_ldl: Default::default(),
             trace: TraceBuffer::default(),
             costs: CostModel::default(),
@@ -354,11 +343,6 @@ impl World {
         handle
     }
 
-    /// The world's chaos handle (unarmed by default).
-    pub fn fault_handle(&self) -> &FaultHandle {
-        &self.faults
-    }
-
     /// Moves injections journaled by the plan into the trace ring,
     /// attributed to `pid` (0 for world-level work).
     fn drain_injections(&mut self, pid: Pid) {
@@ -392,13 +376,6 @@ impl World {
     /// OOM killer fires.
     pub fn set_swap_pages(&mut self, pages: u32) {
         self.kernel.frame_pool().set_swap_pages(pages);
-    }
-
-    /// Caps each process's resident set to `quota` pages (or lifts the
-    /// cap). Enforced at slice boundaries by evicting the over-quota
-    /// process's own pages, even when the global pool has room.
-    pub fn set_resident_quota(&mut self, quota: Option<u64>) {
-        self.kernel.frame_pool().set_quota(quota);
     }
 
     /// The world's frame pool (budget configuration and statistics).
@@ -929,11 +906,6 @@ impl World {
     /// A process's console output.
     pub fn console(&self, pid: Pid) -> String {
         self.kernel.console_of(pid)
-    }
-
-    /// Per-process dynamic-linker statistics.
-    pub fn ldl_stats(&self, pid: Pid) -> Option<hlink::ldl::LdlStats> {
-        self.link.get(&pid).map(|s| s.stats)
     }
 
     /// Link state of a process (for tests and diagnostics).
@@ -1631,15 +1603,7 @@ impl World {
     /// any priced counter — corruption is a disk phenomenon; injecting
     /// it must be invisible to the cost model (cf. `fsck_at_boot`).
     fn resolve_shared_unpriced(&mut self, path: &str) -> Option<hsfs::Ino> {
-        let sfs = &mut self.kernel.vfs.shared;
-        let (lookups, probes) = (sfs.addr_lookups, sfs.addr_probe_steps);
-        let fs_stats = sfs.fs.stats;
-        let resolved = self.kernel.vfs.resolve(path);
-        let sfs = &mut self.kernel.vfs.shared;
-        sfs.addr_lookups = lookups;
-        sfs.addr_probe_steps = probes;
-        sfs.fs.stats = fs_stats;
-        match resolved {
+        match self.kernel.vfs.unpriced(|v| v.resolve(path)) {
             Ok(Vnode {
                 mount: Mount::Shared,
                 ino,
@@ -1802,7 +1766,7 @@ impl World {
 
     /// Gathers all counters for the cost model.
     pub fn stats(&self) -> WorldStats {
-        let mut cow = self.reaped_cow + self.kernel.stats.cow_copies;
+        let mut cow = self.kernel.stats.cow_copies;
         let mut tlb_hits = self.kernel.stats.tlb_hits;
         let mut tlb_misses = self.kernel.stats.tlb_misses;
         for p in self.kernel.procs.values() {

@@ -304,11 +304,6 @@ impl Kernel {
         }
     }
 
-    /// True if new address spaces get an enabled block cache.
-    pub fn bbcache_enabled(&self) -> bool {
-        self.bb_enabled
-    }
-
     /// Enables or disables prelink snapshot caching (DESIGN.md §15).
     /// Off means the linker never reads nor writes snapshot files — a
     /// cold resolve every time, byte-identical to the pre-snapshot
@@ -713,11 +708,9 @@ impl Kernel {
     /// forward progress unconditional); this is where the overshoot is
     /// paid back. When a full clock rotation frees nothing — every
     /// remaining anonymous page found swap full — the deterministic OOM
-    /// killer fires. The quota pass afterwards trims processes over the
-    /// per-process resident cap; quota misses are not fatal (referenced
-    /// pages keep their second chance until a later slice).
+    /// killer fires.
     fn rebalance(&mut self) -> Option<RunEvent> {
-        if self.procs.is_empty() || (!self.pool.over_budget() && self.pool.quota().is_none()) {
+        if self.procs.is_empty() || !self.pool.over_budget() {
             return None;
         }
         while self.pool.over_budget() {
@@ -737,35 +730,6 @@ impl Kernel {
                     break;
                 }
                 return Some(self.oom_kill());
-            }
-        }
-        if let Some(quota) = self.pool.quota() {
-            let pids: Vec<Pid> = self
-                .procs
-                .iter()
-                .filter(|(_, p)| !matches!(p.state, ProcState::Zombie(_)))
-                .map(|(&pid, _)| pid)
-                .collect();
-            for pid in pids {
-                let mut from = 0;
-                loop {
-                    // invariant: collected from `procs` above; eviction
-                    // never removes a process entry.
-                    let proc = self.procs.get_mut(&pid).expect("live pid");
-                    if proc.aspace.resident_pages() <= quota {
-                        break;
-                    }
-                    let Some(vpn) = proc.aspace.clock_scan(from) else {
-                        break;
-                    };
-                    // Skip unevictable pages (swap full / chaos) and
-                    // keep sweeping; the sweep is strictly forward.
-                    let outcome = proc.aspace.evict_page(pid, vpn, &mut self.vfs.shared);
-                    if outcome == EvictOutcome::Evicted {
-                        self.shootdown(pid, vpn * PAGE_SIZE, 1);
-                    }
-                    from = vpn + 1;
-                }
             }
         }
         None
@@ -913,12 +877,6 @@ impl Kernel {
         // invariant: take >= 1 because the runnable list is non-empty.
         self.rr_cursor = *chosen.last().expect("non-empty selection");
         chosen
-    }
-
-    /// Runs one process for up to `quantum` instructions on CPU 0.
-    pub fn run_slice(&mut self, pid: Pid, quantum: u64) -> RunEvent {
-        let (_, ev) = self.run_slice_counted(pid, quantum, 0);
-        ev.unwrap_or(RunEvent::Quantum(pid))
     }
 
     /// Runs one process on simulated CPU `cpu` for up to `budget`

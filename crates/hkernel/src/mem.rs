@@ -280,9 +280,6 @@ struct PoolInner {
     swap_outs: u64,
     swap_ins: u64,
     oom_kills: u64,
-    /// Optional per-process resident quota (pages); enforced by the
-    /// kernel's rebalance pass, not by the pool itself.
-    quota: Option<u64>,
     swap_pages: u32,
     next_slot: u32,
     free_slots: Vec<u32>,
@@ -326,7 +323,6 @@ impl FramePool {
             swap_outs: 0,
             swap_ins: 0,
             oom_kills: 0,
-            quota: None,
             swap_pages,
             next_slot: 0,
             free_slots: Vec::new(),
@@ -342,11 +338,6 @@ impl FramePool {
         self.0.lock().expect("frame pool lock")
     }
 
-    /// True if `other` is a handle to the same pool.
-    pub fn same_pool(&self, other: &FramePool) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
     /// Changes the frame budget (takes effect at the next rebalance).
     pub fn set_capacity(&self, frames: u64) {
         self.lock().capacity = frames.max(1);
@@ -355,16 +346,6 @@ impl FramePool {
     /// Changes the swap budget. Already-allocated slots stay valid.
     pub fn set_swap_pages(&self, pages: u32) {
         self.lock().swap_pages = pages;
-    }
-
-    /// Sets (or clears) the per-process resident quota.
-    pub fn set_quota(&self, quota: Option<u64>) {
-        self.lock().quota = quota;
-    }
-
-    /// The per-process resident quota, if any.
-    pub fn quota(&self) -> Option<u64> {
-        self.lock().quota
     }
 
     /// The frame budget.
@@ -408,8 +389,8 @@ impl FramePool {
     /// Power-cut reset: frames and swap slots are volatile, so nothing
     /// is resident and no swap slot is allocated after a crash (the
     /// swap *files* on the shared partition are reclaimed separately by
-    /// boot-time fsck). Configuration (capacity, swap budget, quota)
-    /// and cumulative counters survive — they describe the machine and
+    /// boot-time fsck). Configuration (capacity, swap budget) and
+    /// cumulative counters survive — they describe the machine and
     /// its history, not the lost state.
     pub fn reset_volatile(&self) {
         let mut inner = self.lock();

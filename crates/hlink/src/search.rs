@@ -13,7 +13,7 @@
 
 use hobj::SearchStrategy;
 use hsfs::path as fspath;
-use hsfs::{FsError, Vfs};
+use hsfs::Vfs;
 
 /// An ordered list of directories to probe for module templates.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -82,12 +82,6 @@ impl SearchPath {
             }
         }
         None
-    }
-
-    /// Like [`SearchPath::locate`] but distinguishes "not found" from
-    /// file-system errors for callers that care.
-    pub fn locate_checked(&self, vfs: &mut Vfs, cwd: &str, spec: &str) -> Result<String, FsError> {
-        self.locate(vfs, cwd, spec).ok_or(FsError::NotFound)
     }
 }
 

@@ -208,16 +208,6 @@ impl FileSystem {
         &self.faults
     }
 
-    /// Number of live inodes.
-    pub fn inode_count(&self) -> u32 {
-        self.live
-    }
-
-    /// Inodes still available.
-    pub fn inodes_free(&self) -> u32 {
-        self.config.max_inodes - self.live
-    }
-
     fn inode(&self, ino: Ino) -> Result<&Inode, FsError> {
         self.slots
             .get(ino as usize)
@@ -232,18 +222,14 @@ impl FileSystem {
             .ok_or(FsError::NotFound)
     }
 
-    fn alloc(&mut self, inode: Inode) -> Result<Ino, FsError> {
+    /// The inode number the next creation takes: the top of the free
+    /// list, else a new slot. Nothing is claimed until the creating
+    /// transaction's `SetInode` is applied.
+    fn next_ino(&self) -> Result<Ino, FsError> {
         if self.live >= self.config.max_inodes || self.faults.should_inject(FaultSite::InodeAlloc) {
             return Err(FsError::NoSpace);
         }
-        self.live += 1;
-        if let Some(ino) = self.free.pop() {
-            self.slots[ino as usize] = Some(inode);
-            Ok(ino)
-        } else {
-            self.slots.push(Some(inode));
-            Ok((self.slots.len() - 1) as Ino)
-        }
+        Ok(self.free.last().copied().unwrap_or(self.slots.len() as Ino))
     }
 
     fn release(&mut self, ino: Ino) {
@@ -363,83 +349,40 @@ impl FileSystem {
     fn insert_child(
         &mut self,
         dir: Ino,
-        name: &str,
-        node: Node,
+        name: String,
+        kind: RecKind,
         mode: u16,
         uid: u32,
     ) -> Result<Ino, FsError> {
-        if self.dir_entries(dir)?.contains_key(name) {
+        if self.dir_entries(dir)?.contains_key(&name) {
             return Err(FsError::AlreadyExists);
         }
-        let kind = match &node {
-            Node::File { .. } => RecKind::File,
-            Node::Dir { .. } => RecKind::Dir,
-            Node::Symlink { target } => RecKind::Symlink(target.clone()),
-        };
-        let ino = self.alloc(Inode {
-            node,
-            nlink: 1,
-            mode,
-            uid,
-            parent: dir,
-            name: name.to_string(),
-            lock: LockState::Unlocked,
-        })?;
-        match &mut self.inode_mut(dir)?.node {
-            Node::Dir { entries } => {
-                entries.insert(name.to_string(), ino);
-            }
-            // invariant: dir_entries(dir) above proved `dir` is a Dir,
-            // and alloc() cannot change an existing slot's kind.
-            _ => unreachable!("checked above"),
-        }
+        let ino = self.next_ino()?;
+        self.commit(vec![
+            Payload::SetInode {
+                ino,
+                kind,
+                mode,
+                uid,
+                parent: dir,
+                name: name.clone(),
+            },
+            Payload::DirAdd { dir, name, ino },
+        ]);
         self.stats.creates += 1;
-        if self.durable.is_some() {
-            self.durable_tx(vec![
-                Payload::SetInode {
-                    ino,
-                    kind,
-                    mode,
-                    uid,
-                    parent: dir,
-                    name: name.to_string(),
-                },
-                Payload::DirAdd {
-                    dir,
-                    name: name.to_string(),
-                    ino,
-                },
-            ]);
-        }
         Ok(ino)
     }
 
     /// Creates an empty regular file.
     pub fn create_file(&mut self, path: &str, mode: u16, uid: u32) -> Result<Ino, FsError> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.insert_child(
-            dir,
-            &name,
-            Node::File {
-                content: Vec::new(),
-            },
-            mode,
-            uid,
-        )
+        self.insert_child(dir, name, RecKind::File, mode, uid)
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str, mode: u16, uid: u32) -> Result<Ino, FsError> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.insert_child(
-            dir,
-            &name,
-            Node::Dir {
-                entries: BTreeMap::new(),
-            },
-            mode,
-            uid,
-        )
+        self.insert_child(dir, name, RecKind::Dir, mode, uid)
     }
 
     /// Creates all missing directories along `path`.
@@ -459,15 +402,7 @@ impl FileSystem {
     /// Creates a symbolic link at `path` pointing to `target`.
     pub fn symlink(&mut self, target: &str, path: &str, uid: u32) -> Result<Ino, FsError> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.insert_child(
-            dir,
-            &name,
-            Node::Symlink {
-                target: target.to_string(),
-            },
-            0o777,
-            uid,
-        )
+        self.insert_child(dir, name, RecKind::Symlink(target.to_string()), 0o777, uid)
     }
 
     /// Reads a symlink's target.
@@ -492,25 +427,15 @@ impl FileSystem {
         if self.dir_entries(dir)?.contains_key(&name) {
             return Err(FsError::AlreadyExists);
         }
-        match &mut self.inode_mut(dir)?.node {
-            Node::Dir { entries } => {
-                entries.insert(name.clone(), target);
-            }
-            // invariant: resolve_parent only returns Dir inodes.
-            _ => unreachable!(),
-        }
-        self.inode_mut(target)?.nlink += 1;
-        if self.durable.is_some() {
-            let nlink = self.inode(target)?.nlink;
-            self.durable_tx(vec![
-                Payload::DirAdd {
-                    dir,
-                    name,
-                    ino: target,
-                },
-                Payload::SetNlink { ino: target, nlink },
-            ]);
-        }
+        let nlink = self.inode(target)?.nlink + 1;
+        self.commit(vec![
+            Payload::DirAdd {
+                dir,
+                name,
+                ino: target,
+            },
+            Payload::SetNlink { ino: target, nlink },
+        ]);
         Ok(())
     }
 
@@ -518,32 +443,20 @@ impl FileSystem {
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         let (dir, name) = self.resolve_parent(path)?;
         let ino = *self.dir_entries(dir)?.get(&name).ok_or(FsError::NotFound)?;
-        if matches!(self.inode(ino)?.node, Node::Dir { .. }) {
+        let inode = self.inode(ino)?;
+        if matches!(inode.node, Node::Dir { .. }) {
             return Err(FsError::IsADirectory);
         }
-        match &mut self.inode_mut(dir)?.node {
-            Node::Dir { entries } => {
-                entries.remove(&name);
-            }
-            // invariant: resolve_parent only returns Dir inodes.
-            _ => unreachable!(),
-        }
-        let inode = self.inode_mut(ino)?;
-        inode.nlink -= 1;
-        let nlink = inode.nlink;
-        if nlink == 0 {
-            self.release(ino);
-        }
-        self.stats.removes += 1;
-        if self.durable.is_some() {
-            let mut payloads = vec![Payload::DirRemove { dir, name }];
-            payloads.push(if nlink == 0 {
+        let nlink = inode.nlink - 1;
+        self.commit(vec![
+            Payload::DirRemove { dir, name },
+            if nlink == 0 {
                 Payload::ClearInode { ino }
             } else {
                 Payload::SetNlink { ino, nlink }
-            });
-            self.durable_tx(payloads);
-        }
+            },
+        ]);
+        self.stats.removes += 1;
         Ok(())
     }
 
@@ -556,21 +469,11 @@ impl FileSystem {
             Node::Dir { .. } => return Err(FsError::NotEmpty),
             _ => return Err(FsError::NotADirectory),
         }
-        match &mut self.inode_mut(dir)?.node {
-            Node::Dir { entries } => {
-                entries.remove(&name);
-            }
-            // invariant: resolve_parent only returns Dir inodes.
-            _ => unreachable!(),
-        }
-        self.release(ino);
+        self.commit(vec![
+            Payload::DirRemove { dir, name },
+            Payload::ClearInode { ino },
+        ]);
         self.stats.removes += 1;
-        if self.durable.is_some() {
-            self.durable_tx(vec![
-                Payload::DirRemove { dir, name },
-                Payload::ClearInode { ino },
-            ]);
-        }
         Ok(())
     }
 
@@ -592,42 +495,22 @@ impl FileSystem {
             }
             self.unlink(new)?;
         }
-        match &mut self.inode_mut(odir)?.node {
-            Node::Dir { entries } => {
-                entries.remove(&oname);
-            }
-            // invariant: resolve_parent only returns Dir inodes.
-            _ => unreachable!(),
-        }
-        match &mut self.inode_mut(ndir)?.node {
-            Node::Dir { entries } => {
-                entries.insert(nname.clone(), ino);
-            }
-            // invariant: resolve_parent only returns Dir inodes, and the
-            // unlink() above cannot remove a directory.
-            _ => unreachable!(),
-        }
-        let inode = self.inode_mut(ino)?;
-        inode.parent = ndir;
-        inode.name = nname.clone();
-        if self.durable.is_some() {
-            self.durable_tx(vec![
-                Payload::DirRemove {
-                    dir: odir,
-                    name: oname,
-                },
-                Payload::DirAdd {
-                    dir: ndir,
-                    name: nname.clone(),
-                    ino,
-                },
-                Payload::SetMeta {
-                    ino,
-                    parent: ndir,
-                    name: nname,
-                },
-            ]);
-        }
+        self.commit(vec![
+            Payload::DirRemove {
+                dir: odir,
+                name: oname,
+            },
+            Payload::DirAdd {
+                dir: ndir,
+                name: nname.clone(),
+                ino,
+            },
+            Payload::SetMeta {
+                ino,
+                parent: ndir,
+                name: nname,
+            },
+        ]);
         Ok(())
     }
 
@@ -731,35 +614,27 @@ impl FileSystem {
         if self.durable.is_none() || data.is_empty() {
             return;
         }
-        let bs = crate::BLOCK_SIZE as u64;
-        let end = offset + data.len() as u64;
-        let Ok(inode) = self.inode(ino) else { return };
-        let Node::File { content } = &inode.node else {
+        let Ok(content) = self.file_bytes(ino) else {
             return;
         };
-        let patched: Option<Vec<u8>> = if torn {
-            let mut c = content.clone();
+        let patched;
+        let view = if torn {
+            let mut c = content.to_vec();
             let need = offset as usize + data.len();
             if c.len() < need {
                 c.resize(need, 0);
             }
             c[offset as usize..need].copy_from_slice(data);
-            Some(c)
+            patched = c;
+            &patched
         } else {
-            None
+            content
         };
-        let view: &[u8] = patched.as_deref().unwrap_or(content);
+        let bs = crate::BLOCK_SIZE as u64;
+        let last = (offset + data.len() as u64 - 1) / bs;
         let mut payloads = Vec::new();
-        for b in offset / bs..=(end - 1) / bs {
-            let s = (b * bs) as usize;
-            let e = ((b + 1) * bs) as usize;
-            payloads.push(Payload::WriteBlock {
-                ino,
-                offset: b * bs,
-                bytes: view[s..e.min(view.len())].to_vec(),
-            });
-        }
-        self.durable_tx(payloads);
+        block_images(ino, view, offset / bs..=last, &mut payloads);
+        self.journal(payloads);
     }
 
     /// Sets the file's length, truncating or zero-extending.
@@ -767,22 +642,15 @@ impl FileSystem {
         if size > self.config.max_file_size {
             return Err(FsError::FileTooLarge);
         }
-        self.content_stamp += 1;
-        self.write_epochs.entry(ino).or_default().whole += 1;
-        match &mut self.inode_mut(ino)?.node {
-            Node::File { content } => {
-                content.resize(size as usize, 0);
-            }
-            _ => return Err(FsError::IsADirectory),
+        if !matches!(self.inode(ino)?.node, Node::File { .. }) {
+            return Err(FsError::IsADirectory);
         }
+        self.commit(vec![Payload::SetSize { ino, size }]);
         if !self.poisoned.is_empty() {
             // Pages now entirely beyond EOF are gone, damage and all.
             let ps = crate::PAGE_SIZE as u64;
             self.poisoned
                 .retain(|&(i, p)| i != ino || u64::from(p) * ps < size);
-        }
-        if self.durable.is_some() {
-            self.durable_tx(vec![Payload::SetSize { ino, size }]);
         }
         Ok(())
     }
@@ -791,13 +659,7 @@ impl FileSystem {
     /// pipeline — simulates on-disk corruption (an oversized segment)
     /// for fsck tests. Test/diagnostic use only.
     pub fn force_size_for_test(&mut self, ino: Ino, size: u64) {
-        self.content_stamp += 1;
-        self.write_epochs.entry(ino).or_default().whole += 1;
-        if let Ok(inode) = self.inode_mut(ino) {
-            if let Node::File { content } = &mut inode.node {
-                content.resize(size as usize, 0);
-            }
-        }
+        self.apply_phys(&Payload::SetSize { ino, size });
     }
 
     /// Direct read-only view of a file's bytes (for memory mapping).
@@ -900,10 +762,8 @@ impl FileSystem {
 
     /// Changes permission bits.
     pub fn chmod(&mut self, ino: Ino, mode: u16) -> Result<(), FsError> {
-        self.inode_mut(ino)?.mode = mode;
-        if self.durable.is_some() {
-            self.durable_tx(vec![Payload::SetMode { ino, mode }]);
-        }
+        self.inode(ino)?;
+        self.commit(vec![Payload::SetMode { ino, mode }]);
         Ok(())
     }
 
@@ -997,12 +857,21 @@ impl FileSystem {
 
     // --- durability: block-write pipeline + write-ahead journal ---
 
+    /// The one way a metadata operation changes the tree: applies the
+    /// transaction's records to the live tree, then journals the same
+    /// records through the block-write pipeline.
+    fn commit(&mut self, payloads: Vec<Payload>) {
+        for p in &payloads {
+            self.apply_phys(p);
+        }
+        self.journal(payloads);
+    }
+
     /// Emits one journaled transaction into the block-write pipeline
     /// (no-op when durability is off).
-    fn durable_tx(&mut self, payloads: Vec<Payload>) {
-        if let Some(mut d) = self.durable.take() {
+    fn journal(&mut self, payloads: Vec<Payload>) {
+        if let Some(d) = self.durable.as_deref_mut() {
             d.tx(&self.faults, payloads);
-            self.durable = Some(d);
         }
     }
 
@@ -1048,11 +917,6 @@ impl FileSystem {
         }
     }
 
-    /// Whether the pipeline is on.
-    pub fn durability_enabled(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// Disk writes applied so far (the crash-point enumerator's clock).
     pub fn disk_seq(&self) -> u64 {
         self.durable.as_ref().map_or(0, |d| d.disk_seq())
@@ -1069,11 +933,6 @@ impl FileSystem {
     /// Whether the simulated device has already died.
     pub fn device_dead(&self) -> bool {
         self.durable.as_ref().is_some_and(|d| d.is_dead())
-    }
-
-    /// Records currently in the on-disk journal (tests/observability).
-    pub fn journal_records(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.journal.len() as u64)
     }
 
     /// Flushes mapped-store dirt as one journaled transaction, then
@@ -1108,8 +967,7 @@ impl FileSystem {
     /// capture to the given dirty pages; `None` captures size + all
     /// blocks.
     fn capture_dirt(&self, ino: Ino, only: Option<&BTreeSet<u32>>, out: &mut Vec<Payload>) {
-        let bs = crate::BLOCK_SIZE as u64;
-        let Some(Some(inode)) = self.slots.get(ino as usize) else {
+        let Ok(inode) = self.inode(ino) else {
             return;
         };
         // Swap-file content is dead after any crash (the processes
@@ -1126,19 +984,9 @@ impl FileSystem {
                 size: content.len() as u64,
             });
         }
-        let blocks = (content.len() as u64).div_ceil(bs);
-        for b in 0..blocks {
-            if only.is_some_and(|set| !set.contains(&(b as u32))) {
-                continue;
-            }
-            let s = (b * bs) as usize;
-            let e = ((b + 1) * bs) as usize;
-            out.push(Payload::WriteBlock {
-                ino,
-                offset: b * bs,
-                bytes: content[s..e.min(content.len())].to_vec(),
-            });
-        }
+        let blocks = (content.len() as u64).div_ceil(crate::BLOCK_SIZE as u64);
+        let dirty = (0..blocks).filter(|&b| only.is_none_or(|set| set.contains(&(b as u32))));
+        block_images(ino, content, dirty, out);
     }
 
     /// Flushes *one file's* mapped-store dirt as a journaled
@@ -1189,8 +1037,8 @@ impl FileSystem {
         self.write_epochs.clear();
         let mut nd = Durable::new(self.snapshot_for_disk());
         nd.journal = std::mem::take(&mut d.journal);
-        // The checksum/claim/replica regions are on-disk state and
-        // survive the cut — they still describe the adopted image.
+        // The integrity region is on-disk state and survives the
+        // cut — it still describes the adopted image.
         nd.adopt_integrity(&mut d);
         self.durable = Some(Box::new(nd));
         discarded
@@ -1245,11 +1093,14 @@ impl FileSystem {
         }
     }
 
-    /// Applies one physical record, last-writer-wins. Used for home
-    /// writes on the disk image and for journal replay; never consults
-    /// the fault plan and never touches [`FsStats`].
+    /// Applies one physical record, last-writer-wins: the only code that
+    /// edits inodes and directories. Used by every live metadata
+    /// operation (through [`FileSystem::commit`]), for home writes on
+    /// the disk image, and for journal replay; never consults the fault
+    /// plan and never touches [`FsStats`]. Only `SetSize` and
+    /// `WriteBlock` change file bytes, so only they move the content
+    /// stamp and write epochs.
     pub(crate) fn apply_phys(&mut self, p: &Payload) {
-        self.content_stamp += 1;
         match p {
             Payload::SetInode {
                 ino,
@@ -1325,6 +1176,7 @@ impl FileSystem {
                 }
             }
             Payload::SetSize { ino, size } => {
+                self.content_stamp += 1;
                 self.write_epochs.entry(*ino).or_default().whole += 1;
                 if let Ok(inode) = self.inode_mut(*ino) {
                     if let Node::File { content } = &mut inode.node {
@@ -1349,6 +1201,7 @@ impl FileSystem {
                 }
             }
             Payload::WriteBlock { ino, offset, bytes } => {
+                self.content_stamp += 1;
                 self.write_epochs.entry(*ino).or_default().whole += 1;
                 if let Ok(inode) = self.inode_mut(*ino) {
                     if let Node::File { content } = &mut inode.node {
@@ -1416,7 +1269,7 @@ impl FileSystem {
     }
 
     /// Turns the integrity machinery on (restamping the whole disk) or
-    /// off (dropping all regions; the `(scrub off)` bench identity).
+    /// off (dropping the region; the `(scrub off)` bench identity).
     pub fn set_integrity(&mut self, on: bool) {
         if let Some(d) = self.durable.as_deref_mut() {
             d.set_integrity(on);
@@ -1445,16 +1298,12 @@ impl FileSystem {
         self.durable.as_ref().map_or_else(Vec::new, |d| d.verify())
     }
 
-    /// Live-tree bytes of one block (clamped; empty when missing).
-    fn live_block(&self, ino: Ino, offset: u64) -> Vec<u8> {
-        match self.file_bytes(ino) {
-            Ok(c) => {
-                let s = (offset as usize).min(c.len());
-                let e = (s + crate::BLOCK_SIZE as usize).min(c.len());
-                c[s..e].to_vec()
-            }
-            Err(_) => Vec::new(),
-        }
+    /// One block of a file's bytes (clamped at EOF; empty when the inode
+    /// is missing, not a file, or ends before `offset`).
+    pub(crate) fn block(&self, ino: Ino, offset: u64) -> &[u8] {
+        let c = self.file_bytes(ino).unwrap_or_default();
+        let s = (offset as usize).min(c.len());
+        &c[s..(s + crate::BLOCK_SIZE as usize).min(c.len())]
     }
 
     /// Repairs one corrupt disk block (replica region first, then the
@@ -1465,34 +1314,25 @@ impl FileSystem {
     /// uncorrectable and, when the live tree holds the corrupt bytes,
     /// its page is poisoned (reads fail typed, maps raise `Eio`).
     pub fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
-        let mut d = self.durable.take()?;
-        let pre = d.read_disk_block(ino, offset);
+        let d = self.durable.as_deref_mut()?;
+        let pre = d.disk.block(ino, offset).to_vec();
         let src = d.repair_block(ino, offset);
-        let good = src.map(|_| d.read_disk_block(ino, offset));
-        self.durable = Some(d);
-        let live = self.live_block(ino, offset);
+        let good = d.disk.block(ino, offset).to_vec();
+        let adopted = self.block(ino, offset) == pre;
         let page = (offset / crate::PAGE_SIZE as u64) as u32;
-        match src {
-            Some(s) => {
-                if let Some(good) = good {
-                    if live == pre && live != good {
-                        self.apply_phys(&Payload::WriteBlock {
-                            ino,
-                            offset,
-                            bytes: good,
-                        });
-                    }
-                }
-                self.poisoned.remove(&(ino, page));
-                Some(s)
+        if src.is_some() {
+            if adopted && pre != good {
+                self.apply_phys(&Payload::WriteBlock {
+                    ino,
+                    offset,
+                    bytes: good,
+                });
             }
-            None => {
-                if live == pre && !pre.is_empty() {
-                    self.poisoned.insert((ino, page));
-                }
-                None
-            }
+            self.poisoned.remove(&(ino, page));
+        } else if adopted && !pre.is_empty() {
+            self.poisoned.insert((ino, page));
         }
+        src
     }
 
     /// One deterministic scrub pass: verify every stamped block, repair
@@ -1545,6 +1385,26 @@ impl FileSystem {
     /// Number of poisoned pages (0 in every healthy run).
     pub fn poisoned_blocks(&self) -> u64 {
         self.poisoned.len() as u64
+    }
+}
+
+/// Appends one `WriteBlock` image per listed block of `content` (the
+/// last one EOF-short): the journal shape of both an explicit write and
+/// a barrier's capture of mapped-store dirt.
+fn block_images(
+    ino: Ino,
+    content: &[u8],
+    blocks: impl Iterator<Item = u64>,
+    out: &mut Vec<Payload>,
+) {
+    let bs = crate::BLOCK_SIZE as usize;
+    for b in blocks {
+        let s = b as usize * bs;
+        out.push(Payload::WriteBlock {
+            ino,
+            offset: s as u64,
+            bytes: content[s..(s + bs).min(content.len())].to_vec(),
+        });
     }
 }
 
@@ -1802,5 +1662,31 @@ mod tests {
         let ino = f.resolve("/d").unwrap();
         assert_eq!(f.read_at(ino, 0, 1), Err(FsError::IsADirectory));
         assert_eq!(f.write_at(ino, 0, b"x"), Err(FsError::IsADirectory));
+    }
+
+    /// The block cache and the snapshot fast path treat a moved content
+    /// stamp or write epoch as "bytes may have changed", so metadata
+    /// operations must leave both alone and only byte writes move them.
+    #[test]
+    fn only_byte_changes_move_the_content_stamp() {
+        let mut f = fs();
+        f.enable_durability();
+        let stamp = f.content_stamp();
+        let ino = f.create_file("/a", 0o644, 0).unwrap();
+        f.mkdir("/d", 0o755, 0).unwrap();
+        f.symlink("/a", "/s", 0).unwrap();
+        f.hardlink("/a", "/d/b").unwrap();
+        f.rename("/d/b", "/c").unwrap();
+        f.unlink("/c").unwrap();
+        f.rmdir("/d").unwrap();
+        f.chmod(ino, 0o600).unwrap();
+        let moved = |f: &FileSystem| (f.content_stamp(), f.write_epoch(ino, 0));
+        assert_eq!(moved(&f), (stamp, 0), "a metadata op moved a stamp");
+        f.truncate(ino, 10).unwrap();
+        let truncated = moved(&f);
+        assert!(truncated.0 > stamp && truncated.1 > 0);
+        f.write_at(ino, 0, b"x").unwrap();
+        let written = moved(&f);
+        assert!(written.0 > truncated.0 && written.1 > truncated.1);
     }
 }

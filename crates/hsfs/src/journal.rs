@@ -324,6 +324,19 @@ pub struct ReplayStats {
     pub meta: u64,
 }
 
+/// One home block's integrity record (DESIGN.md §14).
+#[derive(Clone, Debug)]
+struct Stamp {
+    /// The trusted expected checksum of the block.
+    crc: u64,
+    /// The block's on-medium self-describing footer: the home address
+    /// the data *claims* to belong to. Travels with the data, so a
+    /// misdirected write carries its intended address onto the victim.
+    claim: (Ino, u64),
+    /// A second full copy of the block, the primary self-heal source.
+    replica: Vec<u8>,
+}
+
 /// The durable side of a [`FileSystem`]: the disk image twin, the
 /// on-disk journal, and the write-stream bookkeeping.
 ///
@@ -358,17 +371,10 @@ pub struct Durable {
     /// no stamps are kept, scrub is a no-op, and the corruption sites
     /// are never consulted — the exact pre-integrity pipeline.
     integrity: bool,
-    /// The checksum region: trusted expected checksum per home block.
+    /// The integrity region: one [`Stamp`] per stamped home block.
     /// Written in the shadow of each home write (no `disk_seq` tick —
     /// it shares fate with the data write it describes).
-    stamps: BTreeMap<(Ino, u64), u64>,
-    /// Each block's on-medium self-describing footer: the home address
-    /// the data *claims* to belong to. Travels with the data, so a
-    /// misdirected write carries its intended address onto the victim.
-    claims: BTreeMap<(Ino, u64), (Ino, u64)>,
-    /// The replica region: a second full copy of each block (bytes +
-    /// own checksum), the primary self-heal source.
-    replica: BTreeMap<(Ino, u64), (Vec<u8>, u64)>,
+    stamps: BTreeMap<(Ino, u64), Stamp>,
     /// Home data blocks written (write-amplification accounting).
     data_blocks_written: u64,
     /// Integrity-region blocks written (stamp + replica updates).
@@ -377,9 +383,9 @@ pub struct Durable {
 
 impl Durable {
     /// A fresh durable state around `disk` (a volatile-stripped snapshot
-    /// of the live file system at enable time). Starts with empty
-    /// integrity regions: [`Durable::stamp_all`] (enable path) or
-    /// [`Durable::adopt_integrity`] (power-cut re-twin) fills them.
+    /// of the live file system at enable time). Starts with an empty
+    /// integrity region: [`Durable::stamp_all`] (enable path) or
+    /// [`Durable::adopt_integrity`] (power-cut re-twin) fills it.
     pub(crate) fn new(disk: FileSystem) -> Durable {
         Durable {
             disk: Box::new(disk),
@@ -395,23 +401,19 @@ impl Durable {
             last_mark: None,
             integrity: true,
             stamps: BTreeMap::new(),
-            claims: BTreeMap::new(),
-            replica: BTreeMap::new(),
             data_blocks_written: 0,
             integrity_blocks_written: 0,
         }
     }
 
-    /// Carries the integrity state (checksum/claim/replica regions and
-    /// write-amp counters) from a pre-power-cut twin onto this fresh one.
-    /// The regions are on-disk state: they describe the *expected* block
+    /// Carries the integrity state (the integrity region and write-amp
+    /// counters) from a pre-power-cut twin onto this fresh one. The
+    /// region is on-disk state: it describes the *expected* block
     /// contents and must survive the crash so boot verification can tell
     /// adopted corruption from legitimate data.
     pub(crate) fn adopt_integrity(&mut self, old: &mut Durable) {
         self.integrity = old.integrity;
         self.stamps = std::mem::take(&mut old.stamps);
-        self.claims = std::mem::take(&mut old.claims);
-        self.replica = std::mem::take(&mut old.replica);
         self.data_blocks_written = old.data_blocks_written;
         self.integrity_blocks_written = old.integrity_blocks_written;
     }
@@ -422,15 +424,13 @@ impl Durable {
     }
 
     /// Turns the integrity machinery on (restamping the whole disk) or
-    /// off (dropping all regions) — the `(scrub off)` bench identity.
+    /// off (dropping the region) — the `(scrub off)` bench identity.
     pub(crate) fn set_integrity(&mut self, on: bool) {
         if on == self.integrity {
             return;
         }
         self.integrity = on;
         self.stamps.clear();
-        self.claims.clear();
-        self.replica.clear();
         if on {
             self.stamp_all();
         }
@@ -577,21 +577,7 @@ impl Durable {
         self.disk_seq += 1;
     }
 
-    // --- integrity: checksum region, claims, replica, scrub/repair ---
-
-    /// The current disk-image bytes of one block (clamped at EOF; empty
-    /// when the file is missing, not a file, or ends before `offset`).
-    pub(crate) fn read_disk_block(&self, ino: Ino, offset: u64) -> Vec<u8> {
-        let bs = crate::BLOCK_SIZE;
-        match self.disk.file_bytes(ino) {
-            Ok(content) => {
-                let s = (offset as usize).min(content.len());
-                let e = (s + bs as usize).min(content.len());
-                content[s..e].to_vec()
-            }
-            Err(_) => Vec::new(),
-        }
-    }
+    // --- integrity: the region of stamps, scrub/repair ---
 
     fn disk_file_len(&self, ino: Ino) -> Option<u64> {
         self.disk.file_bytes(ino).ok().map(|b| b.len() as u64)
@@ -601,7 +587,7 @@ impl Durable {
     /// block with `bytes` spliced over its front (a `WriteBlock` never
     /// shrinks, so any stale tail beyond the write survives).
     fn intended_block(&self, ino: Ino, offset: u64, bytes: &[u8]) -> Vec<u8> {
-        let mut cur = self.read_disk_block(ino, offset);
+        let mut cur = self.disk.block(ino, offset).to_vec();
         if cur.len() < bytes.len() {
             cur.resize(bytes.len(), 0);
         }
@@ -609,34 +595,31 @@ impl Durable {
         cur
     }
 
-    /// Writes one block's checksum-region entry, on-medium claim, and
-    /// replica copy for `good` (the intended content).
+    /// Writes one block's integrity record — checksum, on-medium claim,
+    /// and replica copy — for `good` (the intended content).
     fn stamp(&mut self, ino: Ino, offset: u64, good: Vec<u8>) {
         if good.is_empty() {
-            self.drop_stamp(ino, offset);
+            self.stamps.remove(&(ino, offset));
             return;
         }
-        let crc = fnv1a(&good);
-        self.stamps.insert((ino, offset), crc);
-        self.claims.insert((ino, offset), (ino, offset));
-        self.replica.insert((ino, offset), (good, crc));
+        let stamp = Stamp {
+            crc: fnv1a(&good),
+            claim: (ino, offset),
+            replica: good,
+        };
+        self.stamps.insert((ino, offset), stamp);
         self.integrity_blocks_written += 1;
     }
 
-    fn drop_stamp(&mut self, ino: Ino, offset: u64) {
-        self.stamps.remove(&(ino, offset));
-        self.claims.remove(&(ino, offset));
-        self.replica.remove(&(ino, offset));
-    }
-
-    fn drop_stamps(&mut self, ino: Ino) {
+    /// Drops the integrity records of `ino`'s blocks at or past `from`.
+    fn drop_stamps(&mut self, ino: Ino, from: u64) {
         let keys: Vec<(Ino, u64)> = self
             .stamps
-            .range((ino, 0)..=(ino, u64::MAX))
+            .range((ino, from)..=(ino, u64::MAX))
             .map(|(&k, _)| k)
             .collect();
-        for (i, o) in keys {
-            self.drop_stamp(i, o);
+        for k in keys {
+            self.stamps.remove(&k);
         }
     }
 
@@ -645,7 +628,7 @@ impl Durable {
     /// block — blocks the operation did not touch keep their old stamps,
     /// preserving detection of any corruption already under them).
     fn restamp_from_disk(&mut self, ino: Ino, offset: u64) {
-        let bytes = self.read_disk_block(ino, offset);
+        let bytes = self.disk.block(ino, offset).to_vec();
         self.stamp(ino, offset, bytes);
     }
 
@@ -674,14 +657,7 @@ impl Durable {
     /// bytes the resize actually changed.
     fn resize_stamps(&mut self, ino: Ino, old: u64, new: u64) {
         let bs = crate::BLOCK_SIZE as u64;
-        let beyond: Vec<(Ino, u64)> = self
-            .stamps
-            .range((ino, new)..=(ino, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for (i, o) in beyond {
-            self.drop_stamp(i, o);
-        }
+        self.drop_stamps(ino, new);
         let keep = old.min(new);
         // Blocks overlapping [keep, new): the truncated straddler or the
         // zero-extended range.
@@ -698,7 +674,7 @@ impl Durable {
     }
 
     /// Applies one home record to the disk image *and* maintains the
-    /// integrity regions — the single chokepoint shared by the write
+    /// integrity region — the single chokepoint shared by the write
     /// pipeline and journal replay (a replayed block is re-stamped, so
     /// recovery re-blesses exactly the newest committed data).
     pub(crate) fn apply_home(&mut self, p: &Payload) {
@@ -732,12 +708,12 @@ impl Durable {
                 // slot are stale. A metadata refresh keeps content and
                 // stamps alike.
                 if before.is_none() || self.disk_file_len(*ino) != before {
-                    self.drop_stamps(*ino);
+                    self.drop_stamps(*ino, 0);
                 }
             }
             Payload::ClearInode { ino } => {
                 self.disk.apply_phys(p);
-                self.drop_stamps(*ino);
+                self.drop_stamps(*ino, 0);
             }
             _ => self.disk.apply_phys(p),
         }
@@ -818,7 +794,10 @@ impl Durable {
                     offset: v,
                     bytes: intended[..wlen].to_vec(),
                 });
-                self.claims.insert((ino, v), (ino, offset));
+                // Only a stamped victim's claim is ever verified.
+                if let Some(s) = self.stamps.get_mut(&(ino, v)) {
+                    s.claim = (ino, offset);
+                }
             }
         }
     }
@@ -831,24 +810,19 @@ impl Durable {
         if !self.integrity {
             return out;
         }
-        for (&(ino, offset), &expect) in &self.stamps {
-            if let Some(&claim) = self.claims.get(&(ino, offset)) {
-                if claim != (ino, offset) {
-                    out.push(CorruptBlockInfo {
-                        ino,
-                        offset,
-                        reason: "address-stamp",
-                    });
-                    continue;
-                }
-            }
-            if fnv1a(&self.read_disk_block(ino, offset)) != expect {
-                out.push(CorruptBlockInfo {
-                    ino,
-                    offset,
-                    reason: "checksum",
-                });
-            }
+        for (&(ino, offset), s) in &self.stamps {
+            let reason = if s.claim != (ino, offset) {
+                "address-stamp"
+            } else if fnv1a(self.disk.block(ino, offset)) != s.crc {
+                "checksum"
+            } else {
+                continue;
+            };
+            out.push(CorruptBlockInfo {
+                ino,
+                offset,
+                reason,
+            });
         }
         out
     }
@@ -857,101 +831,82 @@ impl Durable {
     /// first, then the newest committed journal copy. Returns the
     /// repair source, or `None` when no intact copy exists.
     pub(crate) fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
-        let expect = *self.stamps.get(&(ino, offset))?;
-        if let Some((bytes, crc)) = self.replica.get(&(ino, offset)) {
-            if *crc == expect && fnv1a(bytes) == expect {
-                let good = bytes.clone();
-                self.disk.apply_phys(&Payload::WriteBlock {
-                    ino,
-                    offset,
-                    bytes: good,
-                });
-                self.claims.insert((ino, offset), (ino, offset));
-                return Some(RepairSource::Replica);
-            }
+        let s = self.stamps.get(&(ino, offset))?;
+        let (bytes, src) = if fnv1a(&s.replica) == s.crc {
+            (s.replica.clone(), RepairSource::Replica)
+        } else {
+            (
+                self.journal_copy(ino, offset, s.crc)?,
+                RepairSource::Journal,
+            )
+        };
+        self.disk
+            .apply_phys(&Payload::WriteBlock { ino, offset, bytes });
+        if let Some(s) = self.stamps.get_mut(&(ino, offset)) {
+            s.claim = (ino, offset);
         }
+        Some(src)
+    }
+
+    /// The newest committed journal image of one block, if it matches
+    /// the `expect`ed checksum. An older copy never helps: the newest
+    /// one already predates the expected content (e.g. a stale tail).
+    fn journal_copy(&self, ino: Ino, offset: u64, expect: u64) -> Option<Vec<u8>> {
         let committed: BTreeSet<u64> = self
             .journal
             .iter()
             .filter(|r| r.valid() && matches!(r.payload(), Payload::Commit))
             .map(Record::txid)
             .collect();
-        for rec in self.journal.iter().rev() {
-            if !rec.valid() || !committed.contains(&rec.txid()) {
-                continue;
-            }
-            if let Payload::WriteBlock {
-                ino: ri,
-                offset: ro,
-                bytes,
-            } = rec.payload()
-            {
-                if *ri == ino && *ro == offset {
-                    if fnv1a(bytes) == expect {
-                        let good = bytes.clone();
-                        self.disk.apply_phys(&Payload::WriteBlock {
-                            ino,
-                            offset,
-                            bytes: good,
-                        });
-                        self.claims.insert((ino, offset), (ino, offset));
-                        return Some(RepairSource::Journal);
-                    }
-                    // Newest committed copy predates the expected
-                    // content (e.g. a stale tail) — nothing older helps.
-                    break;
-                }
-            }
-        }
-        None
+        let newest = self
+            .journal
+            .iter()
+            .rev()
+            .filter(|r| r.valid() && committed.contains(&r.txid()))
+            .find_map(|r| match r.payload() {
+                Payload::WriteBlock {
+                    ino: ri,
+                    offset: ro,
+                    bytes,
+                } if (*ri, *ro) == (ino, offset) => Some(bytes),
+                _ => None,
+            })?;
+        (fnv1a(newest) == expect).then(|| newest.clone())
     }
 
     /// Deterministically corrupts one stamped block on the disk image
     /// (test/diagnostic use only; mirrors the chaos sites' effects).
     pub(crate) fn corrupt_for_test(&mut self, ino: Ino, offset: u64, kind: CorruptKind) -> bool {
-        if !self.integrity || !self.stamps.contains_key(&(ino, offset)) {
+        if !self.integrity {
             return false;
         }
-        match kind {
-            CorruptKind::BitRot => {
-                let cur = self.read_disk_block(ino, offset);
-                if cur.is_empty() {
-                    return false;
-                }
-                self.disk.apply_phys(&Payload::WriteBlock {
-                    ino,
-                    offset,
-                    bytes: vec![cur[0] ^ 0x80],
-                });
-            }
-            CorruptKind::LostWrite => {
-                // Stale garbage where the write should be: invert every
-                // byte (guaranteed ≠ the stamped content).
-                let cur = self.read_disk_block(ino, offset);
-                if cur.is_empty() {
-                    return false;
-                }
-                self.disk.apply_phys(&Payload::WriteBlock {
-                    ino,
-                    offset,
-                    bytes: cur.iter().map(|b| !b).collect(),
-                });
-            }
+        let Some(s) = self.stamps.get_mut(&(ino, offset)) else {
+            return false;
+        };
+        let cur = self.disk.block(ino, offset);
+        let bytes = match kind {
             CorruptKind::MisdirectedWrite => {
                 // The block's footer claims a different home address.
-                self.claims
-                    .insert((ino, offset), (ino, offset + crate::BLOCK_SIZE as u64));
+                s.claim = (ino, offset + crate::BLOCK_SIZE as u64);
+                return true;
             }
-        }
+            _ if cur.is_empty() => return false,
+            CorruptKind::BitRot => vec![cur[0] ^ 0x80],
+            // Stale garbage where the write should be: invert every
+            // byte (guaranteed ≠ the stamped content).
+            CorruptKind::LostWrite => cur.iter().map(|b| !b).collect(),
+        };
+        self.disk
+            .apply_phys(&Payload::WriteBlock { ino, offset, bytes });
         true
     }
 
     /// Corrupts one block's replica-region copy (test use only; with the
     /// journal checkpointed this makes the block uncorrectable).
     pub(crate) fn corrupt_replica_for_test(&mut self, ino: Ino, offset: u64) -> bool {
-        match self.replica.get_mut(&(ino, offset)) {
-            Some((bytes, _)) if !bytes.is_empty() => {
-                bytes[0] ^= 0xFF;
+        match self.stamps.get_mut(&(ino, offset)) {
+            Some(s) if !s.replica.is_empty() => {
+                s.replica[0] ^= 0xFF;
                 true
             }
             _ => false,
