@@ -12,7 +12,7 @@
 //! EXPERIMENTS.md report shapes and ratios, which are insensitive to the
 //! exact constants.
 
-use hkernel::KernelStats;
+use hkernel::{KernelStats, TraceEvent};
 use hlink::ldl::LdlStats;
 use hsfs::FsStats;
 
@@ -285,6 +285,62 @@ impl CostModel {
         ns += (s.snapshot_hits + s.snapshot_invalidations) * self.snapshot_validate_ns;
         SimTime(ns)
     }
+
+    /// The simulated-time cost stamped on one trace record: the only
+    /// place a record's price is decided. Records that mirror a counter
+    /// billed by [`CostModel::time`] carry exactly that counter's terms,
+    /// so per-kind cost tallies reconcile with the clock. Fault-path
+    /// records carry the step's nominal cost as a breakdown; the rest
+    /// (mapping, steals, snapshot misses and rebuilds, diagnostics) are
+    /// free.
+    pub fn price(&self, event: &TraceEvent) -> u64 {
+        match *event {
+            TraceEvent::FaultTaken { .. } => self.fault_ns,
+            TraceEvent::AddrTranslated { .. } => self.lookup_ns,
+            TraceEvent::SymbolResolved { .. } => self.resolve_ns,
+            TraceEvent::InstructionRestarted { .. } => self.instruction_ns,
+            TraceEvent::RecoveryTaken { action, retries } => match action {
+                "spawn-refused" => self.syscall_ns,
+                // Each bounded-backoff attempt cost roughly one fault.
+                "ldl-retry" => u64::from(retries) * self.fault_ns,
+                _ => self.fault_ns,
+            },
+            TraceEvent::PageEvicted { kind, .. } => {
+                // An anonymous page goes to swap first; a shared one
+                // just pays the bookkeeping (its writeback, if dirty,
+                // is its own record).
+                let io = if kind == "anon" { self.swap_io_ns } else { 0 };
+                self.evict_ns + io
+            }
+            TraceEvent::WritebackTaken { .. } => self.swap_io_ns,
+            TraceEvent::PageSwappedIn { .. } => self.swap_in_ns,
+            TraceEvent::TlbShootdown { pages, retried, .. } => {
+                (1 + u64::from(retried)) * self.ipi_ns + u64::from(pages) * self.shootdown_ns
+            }
+            // Recovery reads the journal (one block per record) and
+            // writes the block images home.
+            TraceEvent::JournalReplayed { records, blocks } => {
+                (records + blocks) * self.disk_block_ns
+            }
+            TraceEvent::ScrubPass { blocks, .. } => blocks * self.scrub_block_ns,
+            TraceEvent::BlockRepaired { .. } => self.repair_ns,
+            TraceEvent::SnapshotHit { .. } | TraceEvent::SnapshotInvalidated { .. } => {
+                self.snapshot_validate_ns
+            }
+            TraceEvent::SegmentMapped { .. }
+            | TraceEvent::FaultInjected { .. }
+            | TraceEvent::RaceDetected { .. }
+            | TraceEvent::LockOrderCycle { .. }
+            | TraceEvent::ProtectionDrift { .. }
+            | TraceEvent::FsckRepaired { .. }
+            | TraceEvent::CpuSteal { .. }
+            | TraceEvent::CrashTaken { .. }
+            | TraceEvent::CorruptionDetected { .. }
+            | TraceEvent::SnapshotMiss { .. }
+            | TraceEvent::SnapshotRebuilt { .. }
+            | TraceEvent::BlockInvalidated { .. } => 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +406,72 @@ mod tests {
         // Validation must be far cheaper than the block I/O + per-symbol
         // resolution it replaces, or the cache would not pay.
         assert!(m.snapshot_validate_ns < m.disk_block_ns / 4);
+    }
+
+    /// Every record that mirrors a priced counter costs exactly what
+    /// [`CostModel::time`] bills for that counter, so a pricing drift
+    /// between the trace and the clock fails here.
+    #[test]
+    fn price_matches_time_for_each_priced_kind() {
+        let m = CostModel::default();
+        let priced = |event: TraceEvent, set: &dyn Fn(&mut WorldStats)| {
+            let mut s = WorldStats::default();
+            set(&mut s);
+            assert_eq!(m.price(&event), m.time(&s).0, "{event}");
+        };
+        let scrub = TraceEvent::ScrubPass {
+            blocks: 10,
+            corrupt: 1,
+            repaired: 1,
+        };
+        priced(scrub, &|s| s.blocks_scrubbed = 10);
+        let (ino, block, source) = (3, 0, "replica");
+        let repaired = TraceEvent::BlockRepaired { ino, block, source };
+        priced(repaired, &|s| s.blocks_repaired = 1);
+        let shootdown = TraceEvent::TlbShootdown {
+            from_cpu: 0,
+            to_cpu: 1,
+            addr: 0x1000,
+            pages: 3,
+            retried: true,
+        };
+        priced(shootdown, &|s| (s.ipis, s.shootdowns) = (2, 3));
+        let (addr, kind) = (0x1000, "anon");
+        let anon = TraceEvent::PageEvicted { addr, kind };
+        priced(anon, &|s| (s.page_evictions, s.swap_outs) = (1, 1));
+        let kind = "shared-dirty";
+        let shared = TraceEvent::PageEvicted { addr, kind };
+        priced(shared, &|s| s.page_evictions = 1);
+        priced(TraceEvent::WritebackTaken { addr }, &|s| {
+            s.page_writebacks = 1
+        });
+        priced(TraceEvent::PageSwappedIn { addr }, &|s| s.swap_ins = 1);
+        let replay = TraceEvent::JournalReplayed {
+            records: 7,
+            blocks: 2,
+        };
+        priced(replay, &|s| s.recovery_ns = 9 * m.disk_block_ns);
+        let exe = || "a".to_string();
+        let hit = TraceEvent::SnapshotHit {
+            exe: exe(),
+            modules: 4,
+        };
+        priced(hit, &|s| s.snapshot_hits = 1);
+        let why = "stale".to_string();
+        let stale = TraceEvent::SnapshotInvalidated { exe: exe(), why };
+        priced(stale, &|s| s.snapshot_invalidations = 1);
+        priced(TraceEvent::SnapshotMiss { exe: exe() }, &|s| {
+            s.snapshot_misses = 1
+        });
+        let crash = TraceEvent::CrashTaken {
+            blocks_discarded: 5,
+        };
+        priced(crash, &|s| (s.crashes, s.blocks_discarded) = (1, 5));
+        // Recovery records price the work the recovery redid.
+        let recovery = |action, retries| m.price(&TraceEvent::RecoveryTaken { action, retries });
+        assert_eq!(recovery("ldl-retry", 3), 3 * m.fault_ns);
+        assert_eq!(recovery("killed-victim", 0), m.fault_ns);
+        assert_eq!(recovery("spawn-refused", 0), m.syscall_ns);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 
 use crate::costs::{CostModel, WorldStats};
 use crate::crt0::crt0_object;
-use crate::htrace::{TraceBuffer, TraceEvent};
+use crate::htrace::{TraceBuffer, TraceEvent, TraceTallies};
 use crate::segheap::SegHeap;
 use crate::services::*;
 use hfault::{FaultHandle, FaultPlan};
 use hkernel::kernel::ExecImage;
 use hkernel::{Kernel, Pid, ProcState, RunEvent};
-use hlink::ldl::{FaultDisposition, LinkEvent};
+use hlink::ldl::FaultDisposition;
 use hlink::{Ldl, Lds, LdsInput, LinkError, LinkState, ModuleRegistry, ModuleSpec};
 use hobj::binfmt::{self, BinError};
 use hobj::hasm::{assemble, AsmError};
@@ -225,14 +225,14 @@ pub struct World {
     reaped_ldl: hlink::ldl::LdlStats,
     /// Fault-path trace ring (see [`crate::htrace`]).
     trace: TraceBuffer,
-    /// Cost constants used to stamp trace records.
+    /// Exact per-kind totals of every record published to the ring;
+    /// the counters that mirror a record kind are read from here.
+    tallies: TraceTallies,
+    /// Cost constants; [`CostModel::price`] stamps every trace record.
     pub costs: CostModel,
     /// Chaos handle shared with the kernel, file systems, and linker
     /// (unarmed — and free — unless [`World::arm_faults`] is called).
     faults: FaultHandle,
-    /// Recoveries taken in response to injected faults (kills, retries,
-    /// refused spawns); mirrors the `RecoveryTaken` trace records.
-    recovered: u64,
     /// The happens-before sanitizer (None — and free — unless
     /// [`World::arm_sanitizer`] is called). The kernel holds a second
     /// handle as its installed [`hkernel::Monitor`].
@@ -242,21 +242,8 @@ pub struct World {
     /// False between a [`World::power_cut`] and the next
     /// [`World::reboot`] — the machine is off; nothing can run.
     powered: bool,
-    /// Power cuts taken (DESIGN.md §13).
-    crashes: u64,
-    /// Reboots that replayed a non-empty journal.
-    journal_replays: u64,
-    /// Disk block writes discarded by power cuts.
-    blocks_discarded: u64,
-    /// Simulated nanoseconds spent in crash recovery (journal replay).
-    recovery_ns: u64,
-    /// Blocks verified by explicit scrub passes (DESIGN.md §14).
-    blocks_scrubbed: u64,
-    /// Corrupt blocks detected by scrub or boot-time verification.
-    corruptions_detected: u64,
-    /// Corrupt blocks healed from the replica region or the journal.
-    blocks_repaired: u64,
-    /// Processes killed by an uncorrectable-corruption `Eio` fault.
+    /// Processes killed by an uncorrectable-corruption `Eio` fault
+    /// (the one crash/integrity counter no trace record mirrors).
     eio_kills: u64,
     /// Run a scrub pass every N scheduler slices (`None` = never).
     scrub_interval: Option<u64>,
@@ -310,19 +297,12 @@ impl World {
             eager: false,
             reaped_ldl: Default::default(),
             trace: TraceBuffer::default(),
+            tallies: TraceTallies::default(),
             costs: CostModel::default(),
             faults: FaultHandle::unarmed(),
-            recovered: 0,
             sanitizer: None,
             races: Vec::new(),
             powered: true,
-            crashes: 0,
-            journal_replays: 0,
-            blocks_discarded: 0,
-            recovery_ns: 0,
-            blocks_scrubbed: 0,
-            corruptions_detected: 0,
-            blocks_repaired: 0,
             eio_kills: 0,
             scrub_interval: None,
             slices_since_scrub: 0,
@@ -347,18 +327,23 @@ impl World {
     /// attributed to `pid` (0 for world-level work).
     fn drain_injections(&mut self, pid: Pid) {
         for site in self.faults.drain_journal() {
-            self.trace
-                .record(pid, 0, TraceEvent::FaultInjected { site: site.name() });
+            self.publish(pid, TraceEvent::FaultInjected { site: site.name() });
         }
     }
 
-    /// Records one recovery action, keeping the counter and the trace in
-    /// lock-step (`WorldStats::faults_recovered` == `RecoveryTaken`
-    /// records emitted).
-    fn record_recovery(&mut self, pid: Pid, cost_ns: u64, action: &'static str) {
-        self.recovered += 1;
-        self.trace
-            .record(pid, cost_ns, TraceEvent::RecoveryTaken { action });
+    /// Publishes one recovery action (`WorldStats::faults_recovered` is
+    /// the `RecoveryTaken` tally).
+    fn record_recovery(&mut self, pid: Pid, action: &'static str) {
+        self.publish(pid, TraceEvent::RecoveryTaken { action, retries: 0 });
+    }
+
+    /// The one way a record reaches the trace ring: priced by
+    /// [`CostModel::price`], counted in the never-evicting tallies, then
+    /// appended.
+    fn publish(&mut self, pid: Pid, event: TraceEvent) {
+        let cost_ns = self.costs.price(&event);
+        self.tallies.add(&event, cost_ns);
+        self.trace.record(pid, cost_ns, event);
     }
 
     // --- memory pressure ---
@@ -401,61 +386,6 @@ impl World {
         self.kernel.cpus()
     }
 
-    /// Drains the kernel's SMP journal into the trace ring. Shootdowns
-    /// are stamped with the same IPI + per-page invalidation price the
-    /// cost model bills, so trace costs and the clock reconcile; steals
-    /// are free diagnostics (their price is the cold TLB they cause).
-    fn pump_smp(&mut self) {
-        for ev in self.kernel.drain_smp_events() {
-            let (pid, cost, event) = match ev {
-                hkernel::SmpEvent::Shootdown {
-                    from_cpu,
-                    to_cpu,
-                    pid,
-                    addr,
-                    pages,
-                    retried,
-                } => {
-                    let ipis = if retried { 2 } else { 1 };
-                    (
-                        pid,
-                        ipis * self.costs.ipi_ns + pages as u64 * self.costs.shootdown_ns,
-                        TraceEvent::TlbShootdown {
-                            from_cpu,
-                            to_cpu,
-                            addr,
-                            pages,
-                            retried,
-                        },
-                    )
-                }
-                hkernel::SmpEvent::Steal { cpu, pid, from_cpu } => {
-                    (pid, 0, TraceEvent::CpuSteal { cpu, from_cpu })
-                }
-            };
-            self.trace.record(pid, cost, event);
-        }
-    }
-
-    /// Drains every block cache's invalidation journal into the trace
-    /// ring. Zero-cost diagnostics (the cache must not move simulated
-    /// time), attributed to the owning pid; a cache-off run drains
-    /// nothing, so these records never perturb the identity suites'
-    /// filtered streams.
-    fn pump_bb(&mut self) {
-        for (pid, ev) in self.kernel.drain_bb_events() {
-            self.trace.record(
-                pid,
-                0,
-                TraceEvent::BlockInvalidated {
-                    addr: ev.addr,
-                    blocks: ev.blocks,
-                    cause: ev.cause,
-                },
-            );
-        }
-    }
-
     /// Enables or disables the decoded basic-block cache at runtime
     /// (on by default; the differential suite and the `(bbcache off)`
     /// bench rows run the same workload both ways).
@@ -469,42 +399,6 @@ impl World {
     /// spawned afterwards.
     pub fn set_link_snapshots(&mut self, enabled: bool) {
         self.kernel.set_link_snapshots(enabled);
-    }
-
-    /// Drains the frame pool's pressure journal into the trace ring,
-    /// stamping each record with its cost-model price. The counters
-    /// these records mirror are billed identically by
-    /// [`CostModel::time`], so trace costs and the clock reconcile:
-    /// an anonymous eviction carries its swap write, a shared eviction
-    /// just the bookkeeping, a writeback/swap-in one page of I/O.
-    fn pump_pressure(&mut self) {
-        for ev in self.kernel.frame_pool().drain_events() {
-            let (pid, cost, event) = match ev {
-                hkernel::PageEvent::Evicted { pid, addr, kind } => {
-                    let io = if kind == "anon" {
-                        self.costs.swap_io_ns
-                    } else {
-                        0
-                    };
-                    (
-                        pid,
-                        self.costs.evict_ns + io,
-                        TraceEvent::PageEvicted { addr, kind },
-                    )
-                }
-                hkernel::PageEvent::Writeback { pid, addr } => (
-                    pid,
-                    self.costs.swap_io_ns,
-                    TraceEvent::WritebackTaken { addr },
-                ),
-                hkernel::PageEvent::SwappedIn { pid, addr } => (
-                    pid,
-                    self.costs.swap_in_ns,
-                    TraceEvent::PageSwappedIn { addr },
-                ),
-            };
-            self.trace.record(pid, cost, event);
-        }
     }
 
     // --- sanitizer ---
@@ -584,9 +478,8 @@ impl World {
                         rw(second.is_write),
                         second.pc,
                     ));
-                    self.trace.record(
+                    self.publish(
                         second.pid,
-                        0,
                         TraceEvent::RaceDetected {
                             path: path.clone(),
                             offset: off,
@@ -614,9 +507,8 @@ impl World {
                         "sanitizer: lock-order cycle closed by pid {culprit}: {}",
                         chain.join(" -> ")
                     ));
-                    self.trace.record(
+                    self.publish(
                         culprit,
-                        0,
                         TraceEvent::LockOrderCycle {
                             pid: culprit,
                             chain,
@@ -635,9 +527,8 @@ impl World {
                         "sanitizer: pid {writer} (uid {uid}) wrote {path}+{off:#x} at \
                          {pc:#010x} but the current mode denies it (stale mapping)"
                     ));
-                    self.trace.record(
+                    self.publish(
                         writer,
-                        0,
                         TraceEvent::ProtectionDrift {
                             path,
                             offset: off,
@@ -739,7 +630,7 @@ impl World {
             // rest of the world can still settle, and tell the caller.
             self.kernel.finalize_exit(pid, -1);
             if self.faults.injected() > injected_before {
-                self.record_recovery(pid, self.costs.syscall_ns, "spawn-refused");
+                self.record_recovery(pid, "spawn-refused");
             }
             self.drain_injections(pid);
             return Err(WorldError::Fs(FsError::NoSpace));
@@ -811,7 +702,7 @@ impl World {
                          killed holding {resident} resident pages"
                     ));
                     self.exits.insert(pid, 137);
-                    self.record_recovery(pid, self.costs.fault_ns, "oom-kill");
+                    self.record_recovery(pid, "oom-kill");
                 }
             }
             // Publish injections decided during this slice (kernel
@@ -826,12 +717,18 @@ impl World {
 
     /// Moves every subsystem journal into the trace ring, in a fixed
     /// order: injections (attributed to `pid`), pressure, SMP, block
-    /// cache, sanitizer.
+    /// cache (each record attributed to the pid its layer named),
+    /// sanitizer.
     fn drain_journals(&mut self, pid: Pid) {
         self.drain_injections(pid);
-        self.pump_pressure();
-        self.pump_smp();
-        self.pump_bb();
+        let journaled = [
+            self.kernel.frame_pool().drain_events(),
+            self.kernel.drain_smp_events(),
+            self.kernel.drain_bb_events(),
+        ];
+        for (owner, event) in journaled.into_iter().flatten() {
+            self.publish(owner, event);
+        }
         self.drain_sanitizer();
     }
 
@@ -919,9 +816,15 @@ impl World {
     }
 
     /// Mutable access to the trace ring (clearing between experiment
-    /// phases, resizing).
+    /// phases, resizing). The tallies are not affected.
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
         &mut self.trace
+    }
+
+    /// Exact per-kind totals of every record published since the world
+    /// was created, including those the ring has evicted or dropped.
+    pub fn tallies(&self) -> &TraceTallies {
+        &self.tallies
     }
 
     /// The trace ring rendered as text, for debugging E6-style runs.
@@ -965,63 +868,13 @@ impl World {
         }
     }
 
-    /// Drains the linker's event journal into the trace ring, stamping
-    /// each step with its cost-model price.
-    fn pump_trace(&mut self, pid: Pid) {
+    /// Drains the linker's journal into the trace ring.
+    fn drain_linker(&mut self, pid: Pid) {
         let Some(state) = self.link.get_mut(&pid) else {
             return;
         };
-        for ev in state.journal.drain(..) {
-            let (cost, event) = match ev {
-                LinkEvent::AddrTranslated { addr, path } => (
-                    self.costs.lookup_ns,
-                    TraceEvent::AddrTranslated { addr, path },
-                ),
-                // Mapping is not billed on its own: its cost rides the
-                // fault or service record that triggered it.
-                LinkEvent::SegmentMapped { base, module } => {
-                    (0, TraceEvent::SegmentMapped { base, module })
-                }
-                LinkEvent::SymbolResolved {
-                    module,
-                    symbol,
-                    addr,
-                } => (
-                    self.costs.resolve_ns,
-                    TraceEvent::SymbolResolved {
-                        module,
-                        symbol,
-                        addr,
-                    },
-                ),
-                LinkEvent::FaultRetried { what: _, attempts } => {
-                    // The linker absorbed a transient injected failure by
-                    // retrying; each attempt cost roughly one fault.
-                    self.recovered += 1;
-                    (
-                        self.costs.fault_ns * u64::from(attempts),
-                        TraceEvent::RecoveryTaken {
-                            action: "ldl-retry",
-                        },
-                    )
-                }
-                // Snapshot records mirror the pricing rule exactly: a
-                // hit or an invalidation bills one flat validation; a
-                // miss and a rebuild are free (DESIGN.md §15).
-                LinkEvent::SnapshotHit { exe, modules } => (
-                    self.costs.snapshot_validate_ns,
-                    TraceEvent::SnapshotHit { exe, modules },
-                ),
-                LinkEvent::SnapshotMiss { exe } => (0, TraceEvent::SnapshotMiss { exe }),
-                LinkEvent::SnapshotInvalidated { exe, why } => (
-                    self.costs.snapshot_validate_ns,
-                    TraceEvent::SnapshotInvalidated { exe, why },
-                ),
-                LinkEvent::SnapshotRebuilt { exe, modules } => {
-                    (0, TraceEvent::SnapshotRebuilt { exe, modules })
-                }
-            };
-            self.trace.record(pid, cost, event);
+        for event in std::mem::take(&mut state.journal) {
+            self.publish(pid, event);
         }
     }
 
@@ -1058,25 +911,20 @@ impl World {
         } else {
             *guard = (addr, 0);
         }
-        self.trace
-            .record(pid, self.costs.fault_ns, TraceEvent::FaultTaken { addr });
+        self.publish(pid, TraceEvent::FaultTaken { addr });
         let injected_before = self.faults.injected();
         let result = {
             let state = self.link.entry(pid).or_default();
             let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
             ldl.handle_fault(addr)
         };
-        self.pump_trace(pid);
+        self.drain_linker(pid);
         self.drain_injections(pid);
         // Did the handler hit an injected failure on this fault?
         let hit_injection = self.faults.injected() > injected_before;
         match result {
             Ok(FaultDisposition::Resolved) => {
-                self.trace.record(
-                    pid,
-                    self.costs.instruction_ns,
-                    TraceEvent::InstructionRestarted { addr },
-                );
+                self.publish(pid, TraceEvent::InstructionRestarted { addr });
             }
             Ok(FaultDisposition::DeliveredToGuest) => {}
             Ok(FaultDisposition::Fatal) => {
@@ -1084,7 +932,7 @@ impl World {
                     "pid {pid}: segmentation fault at {addr:#010x} (unresolvable)"
                 ));
                 if hit_injection {
-                    self.record_recovery(pid, self.costs.fault_ns, "killed-victim");
+                    self.record_recovery(pid, "killed-victim");
                 }
                 self.kill(pid, 139);
             }
@@ -1093,7 +941,7 @@ impl World {
                     .push(format!("pid {pid}: fault at {addr:#010x}: {e}"));
                 if !self.kernel.deliver_segv(pid, addr) {
                     if hit_injection {
-                        self.record_recovery(pid, self.costs.fault_ns, "killed-victim");
+                        self.record_recovery(pid, "killed-victim");
                     }
                     self.kill(pid, 139);
                 }
@@ -1240,7 +1088,7 @@ impl World {
             }
         };
         // Several services run the linker; publish whatever it journaled.
-        self.pump_trace(pid);
+        self.drain_linker(pid);
         self.kernel.set_reg(pid, Reg::V0, result as u32);
     }
 
@@ -1380,10 +1228,7 @@ impl World {
         self.registry.clear_cache();
         self.powered = false;
         if crash {
-            self.crashes += 1;
-            self.blocks_discarded += discarded;
-            self.trace.record(
-                0,
+            self.publish(
                 0,
                 TraceEvent::CrashTaken {
                     blocks_discarded: discarded,
@@ -1421,14 +1266,9 @@ impl World {
         }
         let rs = self.kernel.vfs.shared.fs.replay_journal();
         if rs.records > 0 {
-            // Recovery is billed once, here: reading the journal (one
-            // block per record) plus writing the block images home.
-            let ns = (rs.records + rs.blocks) * self.costs.disk_block_ns;
-            self.journal_replays += 1;
-            self.recovery_ns += ns;
-            self.trace.record(
+            // Recovery is billed once, here, by the record's price.
+            self.publish(
                 0,
-                ns,
                 TraceEvent::JournalReplayed {
                     records: rs.records,
                     blocks: rs.blocks,
@@ -1542,7 +1382,6 @@ impl World {
     /// durability pipeline or integrity is off.
     pub fn scrub(&mut self) -> Option<hsfs::ScrubReport> {
         let report = self.kernel.vfs.shared.fs.scrub()?;
-        self.blocks_scrubbed += report.blocks_scanned;
         let corrupt = report.findings.len() as u64;
         let mut repaired = 0u64;
         for f in &report.findings {
@@ -1559,9 +1398,8 @@ impl World {
                 f.ino, f.offset, f.reason
             ));
         }
-        self.trace.record(
+        self.publish(
             0,
-            report.blocks_scanned * self.costs.scrub_block_ns,
             TraceEvent::ScrubPass {
                 blocks: report.blocks_scanned,
                 corrupt,
@@ -1582,14 +1420,10 @@ impl World {
         reason: &'static str,
         source: Option<hsfs::tools::RepairSource>,
     ) {
-        self.corruptions_detected += 1;
-        self.trace
-            .record(0, 0, TraceEvent::CorruptionDetected { ino, block, reason });
+        self.publish(0, TraceEvent::CorruptionDetected { ino, block, reason });
         if let Some(source) = source {
-            self.blocks_repaired += 1;
-            self.trace.record(
+            self.publish(
                 0,
-                self.costs.repair_ns,
                 TraceEvent::BlockRepaired {
                     ino,
                     block,
@@ -1688,7 +1522,7 @@ impl World {
                 RepairVerdict::Unrepaired(d) => format!("UNREPAIRED: {d}"),
             };
             self.log.push(format!("fsck: {detail}"));
-            self.trace.record(0, 0, TraceEvent::FsckRepaired { detail });
+            self.publish(0, TraceEvent::FsckRepaired { detail });
         }
         let sfs = &mut self.kernel.vfs.shared;
         sfs.addr_lookups = lookups;
@@ -1716,26 +1550,38 @@ impl World {
 
     // --- inspection helpers ---
 
+    /// The instance inode and the byte range of the word at an exported
+    /// symbol of a public module instance. The metadata file is
+    /// guest-writable, so a forged export may lie anywhere, including
+    /// below the instance base.
+    fn shared_word_slot(
+        &mut self,
+        instance_path: &str,
+        symbol: &str,
+    ) -> Result<(hsfs::Ino, std::ops::Range<usize>), WorldError> {
+        let no_such = || WorldError::NoSuchSymbol(symbol.to_string());
+        let ino = self.kernel.vfs.resolve(instance_path)?.ino;
+        let meta = self
+            .registry
+            .get(&mut self.kernel.vfs, ino)
+            .ok_or_else(no_such)?;
+        let addr = meta.find_export(symbol).ok_or_else(no_such)?;
+        let off = addr.checked_sub(meta.base).ok_or_else(no_such)? as usize;
+        Ok((ino, off..off + 4))
+    }
+
     /// Reads the word at an exported symbol of a public module instance.
     pub fn peek_shared_word(
         &mut self,
         instance_path: &str,
         symbol: &str,
     ) -> Result<u32, WorldError> {
-        let v = self.kernel.vfs.resolve(instance_path)?;
-        let meta = self
-            .registry
-            .get(&mut self.kernel.vfs, v.ino)
-            .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
-        let addr = meta
-            .find_export(symbol)
-            .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
-        let off = (addr - meta.base) as usize;
-        let bytes = self.kernel.vfs.shared.fs.file_bytes(v.ino)?;
+        let (ino, slot) = self.shared_word_slot(instance_path, symbol)?;
+        let bytes = self.kernel.vfs.shared.fs.file_bytes(ino)?;
         // A crash can recover the instance with its metadata committed
         // but its content still short of this symbol's slot.
         let word = bytes
-            .get(off..off + 4)
+            .get(slot)
             .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
         Ok(u32::from_le_bytes(word.try_into().unwrap()))
     }
@@ -1747,18 +1593,10 @@ impl World {
         symbol: &str,
         value: u32,
     ) -> Result<(), WorldError> {
-        let v = self.kernel.vfs.resolve(instance_path)?;
-        let meta = self
-            .registry
-            .get(&mut self.kernel.vfs, v.ino)
-            .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
-        let addr = meta
-            .find_export(symbol)
-            .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
-        let off = addr as usize - meta.base as usize;
-        let bytes = self.kernel.vfs.shared.fs.file_bytes_mut(v.ino)?;
+        let (ino, slot) = self.shared_word_slot(instance_path, symbol)?;
+        let bytes = self.kernel.vfs.shared.fs.file_bytes_mut(ino)?;
         let slot = bytes
-            .get_mut(off..off + 4)
+            .get_mut(slot)
             .ok_or_else(|| WorldError::NoSuchSymbol(symbol.to_string()))?;
         slot.copy_from_slice(&value.to_le_bytes());
         Ok(())
@@ -1798,7 +1636,7 @@ impl World {
             tlb_hits,
             tlb_misses,
             faults_injected: self.faults.injected(),
-            faults_recovered: self.recovered,
+            faults_recovered: self.tallies.get("RecoveryTaken").count,
             races_detected,
             sync_edges,
             shadow_bytes,
@@ -1816,13 +1654,13 @@ impl World {
             bblocks_built: bb.built,
             bblock_hits: bb.hits,
             bblock_invalidations: bb.invalidations,
-            crashes: self.crashes,
-            journal_replays: self.journal_replays,
-            blocks_discarded: self.blocks_discarded,
-            recovery_ns: self.recovery_ns,
-            blocks_scrubbed: self.blocks_scrubbed,
-            corruptions_detected: self.corruptions_detected,
-            blocks_repaired: self.blocks_repaired,
+            crashes: self.tallies.get("CrashTaken").count,
+            journal_replays: self.tallies.get("JournalReplayed").count,
+            blocks_discarded: self.tallies.blocks_discarded(),
+            recovery_ns: self.tallies.get("JournalReplayed").cost_ns,
+            blocks_scrubbed: self.tallies.blocks_scrubbed(),
+            corruptions_detected: self.tallies.get("CorruptionDetected").count,
+            blocks_repaired: self.tallies.get("BlockRepaired").count,
             eio_kills: self.eio_kills,
             snapshot_hits: ldl.snapshot_hits,
             snapshot_misses: ldl.snapshot_misses,

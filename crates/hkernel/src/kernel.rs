@@ -8,6 +8,7 @@
 //! the division of labor in the paper, where the fault handler and `ldl`
 //! are a *library*, not kernel code.
 
+use crate::event::TraceEvent;
 use crate::layout;
 use crate::mem::{AddressSpace, EvictOutcome, FramePool, MemBus, MemError, Prot};
 use crate::monitor::{AccessCtx, MonitorRef, SyncEdge};
@@ -71,25 +72,6 @@ pub enum RunEvent {
     OomKill { pid: Pid, resident: u64 },
 }
 
-/// Error from [`Kernel::run_to_settle`]: the system was still making
-/// scheduling progress when the slice bound ran out.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Unsettled {
-    /// The slice bound that was exhausted.
-    pub slices: u64,
-    /// Events collected before giving up, so callers can inspect how
-    /// far the system got.
-    pub events: Vec<RunEvent>,
-}
-
-impl std::fmt::Display for Unsettled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "system did not settle within {} slices", self.slices)
-    }
-}
-
-impl std::error::Error for Unsettled {}
-
 /// Kernel-level activity counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
@@ -121,42 +103,6 @@ pub struct KernelStats {
     /// Times an idle CPU stole a runnable process whose context last
     /// ran on a different CPU (the migration costs it a cold TLB).
     pub cross_cpu_steals: u64,
-}
-
-/// One cross-CPU scheduler event, journaled by the kernel and drained
-/// by the embedder into its trace ring (`TlbShootdown`/`CpuSteal`
-/// records). Empty on a single-CPU kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SmpEvent {
-    /// The shootdown protocol invalidated `pages` remote TLB entries of
-    /// `pid` (whose context sits on `to_cpu`) after an eviction-path
-    /// mapping change initiated from `from_cpu`. `retried` marks an IPI
-    /// the chaos layer dropped once, forcing a retransmission.
-    Shootdown {
-        /// CPU that initiated the mapping change (the boot CPU for
-        /// round-boundary reclaim).
-        from_cpu: u32,
-        /// CPU whose TLB was shot down.
-        to_cpu: u32,
-        /// Owner of the invalidated translations.
-        pid: Pid,
-        /// Base virtual address of the first invalidated page.
-        addr: u32,
-        /// Number of pages invalidated.
-        pages: u32,
-        /// The first IPI was lost and retransmitted (chaos injection at
-        /// `hfault::FaultSite::ShootdownDrop`).
-        retried: bool,
-    },
-    /// An idle CPU claimed a runnable process away from its home CPU.
-    Steal {
-        /// The stealing (previously idle) CPU.
-        cpu: u32,
-        /// The migrated process.
-        pid: Pid,
-        /// The CPU the process last ran on.
-        from_cpu: u32,
-    },
 }
 
 struct Sem {
@@ -214,8 +160,9 @@ pub struct Kernel {
     cur_cpu: usize,
     /// A scheduling round is in progress (some CPU still has budget).
     round_active: bool,
-    /// Cross-CPU scheduler events since the last drain.
-    smp_journal: Vec<SmpEvent>,
+    /// Cross-CPU scheduler records (`TlbShootdown`, `CpuSteal`) since
+    /// the last drain. Empty on a single-CPU kernel.
+    smp_journal: Vec<(Pid, TraceEvent)>,
     /// Decoded basic-block caching (DESIGN.md §12): on by default,
     /// switched per-space at spawn/exec/fork time.
     bb_enabled: bool,
@@ -369,13 +316,20 @@ impl Kernel {
     }
 
     /// Drains every live cache's invalidation journal, in pid order
-    /// (deterministic), tagging each event with its owner.
-    pub fn drain_bb_events(&mut self) -> Vec<(Pid, hvm::BbInvalidation)> {
+    /// (deterministic), as `BlockInvalidated` records of their owners.
+    pub fn drain_bb_events(&mut self) -> Vec<(Pid, TraceEvent)> {
         let mut out = Vec::new();
         for (&pid, proc) in self.procs.iter_mut() {
             let bb = proc.aspace.bbcache_mut();
             if !bb.journal_is_empty() {
-                out.extend(bb.drain_journal().into_iter().map(|ev| (pid, ev)));
+                out.extend(bb.drain_journal().into_iter().map(|ev| {
+                    let event = TraceEvent::BlockInvalidated {
+                        addr: ev.addr,
+                        blocks: ev.blocks,
+                        cause: ev.cause,
+                    };
+                    (pid, event)
+                }));
             }
         }
         out
@@ -402,7 +356,7 @@ impl Kernel {
 
     /// Drains cross-CPU scheduler events (shootdowns, steals) journaled
     /// since the last drain, in occurrence order.
-    pub fn drain_smp_events(&mut self) -> Vec<SmpEvent> {
+    pub fn drain_smp_events(&mut self) -> Vec<(Pid, TraceEvent)> {
         std::mem::take(&mut self.smp_journal)
     }
 
@@ -599,11 +553,11 @@ impl Kernel {
             if let Some(from) = proc.cpu.last_cpu {
                 if from != c {
                     self.stats.cross_cpu_steals += 1;
-                    self.smp_journal.push(SmpEvent::Steal {
+                    let event = TraceEvent::CpuSteal {
                         cpu: c,
-                        pid,
                         from_cpu: from,
-                    });
+                    };
+                    self.smp_journal.push((pid, event));
                     // Per-CPU TLBs: the context arrives cold on its new
                     // CPU; its entries on the old one die by disuse.
                     proc.aspace.tlb_migrate_flush();
@@ -667,40 +621,6 @@ impl Kernel {
                 return ev;
             }
         }
-    }
-
-    /// Drives [`Kernel::step_system`] until every process has exited or
-    /// the system deadlocks, for at most `max_slices` scheduling slices.
-    /// Faulting processes are terminated with exit code −1 (the
-    /// embedder-less policy; embedders that resolve faults — e.g. route
-    /// them to `ldl` — drive `step_system` themselves). If the bound is
-    /// exhausted first the system is declared unsettled and the events
-    /// collected so far are returned in the error, so callers can
-    /// degrade gracefully instead of hanging or panicking.
-    pub fn run_to_settle(
-        &mut self,
-        quantum: u64,
-        max_slices: u64,
-    ) -> Result<Vec<RunEvent>, Unsettled> {
-        let mut events = Vec::new();
-        for _ in 0..max_slices {
-            let ev = self.step_system(quantum);
-            match ev {
-                RunEvent::AllExited | RunEvent::Deadlock => {
-                    events.push(ev);
-                    return Ok(events);
-                }
-                RunEvent::Fatal { pid, .. } | RunEvent::Segv { pid, .. } => {
-                    events.push(ev);
-                    self.finalize_exit(pid, -1);
-                }
-                other => events.push(other),
-            }
-        }
-        Err(Unsettled {
-            slices: max_slices,
-            events,
-        })
     }
 
     /// Rebalances the frame pool at the slice boundary. Materialization
@@ -843,14 +763,14 @@ impl Kernel {
                 .bbcache_mut()
                 .invalidate_vpns(addr / PAGE_SIZE, pages, "shootdown");
         }
-        self.smp_journal.push(SmpEvent::Shootdown {
+        let event = TraceEvent::TlbShootdown {
             from_cpu: BOOT_CPU,
             to_cpu: victim_cpu,
-            pid,
             addr,
             pages,
             retried,
-        });
+        };
+        self.smp_journal.push((pid, event));
     }
 
     /// Picks up to `n` distinct runnable pids in round-robin order,
@@ -1798,9 +1718,35 @@ mod tests {
         ]
     }
 
+    /// Steps the system until every process has exited or it
+    /// deadlocks, for at most `max_slices` slices. Faulting processes
+    /// exit with -1 (no embedder resolves them here). `Err` carries the
+    /// events of a run that was still making progress at the bound.
+    fn run_to_settle(
+        k: &mut Kernel,
+        quantum: u64,
+        max_slices: u64,
+    ) -> Result<Vec<RunEvent>, Vec<RunEvent>> {
+        let mut events = Vec::new();
+        for _ in 0..max_slices {
+            let ev = k.step_system(quantum);
+            match ev {
+                RunEvent::AllExited | RunEvent::Deadlock => {
+                    events.push(ev);
+                    return Ok(events);
+                }
+                RunEvent::Fatal { pid, .. } | RunEvent::Segv { pid, .. } => {
+                    events.push(ev);
+                    k.finalize_exit(pid, -1);
+                }
+                other => events.push(other),
+            }
+        }
+        Err(events)
+    }
+
     fn run_to_completion(k: &mut Kernel) -> Vec<RunEvent> {
-        k.run_to_settle(1000, 10_000)
-            .expect("system did not settle")
+        run_to_settle(k, 1000, 10_000).expect("system did not settle")
     }
 
     use Instr::*;
@@ -1814,14 +1760,11 @@ mod tests {
             target: layout::TEXT_BASE >> 2,
         }];
         k.exec_image(pid, &image(&prog, &[])).unwrap();
-        let err = k.run_to_settle(100, 8).unwrap_err();
-        assert_eq!(err.slices, 8);
-        assert_eq!(err.events.len(), 8);
-        assert!(err
-            .events
+        let events = run_to_settle(&mut k, 100, 8).unwrap_err();
+        assert_eq!(events.len(), 8);
+        assert!(events
             .iter()
             .all(|e| matches!(e, RunEvent::Quantum(p) if *p == pid)));
-        assert!(err.to_string().contains("did not settle"));
         // The system is intact: the process is still runnable.
         assert!(matches!(k.procs[&pid].state, ProcState::Runnable));
     }

@@ -19,8 +19,11 @@
 //!   scheduler, semaphores, file locking, signal delivery, and the
 //!   syscall table; faults and "service" syscalls are surfaced to the
 //!   embedding runtime (the `hemlock` core crate), which plays the role
-//!   of the paper's user-level linker/fault-handler library.
+//!   of the paper's user-level linker/fault-handler library;
+//! * [`event`] — the [`TraceEvent`] vocabulary every layer journals for
+//!   the runtime's trace ring.
 
+pub mod event;
 pub mod kernel;
 pub mod layout;
 pub mod mem;
@@ -28,11 +31,10 @@ pub mod monitor;
 pub mod process;
 pub mod syscall;
 
-pub use kernel::{Kernel, KernelStats, RunEvent, SmpEvent, Unsettled};
+pub use event::TraceEvent;
+pub use kernel::{Kernel, KernelStats, RunEvent};
 pub use layout::Region;
-pub use mem::{
-    AddressSpace, FramePool, MemBus, MemError, PageEvent, PoolStats, Prot, RepageOutcome,
-};
+pub use mem::{AddressSpace, FramePool, MemBus, MemError, PoolStats, Prot, RepageOutcome};
 pub use monitor::{AccessCtx, Monitor, MonitorRef, SyncEdge};
 pub use process::{Pid, ProcState, Process};
 pub use syscall::Sys;

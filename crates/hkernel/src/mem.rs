@@ -28,10 +28,12 @@
 //! free (it models the eager mapping the simulator always did); only
 //! pressure-induced traffic is counted and charged.
 
+use crate::event::TraceEvent;
 use crate::layout::{
     DEFAULT_FRAME_BUDGET, DEFAULT_SWAP_PAGES, PAGES_PER_SWAP_FILE, SWAP_FILE_PREFIX,
 };
 use crate::monitor::{AccessCtx, MonitorRef};
+use crate::process::Pid;
 use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE, SLOT_SIZE};
 use hvm::bbcache::BbCache;
 use hvm::{Access, Bus, Fault, Instr};
@@ -212,37 +214,6 @@ pub struct MemStats {
     pub tlb_misses: u64,
 }
 
-/// A page-pressure event, journaled by the pool for the embedding world
-/// to pump into the trace ring (the kernel cannot record directly).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PageEvent {
-    /// The clock hand evicted a page. `kind` is `shared-clean`,
-    /// `shared-dirty`, or `anon`.
-    Evicted {
-        /// Owning process.
-        pid: u32,
-        /// Virtual address of the page.
-        addr: u32,
-        /// What was evicted.
-        kind: &'static str,
-    },
-    /// A dirty shared page was flushed to its backing segment before
-    /// its frame was dropped.
-    Writeback {
-        /// Owning process.
-        pid: u32,
-        /// Virtual address of the page.
-        addr: u32,
-    },
-    /// A previously evicted/swapped page was brought back in.
-    SwappedIn {
-        /// Owning process.
-        pid: u32,
-        /// Virtual address of the page.
-        addr: u32,
-    },
-}
-
 /// Counter snapshot of a [`FramePool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -288,7 +259,8 @@ struct PoolInner {
     /// Backing file for each block of `PAGES_PER_SWAP_FILE` slots,
     /// created lazily on first swap-out into that block.
     swap_files: Vec<Ino>,
-    journal: Vec<PageEvent>,
+    /// Pressure records since the last drain (world → trace ring).
+    journal: Vec<(Pid, TraceEvent)>,
 }
 
 /// The bounded physical frame pool (DESIGN.md §10).
@@ -381,8 +353,9 @@ impl FramePool {
         }
     }
 
-    /// Drains the pressure-event journal (world → trace ring).
-    pub fn drain_events(&self) -> Vec<PageEvent> {
+    /// Drains the pressure journal (`PageEvicted`, `WritebackTaken`,
+    /// `PageSwappedIn`), in occurrence order.
+    pub fn drain_events(&self) -> Vec<(Pid, TraceEvent)> {
         std::mem::take(&mut self.lock().journal)
     }
 
@@ -418,26 +391,32 @@ impl FramePool {
         inner.resident = inner.resident.saturating_sub(pages);
     }
 
-    fn count_eviction(&self, pid: u32, addr: u32, kind: &'static str) {
+    fn count_eviction(&self, pid: Pid, addr: u32, kind: &'static str) {
         let mut inner = self.lock();
         inner.evictions += 1;
-        inner.journal.push(PageEvent::Evicted { pid, addr, kind });
+        inner
+            .journal
+            .push((pid, TraceEvent::PageEvicted { addr, kind }));
     }
 
-    fn count_writeback(&self, pid: u32, addr: u32) {
+    fn count_writeback(&self, pid: Pid, addr: u32) {
         let mut inner = self.lock();
         inner.writebacks += 1;
-        inner.journal.push(PageEvent::Writeback { pid, addr });
+        inner
+            .journal
+            .push((pid, TraceEvent::WritebackTaken { addr }));
     }
 
     fn count_swap_out(&self) {
         self.lock().swap_outs += 1;
     }
 
-    fn count_swap_in(&self, pid: u32, addr: u32) {
+    fn count_swap_in(&self, pid: Pid, addr: u32) {
         let mut inner = self.lock();
         inner.swap_ins += 1;
-        inner.journal.push(PageEvent::SwappedIn { pid, addr });
+        inner
+            .journal
+            .push((pid, TraceEvent::PageSwappedIn { addr }));
     }
 
     /// Allocates a swap slot (refcount 1), or `None` when swap is full.

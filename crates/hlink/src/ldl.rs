@@ -20,7 +20,7 @@ use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
 use crate::tramp::trampoline_code;
 use hkernel::layout::{DATA_END, DYN_PRIVATE_BASE};
-use hkernel::{Kernel, Pid, Prot, RepageOutcome};
+use hkernel::{Kernel, Pid, Prot, RepageOutcome, TraceEvent};
 use hobj::reloc::RelocError;
 use hobj::{binfmt, ImageReloc, LoadImage, RelocKind, SearchStrategy, ShareClass};
 use hsfs::vfs::Mount;
@@ -75,76 +75,6 @@ impl ModuleInst {
         }
         index
     }
-}
-
-/// One observable step taken by the linker. `hlink` cannot depend on
-/// the runtime crate that owns the trace ring, so steps are journaled
-/// on [`LinkState`] as plain values; the embedder drains the journal
-/// into its trace facility after each linker operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LinkEvent {
-    /// The kernel's address→file translation named a segment.
-    AddrTranslated {
-        /// The translated address.
-        addr: u32,
-        /// The shared-partition path it names.
-        path: String,
-    },
-    /// A segment was mapped into the process.
-    SegmentMapped {
-        /// Base virtual address of the mapping.
-        base: u32,
-        /// Module name for module segments, `None` for plain segments.
-        module: Option<String>,
-    },
-    /// A pending reference was patched.
-    SymbolResolved {
-        /// The module whose reference was patched (ROOT for the image).
-        module: String,
-        /// The symbol name.
-        symbol: String,
-        /// The resolved address.
-        addr: u32,
-    },
-    /// A transient failure was absorbed: the operation succeeded after
-    /// `attempts` bounded-backoff retries (chaos recovery path).
-    FaultRetried {
-        /// What was being created (the template path).
-        what: String,
-        /// How many retries it took.
-        attempts: u32,
-    },
-    /// A prelink snapshot validated and its pre-resolved link map was
-    /// applied wholesale (DESIGN.md §15) — no export search, no
-    /// trampoline synthesis, one flat validation charge.
-    SnapshotHit {
-        /// The executable whose snapshot hit.
-        exe: String,
-        /// How many module instances the snapshot mapped.
-        modules: u32,
-    },
-    /// No prelink snapshot existed for this executable (free: a cold
-    /// boot with snapshots on costs exactly a snapshots-off boot).
-    SnapshotMiss {
-        /// The executable that missed.
-        exe: String,
-    },
-    /// A prelink snapshot existed but was stale or corrupt; full
-    /// resolution follows, plus one flat validation charge.
-    SnapshotInvalidated {
-        /// The executable whose snapshot was rejected.
-        exe: String,
-        /// The staleness or corruption reason.
-        why: String,
-    },
-    /// A fresh prelink snapshot was written after a successful resolve
-    /// (free: cache maintenance, not work the program asked for).
-    SnapshotRebuilt {
-        /// The executable whose snapshot was rebuilt.
-        exe: String,
-        /// How many module instances it records.
-        modules: u32,
-    },
 }
 
 /// What the fault handler did with a SIGSEGV.
@@ -249,8 +179,9 @@ pub struct LinkState {
     /// exports never move, so a hit can never go stale, while a failure
     /// may later succeed once more modules load.
     resolve_cache: HashMap<(String, String), u32>,
-    /// Journal of observable linker steps, drained by the embedder.
-    pub journal: Vec<LinkEvent>,
+    /// Observable linker steps since the last drain; the embedder
+    /// prices them and appends them to its trace ring.
+    pub journal: Vec<TraceEvent>,
     /// Statistics.
     pub stats: LdlStats,
     /// Prelink-snapshot bookkeeping (DESIGN.md §15): where this image's
@@ -428,7 +359,7 @@ impl<'a> Ldl<'a> {
                 Some(addr) => {
                     self.patch_pending(&p, addr, None)?;
                     self.state.stats.symbols_resolved += 1;
-                    self.state.journal.push(LinkEvent::SymbolResolved {
+                    self.state.journal.push(TraceEvent::SymbolResolved {
                         module: ROOT.to_string(),
                         symbol: p.symbol.clone(),
                         addr,
@@ -474,14 +405,14 @@ impl<'a> Ldl<'a> {
             Ok(Some(s)) => s,
             Ok(None) => {
                 self.state.stats.snapshot_misses += 1;
-                self.state.journal.push(LinkEvent::SnapshotMiss { exe });
+                self.state.journal.push(TraceEvent::SnapshotMiss { exe });
                 return Ok(None);
             }
             Err(LinkError::BadSnapshot { why, .. }) => {
                 self.state.stats.snapshot_invalidations += 1;
                 self.state
                     .journal
-                    .push(LinkEvent::SnapshotInvalidated { exe, why });
+                    .push(TraceEvent::SnapshotInvalidated { exe, why });
                 return Ok(None);
             }
             Err(e) => return Err(e),
@@ -491,12 +422,12 @@ impl<'a> Ldl<'a> {
             self.state.stats.snapshot_invalidations += 1;
             self.state
                 .journal
-                .push(LinkEvent::SnapshotInvalidated { exe, why });
+                .push(TraceEvent::SnapshotInvalidated { exe, why });
             return Ok(None);
         }
         self.apply_snapshot(&snap)?;
         self.state.stats.snapshot_hits += 1;
-        self.state.journal.push(LinkEvent::SnapshotHit {
+        self.state.journal.push(TraceEvent::SnapshotHit {
             exe,
             modules: snap.modules.len() as u32,
         });
@@ -666,7 +597,7 @@ impl<'a> Ldl<'a> {
             crate::snapshot::store(&mut self.kernel.vfs, &path, &snap)
         {
             self.state.stats.snapshot_rebuilds += 1;
-            self.state.journal.push(LinkEvent::SnapshotRebuilt {
+            self.state.journal.push(TraceEvent::SnapshotRebuilt {
                 exe: self.state.snap_exe.clone(),
                 modules: count,
             });
@@ -709,8 +640,8 @@ impl<'a> Ldl<'a> {
     /// The backoff is *simulated*: there is no clock to sleep against,
     /// so each retry charges `1 << attempt` backoff units to
     /// [`LdlStats::retry_backoff_steps`], which the cost model prices.
-    /// A success after ≥1 retry journals [`LinkEvent::FaultRetried`] so
-    /// the trace shows the recovery.
+    /// A success after ≥1 retry journals an `ldl-retry`
+    /// [`TraceEvent::RecoveryTaken`] so the trace shows the recovery.
     fn ensure_public_with_retry(&mut self, template_path: &str) -> Result<Ino, LinkError> {
         const MAX_LINK_RETRIES: u32 = 4;
         let mut attempt = 0u32;
@@ -723,9 +654,9 @@ impl<'a> Ldl<'a> {
             ) {
                 Ok((ino, _)) => {
                     if attempt > 0 {
-                        self.state.journal.push(LinkEvent::FaultRetried {
-                            what: template_path.to_string(),
-                            attempts: attempt,
+                        self.state.journal.push(TraceEvent::RecoveryTaken {
+                            action: "ldl-retry",
+                            retries: attempt,
                         });
                     }
                     return Ok(ino);
@@ -773,7 +704,7 @@ impl<'a> Ldl<'a> {
         proc.aspace
             .map_shared(meta.base, meta.total_len, prot, ino, 0)
             .map_err(|_| LinkError::Fs(FsError::Busy))?;
-        self.state.journal.push(LinkEvent::SegmentMapped {
+        self.state.journal.push(TraceEvent::SegmentMapped {
             base: meta.base,
             module: Some(name.clone()),
         });
@@ -929,7 +860,7 @@ impl<'a> Ldl<'a> {
                     let path = self.kernel.vfs.shared.fs.path_of(ino).unwrap_or_default();
                     self.state
                         .journal
-                        .push(LinkEvent::AddrTranslated { addr, path });
+                        .push(TraceEvent::AddrTranslated { addr, path });
                     if self.registry.get(&mut self.kernel.vfs, ino).is_some() {
                         // The segment is a module: map it (possibly for
                         // lazy linking), attributing the DAG edge to the
@@ -985,7 +916,7 @@ impl<'a> Ldl<'a> {
             .map_err(|_| LinkError::Fs(FsError::Busy))?;
         self.state
             .journal
-            .push(LinkEvent::SegmentMapped { base, module: None });
+            .push(TraceEvent::SegmentMapped { base, module: None });
         Ok(())
     }
 
@@ -1031,7 +962,7 @@ impl<'a> Ldl<'a> {
                     }
                     self.patch_pending(&p, addr, Some(name))?;
                     self.state.stats.symbols_resolved += 1;
-                    self.state.journal.push(LinkEvent::SymbolResolved {
+                    self.state.journal.push(TraceEvent::SymbolResolved {
                         module: name.to_string(),
                         symbol: p.symbol.clone(),
                         addr,

@@ -41,7 +41,7 @@ pub mod tramp;
 
 pub use error::LinkError;
 pub use instance::ModuleRegistry;
-pub use ldl::{FaultDisposition, Ldl, LinkEvent, LinkState, ModuleInst};
+pub use ldl::{FaultDisposition, Ldl, LinkState, ModuleInst};
 pub use lds::{Lds, LdsInput, LdsOutput, ModuleSpec};
 pub use meta::ModuleMeta;
 pub use search::SearchPath;

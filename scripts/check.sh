@@ -11,6 +11,12 @@ if grep -rn 'std::env' crates/{core,hkernel,hlink,hsfs,hvm,hobj,hfault,hsan}/src
   exit 1
 fi
 
+echo "==> World::publish is the only code that appends to the trace ring"
+if awk '/^    (pub )?fn /{f=$0} /\.record\(/ && f !~ /fn publish\(/{print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' crates/core/src/world.rs; then
+  echo "trace ring appended outside World::publish: price records with CostModel::price there" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -100,23 +100,15 @@ pub fn pat(tag: u8, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Trace records of one kind.
+/// Records of one kind published over the whole run (the world's
+/// exact tallies: ring eviction and clearing do not lose any).
 pub fn trace_count(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .count() as u64
+    world.tallies().get(kind).count
 }
 
-/// Summed cost of one kind of trace record.
+/// Summed cost of one kind of trace record over the whole run.
 pub fn trace_cost(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .map(|r| r.cost_ns)
-        .sum()
+    world.tallies().get(kind).cost_ns
 }
 
 // --- the persistent counter module -----------------------------------------

@@ -36,7 +36,7 @@
 
 mod common;
 
-use common::{knobs, run_prog, run_sanitized, settle, spawn_workers, Mask, Replay};
+use common::{knobs, run_prog, run_sanitized, settle, spawn_workers, trace_count, Mask, Replay};
 use common::{SHARED_DATA, SHCOUNT_ELIDED, WORKER, WORKERS};
 use hemlock::{CostModel, ShareClass, TraceBuffer, World};
 use proptest::prelude::*;
@@ -292,7 +292,6 @@ fn stale_snapshot_costs_exactly_one_validation() {
 #[test]
 fn snapshot_counters_match_trace_record_counts() {
     let mut world = snap_world(true);
-    *world.trace_mut() = TraceBuffer::new(1 << 20);
     let exe = build_chain(&mut world);
     // Miss + rebuilds (cold), then a warm-boot hit, then an
     // invalidation (stomped record) followed by a fresh rebuild. Each
@@ -315,13 +314,7 @@ fn snapshot_counters_match_trace_record_counts() {
     assert!(s.snapshot_hits >= 1, "{s:?}");
     assert!(s.snapshot_invalidations >= 1, "{s:?}");
     assert!(s.snapshot_rebuilds >= 2, "{s:?}");
-    let count = |kind: &str| {
-        world
-            .trace()
-            .records()
-            .filter(|r| r.event.kind() == kind)
-            .count() as u64
-    };
+    let count = |kind: &str| trace_count(&world, kind);
     assert_eq!(s.snapshot_hits, count("SnapshotHit"));
     assert_eq!(s.snapshot_misses, count("SnapshotMiss"));
     assert_eq!(s.snapshot_invalidations, count("SnapshotInvalidated"));

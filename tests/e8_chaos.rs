@@ -114,7 +114,6 @@ struct Outcome {
     recovered: u64,
     trace_injected: u64,
     trace_recovered: u64,
-    trace_evicted: u64,
     link_retries: u64,
 }
 
@@ -154,7 +153,6 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         recovered: stats.faults_recovered,
         trace_injected: trace_count(&world, "FaultInjected"),
         trace_recovered: trace_count(&world, "RecoveryTaken"),
-        trace_evicted: world.trace().evicted(),
         link_retries: stats.ldl.link_retries,
     }
 }
@@ -200,18 +198,16 @@ fn check_contained(out: &Outcome, baseline: &Outcome) {
             );
         }
     }
-    // Counter reconciliation with the htrace journal (exact when the
-    // ring evicted nothing, which the default capacity guarantees here).
-    if out.trace_evicted == 0 {
-        assert_eq!(
-            out.injected, out.trace_injected,
-            "plan counter vs FaultInjected trace records"
-        );
-        assert_eq!(
-            out.recovered, out.trace_recovered,
-            "world counter vs RecoveryTaken trace records"
-        );
-    }
+    // Counter reconciliation with the htrace journal: exact for a run
+    // of any length, because the record counts are the world's tallies.
+    assert_eq!(
+        out.injected, out.trace_injected,
+        "plan counter vs FaultInjected trace records"
+    );
+    assert_eq!(
+        out.recovered, out.trace_recovered,
+        "world counter vs RecoveryTaken trace records"
+    );
     assert!(
         out.recovered <= out.injected,
         "every recovery needs an injection ({} > {})",

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{build_counter, run_prog, RUN_SLICES};
-use hemlock::{ShareClass, World, WorldExit};
+use hemlock::{ShareClass, World, WorldError, WorldExit};
 use hsfs::tools;
 
 #[test]
@@ -28,6 +28,38 @@ fn shared_state_survives_reboot() {
         2
     );
     assert_eq!(run_prog(&mut world, &exe).0, 3);
+}
+
+/// Module metadata lives in a world-writable root file, so a guest can
+/// forge a record whose export lies below the instance base. After a
+/// reboot drops the cached copy, reading or writing that symbol is a
+/// typed error, not an arithmetic panic.
+#[test]
+fn forged_export_below_base_is_a_typed_error() {
+    let mut world = World::new();
+    let exe = build_counter(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
+    let inst = "/shared/lib/counter";
+    let ino = world.kernel.vfs.resolve(inst).unwrap().ino;
+    let path = hlink::ModuleMeta::path_for(ino);
+    let bytes = world.kernel.vfs.read_all(&path).unwrap();
+    let mut meta = hlink::ModuleMeta::decode(&bytes).unwrap();
+    let below = meta.base - 4;
+    for (_, addr) in &mut meta.exports {
+        *addr = below;
+    }
+    world
+        .kernel
+        .vfs
+        .write_file(&path, &meta.encode(), 0o666, 1)
+        .unwrap();
+    world.reboot();
+    let missing = Err(WorldError::NoSuchSymbol("count".into()));
+    assert_eq!(world.peek_shared_word(inst, "count"), missing);
+    assert_eq!(
+        world.poke_shared_word(inst, "count", 7),
+        missing.map(|_| ())
+    );
 }
 
 #[test]
