@@ -408,65 +408,26 @@ mod tests {
         assert!(m.snapshot_validate_ns < m.disk_block_ns / 4);
     }
 
-    /// Every record that mirrors a priced counter costs exactly what
-    /// [`CostModel::time`] bills for that counter, so a pricing drift
-    /// between the trace and the clock fails here.
+    /// The prices `World::audit` cannot check against a counter:
+    /// `recovery_ns` *is* the replay records' cost tally, free records
+    /// have no term, and a recovery's price is a breakdown of work
+    /// billed elsewhere. Every other priced kind is checked against its
+    /// `time` term by `audit`, on every run that publishes it.
     #[test]
-    fn price_matches_time_for_each_priced_kind() {
+    fn prices_audit_cannot_check() {
         let m = CostModel::default();
-        let priced = |event: TraceEvent, set: &dyn Fn(&mut WorldStats)| {
-            let mut s = WorldStats::default();
-            set(&mut s);
-            assert_eq!(m.price(&event), m.time(&s).0, "{event}");
-        };
-        let scrub = TraceEvent::ScrubPass {
-            blocks: 10,
-            corrupt: 1,
-            repaired: 1,
-        };
-        priced(scrub, &|s| s.blocks_scrubbed = 10);
-        let (ino, block, source) = (3, 0, "replica");
-        let repaired = TraceEvent::BlockRepaired { ino, block, source };
-        priced(repaired, &|s| s.blocks_repaired = 1);
-        let shootdown = TraceEvent::TlbShootdown {
-            from_cpu: 0,
-            to_cpu: 1,
-            addr: 0x1000,
-            pages: 3,
-            retried: true,
-        };
-        priced(shootdown, &|s| (s.ipis, s.shootdowns) = (2, 3));
-        let (addr, kind) = (0x1000, "anon");
-        let anon = TraceEvent::PageEvicted { addr, kind };
-        priced(anon, &|s| (s.page_evictions, s.swap_outs) = (1, 1));
-        let kind = "shared-dirty";
-        let shared = TraceEvent::PageEvicted { addr, kind };
-        priced(shared, &|s| s.page_evictions = 1);
-        priced(TraceEvent::WritebackTaken { addr }, &|s| {
-            s.page_writebacks = 1
-        });
-        priced(TraceEvent::PageSwappedIn { addr }, &|s| s.swap_ins = 1);
         let replay = TraceEvent::JournalReplayed {
             records: 7,
             blocks: 2,
         };
-        priced(replay, &|s| s.recovery_ns = 9 * m.disk_block_ns);
-        let exe = || "a".to_string();
-        let hit = TraceEvent::SnapshotHit {
-            exe: exe(),
-            modules: 4,
-        };
-        priced(hit, &|s| s.snapshot_hits = 1);
-        let why = "stale".to_string();
-        let stale = TraceEvent::SnapshotInvalidated { exe: exe(), why };
-        priced(stale, &|s| s.snapshot_invalidations = 1);
-        priced(TraceEvent::SnapshotMiss { exe: exe() }, &|s| {
-            s.snapshot_misses = 1
-        });
+        assert_eq!(m.price(&replay), 9 * m.disk_block_ns);
         let crash = TraceEvent::CrashTaken {
             blocks_discarded: 5,
         };
-        priced(crash, &|s| (s.crashes, s.blocks_discarded) = (1, 5));
+        let miss = TraceEvent::SnapshotMiss {
+            exe: "a".to_string(),
+        };
+        assert_eq!((m.price(&crash), m.price(&miss)), (0, 0));
         // Recovery records price the work the recovery redid.
         let recovery = |action, retries| m.price(&TraceEvent::RecoveryTaken { action, retries });
         assert_eq!(recovery("ldl-retry", 3), 3 * m.fault_ns);

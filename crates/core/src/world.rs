@@ -315,8 +315,11 @@ impl World {
     /// address spaces, both file systems, and — via the kernel — the
     /// dynamic linker). Returns a clone of the shared handle so callers
     /// can inspect counters mid-run. Arm *after* building and installing
-    /// programs if setup should stay failure-free.
+    /// programs if setup should stay failure-free. Injections the
+    /// previous plan journaled are published first, so re-arming never
+    /// loses one.
     pub fn arm_faults(&mut self, plan: FaultPlan) -> FaultHandle {
+        self.drain_injections(0);
         let handle = FaultHandle::armed(plan);
         self.kernel.arm_faults(handle.clone());
         self.faults = handle.clone();
@@ -324,7 +327,8 @@ impl World {
     }
 
     /// Moves injections journaled by the plan into the trace ring,
-    /// attributed to `pid` (0 for world-level work).
+    /// attributed to `pid` (0 for world-level work);
+    /// `WorldStats::faults_injected` is the `FaultInjected` tally.
     fn drain_injections(&mut self, pid: Pid) {
         for site in self.faults.drain_journal() {
             self.publish(pid, TraceEvent::FaultInjected { site: site.name() });
@@ -1635,7 +1639,7 @@ impl World {
             cow_copies: cow,
             tlb_hits,
             tlb_misses,
-            faults_injected: self.faults.injected(),
+            faults_injected: self.tallies.get("FaultInjected").count,
             faults_recovered: self.tallies.get("RecoveryTaken").count,
             races_detected,
             sync_edges,
@@ -1666,6 +1670,91 @@ impl World {
             snapshot_misses: ldl.snapshot_misses,
             snapshot_invalidations: ldl.snapshot_invalidations,
             snapshot_rebuilds: ldl.snapshot_rebuilds,
+        }
+    }
+
+    /// The conservation oracle. Drains every pending journal, then
+    /// checks that each counter a layer keeps beside its records equals
+    /// that record kind's tally, and that each priced tally group equals
+    /// its [`CostModel::time`] term priced with `self.costs`. The error
+    /// names every relation that failed. `run` and `stats` never call
+    /// it, so it costs nothing unless asked for.
+    pub fn audit(&mut self) -> Result<(), String> {
+        self.drain_journals(0);
+        let s = self.stats();
+        let count = |kind| self.tallies.get(kind).count;
+        let mut failed = Vec::new();
+        for (counter, n, kind) in [
+            ("page_evictions", s.page_evictions, "PageEvicted"),
+            ("page_writebacks", s.page_writebacks, "WritebackTaken"),
+            ("swap_ins", s.swap_ins, "PageSwappedIn"),
+            ("cross_cpu_steals", s.cross_cpu_steals, "CpuSteal"),
+            (
+                "ldl.symbols_resolved",
+                s.ldl.symbols_resolved,
+                "SymbolResolved",
+            ),
+            ("snapshot_hits", s.snapshot_hits, "SnapshotHit"),
+            ("snapshot_misses", s.snapshot_misses, "SnapshotMiss"),
+            (
+                "snapshot_invalidations",
+                s.snapshot_invalidations,
+                "SnapshotInvalidated",
+            ),
+            ("snapshot_rebuilds", s.snapshot_rebuilds, "SnapshotRebuilt"),
+        ] {
+            if n != count(kind) {
+                failed.push(format!(
+                    "{counter} is {n} but {} {kind} records",
+                    count(kind)
+                ));
+            }
+        }
+        // The live plan counts only itself; the tally spans every plan.
+        if self.faults.injected() > s.faults_injected {
+            let live = self.faults.injected();
+            failed.push(format!(
+                "the armed plan injected {live}, the tally holds {}",
+                s.faults_injected
+            ));
+        }
+        // A group's term is what `time` bills for its counters alone.
+        let term = |clear: fn(&mut WorldStats)| {
+            let mut rest = s;
+            clear(&mut rest);
+            self.costs.time(&s).0 - self.costs.time(&rest).0
+        };
+        type Clear = fn(&mut WorldStats);
+        let groups: [(&str, &[&str], Clear); 5] = [
+            (
+                "pressure",
+                &["PageEvicted", "WritebackTaken", "PageSwappedIn"],
+                |t| (t.page_evictions, t.page_writebacks, t.swap_outs, t.swap_ins) = (0, 0, 0, 0),
+            ),
+            ("smp", &["TlbShootdown"], |t| {
+                (t.ipis, t.shootdowns) = (0, 0)
+            }),
+            ("recovery", &["JournalReplayed"], |t| t.recovery_ns = 0),
+            ("integrity", &["ScrubPass", "BlockRepaired"], |t| {
+                (t.blocks_scrubbed, t.blocks_repaired) = (0, 0)
+            }),
+            ("snapshot", &["SnapshotHit", "SnapshotInvalidated"], |t| {
+                (t.snapshot_hits, t.snapshot_invalidations) = (0, 0)
+            }),
+        ];
+        for (group, kinds, clear) in groups {
+            let traced: u64 = kinds.iter().map(|k| self.tallies.get(k).cost_ns).sum();
+            let billed = term(clear);
+            if traced != billed {
+                failed.push(format!(
+                    "{group} term: records carry {traced} ns, time bills {billed}"
+                ));
+            }
+        }
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(failed.join("; "))
         }
     }
 }

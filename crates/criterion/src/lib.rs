@@ -192,39 +192,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) 
         fmt_seconds(min),
         fmt_seconds(max),
     );
-    append_wall_row(label, mean);
-}
-
-/// When `BENCH_WALL_OUT` names a file, appends one JSONL row per
-/// benchmark — `{"bench":"<id>","wall_ns":<mean>}` — so CI's wall-clock
-/// lane can collect machine-readable results without parsing stderr.
-fn append_wall_row(label: &str, mean_secs: f64) {
-    let Ok(path) = std::env::var("BENCH_WALL_OUT") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let escaped: String = label
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    let row = format!(
-        "{{\"bench\":\"{escaped}\",\"wall_ns\":{:.0}}}\n",
-        mean_secs * 1e9
-    );
-    use std::io::Write;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = f.write_all(row.as_bytes());
-    }
 }
 
 /// Human-scaled time formatting (ns/µs/ms/s).

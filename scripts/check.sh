@@ -33,6 +33,9 @@ cargo test -q --release --test e13_crash
 echo "==> disk-integrity properties (e14: corruption detect/heal/contain)"
 cargo test -q --release --test e14_integrity
 
+echo "==> configuration lattice (every free toggle free, every cell replays and passes World::audit)"
+cargo test -q --release --test lattice
+
 echo "==> prelink snapshots (e15: identity, staleness, crash sweep)"
 cargo test -q --release --test e15_snapshot
 

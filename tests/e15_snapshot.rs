@@ -36,73 +36,10 @@
 
 mod common;
 
+use common::{build_chain, CHAIN_ANSWER, SHARED_DATA, SHCOUNT_ELIDED, WORKER, WORKERS};
 use common::{knobs, run_prog, run_sanitized, settle, spawn_workers, trace_count, Mask, Replay};
-use common::{SHARED_DATA, SHCOUNT_ELIDED, WORKER, WORKERS};
 use hemlock::{CostModel, ShareClass, TraceBuffer, World};
 use proptest::prelude::*;
-
-// --- the pure-code chain (no data mutation ⇒ warm boots validate) ----
-
-const LIB2: &str = r#"
-.module lib2
-.text
-.globl f2
-f2:     li   v0, 42
-        jr   ra
-.data
-.globl pad
-pad:    .word 0
-"#;
-
-const LIB1: &str = r#"
-.module lib1
-.uses lib2
-.text
-.globl f1
-f1:     addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  f2
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        addi v0, v0, 1
-        jr   ra
-"#;
-
-const CMAIN: &str = r#"
-.module cmain
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  f1
-        or   r16, v0, r0
-        or   a0, v0, r0
-        li   v0, 106           ; print_int(result)
-        syscall
-        or   v0, r16, r0
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-/// The chain's answer: f2's 42 plus f1's increment.
-const CHAIN_ANSWER: i32 = 43;
-
-fn build_chain(world: &mut World) -> String {
-    world.install_template("/shared/lib/lib1.o", LIB1).unwrap();
-    world.install_template("/shared/lib/lib2.o", LIB2).unwrap();
-    world.install_template("/src/cmain.o", CMAIN).unwrap();
-    world
-        .link(
-            "/bin/chain",
-            &[
-                ("/src/cmain.o", ShareClass::StaticPrivate),
-                ("/shared/lib/lib1.o", ShareClass::DynamicPublic),
-                ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
 
 /// A world with the matrix's knobs applied and prelink snapshots pinned
 /// on or off: every test here depends on the snapshot toggle, while the

@@ -10,14 +10,13 @@
 //!   bounded `Err(Unsettled)` naming how many processes were live);
 //! * only injected-fault victims exit nonzero, and surviving processes
 //!   produce output identical to an injection-free run;
-//! * the `WorldStats` injected/recovered counters reconcile with the
-//!   `htrace` journal (`FaultInjected` / `RecoveryTaken` records);
+//! * `World::audit` holds, and every recovery had an injection;
 //! * the entire outcome replays exactly from the seed.
 
 mod common;
 
-use common::{knobs, trace_count, SETTLE_SLICES};
-use hemlock::{FaultPlan, FaultSite, ShareClass, Unsettled, World, WorldExit};
+use common::{build_chaos, knobs, SETTLE_SLICES};
+use hemlock::{FaultPlan, FaultSite, Unsettled, WorldExit};
 use proptest::prelude::*;
 
 /// Documented injection-rate bound for the settle guarantee: 5% per
@@ -29,79 +28,6 @@ const RATE_BOUND_PPM: u32 = 50_000;
 /// Processes spawned per scenario.
 const NPROCS: usize = 3;
 
-/// Builds the scenario world: a *pure* public module (no mutable shared
-/// state, so each process's output is independent of the others' fate)
-/// and a main program that calls into it and prints the result.
-fn build_world() -> (World, String) {
-    let mut world = common::world();
-    world
-        .install_template(
-            "/shared/lib/mathmod.o",
-            r#"
-            .module mathmod
-            .text
-            .globl triple
-            triple: add  v0, a0, a0
-                    add  v0, v0, a0
-                    jr   ra
-            .globl offset
-            offset: la   r8, base
-                    lw   r9, 0(r8)
-                    add  v0, a0, r9
-                    jr   ra
-            .globl combine
-            combine: addi sp, sp, -8
-                    sw   ra, 0(sp)
-                    jal  helper         ; resolved up the scope chain
-                    lw   ra, 0(sp)
-                    addi sp, sp, 8
-                    jr   ra
-            .data
-            .globl base
-            base:   .word 100
-            "#,
-        )
-        .unwrap();
-    world
-        .install_template(
-            "/src/main.o",
-            r#"
-            .module main
-            .text
-            .globl main
-            main:   addi sp, sp, -8
-                    sw   ra, 0(sp)
-                    li   a0, 7
-                    jal  triple         ; 21
-                    or   a0, v0, r0
-                    jal  offset         ; 121
-                    or   a0, v0, r0
-                    jal  combine        ; 1121 (via helper below)
-                    or   a0, v0, r0
-                    li   v0, 106        ; print_int(1121)
-                    syscall
-                    lw   ra, 0(sp)
-                    addi sp, sp, 8
-                    li   v0, 0
-                    jr   ra
-            .globl helper
-            helper: addi v0, a0, 1000
-                    jr   ra
-            "#,
-        )
-        .unwrap();
-    let exe = world
-        .link(
-            "/bin/chaos",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/mathmod.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
-
 /// Everything a chaos run is judged on (and everything that must replay
 /// identically from the same seed).
 #[derive(Debug, PartialEq, Eq)]
@@ -112,8 +38,6 @@ struct Outcome {
     consoles: Vec<Option<String>>,
     injected: u64,
     recovered: u64,
-    trace_injected: u64,
-    trace_recovered: u64,
     link_retries: u64,
 }
 
@@ -125,7 +49,8 @@ struct Outcome {
 /// corrupt. Cold (the default) keeps first-instantiation sites like
 /// `InodeAlloc` reachable instead.
 fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
-    let (mut world, exe) = build_world();
+    let mut world = common::world();
+    let exe = build_chaos(&mut world);
     world.set_cpus(knobs().cpus);
     if warm {
         let pid = world.spawn(&exe).unwrap();
@@ -141,6 +66,7 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         pids.push(world.spawn(&exe).ok());
     }
     let settled = world.run_to_settle(SETTLE_SLICES);
+    world.audit().unwrap();
     let stats = world.stats();
     Outcome {
         settled,
@@ -151,8 +77,6 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         consoles: pids.iter().map(|p| p.map(|p| world.console(p))).collect(),
         injected: stats.faults_injected,
         recovered: stats.faults_recovered,
-        trace_injected: trace_count(&world, "FaultInjected"),
-        trace_recovered: trace_count(&world, "RecoveryTaken"),
         link_retries: stats.ldl.link_retries,
     }
 }
@@ -198,16 +122,6 @@ fn check_contained(out: &Outcome, baseline: &Outcome) {
             );
         }
     }
-    // Counter reconciliation with the htrace journal: exact for a run
-    // of any length, because the record counts are the world's tallies.
-    assert_eq!(
-        out.injected, out.trace_injected,
-        "plan counter vs FaultInjected trace records"
-    );
-    assert_eq!(
-        out.recovered, out.trace_recovered,
-        "world counter vs RecoveryTaken trace records"
-    );
     assert!(
         out.recovered <= out.injected,
         "every recovery needs an injection ({} > {})",
@@ -222,7 +136,7 @@ proptest! {
     /// The headline property: any seed, any rate ≤ the bound — no
     /// panics, the world settles (or fails bounded), victims are
     /// injection victims, survivors' output is seed-identical, and the
-    /// counters reconcile with the trace. The whole outcome replays
+    /// counters reconcile. The whole outcome replays
     /// exactly from the seed. Both boot shapes are swept: cold (full
     /// resolution) and warm (linking through the prelink snapshot,
     /// where the `SnapshotCorrupt` site is live).

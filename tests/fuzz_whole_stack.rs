@@ -9,64 +9,12 @@
 
 mod common;
 
+use common::program;
 use hemlock::{ShareClass, World};
 use hobj::binfmt;
 use hobj::hasm::assemble;
 use hsfs::CorruptKind;
 use proptest::prelude::*;
-
-/// One random instruction line from a mixed bag: arithmetic, memory,
-/// branches (to one of a few labels), jumps, syscalls with random
-/// numbers, and loads/stores through partially initialized registers.
-fn instr_line(seed: (u8, u8, u8, u16)) -> String {
-    let (op, a, b, imm) = seed;
-    let ra = a % 24 + 8; // r8..r31
-    let rb = b % 24 + 8;
-    let simm = (imm as i16 as i32).clamp(-32768, 32767);
-    match op % 14 {
-        0 => format!("addi r{ra}, r{rb}, {simm}"),
-        1 => format!("add r{ra}, r{rb}, r{ra}"),
-        2 => format!("sub r{ra}, r{ra}, r{rb}"),
-        3 => format!("sll r{ra}, r{rb}, {}", imm % 32),
-        4 => format!("li r{ra}, {}", imm as u32 * 977),
-        5 => format!("lw r{ra}, {}(r{rb})", (simm / 4) * 4),
-        6 => format!("sw r{ra}, {}(r{rb})", (simm / 4) * 4),
-        7 => format!("beq r{ra}, r{rb}, l{}", imm % 4),
-        8 => format!("bne r{ra}, r{rb}, l{}", imm % 4),
-        9 => "jal helper".to_string(),
-        10 => format!("la r{ra}, shared_word"),
-        11 => format!("div r{ra}, r{rb}"),
-        12 => format!("li v0, {}\nsyscall", imm % 40), // random syscalls
-        _ => "nop".to_string(),
-    }
-}
-
-fn program(seeds: &[(u8, u8, u8, u16)]) -> String {
-    let mut body = String::new();
-    let mut emitted = [false; 4];
-    for (i, s) in seeds.iter().enumerate() {
-        // Sprinkle the branch-target labels through the body.
-        let l = (i / 4) % 4;
-        if i % 4 == 0 && !emitted[l] {
-            emitted[l] = true;
-            body.push_str(&format!("l{l}:\n"));
-        }
-        body.push_str(&instr_line(*s));
-        body.push('\n');
-    }
-    // Ensure all labels exist even for short bodies.
-    for (l, done) in emitted.iter().enumerate() {
-        if !done {
-            body.push_str(&format!("l{l}:\n"));
-        }
-    }
-    format!(
-        ".module fuzz\n.text\n.globl main\nmain:\n{body}\n\
-         li v0, 1\nli a0, 0\nsyscall\n\
-         .globl helper\nhelper: jr ra\n\
-         .data\n.globl shared_word\nshared_word: .word 7\n"
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]

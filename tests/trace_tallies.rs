@@ -5,17 +5,19 @@
 //! hit, invalidation), crash recovery, scrub and repair, memory pressure
 //! on four CPUs (evictions, writebacks, swap-ins, shootdowns, some of them
 //! retried) and an OOM kill — and publishes far more records than the default
-//! 4096-record ring holds. Every `WorldStats` counter that mirrors a
-//! record kind must still equal that kind's tally, and every priced
-//! tally must equal the matching `CostModel::time` term.
+//! 4096-record ring holds. `World::audit` must still find every
+//! `WorldStats` counter that mirrors a record kind equal to that kind's
+//! tally, and every priced tally equal to its `CostModel::time` term.
+//! Two smaller runs show that the oracle can fail, and that re-arming a
+//! fault plan loses no injection.
 
 mod common;
 
 use common::{
-    build_counter, build_pressure, run_prog, spawn_workers, trace_cost, trace_count, SETTLE_SLICES,
-    WORKERS,
+    build_counter, build_pressure, half_budget, pat, run_pressured, run_prog, spawn_workers,
+    trace_count, SETTLE_SLICES, WORKERS,
 };
-use hemlock::{CostModel, FaultPlan, FaultSite, ShareClass, TraceBuffer, World, WorldStats};
+use hemlock::{FaultPlan, FaultSite, ShareClass, TraceBuffer, World};
 use hkernel::layout::DEFAULT_SWAP_PAGES;
 use hsfs::CorruptKind;
 
@@ -102,46 +104,17 @@ fn eventful_world() -> World {
     world
 }
 
-/// `CostModel::time` of only the counters `pick` copies out of `s`.
-fn term(s: &WorldStats, pick: impl Fn(&WorldStats, &mut WorldStats)) -> u64 {
-    let mut only = WorldStats::default();
-    pick(s, &mut only);
-    CostModel::default().time(&only).0
-}
-
 #[test]
 fn counters_and_costs_reconcile_after_the_ring_evicts() {
-    let world = eventful_world();
-    let s = world.stats();
+    let mut world = eventful_world();
     assert!(
         world.trace().evicted() > 0,
         "the run must overflow the ring"
     );
-    let count = |kind| trace_count(&world, kind);
-    let cost = |kind| trace_cost(&world, kind);
-
-    // Every counter that mirrors a record kind equals its tally.
-    assert_eq!(s.faults_recovered, count("RecoveryTaken"));
-    assert_eq!(s.crashes, count("CrashTaken"));
-    assert_eq!(s.journal_replays, count("JournalReplayed"));
-    assert_eq!(s.recovery_ns, cost("JournalReplayed"));
-    assert_eq!(s.corruptions_detected, count("CorruptionDetected"));
-    assert_eq!(s.blocks_repaired, count("BlockRepaired"));
-    assert_eq!(s.blocks_scrubbed, world.tallies().blocks_scrubbed());
-    assert_eq!(s.blocks_discarded, world.tallies().blocks_discarded());
-    // So do the counters the layers keep themselves.
-    assert_eq!(s.page_evictions, count("PageEvicted"));
-    assert_eq!(s.page_writebacks, count("WritebackTaken"));
-    assert_eq!(s.swap_ins, count("PageSwappedIn"));
-    assert_eq!(s.cross_cpu_steals, count("CpuSteal"));
-    assert_eq!(s.snapshot_hits, count("SnapshotHit"));
-    assert_eq!(s.snapshot_misses, count("SnapshotMiss"));
-    assert_eq!(s.snapshot_invalidations, count("SnapshotInvalidated"));
-    assert_eq!(s.snapshot_rebuilds, count("SnapshotRebuilt"));
-    assert_eq!(s.ldl.symbols_resolved, count("SymbolResolved"));
-    assert_eq!(s.faults_injected, count("FaultInjected"));
+    world.audit().unwrap();
 
     // Every subsystem the run was built for actually did work.
+    let s = world.stats();
     for (what, n) in [
         ("recoveries", s.faults_recovered),
         ("crashes", s.crashes),
@@ -152,41 +125,68 @@ fn counters_and_costs_reconcile_after_the_ring_evicts() {
         ("swap-outs", s.swap_outs),
         ("swap-ins", s.swap_ins),
         ("shootdowns", s.shootdowns),
-        ("retried shootdowns", s.ipis - count("TlbShootdown")),
+        (
+            "retried shootdowns",
+            s.ipis - trace_count(&world, "TlbShootdown"),
+        ),
+        ("injections", s.faults_injected),
         ("snapshot hits", s.snapshot_hits),
         ("snapshot invalidations", s.snapshot_invalidations),
     ] {
         assert!(n > 0, "no {what}: {s:?}");
     }
+}
 
-    // The priced tallies are exactly the clock's terms.
-    let pressure = term(&s, |s, t| {
-        t.page_evictions = s.page_evictions;
-        t.page_writebacks = s.page_writebacks;
-        t.swap_outs = s.swap_outs;
-        t.swap_ins = s.swap_ins;
-    });
-    assert_eq!(
-        cost("PageEvicted") + cost("WritebackTaken") + cost("PageSwappedIn"),
-        pressure
+/// The oracle is not vacuous: re-price one constant after a pressured
+/// run and the pressure term no longer reconciles.
+#[test]
+fn audit_names_the_term_a_drifted_cost_model_breaks() {
+    let budget = half_budget(common::world());
+    let (_, mut world) = run_pressured(common::world(), WORKERS, 300, Some(budget), None);
+    assert!(
+        world.stats().page_evictions > 0,
+        "budget {budget} must bind"
     );
-    let smp = term(&s, |s, t| {
-        t.ipis = s.ipis;
-        t.shootdowns = s.shootdowns;
-    });
-    assert_eq!(cost("TlbShootdown"), smp);
-    let recovery = term(&s, |s, t| t.recovery_ns = s.recovery_ns);
-    assert_eq!(cost("JournalReplayed"), recovery);
-    let integrity = term(&s, |s, t| {
-        t.blocks_scrubbed = s.blocks_scrubbed;
-        t.blocks_repaired = s.blocks_repaired;
-    });
-    assert_eq!(cost("ScrubPass") + cost("BlockRepaired"), integrity);
-    let snapshot = term(&s, |s, t| {
-        t.snapshot_hits = s.snapshot_hits;
-        t.snapshot_invalidations = s.snapshot_invalidations;
-    });
-    assert_eq!(cost("SnapshotHit") + cost("SnapshotInvalidated"), snapshot);
+    world.audit().unwrap();
+    world.costs.evict_ns += 1;
+    let err = world.audit().unwrap_err();
+    assert!(err.starts_with("pressure term"), "{err}");
+}
+
+/// Re-arming a fault plan publishes the old plan's journal first, so
+/// `faults_injected` (the `FaultInjected` tally) keeps every injection
+/// and never decreases.
+#[test]
+fn rearming_a_fault_plan_keeps_its_injections() {
+    let mut world = common::world();
+    let corruptions = [
+        FaultSite::BitRot,
+        FaultSite::MisdirectedWrite,
+        FaultSite::LostWrite,
+    ];
+    let first = world.arm_faults(FaultPlan::new(1, 200_000).only(&corruptions));
+    let vfs = &mut world.kernel.vfs;
+    vfs.mkdir_all("/shared/data", 0o755, 0).unwrap();
+    for i in 0..6u8 {
+        let path = format!("/shared/data/f{i}");
+        vfs.create_file(&path, 0o644, 0).unwrap();
+        vfs.write(&path, 0, &pat(i, 3 * hsfs::BLOCK_SIZE as usize))
+            .unwrap();
+    }
+    assert!(first.injected() > 0, "a 20% plan must corrupt something");
+    let mut seen = vec![world.stats().faults_injected];
+    world.arm_faults(FaultPlan::new(1, 0));
+    seen.push(world.stats().faults_injected);
+    assert_eq!(seen[1], first.injected());
+    assert_eq!(trace_count(&world, "FaultInjected"), first.injected());
+    world.scrub().expect("integrity is on");
+    seen.push(world.stats().faults_injected);
+    let exe = build_counter(&mut world);
+    run_prog(&mut world, &exe);
+    seen.push(world.stats().faults_injected);
+    assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+    assert_eq!(seen[3], first.injected(), "{seen:?}");
+    world.audit().unwrap();
 }
 
 #[test]
