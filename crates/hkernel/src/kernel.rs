@@ -200,6 +200,14 @@ impl Default for Kernel {
     }
 }
 
+/// Ways of the per-slice block-dispatch memo in `run_slice_counted`.
+/// Four cover the two-block loops typical guest code runs (bound check
+/// plus body) with room for a call and its return.
+const MEMO_WAYS: usize = 4;
+
+/// One dispatch-memo way: `(entry_pc, mutation_stamp, code)`.
+type MemoWay = Option<(u32, u64, Arc<[Instr]>)>;
+
 const EBADF: i32 = 9;
 const ECHILD: i32 = 10;
 const EFAULT: i32 = 14;
@@ -805,16 +813,19 @@ impl Kernel {
     /// without incident).
     fn run_slice_counted(&mut self, pid: Pid, budget: u64, cpu: u32) -> (u64, Option<RunEvent>) {
         let mut steps = 0u64;
-        // One-entry dispatch memo: `(entry_pc, mutation_stamp, code)`
-        // from the last `bb_block` call. A tight guest loop re-enters
-        // the same block every iteration; while the cache's mutation
-        // stamp stands still, `lookup` would provably return this same
-        // `Arc`, so we skip the map walk and only account the hit. The
-        // memo lives strictly within this slice (no other process runs
-        // mid-slice) and is dropped on any non-retiring outcome —
-        // syscalls and faults can mutate mappings and files without
-        // touching this address space's stamp.
-        let mut memo: Option<(u32, u64, Arc<[Instr]>)> = None;
+        // Dispatch memo: `MEMO_WAYS` ways of `bb_block` results with the
+        // stamp they were returned under, way chosen by the entry
+        // pc's word index. A guest loop re-enters the same few blocks
+        // every iteration (a scan loop is two: the bound check and the
+        // body); while the cache's mutation stamp stands still, `lookup`
+        // would provably return the same `Arc` for that pc, so we skip
+        // the map walk, account the hit, and lend the memo's code to
+        // `run_block` without touching its refcount. The memo lives
+        // strictly within this slice (no other process runs mid-slice)
+        // and is cleared on any non-retiring outcome — syscalls and
+        // faults can mutate mappings and files without touching this
+        // address space's stamp.
+        let mut memo: [MemoWay; MEMO_WAYS] = Default::default();
         while steps < budget {
             let (block_ran, outcome) = {
                 let proc = match self.procs.get_mut(&pid) {
@@ -854,23 +865,22 @@ impl Kernel {
                         break None;
                     }
                     let pc = proc.cpu.pc;
-                    let memo_code = memo.as_ref().and_then(|(mpc, stamp, code)| {
-                        (*mpc == pc && *stamp == bus.bb_stamp()).then(|| code.clone())
-                    });
-                    let (n, out) = match memo_code {
-                        Some(code) => {
+                    let left = budget - steps - ran;
+                    let way = &mut memo[(pc >> 2) as usize % MEMO_WAYS];
+                    let (n, out) = match way {
+                        Some((mpc, stamp, code)) if *mpc == pc && *stamp == bus.bb_stamp() => {
                             bus.bb_count_hit();
-                            proc.cpu.run_block(&mut bus, &code, budget - steps - ran)
+                            proc.cpu.run_block(&mut bus, code, left)
                         }
-                        None => match bus.bb_block(pc) {
+                        _ => match bus.bb_block(pc) {
                             Some(code) => {
                                 // Stamp *before* running: a drop
                                 // triggered by the block's own stores
                                 // (store-to-exec) must invalidate the
                                 // memo, and re-stamping afterwards
                                 // would hide it.
-                                memo = Some((pc, bus.bb_stamp(), code.clone()));
-                                proc.cpu.run_block(&mut bus, &code, budget - steps - ran)
+                                let (_, _, code) = way.insert((pc, bus.bb_stamp(), code));
+                                proc.cpu.run_block(&mut bus, code, left)
                             }
                             None => break Some(proc.cpu.step(&mut bus)),
                         },
@@ -889,7 +899,7 @@ impl Kernel {
             };
             // Any outcome other than plain block completion can change
             // mappings or file contents out from under the memo.
-            memo = None;
+            memo = Default::default();
             match outcome {
                 StepOutcome::Retired => {
                     steps += 1;

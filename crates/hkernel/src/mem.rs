@@ -1294,6 +1294,10 @@ pub struct MemBus<'a> {
     monitor: Option<&'a MonitorRef>,
     /// Who is driving the bus (meaningful only when `monitor` is armed).
     ctx: AccessCtx,
+    /// The text page of the last execute translation that succeeded on
+    /// this bus (`TLB_INVALID` before the first): see
+    /// [`hvm::Bus::fetch_check`].
+    text_vpn: u32,
 }
 
 impl<'a> MemBus<'a> {
@@ -1309,6 +1313,7 @@ impl<'a> MemBus<'a> {
                 uid: 0,
                 cpu: 0,
             },
+            text_vpn: TLB_INVALID,
         }
     }
 
@@ -1325,6 +1330,7 @@ impl<'a> MemBus<'a> {
             shared,
             monitor: None,
             ctx,
+            text_vpn: TLB_INVALID,
         }
     }
 
@@ -1341,6 +1347,7 @@ impl<'a> MemBus<'a> {
             shared,
             monitor: Some(monitor),
             ctx,
+            text_vpn: TLB_INVALID,
         }
     }
 }
@@ -1592,7 +1599,8 @@ impl MemBus<'_> {
         // (the page is executable, or it aliases a shared file page some
         // cached block was decoded from) drops the affected blocks and
         // moves the store epoch, so a block in flight aborts before its
-        // next instruction (`Cpu::run_block` re-checks per instruction).
+        // next instruction (`Cpu::run_block` re-checks after each store).
+        // This is the only place the store epoch moves.
         if self.aspace.bb.enabled()
             && (can_exec
                 || shared_dst.is_some_and(|(ino, fpage)| self.aspace.bb.has_src_page(ino, fpage)))
@@ -1697,9 +1705,27 @@ impl Bus for MemBus<'_> {
     /// evicts the block before it can re-enter. Also refreshes the
     /// access context's PC so monitor attribution (hsan race reports)
     /// stays per-instruction inside a block.
+    ///
+    /// The text page is checked in full once per bus: after one execute
+    /// translation of a page succeeds, a later fetch from that page
+    /// whose TLB entry still holds it is exactly a TLB hit whose
+    /// protection and reference-bit work is already done, so it only
+    /// counts the hit. That is exact because a bus lives within one
+    /// slice between syscalls: protection changes only in syscalls,
+    /// the clock hand clears reference bits only at round boundaries,
+    /// and eviction runs only in the kernel's rebalance. A data access
+    /// that displaces the text page's TLB entry fails the tag check, so
+    /// the next fetch takes the full miss-and-refill path.
     fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
         self.ctx.pc = addr;
-        self.translate(addr, Access::Exec).map(|_| ())
+        let vp = vpn(addr);
+        if vp == self.text_vpn && self.aspace.tlb.lookup(vp).is_some() {
+            self.aspace.stats.tlb_hits += 1;
+            return Ok(());
+        }
+        self.translate(addr, Access::Exec)?;
+        self.text_vpn = vp;
+        Ok(())
     }
     fn text_epoch(&mut self) -> u64 {
         self.aspace.bb.store_epoch()
@@ -2099,5 +2125,100 @@ mod tests {
         let mut bus = MemBus::new(&mut a, &mut s);
         bus.store32(base + SLOT_SIZE - 4, 7).unwrap();
         assert_eq!(bus.load32(base + SLOT_SIZE - 4).unwrap(), 7);
+    }
+
+    /// The block path's text-page fast path falls back to the full
+    /// translation when a data access displaces the text page's TLB
+    /// entry: a cached loop whose `lw`/`sw` hit a page that aliases its
+    /// own text page under `Tlb::index` misses and refills on every
+    /// fetch after them, exactly as fetch+decode does, with the same
+    /// TLB counters, reference bits and outcome.
+    #[test]
+    fn fetch_fast_path_refills_after_an_aliasing_data_access() {
+        use hvm::{Cpu, Reg, StepOutcome};
+        const TEXT: u32 = 0x0040_0000;
+        const ITERS: u32 = 4;
+        let data = (vpn(TEXT) + 1..)
+            .find(|&v| Tlb::index(v) == Tlb::index(vpn(TEXT)))
+            .unwrap()
+            * P;
+        let (r8, r9, r10) = (Reg(8), Reg(9), Reg(10));
+        let program = [
+            Instr::Lw {
+                rt: r9,
+                rs: r8,
+                imm: 0,
+            },
+            Instr::Sw {
+                rt: r9,
+                rs: r8,
+                imm: 4,
+            },
+            Instr::Addi {
+                rt: r10,
+                rs: r10,
+                imm: 0xFFFF,
+            },
+            Instr::Bgtz {
+                rs: r10,
+                imm: 0xFFFC,
+            }, // back to the lw
+            Instr::Break { code: 0 },
+        ];
+        let run = |cache: bool| {
+            let mut a = AddressSpace::new();
+            let mut s = SharedFs::new();
+            a.map_anon(TEXT, P, Prot::RX).unwrap();
+            a.map_anon(data, P, Prot::RW).unwrap();
+            let text: Vec<u8> = program
+                .iter()
+                .flat_map(|i| hvm::encode(*i).to_le_bytes())
+                .collect();
+            a.write_bytes(&mut s, TEXT, &text).unwrap();
+            a.write_bytes(&mut s, data, &9u32.to_le_bytes()).unwrap();
+            a.bbcache_mut().configure(1, cache);
+            let mut cpu = Cpu::new();
+            cpu.pc = TEXT;
+            cpu.set_reg(r8, data);
+            cpu.set_reg(r10, ITERS);
+            let outcome = {
+                // One bus for the whole run, as within one slice.
+                let mut bus = MemBus::new(&mut a, &mut s);
+                loop {
+                    let out = match bus.bb_block(cpu.pc) {
+                        Some(code) => cpu.run_block(&mut bus, &code, u64::MAX).1,
+                        None => Some(cpu.step(&mut bus)),
+                    };
+                    match out {
+                        None | Some(StepOutcome::Retired) => {}
+                        Some(outcome) => break outcome,
+                    }
+                }
+            };
+            let referenced = |addr| a.entry(addr).unwrap().flags & F_REFERENCED != 0;
+            let seen = (
+                outcome,
+                cpu.clone(),
+                a.stats.tlb_hits,
+                a.stats.tlb_misses,
+                referenced(TEXT),
+                referenced(data),
+            );
+            (seen, a.bbcache().stats())
+        };
+        let (on, bb) = run(true);
+        let (off, _) = run(false);
+        assert_eq!(
+            bb.hits,
+            u64::from(ITERS) - 1,
+            "the loop replays from the cache"
+        );
+        assert_eq!(on, off, "block path and fetch+decode disagree");
+        assert_eq!(on.0, StepOutcome::Break(0));
+        assert_eq!(on.1.reg(Reg(9)), 9);
+        // Per iteration: the lw evicts the text entry, so the sw's fetch
+        // refills it, the sw evicts it again, and the addi's refills it.
+        assert!(on.3 >= 2 * u64::from(ITERS), "misses {}", on.3);
+        assert!(on.4 && on.5, "both pages referenced");
     }
 }

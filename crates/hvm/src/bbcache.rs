@@ -8,7 +8,11 @@
 //! [`crate::Cpu::run_block`], which replays the *exact* per-instruction
 //! semantics (translation, protection, residency, monitor visibility)
 //! through [`crate::Bus::fetch_check`] while skipping the byte fetch and
-//! decode.
+//! decode. The bus may serve repeat fetches from a text page it has
+//! already checked with a TLB tag compare (see `hkernel`'s `MemBus`),
+//! and the kernel's dispatch memo lends a few recent blocks to
+//! `run_block` without re-entering the cache while
+//! [`BbCache::mutation_stamp`] stands still.
 //!
 //! The cache is owned by whoever owns the address space (in Hemlock, one
 //! per `AddressSpace`, so the `asid` tag is implicit in ownership and
@@ -34,9 +38,9 @@
 //!
 //! A separate **store epoch** supports mid-block self-modification: the
 //! bus bumps it when a guest store could alter executable bytes, and
-//! [`crate::Cpu::run_block`] re-checks it before each instruction,
-//! aborting the block (correct PC, nothing lost) so the caller re-enters
-//! through a fresh lookup.
+//! [`crate::Cpu::run_block`] re-checks it after each store retires (only
+//! stores move it), aborting the block (correct PC, nothing lost) so the
+//! caller re-enters through a fresh lookup.
 
 use crate::isa::Instr;
 use std::collections::HashMap;
@@ -220,8 +224,8 @@ pub struct BbCache {
     /// Entry PCs per shared source `(ino, file_page)`.
     src_pages: FastMap<(u32, u32), Vec<u32>>,
     /// Bumped by every operation that could change what `lookup` would
-    /// return for *any* pc — the dispatcher's one-entry memo is valid
-    /// only while this stands still (see [`BbCache::mutation_stamp`]).
+    /// return for *any* pc — the dispatcher's memo is valid only while
+    /// this stands still (see [`BbCache::mutation_stamp`]).
     mutation: u64,
     /// Direct-mapped dispatch front-end over `blocks`. Call-heavy guest
     /// code cycles through many short blocks; re-dispatching each one
@@ -296,9 +300,10 @@ impl BbCache {
     /// A stamp covering every mutation that could change what
     /// [`BbCache::lookup`] returns for any pc: inserts, drops (eager or
     /// lazy), generation movement, flushes, enable toggles, and store
-    /// epoch bumps. A dispatcher may memoize one `lookup` result and
-    /// reuse it — calling [`BbCache::count_hit`] instead — strictly
-    /// while this stamp stands still.
+    /// epoch bumps. A dispatcher may memoize `lookup` results with the
+    /// stamp they were returned under and reuse one — calling
+    /// [`BbCache::count_hit`] instead — strictly while the stamp still
+    /// equals the one memoized with it.
     pub fn mutation_stamp(&self) -> u64 {
         self.mutation
     }

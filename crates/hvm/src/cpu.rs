@@ -41,10 +41,11 @@ pub trait Bus {
     }
 
     /// A stamp that moves whenever a store through this bus could have
-    /// altered executable bytes. [`Cpu::run_block`] re-checks it before
-    /// each cached instruction and aborts the block on movement
-    /// (self-modifying code falls back to the fetch+decode path).
-    /// Buses without a block cache never move it.
+    /// altered executable bytes; only the store methods may move it.
+    /// [`Cpu::run_block`] re-checks it after each cached store retires
+    /// and aborts the block on movement (self-modifying code falls back
+    /// to the fetch+decode path). Buses without a block cache never
+    /// move it.
     fn text_epoch(&mut self) -> u64 {
         0
     }
@@ -146,12 +147,13 @@ impl Cpu {
     /// aborted mid-run; re-enter at `self.pc`".
     ///
     /// Per instruction this replays the slow path in order: budget
-    /// check, [`Bus::text_epoch`] check (abort if a store invalidated
-    /// the text under us — PC is correct, nothing is lost),
-    /// [`Bus::fetch_check`] (every fetch side effect except the bytes),
-    /// then [`Cpu::execute`]. A fault leaves PC at the faulting
-    /// instruction; `Syscall`/`Break` have already advanced it —
-    /// identical to `step`.
+    /// check, [`Bus::fetch_check`] (every fetch side effect except the
+    /// bytes), then [`Cpu::execute`]. After a store retires it checks
+    /// [`Bus::text_epoch`] and aborts if the store invalidated the text
+    /// under us (PC is correct, nothing is lost). Only stores move the
+    /// epoch, so checking after them is checking before every
+    /// instruction. A fault leaves PC at the faulting instruction;
+    /// `Syscall`/`Break` have already advanced it — identical to `step`.
     pub fn run_block<B: Bus>(
         &mut self,
         bus: &mut B,
@@ -164,15 +166,15 @@ impl Cpu {
             if ran >= max {
                 return (ran, None);
             }
-            if bus.text_epoch() != epoch {
-                return (ran, None);
-            }
             if let Err(fault) = bus.fetch_check(self.pc) {
                 return (ran, Some(StepOutcome::Fault(fault)));
             }
             match self.execute(*instr, bus) {
                 StepOutcome::Retired => ran += 1,
                 outcome => return (ran, Some(outcome)),
+            }
+            if instr.is_store() && bus.text_epoch() != epoch {
+                return (ran, None);
             }
         }
         (ran, None)

@@ -214,6 +214,15 @@ pub enum Instr {
     Break { code: u32 },
 }
 
+impl Instr {
+    /// True for `sb`, `sh` and `sw`: the only instructions that write
+    /// memory through the [`crate::Bus`].
+    #[inline]
+    pub fn is_store(&self) -> bool {
+        matches!(self, Instr::Sb { .. } | Instr::Sh { .. } | Instr::Sw { .. })
+    }
+}
+
 /// Sign-extends a 16-bit immediate to 32 bits.
 pub fn sext16(imm: u16) -> u32 {
     imm as i16 as i32 as u32

@@ -23,6 +23,10 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> interpreter and kernel in the optimized build (block replay fast paths, debug_asserts off)"
+cargo test -q --release -p hvm -p hkernel
+cargo test -q --release --test e12_bbcache
+
 echo "==> sanitizer suite (hsan unit + e9 differential/property harness)"
 cargo test -q --release -p hsan
 cargo test -q --release --test e9_sanitizer

@@ -711,9 +711,11 @@ pub enum Shape {
     Chain,
     /// The `fuzz_whole_stack` regression program.
     Fuzz,
+    /// E1's rwho: readers scanning a small public host database.
+    Rwho,
 }
 
-pub const SHAPES: [Shape; 7] = [
+pub const SHAPES: [Shape; 8] = [
     Shape::Pressure,
     Shape::DroppedShootdowns,
     Shape::Locked,
@@ -721,6 +723,7 @@ pub const SHAPES: [Shape; 7] = [
     Shape::Workload,
     Shape::Chain,
     Shape::Fuzz,
+    Shape::Rwho,
 ];
 
 impl Shape {
@@ -743,6 +746,7 @@ impl Shape {
                 let modules = [("/src/fuzz.o", ShareClass::StaticPrivate)];
                 world.link("/bin/fuzz", &modules).unwrap()
             }
+            Shape::Rwho => build_rwho(world),
         }
     }
 
@@ -757,6 +761,9 @@ impl Shape {
                 Vec::new()
             }
             Shape::Chain | Shape::Fuzz => vec![world.spawn(exe).unwrap()],
+            Shape::Rwho => (0..RWHO_READERS)
+                .map(|_| world.spawn(exe).unwrap())
+                .collect(),
         }
     }
 }
@@ -1042,6 +1049,80 @@ pub fn build_chain(world: &mut World) -> String {
                 ("/src/cmain.o", ShareClass::StaticPrivate),
                 ("/shared/lib/lib1.o", ShareClass::DynamicPublic),
                 ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
+// --- E1's rwho readers over a shared host database ------------------------
+
+/// Readers the rwho shape spawns.
+pub const RWHO_READERS: usize = 3;
+
+/// Each reader's exit code: the sum of the database's host values.
+pub const RWHO_SUM: i32 = 31;
+
+/// Eight 32-byte host records, each with its value at offset 16.
+const RWHO_DB: &str = r#"
+.module rwho_db
+.data
+.globl nhosts
+nhosts: .word 8
+.globl hosts
+hosts:  .word 0, 0, 0, 0, 3, 0, 0, 0
+        .word 0, 0, 0, 0, 1, 0, 0, 0
+        .word 0, 0, 0, 0, 4, 0, 0, 0
+        .word 0, 0, 0, 0, 1, 0, 0, 0
+        .word 0, 0, 0, 0, 5, 0, 0, 0
+        .word 0, 0, 0, 0, 9, 0, 0, 0
+        .word 0, 0, 0, 0, 2, 0, 0, 0
+        .word 0, 0, 0, 0, 6, 0, 0, 0
+"#;
+
+/// The benchmark's rwho reader: three passes over the database, each a
+/// two-block loop (bound check, then the record body), exiting with
+/// the last pass's sum, [`RWHO_SUM`].
+const RWHO_READER: &str = r#"
+.module rwho
+.text
+.globl main
+main:   li   r15, 3
+outer:  la   r8, hosts
+        la   r10, nhosts
+        lw   r10, 0(r10)
+        li   r16, 0
+        li   r17, 0
+loop:   slt  r9, r16, r10
+        beq  r9, r0, done
+        sll  r11, r16, 5
+        add  r11, r8, r11
+        lw   r12, 16(r11)
+        add  r17, r17, r12
+        xor  r14, r14, r12
+        sll  r13, r12, 2
+        add  r19, r19, r13
+        slt  r9, r12, r17
+        add  r20, r20, r9
+        addi r16, r16, 1
+        b    loop
+done:   addi r15, r15, -1
+        bgtz r15, outer
+        or   v0, r17, r0
+        jr   ra
+"#;
+
+/// Installs the host database and the reader, and links `/bin/rwho`.
+pub fn build_rwho(world: &mut World) -> String {
+    world
+        .install_template("/shared/lib/rwho_db.o", RWHO_DB)
+        .unwrap();
+    world.install_template("/src/rwho.o", RWHO_READER).unwrap();
+    world
+        .link(
+            "/bin/rwho",
+            &[
+                ("/src/rwho.o", ShareClass::StaticPrivate),
+                ("/shared/lib/rwho_db.o", ShareClass::DynamicPublic),
             ],
         )
         .unwrap()

@@ -22,12 +22,16 @@
 //!    generation-counter wraparound flushes rather than ABA-matching.
 //!    A block never outlives a text-epoch movement: the partial run
 //!    retires exactly the instructions that executed and hands control
-//!    back to the dispatch loop.
+//!    back to the dispatch loop. The kernel's dispatch memo matches the
+//!    cache-off run with more hot blocks than ways, colliding in one
+//!    way, and a store into the loop's own text.
 //! 3. **The switch** reconfigures live processes too.
 
 mod common;
 
-use common::{half_budget, run_pressured, sweep, Cell, Shape, Storage, WORKERS};
+use common::{
+    assert_same, half_budget, run_pressured, settle, sweep, Cell, Mask, Shape, Storage, WORKERS,
+};
 use hemlock::{ShareClass, World, WorldExit};
 use proptest::prelude::*;
 
@@ -365,6 +369,127 @@ loop:   addi r16, r16, -1
         "the loop must have been rebuilt after the wrap: {bb:?}"
     );
     assert_eq!(bb.hits + bb.built, bb.entries);
+}
+
+/// The kernel's dispatch memo (four ways of block code, indexed by
+/// entry pc) is only a shortcut for `lookup`. A public function loops
+/// through six hot blocks: five with 16-aligned entry pcs, which share
+/// one way and evict each other, and one at an offset of 4 with a way
+/// to itself, which the memo serves every iteration. Partway through,
+/// the loop stores into that block's text, which must stale every
+/// memoized block on the page. Exits, consoles, simulated time, trace
+/// and `WorldStats` match the cache-off run modulo the block counters,
+/// at a quantum that splits blocks and at one that does not, and every
+/// block entry is either a hit or a build.
+#[test]
+fn dispatch_memo_matches_cache_off_across_colliding_blocks_and_a_text_store() {
+    const MEMO: &str = r#"
+.module memo
+.text
+.globl spin
+spin:   li   v0, 0
+        li   r10, 12
+        li   r12, 6
+        la   r8, b3
+        la   r9, donor
+        lw   r9, 0(r9)
+        j    b0
+.align 16
+.globl b0
+b0:     addi v0, v0, 1
+        addi v0, v0, 1
+        addi v0, v0, 1
+        j    b1
+b1:     addi v0, v0, 2
+        addi v0, v0, 2
+        addi v0, v0, 2
+        j    b2
+b2:     addi v0, v0, 3
+        addi v0, v0, 3
+        addi v0, v0, 3
+        j    b3
+        or   r0, r0, r0     ; never runs: puts b3 in a way of its own
+.globl b3
+b3:     addi v0, v0, 4      ; patched to `addi v0, v0, 100`
+        addi v0, v0, 4
+        addi v0, v0, 4
+        j    b4
+.align 16
+b4:     addi r10, r10, -1
+        sub  r11, r10, r12
+        or   r0, r0, r0
+        bne  r11, r0, b6    ; the patch runs once, when r10 reaches 6
+b5:     or   r0, r0, r0
+        or   r0, r0, r0
+        sw   r9, 0(r8)      ; the store aborts b5; it resumes in way 3
+        j    b6
+.globl b6
+b6:     or   r0, r0, r0
+        or   r0, r0, r0
+        or   r0, r0, r0
+        bgtz r10, b0
+        jr   ra
+donor:  addi v0, v0, 100
+"#;
+    const MAIN: &str = r#"
+.module main
+.text
+.globl main
+main:   addi sp, sp, -8
+        sw   ra, 0(sp)
+        jal  spin
+        or   r16, v0, r0
+        or   a0, v0, r0
+        li   v0, 106        ; print_int(result)
+        syscall
+        or   v0, r16, r0
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+"#;
+    let run = |cache: bool, quantum: u64| {
+        let mut world = World::new();
+        world.set_bbcache(cache);
+        world.install_template("/shared/lib/memo.o", MEMO).unwrap();
+        world.install_template("/src/main.o", MAIN).unwrap();
+        let exe = world
+            .link(
+                "/bin/memo",
+                &[
+                    ("/src/main.o", ShareClass::StaticPrivate),
+                    ("/shared/lib/memo.o", ShareClass::DynamicPublic),
+                ],
+            )
+            .unwrap();
+        world.quantum = quantum;
+        let pid = world.spawn(&exe).unwrap();
+        let replay = settle(&mut world, &[pid], Mask::Nothing);
+        (replay, world)
+    };
+    for quantum in [7, 1000] {
+        let (on, on_world) = run(true, quantum);
+        let (off, mut off_world) = run(false, quantum);
+        // Iterations 1–6 add 3·(1+2+3+4) each, 7–12 add 3·(1+2+3) + 108.
+        assert_eq!(off.obs.exits, [Some(936)], "reference semantics");
+        assert_eq!(off.obs.consoles, ["936\n"]);
+        let what = format!("quantum {quantum}: cache on against off");
+        assert_same(on.view(&[Mask::BbCache]), off.view(&[Mask::BbCache]), &what);
+
+        // The layout the ways are chosen by: b0, b6 and the blocks
+        // between them at multiples of 16 bytes, b3 at an offset of 4.
+        let export = |world: &mut World, sym: &str| {
+            let ino = world.kernel.vfs.resolve("/shared/lib/memo").unwrap().ino;
+            let meta = world.registry.get(&mut world.kernel.vfs, ino).unwrap();
+            meta.find_export(sym).unwrap() % 16
+        };
+        let offsets = ["b0", "b3", "b6"].map(|sym| export(&mut off_world, sym));
+        assert_eq!(offsets, [0, 4, 0]);
+
+        let bb = on_world.kernel.bb_stats();
+        assert_eq!(bb.hits + bb.built, bb.entries, "{bb:?}");
+        assert!(bb.hits > 0 && bb.invalidations > 0, "{bb:?}");
+        assert!(trace_cause_count(&on_world, "store-exec") > 0);
+    }
 }
 
 // --- 3. the switch ----------------------------------------------------

@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::{sweep, Cell, Shape, SHAPES};
+use common::{run_cell, sweep, Cell, Shape, RWHO_READERS, RWHO_SUM, SHAPES};
 use proptest::prelude::*;
 
 // --- every shape in every cell, at the quantum its own suite uses ---
@@ -62,6 +62,13 @@ fn fuzz_regression_program() {
     sweep(Shape::Fuzz, 300, &Cell::lattice());
 }
 
+#[test]
+fn rwho_readers() {
+    sweep(Shape::Rwho, 300, &Cell::lattice());
+    let (replay, _) = run_cell(Shape::Rwho, Cell::lattice()[0], 300, None, false);
+    assert_eq!(replay.obs.exits, [Some(RWHO_SUM); RWHO_READERS]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
@@ -69,7 +76,7 @@ proptest! {
     #[test]
     fn any_quantum_keeps_the_lattice(
         quantum in 40u64..500,
-        shape in 0usize..7,
+        shape in 0..SHAPES.len(),
         four_cpus in 0u32..2,
     ) {
         let cpus = if four_cpus == 1 { 4 } else { 1 };
