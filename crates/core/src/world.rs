@@ -45,7 +45,7 @@ pub enum WorldExit {
 /// knows exactly how many processes were still live.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Unsettled {
-    /// Live (non-zombie) processes remaining at the step limit.
+    /// Live processes remaining at the step limit.
     pub live: usize,
     /// What each live process was doing (pid order), so livelocks —
     /// pressure thrash, lock convoys, fault loops — are diagnosable
@@ -212,7 +212,6 @@ pub struct World {
     pub registry: ModuleRegistry,
     link: HashMap<Pid, LinkState>,
     images: HashMap<Pid, Arc<LoadImage>>,
-    exits: HashMap<Pid, i32>,
     fault_guard: HashMap<Pid, (u32, u32)>,
     /// Runtime diagnostics (linker warnings, kill reasons).
     pub log: Vec<String>,
@@ -221,7 +220,7 @@ pub struct World {
     /// Force a full transitive link at `ldl`-init time instead of lazy,
     /// fault-driven linking (the eager baseline for experiment E2).
     pub eager: bool,
-    /// Accumulated stats from processes that have been reaped.
+    /// Accumulated linker stats of processes that have exited.
     reaped_ldl: hlink::ldl::LdlStats,
     /// Fault-path trace ring (see [`crate::htrace`]).
     trace: TraceBuffer,
@@ -290,7 +289,6 @@ impl World {
             registry: ModuleRegistry::new(),
             link: HashMap::new(),
             images: HashMap::new(),
-            exits: HashMap::new(),
             fault_guard: HashMap::new(),
             log: Vec::new(),
             quantum: 10_000,
@@ -653,8 +651,8 @@ impl World {
 
     /// Runs the world for up to `max_slices` scheduler slices.
     pub fn run(&mut self, max_slices: u64) -> WorldExit {
+        self.sync_processes();
         for _ in 0..max_slices {
-            self.sync_processes();
             let ev = self.kernel.step_system(self.quantum);
             let ev_pid = match &ev {
                 RunEvent::Quantum(pid) | RunEvent::Blocked(pid) | RunEvent::Exited(pid, _) => *pid,
@@ -666,10 +664,7 @@ impl World {
                 | RunEvent::OomKill { pid, .. } => *pid,
             };
             match ev {
-                RunEvent::Quantum(_) | RunEvent::Blocked(_) => {}
-                RunEvent::Exited(pid, code) => {
-                    self.exits.insert(pid, code);
-                }
+                RunEvent::Quantum(_) | RunEvent::Blocked(_) | RunEvent::Exited(..) => {}
                 RunEvent::AllExited => {
                     self.drain_journals(0);
                     return WorldExit::AllExited;
@@ -705,7 +700,6 @@ impl World {
                         "pid {pid}: out of memory (pool and swap exhausted); \
                          killed holding {resident} resident pages"
                     ));
-                    self.exits.insert(pid, 137);
                     self.record_recovery(pid, "oom-kill");
                 }
             }
@@ -714,6 +708,7 @@ impl World {
             // pressure and shootdown work the rebalance pass did.
             self.drain_journals(ev_pid);
             self.pump_scrub();
+            self.sync_processes();
         }
         self.drain_journals(0);
         WorldExit::StepLimit
@@ -752,7 +747,6 @@ impl World {
                     .kernel
                     .procs
                     .iter()
-                    .filter(|(_, p)| !matches!(p.state, ProcState::Zombie(_)))
                     .map(|(&pid, p)| (pid, self.wait_reason(pid, p)))
                     .collect();
                 Err(Unsettled {
@@ -787,21 +781,15 @@ impl World {
         }
     }
 
-    /// Kills a process (recording a synthetic exit status).
+    /// Kills a live process with a synthetic exit status. An exited or
+    /// unknown pid is left alone.
     pub fn kill(&mut self, pid: Pid, code: i32) {
         self.kernel.finalize_exit(pid, code);
-        self.exits.insert(pid, code);
     }
 
-    /// The recorded exit status of a process.
+    /// The recorded exit status of a process (`None` while it runs).
     pub fn exit_code(&self, pid: Pid) -> Option<i32> {
-        self.exits
-            .get(&pid)
-            .copied()
-            .or_else(|| match self.kernel.procs.get(&pid)?.state {
-                ProcState::Zombie(code) => Some(code),
-                _ => None,
-            })
+        self.kernel.exit_code(pid)
     }
 
     /// A process's console output.
@@ -809,7 +797,7 @@ impl World {
         self.kernel.console_of(pid)
     }
 
-    /// Link state of a process (for tests and diagnostics).
+    /// Link state of a live process (for tests and diagnostics).
     pub fn link_state(&self, pid: Pid) -> Option<&LinkState> {
         self.link.get(&pid)
     }
@@ -838,38 +826,35 @@ impl World {
 
     // --- event handlers ---
 
-    /// Gives fork children a link state (cloned from the parent — the
-    /// child shares the parent's public mappings and has COW copies of
-    /// the private ones at identical addresses) and reaps state for
-    /// processes that no longer exist.
+    /// Brings the per-pid maps in line with the process table. A fork
+    /// child gets its parent's link state (shared public mappings, COW
+    /// copies of the private ones at identical addresses) but not its
+    /// journal or counters; it is adopted before a parent that died in
+    /// the same slice is dropped. A dead pid's linker counters fold
+    /// into the totals.
     fn sync_processes(&mut self) {
-        let pids: Vec<Pid> = self.kernel.procs.keys().copied().collect();
-        for pid in &pids {
-            if !self.link.contains_key(pid) {
-                let ppid = self.kernel.procs[pid].ppid;
-                let mut inherited = self.link.get(&ppid).cloned().unwrap_or_default();
-                // Journal entries belong to the process that generated
-                // them; a fork child starts with an empty journal.
-                inherited.journal.clear();
-                self.link.insert(*pid, inherited);
-                if let Some(img) = self.images.get(&ppid).cloned() {
-                    self.images.insert(*pid, img);
-                }
-            }
-        }
-        let gone: Vec<Pid> = self
-            .link
-            .keys()
-            .filter(|pid| !self.kernel.procs.contains_key(pid))
-            .copied()
+        let born: Vec<(Pid, Pid)> = self
+            .kernel
+            .procs
+            .iter()
+            .filter(|(pid, _)| !self.link.contains_key(pid))
+            .map(|(&pid, p)| (pid, p.ppid))
             .collect();
-        for pid in gone {
-            if let Some(state) = self.link.remove(&pid) {
-                self.merge_ldl(&state.stats);
+        for (pid, ppid) in born {
+            let mut inherited = self.link.get(&ppid).cloned().unwrap_or_default();
+            inherited.journal.clear();
+            inherited.stats = Default::default();
+            self.link.insert(pid, inherited);
+            if let Some(img) = self.images.get(&ppid).cloned() {
+                self.images.insert(pid, img);
             }
-            self.images.remove(&pid);
-            self.fault_guard.remove(&pid);
         }
+        let live = &self.kernel.procs;
+        for (_, state) in self.link.extract_if(|pid, _| !live.contains_key(pid)) {
+            self.reaped_ldl.absorb(&state.stats);
+        }
+        self.images.retain(|pid, _| live.contains_key(pid));
+        self.fault_guard.retain(|pid, _| live.contains_key(pid));
     }
 
     /// Drains the linker's journal into the trace ring.
@@ -880,10 +865,6 @@ impl World {
         for event in std::mem::take(&mut state.journal) {
             self.publish(pid, event);
         }
-    }
-
-    fn merge_ldl(&mut self, s: &hlink::ldl::LdlStats) {
-        self.reaped_ldl.absorb(s);
     }
 
     fn segv(&mut self, pid: Pid, addr: u32) {

@@ -61,7 +61,7 @@ pub enum RunEvent {
     Blocked(Pid),
     /// A fatal fault (illegal instruction, divide by zero, unaligned).
     Fatal { pid: Pid, fault: Fault },
-    /// Every process is a zombie (or none exist).
+    /// Every process has exited (or none exist).
     AllExited,
     /// Live processes exist but all are blocked — a deadlock.
     Deadlock,
@@ -87,11 +87,11 @@ pub struct KernelStats {
     pub forks: u64,
     /// Scheduler dispatches.
     pub dispatches: u64,
-    /// Copy-on-write page copies accumulated from reaped processes.
+    /// Copy-on-write page copies accumulated from exited processes.
     pub cow_copies: u64,
-    /// Software-TLB hits accumulated from reaped processes.
+    /// Software-TLB hits accumulated from exited processes.
     pub tlb_hits: u64,
-    /// Software-TLB misses accumulated from reaped processes.
+    /// Software-TLB misses accumulated from exited processes.
     pub tlb_misses: u64,
     /// Inter-processor interrupts sent by the TLB-shootdown protocol
     /// (one per remote CPU notified; a chaos-dropped IPI counts its
@@ -134,8 +134,16 @@ struct CpuSlot {
 pub struct Kernel {
     /// The unified file namespace (root + shared partition).
     pub vfs: Vfs,
-    /// Process table.
+    /// Process table: live processes only. `exit` removes its caller.
     pub procs: BTreeMap<Pid, Process>,
+    /// Each exited process's exit record, its status and console. It
+    /// survives power cuts.
+    exits: BTreeMap<Pid, (i32, Box<[u8]>)>,
+    /// `(parent, child)` for every exited child its live parent has not
+    /// yet waited for; a parent's entries go when it exits.
+    waitable: BTreeSet<(Pid, Pid)>,
+    /// `BlockInvalidated` records of processes that have since exited.
+    exited_bb: Vec<(Pid, TraceEvent)>,
     next_pid: Pid,
     sems: BTreeMap<u32, Sem>,
     next_sem: u32,
@@ -178,7 +186,7 @@ pub struct Kernel {
     /// Address-space id generator: every fresh space (spawn, exec,
     /// fork child) gets the next id, deterministically.
     next_asid: u32,
-    /// Block-cache counters accumulated from reaped processes (the
+    /// Block-cache counters accumulated from exited processes (the
     /// live remainder is summed from `procs` by [`Kernel::bb_stats`]).
     reaped_bb: hvm::BbStats,
 }
@@ -223,6 +231,9 @@ impl Kernel {
         Kernel {
             vfs: Vfs::new(),
             procs: BTreeMap::new(),
+            exits: BTreeMap::new(),
+            waitable: BTreeSet::new(),
+            exited_bb: Vec::new(),
             next_pid: 1,
             sems: BTreeMap::new(),
             next_sem: 1,
@@ -247,13 +258,9 @@ impl Kernel {
     /// Enables or disables decoded basic-block caching for spaces
     /// created from now on, and reconfigures every live space (a
     /// disabled cache clears silently, so switching is unobservable).
-    /// Zombies are skipped: their caches were released at exit.
     pub fn set_bbcache(&mut self, enabled: bool) {
         self.bb_enabled = enabled;
         for proc in self.procs.values_mut() {
-            if matches!(proc.state, ProcState::Zombie(_)) {
-                continue;
-            }
             let asid = proc.aspace.bbcache().asid();
             proc.aspace.bbcache_mut().configure(asid, enabled);
         }
@@ -314,7 +321,7 @@ impl Kernel {
         aspace.bbcache_mut().configure(asid, bb_enabled);
     }
 
-    /// Block-cache counters summed across reaped and live processes.
+    /// Block-cache counters summed across exited and live processes.
     pub fn bb_stats(&self) -> hvm::BbStats {
         let mut total = self.reaped_bb;
         for proc in self.procs.values() {
@@ -323,24 +330,31 @@ impl Kernel {
         total
     }
 
-    /// Drains every live cache's invalidation journal, in pid order
+    /// Drains every cache's invalidation journal, those of processes
+    /// that exited since the last drain included, in pid order
     /// (deterministic), as `BlockInvalidated` records of their owners.
     pub fn drain_bb_events(&mut self) -> Vec<(Pid, TraceEvent)> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.exited_bb);
         for (&pid, proc) in self.procs.iter_mut() {
-            let bb = proc.aspace.bbcache_mut();
-            if !bb.journal_is_empty() {
-                out.extend(bb.drain_journal().into_iter().map(|ev| {
-                    let event = TraceEvent::BlockInvalidated {
-                        addr: ev.addr,
-                        blocks: ev.blocks,
-                        cause: ev.cause,
-                    };
-                    (pid, event)
-                }));
-            }
+            Self::drain_bb_journal(pid, &mut proc.aspace, &mut out);
         }
+        // Stable: each owner's records keep their journal order.
+        out.sort_by_key(|&(pid, _)| pid);
         out
+    }
+
+    fn drain_bb_journal(pid: Pid, aspace: &mut AddressSpace, out: &mut Vec<(Pid, TraceEvent)>) {
+        let bb = aspace.bbcache_mut();
+        if !bb.journal_is_empty() {
+            out.extend(bb.drain_journal().into_iter().map(|ev| {
+                let event = TraceEvent::BlockInvalidated {
+                    addr: ev.addr,
+                    blocks: ev.blocks,
+                    cause: ev.cause,
+                };
+                (pid, event)
+            }));
+        }
     }
 
     /// Sets the number of simulated CPUs (clamped to `1..=64`). The
@@ -375,18 +389,17 @@ impl Kernel {
 
     /// The power cut, kernel side: every process dies instantly (their
     /// per-space counters are folded into the cumulative stats first,
-    /// as a reap would), semaphores, the scheduler round, the clock
-    /// hand, and all frame/swap residency vanish. Configuration (CPU
-    /// count, budgets, cache enablement) and the monotonic pid/asid
-    /// generators survive — they model the machine, not its RAM.
+    /// as an exit would), semaphores, pending waits, the scheduler
+    /// round, the clock hand, and all frame/swap residency vanish.
+    /// Configuration (CPU count, budgets, cache enablement), the exit
+    /// records and the monotonic pid/asid generators survive — they
+    /// model the machine and its history, not its RAM.
     pub fn power_cut(&mut self) {
-        let procs = std::mem::take(&mut self.procs);
-        for (_, p) in procs {
-            self.stats.cow_copies += p.aspace.stats.cow_copies;
-            self.stats.tlb_hits += p.aspace.stats.tlb_hits;
-            self.stats.tlb_misses += p.aspace.stats.tlb_misses;
-            self.reaped_bb.accumulate(p.aspace.bbcache().stats());
+        for (_, p) in std::mem::take(&mut self.procs) {
+            self.fold_counters(&p.aspace);
         }
+        self.waitable.clear();
+        self.exited_bb.clear();
         self.sems.clear();
         self.rr_cursor = 0;
         self.clock = None;
@@ -651,9 +664,7 @@ impl Kernel {
                 // with the swap area full). A pinned victim could also
                 // be holding a user-space spin lock; killing it would
                 // hang every other process on a dead owner's word.
-                let reclaim_pending = self.procs.values().any(|p| {
-                    !matches!(p.state, ProcState::Zombie(_)) && p.aspace.pinned_pages() > 0
-                });
+                let reclaim_pending = self.procs.values().any(|p| p.aspace.pinned_pages() > 0);
                 if reclaim_pending {
                     break;
                 }
@@ -668,12 +679,7 @@ impl Kernel {
     /// rotations (the first may only clear referenced bits) found
     /// nothing evictable.
     fn evict_one(&mut self) -> bool {
-        let pids: Vec<Pid> = self
-            .procs
-            .iter()
-            .filter(|(_, p)| !matches!(p.state, ProcState::Zombie(_)))
-            .map(|(&pid, _)| pid)
-            .collect();
+        let pids: Vec<Pid> = self.procs.keys().copied().collect();
         if pids.is_empty() {
             return false;
         }
@@ -694,7 +700,8 @@ impl Kernel {
                 };
                 match proc.aspace.evict_page(pid, vpn, &mut self.vfs.shared) {
                     EvictOutcome::Evicted => {
-                        self.shootdown(pid, vpn * PAGE_SIZE, 1);
+                        let cpu = proc.cpu.last_cpu;
+                        self.shootdown(pid, cpu, vpn * PAGE_SIZE, 1);
                         self.clock = Some((pid, vpn + 1));
                         return true;
                     }
@@ -716,22 +723,21 @@ impl Kernel {
         let victim = self
             .procs
             .iter()
-            .filter(|(_, p)| !matches!(p.state, ProcState::Zombie(_)))
             .max_by(|(ap, a), (bp, b)| {
                 a.aspace
                     .resident_pages()
                     .cmp(&b.aspace.resident_pages())
                     .then_with(|| bp.cmp(ap))
             })
-            .map(|(&pid, p)| (pid, p.aspace.resident_pages()));
-        let Some((pid, resident)) = victim else {
+            .map(|(&pid, p)| (pid, p.aspace.resident_pages(), p.cpu.last_cpu));
+        let Some((pid, resident, cpu)) = victim else {
             return RunEvent::AllExited;
         };
         // Like every exit, the kill frees the victim's frames at once.
         self.finalize_exit(pid, 137);
         // The mass reclaim tears down every translation the victim had
         // cached: one remote invalidation covering its resident set.
-        self.shootdown(pid, 0, resident as u32);
+        self.shootdown(pid, cpu, 0, resident as u32);
         self.pool.count_oom_kill();
         RunEvent::OomKill { pid, resident }
     }
@@ -747,13 +753,14 @@ impl Kernel {
     /// boot CPU, the invalidation is a free local operation. A process's
     /// own `map`/`unmap`/`mprotect` calls execute on its current CPU and
     /// are likewise local; exit-time teardown retires the whole context
-    /// lazily (ASID reuse) and never pays an IPI.
-    fn shootdown(&mut self, pid: Pid, addr: u32, pages: u32) {
+    /// lazily (ASID reuse) and never pays an IPI. `last_cpu` is the
+    /// victim's (an OOM victim has already left the table).
+    fn shootdown(&mut self, pid: Pid, last_cpu: Option<u32>, addr: u32, pages: u32) {
         const BOOT_CPU: u32 = 0;
         if self.slots.len() == 1 || pages == 0 {
             return;
         }
-        let Some(victim_cpu) = self.procs.get(&pid).and_then(|p| p.cpu.last_cpu) else {
+        let Some(victim_cpu) = last_cpu else {
             // Never dispatched: nothing cached on any CPU.
             return;
         };
@@ -1216,7 +1223,8 @@ impl Kernel {
                         SysCtl::Continue
                     }
                     None => {
-                        let has_children = self.procs.values().any(|p| p.ppid == pid);
+                        let has_children = self.procs.values().any(|p| p.ppid == pid)
+                            || self.waitable_children(pid).next().is_some();
                         if !has_children {
                             self.ret(pid, -ECHILD);
                             SysCtl::Continue
@@ -1576,48 +1584,58 @@ impl Kernel {
 
     // --- exit / wait / wake machinery ---
 
-    /// Marks `pid` a zombie, releases its locks, and wakes a waiting
-    /// parent. Used by `exit` and by the embedder's `kill`.
+    /// The one exit path (`exit`, the OOM killer, the embedder's kills):
+    /// a live `pid` leaves the table, its counters folded, its frames
+    /// and locks released, its status and console kept as an exit
+    /// record that a live parent may wait for. Any other pid is left
+    /// alone. A waiting parent is woken by the poll in `step_system`.
     pub fn finalize_exit(&mut self, pid: Pid, code: i32) {
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.state = ProcState::Zombie(code);
-            // The address space dies with the process, as on real Unix:
-            // only the proc entry (exit status) survives to the reap.
-            // Zombie frames must not stay charged to the pool — they
-            // would be unevictable dead weight that a bounded pool can
-            // neither reclaim nor OOM away.
-            p.aspace.release_all();
+        let Some(mut p) = self.procs.remove(&pid) else {
+            return;
+        };
+        p.aspace.release_all();
+        self.fold_counters(&p.aspace);
+        Self::drain_bb_journal(pid, &mut p.aspace, &mut self.exited_bb);
+        self.waitable.retain(|&(parent, _)| parent != pid);
+        if self.procs.contains_key(&p.ppid) {
+            self.waitable.insert((p.ppid, pid));
         }
+        let console = std::mem::take(&mut p.console).into_boxed_slice();
+        self.exits.insert(pid, (code, console));
         self.edge(SyncEdge::Exit { pid });
         self.vfs.unlock_all(pid as u64);
         for sem in self.sems.values_mut() {
             sem.waiters.retain(|&w| w != pid);
         }
-        // A waiting parent is woken by the poll in step_system.
     }
 
-    /// Finds and reaps a zombie child of `parent` matching `target`.
+    /// Folds a departing space's counters into the kernel totals (exit
+    /// and power cut).
+    fn fold_counters(&mut self, aspace: &AddressSpace) {
+        self.stats.cow_copies += aspace.stats.cow_copies;
+        self.stats.tlb_hits += aspace.stats.tlb_hits;
+        self.stats.tlb_misses += aspace.stats.tlb_misses;
+        self.reaped_bb.accumulate(aspace.bbcache().stats());
+    }
+
+    /// `parent`'s exited, unwaited children, lowest pid first.
+    fn waitable_children(&self, parent: Pid) -> impl Iterator<Item = (Pid, Pid)> + '_ {
+        self.waitable
+            .range((parent, 0)..=(parent, Pid::MAX))
+            .copied()
+    }
+
+    /// Reaps an exited child of `parent` matching `target` (`None`:
+    /// the lowest-pid one).
     fn try_reap(&mut self, parent: Pid, target: Option<Pid>) -> Option<(Pid, i32)> {
-        let found = self
-            .procs
-            .iter()
-            .find_map(|(&cpid, p)| match (p.ppid == parent, p.state) {
-                (true, ProcState::Zombie(code)) if target.is_none() || target == Some(cpid) => {
-                    Some((cpid, code))
-                }
-                _ => None,
-            })?;
-        if let Some(p) = self.procs.remove(&found.0) {
-            self.stats.cow_copies += p.aspace.stats.cow_copies;
-            self.stats.tlb_hits += p.aspace.stats.tlb_hits;
-            self.stats.tlb_misses += p.aspace.stats.tlb_misses;
-            self.reaped_bb.accumulate(p.aspace.bbcache().stats());
-        }
-        self.edge(SyncEdge::Join {
-            parent,
-            child: found.0,
-        });
-        Some(found)
+        let key = match target {
+            Some(child) => (parent, child),
+            None => self.waitable_children(parent).next()?,
+        };
+        let (_, child) = self.waitable.take(&key)?;
+        let status = self.exit_code(child)?;
+        self.edge(SyncEdge::Join { parent, child });
+        Some((child, status))
     }
 
     /// Wakes blocked processes whose resources became available.
@@ -1634,8 +1652,8 @@ impl Kernel {
             match block {
                 Block::Wait(target) => {
                     if let Some((child, status)) = self.try_reap(pid, target) {
-                        // invariant: `try_reap` removes only zombie
-                        // children, never the (blocked, live) waiter.
+                        // invariant: `try_reap` removes only waitable
+                        // entries, never the (blocked, live) waiter.
                         let p = self.procs.get_mut(&pid).expect("waiter");
                         p.state = ProcState::Runnable;
                         p.cpu.set_reg(Reg::V0, child);
@@ -1687,12 +1705,19 @@ impl Kernel {
         true
     }
 
-    /// Total console output of a process.
+    /// Total console output of a live or exited process.
     pub fn console_of(&self, pid: Pid) -> String {
-        self.procs
-            .get(&pid)
-            .map(|p| p.console_text())
-            .unwrap_or_default()
+        let bytes = match self.procs.get(&pid) {
+            Some(p) => &p.console[..],
+            None => self.exits.get(&pid).map_or(&[][..], |(_, console)| console),
+        };
+        String::from_utf8_lossy(bytes).into_owned()
+    }
+
+    /// The exit status of an exited process (`None` while it lives, or
+    /// if it never existed or died in a power cut).
+    pub fn exit_code(&self, pid: Pid) -> Option<i32> {
+        self.exits.get(&pid).map(|&(status, _)| status)
     }
 }
 
@@ -1759,6 +1784,46 @@ mod tests {
         run_to_settle(k, 1000, 10_000).expect("system did not settle")
     }
 
+    /// `sys(a0)`: the call number and argument, then `syscall`.
+    fn sys(call: Sys, a0: u32) -> Vec<Instr> {
+        let mut prog = li(Reg::V0, call as u32).to_vec();
+        prog.extend(li(Reg::A0, a0));
+        prog.push(Syscall);
+        prog
+    }
+
+    /// `move rd, rs`.
+    fn mov(rd: Reg, rs: Reg) -> Instr {
+        Or {
+            rd,
+            rs,
+            rt: Reg::ZERO,
+        }
+    }
+
+    /// `fork`, then a branch over the child's next `child_len`
+    /// instructions to the parent's.
+    fn fork_split(child_len: u16) -> Vec<Instr> {
+        let mut prog = li(Reg::V0, Sys::Fork as u32).to_vec();
+        prog.push(Syscall);
+        prog.push(Bne {
+            rs: Reg::V0,
+            rt: Reg::ZERO,
+            imm: child_len,
+        });
+        prog
+    }
+
+    /// Blocks the caller forever on a fresh zero semaphore, so a test
+    /// can inspect it live once the system settles in `Deadlock`.
+    fn park() -> Vec<Instr> {
+        let mut prog = sys(Sys::SemCreate, 0);
+        prog.push(mov(Reg::A0, Reg::V0));
+        prog.extend(li(Reg::V0, Sys::SemP as u32));
+        prog.push(Syscall);
+        prog
+    }
+
     use Instr::*;
 
     #[test]
@@ -1783,14 +1848,12 @@ mod tests {
     fn exit_syscall_terminates() {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 42));
-        prog.push(Syscall);
+        let prog = sys(Sys::Exit, 42);
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let events = run_to_completion(&mut k);
         assert!(events.contains(&RunEvent::Exited(pid, 42)));
-        assert!(matches!(k.procs[&pid].state, ProcState::Zombie(42)));
+        assert_eq!(k.exit_code(pid), Some(42));
+        assert!(k.procs.is_empty());
     }
 
     #[test]
@@ -1800,16 +1863,11 @@ mod tests {
         // panic from a single syscall.
         let mut k = Kernel::new();
         let pid = k.spawn(1);
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::Sbrk as u32));
-        prog.extend(li(Reg::A0, i32::MIN as u32));
-        prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        let mut prog = sys(Sys::Sbrk, i32::MIN as u32);
+        prog.extend(park());
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let events = run_to_completion(&mut k);
-        assert!(events.contains(&RunEvent::Exited(pid, 0)));
+        assert_eq!(events.last(), Some(&RunEvent::Deadlock));
         // Releasing more than the heap holds clamps the break at zero.
         assert_eq!(k.procs[&pid].brk, 0);
     }
@@ -1827,13 +1885,8 @@ mod tests {
             },
         );
         let pid = k.spawn(1);
-        let mut prog = vec![];
-        prog.extend(li(Reg::A0, 7));
-        prog.extend(li(Reg::V0, Sys::SemV as u32));
-        prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        let mut prog = sys(Sys::SemV, 7);
+        prog.extend(sys(Sys::Exit, 0));
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let events = run_to_completion(&mut k);
         assert!(events.contains(&RunEvent::Exited(pid, 0)));
@@ -1856,19 +1909,17 @@ mod tests {
             .get_mut(&fd)
             .unwrap()
             .offset = i64::MAX as u64;
-        // lseek(fd, i32::MAX, SEEK_CUR); exit(0)
+        // lseek(fd, i32::MAX, SEEK_CUR), then park to stay inspectable.
         let mut prog = vec![];
         prog.extend(li(Reg::A0, fd as u32));
         prog.extend(li(Reg::A1, i32::MAX as u32));
         prog.extend(li(Reg::A2, 1));
         prog.extend(li(Reg::V0, Sys::Lseek as u32));
         prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        prog.extend(park());
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let events = run_to_completion(&mut k);
-        assert!(events.contains(&RunEvent::Exited(pid, 0)));
+        assert_eq!(events.last(), Some(&RunEvent::Deadlock));
         assert_eq!(
             k.procs[&pid].fds[&fd].offset,
             i64::MAX as u64,
@@ -1887,9 +1938,7 @@ mod tests {
         prog.extend(li(Reg::A1, layout::DATA_BASE));
         prog.extend(li(Reg::A2, 3));
         prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 0));
         k.exec_image(pid, &image(&prog, b"hi\n")).unwrap();
         run_to_completion(&mut k);
         assert_eq!(k.console_of(pid), "hi\n");
@@ -1900,29 +1949,13 @@ mod tests {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
         // fork(); if v0 == 0 exit(7); else waitpid(0) and exit(v1)
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::Fork as u32));
-        prog.push(Syscall);
-        // bne v0, zero, parent(+4 instrs)
-        prog.push(Bne {
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-            imm: 5,
-        });
+        let mut prog = fork_split(5);
         // child: exit(7)
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 7));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 7));
         // parent: waitpid(0)
-        prog.extend(li(Reg::V0, Sys::Waitpid as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Waitpid, 0));
         // exit(v1)
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg::V1,
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg::V1));
         prog.extend(li(Reg::V0, Sys::Exit as u32));
         prog.push(Syscall);
         k.exec_image(pid, &image(&prog, &[])).unwrap();
@@ -1936,6 +1969,40 @@ mod tests {
     }
 
     #[test]
+    fn orphans_are_never_waitable_and_a_reaped_out_wait_is_echild() {
+        let mut k = Kernel::new();
+        let pid = k.spawn(1);
+        let r16 = Reg(16);
+        // Fork a child that exits 7, reap it and wait again (ECHILD);
+        // fork a second child and exit before it runs, orphaning it.
+        // The parent's status is the reaped one plus the second wait's.
+        let mut prog = fork_split(5);
+        prog.extend(sys(Sys::Exit, 7));
+        prog.extend(sys(Sys::Waitpid, 0));
+        prog.push(mov(r16, Reg::V1));
+        prog.extend(sys(Sys::Waitpid, 0));
+        prog.push(Add {
+            rd: Reg::A0,
+            rs: r16,
+            rt: Reg::V0,
+        });
+        prog.extend(fork_split(5));
+        prog.extend(sys(Sys::Exit, 5));
+        prog.extend(li(Reg::V0, Sys::Exit as u32));
+        prog.push(Syscall);
+        k.exec_image(pid, &image(&prog, &[])).unwrap();
+        let exits: Vec<RunEvent> = run_to_completion(&mut k)
+            .into_iter()
+            .filter(|e| matches!(e, RunEvent::Exited(..)))
+            .collect();
+        let (reaped, orphan) = (pid + 1, pid + 2);
+        let expected = [(reaped, 7), (pid, 7 - ECHILD), (orphan, 5)];
+        assert_eq!(exits, expected.map(|(p, code)| RunEvent::Exited(p, code)));
+        assert!(k.waitable.is_empty(), "an orphan's exit is never waitable");
+        assert!(k.procs.is_empty());
+    }
+
+    #[test]
     fn cow_after_fork_isolates_private_data() {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
@@ -1944,13 +2011,7 @@ mod tests {
         // still be 5).
         let mut prog = vec![];
         prog.extend(li(Reg(8), layout::DATA_BASE));
-        prog.extend(li(Reg::V0, Sys::Fork as u32));
-        prog.push(Syscall);
-        prog.push(Bne {
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-            imm: 7,
-        });
+        prog.extend(fork_split(7));
         // child:
         prog.extend(li(Reg(9), 99));
         prog.push(Sw {
@@ -1966,9 +2027,7 @@ mod tests {
         prog.extend(li(Reg::V0, Sys::Exit as u32));
         prog.push(Syscall);
         // parent:
-        prog.extend(li(Reg::V0, Sys::Waitpid as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Waitpid, 0));
         prog.push(Lw {
             rt: Reg::A0,
             rs: Reg(8),
@@ -1990,15 +2049,8 @@ mod tests {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
         // old = sbrk(8192); store to old; load back; exit(loaded).
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::Sbrk as u32));
-        prog.extend(li(Reg::A0, 8192));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg(8),
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        let mut prog = sys(Sys::Sbrk, 8192);
+        prog.push(mov(Reg(8), Reg::V0));
         prog.extend(li(Reg(9), 1234));
         prog.push(Sw {
             rt: Reg(9),
@@ -2029,11 +2081,7 @@ mod tests {
         let mut prog = vec![];
         prog.extend(li(Reg::V0, 100));
         prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg::V0));
         prog.extend(li(Reg::V0, Sys::Exit as u32));
         prog.push(Syscall);
         k.exec_image(pid, &image(&prog, &[])).unwrap();
@@ -2081,9 +2129,7 @@ mod tests {
         let mut prog = vec![];
         // sigaction(handler at TEXT_BASE + 11*4 ... compute below)
         let handler_index: u32 = 8; // instructions before handler label
-        prog.extend(li(Reg::V0, Sys::Sigaction as u32));
-        prog.extend(li(Reg::A0, layout::TEXT_BASE + handler_index * 4));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Sigaction, layout::TEXT_BASE + handler_index * 4));
         prog.extend(li(Reg(8), 0x3500_0000));
         prog.push(Lw {
             rt: Reg(9),
@@ -2091,9 +2137,7 @@ mod tests {
             imm: 0,
         }); // faults (index 8)
             // handler (index 9): exit(88)
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 88));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 88));
         assert_eq!(prog.len() as u32, handler_index + 5);
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let ev = k.step_system(1000);
@@ -2111,10 +2155,7 @@ mod tests {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
         let handler_index: u32 = 11;
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::Sigaction as u32));
-        prog.extend(li(Reg::A0, layout::TEXT_BASE + handler_index * 4));
-        prog.push(Syscall);
+        let mut prog = sys(Sys::Sigaction, layout::TEXT_BASE + handler_index * 4);
         prog.extend(li(Reg(8), 0x3010_0000));
         prog.push(Lw {
             rt: Reg::A0,
@@ -2158,44 +2199,19 @@ mod tests {
         // parent: sem = sem_create(0); fork.
         // child: sem_v(sem); exit(0).
         // parent: sem_p(sem) (may block until child posts); exit(33).
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::SemCreate as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg(16),
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
-        prog.extend(li(Reg::V0, Sys::Fork as u32));
-        prog.push(Syscall);
-        prog.push(Bne {
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-            imm: 8,
-        });
+        let mut prog = sys(Sys::SemCreate, 0);
+        prog.push(mov(Reg(16), Reg::V0));
+        prog.extend(fork_split(8));
         // child
         prog.extend(li(Reg::V0, Sys::SemV as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 0));
         // parent
         prog.extend(li(Reg::V0, Sys::SemP as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 33));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 33));
         k.exec_image(pid, &image(&prog, &[])).unwrap();
         let events = run_to_completion(&mut k);
         assert!(events.contains(&RunEvent::Exited(pid, 33)));
@@ -2217,41 +2233,23 @@ mod tests {
         data[16..21].copy_from_slice(b"ABCDE");
         let mut prog = vec![];
         // fd = creat(path)
-        prog.extend(li(Reg::V0, Sys::Creat as u32));
-        prog.extend(li(Reg::A0, path_addr));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg(16),
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        prog.extend(sys(Sys::Creat, path_addr));
+        prog.push(mov(Reg(16), Reg::V0));
         // write(fd, content, 5)
         prog.extend(li(Reg::V0, Sys::Write as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, content_addr));
         prog.extend(li(Reg::A2, 5));
         prog.push(Syscall);
         // lseek(fd, 0, SET)
         prog.extend(li(Reg::V0, Sys::Lseek as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, 0));
         prog.extend(li(Reg::A2, 0));
         prog.push(Syscall);
         // read(fd, buf, 5)
         prog.extend(li(Reg::V0, Sys::Read as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, buf_addr));
         prog.extend(li(Reg::A2, 5));
         prog.push(Syscall);
@@ -2278,15 +2276,8 @@ mod tests {
         let pid = k.spawn(1);
         let mut data = vec![0u8; 16];
         data[..12].copy_from_slice(b"/shared/seg\0");
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::PathToAddr as u32));
-        prog.extend(li(Reg::A0, layout::DATA_BASE));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        let mut prog = sys(Sys::PathToAddr, layout::DATA_BASE);
+        prog.push(mov(Reg::A0, Reg::V0));
         prog.extend(li(Reg::V0, Sys::Exit as u32));
         prog.push(Syscall);
         k.exec_image(pid, &image(&prog, &data)).unwrap();
@@ -2299,15 +2290,8 @@ mod tests {
         let mut k = Kernel::new();
         let pid = k.spawn(1);
         // sem_p on an empty semaphore with nobody to post.
-        let mut prog = vec![];
-        prog.extend(li(Reg::V0, Sys::SemCreate as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        let mut prog = sys(Sys::SemCreate, 0);
+        prog.push(mov(Reg::A0, Reg::V0));
         prog.extend(li(Reg::V0, Sys::SemP as u32));
         prog.push(Syscall);
         k.exec_image(pid, &image(&prog, &[])).unwrap();
@@ -2359,58 +2343,28 @@ mod tests {
         prog.extend(li(Reg::A0, path_addr));
         prog.extend(li(Reg::A1, O_WRONLY));
         prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg(16),
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg(16), Reg::V0));
         // flock(fd, EXCL)
         prog.extend(li(Reg::V0, Sys::Flock as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, 1));
         prog.push(Syscall);
         // fork
-        prog.extend(li(Reg::V0, Sys::Fork as u32));
-        prog.push(Syscall);
-        prog.push(Bne {
-            rs: Reg::V0,
-            rt: Reg::ZERO,
-            imm: 9,
-        });
+        prog.extend(fork_split(9));
         // child: flock(fd, EXCL) — blocks until parent unlocks
         prog.extend(li(Reg::V0, Sys::Flock as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, 1));
         prog.push(Syscall);
-        prog.extend(li(Reg::V0, Sys::Exit as u32));
-        prog.extend(li(Reg::A0, 21));
-        prog.push(Syscall);
+        prog.extend(sys(Sys::Exit, 21));
         // parent: flock(fd, UNLOCK)
         prog.extend(li(Reg::V0, Sys::Flock as u32));
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg(16),
-            rt: Reg::ZERO,
-        });
+        prog.push(mov(Reg::A0, Reg(16)));
         prog.extend(li(Reg::A1, 2));
         prog.push(Syscall);
         // waitpid(0); exit(v1)
-        prog.extend(li(Reg::V0, Sys::Waitpid as u32));
-        prog.extend(li(Reg::A0, 0));
-        prog.push(Syscall);
-        prog.push(Or {
-            rd: Reg::A0,
-            rs: Reg::V1,
-            rt: Reg::ZERO,
-        });
+        prog.extend(sys(Sys::Waitpid, 0));
+        prog.push(mov(Reg::A0, Reg::V1));
         prog.extend(li(Reg::V0, Sys::Exit as u32));
         prog.push(Syscall);
         k.exec_image(pid, &image(&prog, &data)).unwrap();

@@ -27,8 +27,6 @@ pub enum ProcState {
     Runnable,
     /// Waiting on a resource.
     Blocked(Block),
-    /// Exited with a status, not yet reaped by its parent.
-    Zombie(i32),
 }
 
 /// An open-file descriptor.
@@ -137,11 +135,6 @@ impl Process {
             sig_saved: None,
             image_name: self.image_name.clone(),
         }
-    }
-
-    /// Console output decoded as UTF-8 (lossy).
-    pub fn console_text(&self) -> String {
-        String::from_utf8_lossy(&self.console).into_owned()
     }
 }
 

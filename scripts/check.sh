@@ -27,6 +27,9 @@ echo "==> interpreter and kernel in the optimized build (block replay fast paths
 cargo test -q --release -p hvm -p hkernel
 cargo test -q --release --test e12_bbcache
 
+echo "==> process lifecycle (e7: fork/wait semantics, one world's table stays O(live))"
+cargo test -q --release --test e7_fork_semantics
+
 echo "==> sanitizer suite (hsan unit + e9 differential/property harness)"
 cargo test -q --release -p hsan
 cargo test -q --release --test e9_sanitizer

@@ -160,6 +160,100 @@ pub fn build_counter(world: &mut World) -> String {
         .unwrap()
 }
 
+/// A public module that reaches the counter through `.uses`, so its
+/// first call links `counter` lazily, at the fault.
+const BUMPER: &str = r#"
+.module bumper
+.uses counter
+.text
+.globl inc
+inc:    addi sp, sp, -8
+        sw   ra, 0(sp)
+        jal  bump
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+"#;
+
+/// A parent that bumps the public counter through [`BUMPER`] (linking
+/// it lazily), forks [`FORKWAIT_CHILDREN`] children that each bump it
+/// once under a semaphore and exit with the count they saw, waits for
+/// each child by pid, and exits with the sum of their statuses,
+/// [`FORKWAIT_SUM`].
+pub const FORKWAIT: &str = r#"
+.module main
+.text
+.globl main
+main:   addi sp, sp, -16        ; main never returns: exit below
+        jal  inc                ; links counter lazily: count = 1
+        li   v0, 12             ; sem_create(1): the bump mutex
+        li   a0, 1
+        syscall
+        or   r16, v0, r0
+        li   r17, 3
+        or   r18, sp, r0        ; child pids go at 4(sp), 8(sp), 12(sp)
+fork:   li   v0, 6
+        syscall
+        beq  v0, r0, child
+        sw   v0, 4(r18)
+        addi r18, r18, 4
+        addi r17, r17, -1
+        bgtz r17, fork
+        or   r18, sp, r0
+        li   r17, 3
+        li   r19, 0
+reap:   lw   a0, 4(r18)         ; waitpid(that child)
+        li   v0, 16
+        syscall
+        add  r19, r19, v1
+        addi r18, r18, 4
+        addi r17, r17, -1
+        bgtz r17, reap
+        or   a0, r19, r0
+        li   v0, 1
+        syscall
+child:  li   v0, 13             ; P(mutex)
+        or   a0, r16, r0
+        syscall
+        jal  inc
+        or   r20, v0, r0
+        li   v0, 14             ; V(mutex)
+        or   a0, r16, r0
+        syscall
+        or   a0, r20, r0
+        li   v0, 1
+        syscall
+"#;
+
+/// Children [`FORKWAIT`] forks.
+pub const FORKWAIT_CHILDREN: usize = 3;
+
+/// [`FORKWAIT`]'s exit status: its children saw counts 2, 3 and 4, in
+/// some order.
+pub const FORKWAIT_SUM: i32 = 9;
+
+/// Installs the counter and [`BUMPER`], and links `/bin/forkwait`
+/// against both, public.
+pub fn build_forkwait(world: &mut World) -> String {
+    world
+        .install_template("/shared/lib/counter.o", COUNTER)
+        .unwrap();
+    world
+        .install_template("/shared/lib/bumper.o", BUMPER)
+        .unwrap();
+    world.install_template("/src/forkwait.o", FORKWAIT).unwrap();
+    world
+        .link(
+            "/bin/forkwait",
+            &[
+                ("/src/forkwait.o", ShareClass::StaticPrivate),
+                ("/shared/lib/bumper.o", ShareClass::DynamicPublic),
+                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
 /// Spawns `exe`, runs until everything exits, and returns its exit
 /// code and console.
 pub fn run_prog(world: &mut World, exe: &str) -> (i32, String) {
@@ -713,9 +807,12 @@ pub enum Shape {
     Fuzz,
     /// E1's rwho: readers scanning a small public host database.
     Rwho,
+    /// E7's fork and wait: a lazily linking parent reaps three
+    /// children that share its public counter.
+    ForkWait,
 }
 
-pub const SHAPES: [Shape; 8] = [
+pub const SHAPES: [Shape; 9] = [
     Shape::Pressure,
     Shape::DroppedShootdowns,
     Shape::Locked,
@@ -724,6 +821,7 @@ pub const SHAPES: [Shape; 8] = [
     Shape::Chain,
     Shape::Fuzz,
     Shape::Rwho,
+    Shape::ForkWait,
 ];
 
 impl Shape {
@@ -747,6 +845,7 @@ impl Shape {
                 world.link("/bin/fuzz", &modules).unwrap()
             }
             Shape::Rwho => build_rwho(world),
+            Shape::ForkWait => build_forkwait(world),
         }
     }
 
@@ -760,7 +859,7 @@ impl Shape {
                 run_workload(world);
                 Vec::new()
             }
-            Shape::Chain | Shape::Fuzz => vec![world.spawn(exe).unwrap()],
+            Shape::Chain | Shape::Fuzz | Shape::ForkWait => vec![world.spawn(exe).unwrap()],
             Shape::Rwho => (0..RWHO_READERS)
                 .map(|_| world.spawn(exe).unwrap())
                 .collect(),

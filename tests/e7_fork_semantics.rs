@@ -2,7 +2,13 @@
 //! receives a copy of each segment in the private portion of the parent's
 //! address space, and shares the single copy of each segment in the
 //! public portion."
+//!
+//! Also the process lifecycle around it (DESIGN.md §10): an exited
+//! process leaves the table and keeps only its exit record.
 
+mod common;
+
+use common::{build_counter, build_forkwait, run_prog, FORKWAIT_SUM};
 use hemlock::{ShareClass, World, WorldExit};
 
 /// A public module with a word both processes will touch.
@@ -284,4 +290,66 @@ fn concurrent_children_share_one_public_cell() {
         world.log
     );
     assert_eq!(world.exit_code(pid), Some(100), "log: {:?}", world.log);
+}
+
+#[test]
+fn forked_children_start_with_zeroed_linker_stats() {
+    // The parent links `counter` lazily before it forks. Each child
+    // inherits the link (it takes no fault of its own) but not the
+    // counters that link produced, so every linker counter still
+    // equals its record tally.
+    let mut world = World::new();
+    let exe = build_forkwait(&mut world);
+    assert_eq!(run_prog(&mut world, &exe), (FORKWAIT_SUM, String::new()));
+    world.audit().unwrap();
+    let stats = world.stats();
+    assert_eq!((stats.kernel.forks, stats.ldl.lazy_links), (3, 1));
+}
+
+#[test]
+fn kill_leaves_exited_and_unknown_pids_alone() {
+    let mut world = World::new();
+    let san = world.arm_sanitizer();
+    let exe = build_counter(&mut world);
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(world.run(300_000), WorldExit::AllExited);
+    let edges = san.lock().unwrap().sync_edges();
+    world.kill(pid, 9);
+    world.kill(9999, 3);
+    assert_eq!(world.exit_code(pid), Some(1), "an exit status is final");
+    assert_eq!(
+        world.exit_code(9999),
+        None,
+        "no status for a pid never spawned"
+    );
+    assert_eq!(
+        san.lock().unwrap().sync_edges(),
+        edges,
+        "no second exit edge"
+    );
+}
+
+#[test]
+fn a_world_keeps_only_live_processes() {
+    // One world runs the counter program many times: every exit leaves
+    // the process table and the runtime's per-process state, while its
+    // status and console stay readable.
+    let mut world = World::new();
+    let exe = build_counter(&mut world);
+    let mut pids = Vec::new();
+    for run in 1..=2000 {
+        let pid = world.spawn(&exe).unwrap();
+        assert_eq!(world.run(300_000), WorldExit::AllExited);
+        assert!(world.kernel.procs.is_empty(), "run {run}: table not empty");
+        assert!(
+            world.link_state(pid).is_none(),
+            "run {run}: link state kept"
+        );
+        assert_eq!(world.exit_code(pid), Some(run), "run {run}");
+        assert_eq!(world.console(pid), "", "run {run}");
+        pids.push(pid);
+    }
+    for (run, pid) in (1..).zip(pids) {
+        assert_eq!(world.exit_code(pid), Some(run));
+    }
 }

@@ -5,7 +5,8 @@
 //! A fixed corpus runs in all 48 cells of bbcache{on,off} ×
 //! storage{plain, journal, journal+integrity} × sanitizer{off,armed} ×
 //! cpus{1,4} × budget{unbounded, half} (`common::Cell::lattice`), where
-//! every switch must visibly take effect. Every cell must
+//! every switch must visibly take effect; the random-quantum property
+//! also runs the one-CPU half at 2 and 8 CPUs. Every cell must
 //!
 //! 1. replay byte-identically: observables, clock, trace with `seq`,
 //!    `WorldStats` and the shared partition's digest;
@@ -22,7 +23,9 @@
 
 mod common;
 
-use common::{run_cell, sweep, Cell, Shape, RWHO_READERS, RWHO_SUM, SHAPES};
+use common::{
+    run_cell, sweep, Cell, Shape, FORKWAIT_CHILDREN, FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES,
+};
 use proptest::prelude::*;
 
 // --- every shape in every cell, at the quantum its own suite uses ---
@@ -69,18 +72,30 @@ fn rwho_readers() {
     assert_eq!(replay.obs.exits, [Some(RWHO_SUM); RWHO_READERS]);
 }
 
+#[test]
+fn fork_wait() {
+    sweep(Shape::ForkWait, 300, &Cell::lattice());
+    let (replay, _) = run_cell(Shape::ForkWait, Cell::lattice()[0], 300, None, false);
+    assert_eq!(replay.obs.exits, [Some(FORKWAIT_SUM)]);
+    assert_eq!(replay.obs.shared, [1 + FORKWAIT_CHILDREN as u32]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
-    /// Any quantum: one shape on one CPU count's 24 cells.
+    /// Any quantum and CPU count in {1, 2, 4, 8}: one shape on the 24
+    /// cells of that CPU count.
     #[test]
     fn any_quantum_keeps_the_lattice(
         quantum in 40u64..500,
         shape in 0..SHAPES.len(),
-        four_cpus in 0u32..2,
+        cpu_log in 0u32..4,
     ) {
-        let cpus = if four_cpus == 1 { 4 } else { 1 };
-        let cells: Vec<Cell> = Cell::lattice().into_iter().filter(|c| c.cpus == cpus).collect();
+        let cpus = 1 << cpu_log;
+        let cells: Vec<Cell> = Cell::slice(|c| c.cpus == 1)
+            .into_iter()
+            .map(|c| Cell { cpus, ..c })
+            .collect();
         sweep(SHAPES[shape], quantum, &cells);
     }
 }

@@ -33,6 +33,19 @@ fn run_once(world: &mut World, exe: &str) -> i32 {
     world.exit_code(pid).unwrap()
 }
 
+/// Runs `pid` one slice at a time until its `counter` module is
+/// linked, and returns the module's base. The link state is read while
+/// the process still lives: it goes with the process at exit.
+fn counter_base(world: &mut World, pid: u32) -> u32 {
+    loop {
+        world.run(1);
+        let state = world.link_state(pid).expect("live until it links");
+        if let Some(m) = state.modules.get("counter") {
+            return m.base;
+        }
+    }
+}
+
 fn build(world: &mut World, class: ShareClass, counter_path: &str, exe: &str) -> String {
     world.install_template("/src/main.o", MAIN).unwrap();
     world.install_template(counter_path, COUNTER).unwrap();
@@ -132,11 +145,7 @@ fn public_modules_live_in_public_address_region() {
         "/bin/p",
     );
     let pid = world.spawn(&exe).unwrap();
-    world.run(100_000);
-    let base = {
-        let state = world.link_state(pid).expect("link state exists");
-        state.modules["counter"].base
-    };
+    let base = counter_base(&mut world, pid);
     assert!(layout::is_public(base), "module at {base:#x}");
     // And its address is the slot address of its backing file.
     let addr = world
@@ -157,11 +166,9 @@ fn private_modules_live_in_private_address_region() {
         "/bin/p",
     );
     let pid = world.spawn(&exe).unwrap();
-    world.run(100_000);
-    let state = world.link_state(pid).expect("link state exists");
-    let m = &state.modules["counter"];
-    assert!(!layout::is_public(m.base), "module at {:#x}", m.base);
-    assert!(m.base >= layout::DYN_PRIVATE_BASE && m.base < layout::DATA_END);
+    let base = counter_base(&mut world, pid);
+    assert!(!layout::is_public(base), "module at {base:#x}");
+    assert!((layout::DYN_PRIVATE_BASE..layout::DATA_END).contains(&base));
 }
 
 #[test]
