@@ -1029,7 +1029,7 @@ impl FileSystem {
             return 0;
         };
         let discarded = d.discarded();
-        let twin = std::mem::replace(&mut *d.disk, FileSystem::new(self.config));
+        let twin = d.take_disk(FileSystem::new(self.config));
         self.content_stamp = self.content_stamp.max(twin.content_stamp) + 1;
         self.slots = twin.slots;
         self.free = twin.free;
@@ -1257,7 +1257,7 @@ impl FileSystem {
 
     /// Digest of the disk image (what a crash right now would leave).
     pub fn disk_digest(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.disk.state_digest())
+        self.durable.as_ref().map(|d| d.disk().state_digest())
     }
 
     // --- integrity: checksum region, scrub, repair, poison (DESIGN.md §14) ---
@@ -1292,10 +1292,22 @@ impl FileSystem {
             .map_or((0, 0), |d| d.write_amplification())
     }
 
-    /// Non-mutating verification scan of the disk image's stamped
-    /// blocks. Empty on a clean disk.
-    pub fn verify_blocks(&self) -> Vec<CorruptBlockInfo> {
-        self.durable.as_ref().map_or_else(Vec::new, |d| d.verify())
+    /// Verification scan of the disk image's stamped blocks. Empty on a
+    /// clean disk. Re-hashes only blocks whose bytes changed since they
+    /// last verified (DESIGN.md §14, "verified bit").
+    pub fn verify_blocks(&mut self) -> Vec<CorruptBlockInfo> {
+        self.durable
+            .as_deref_mut()
+            .map_or_else(Vec::new, |d| d.verify())
+    }
+
+    /// The reference scan [`FileSystem::verify_blocks`] must equal: every
+    /// stamped block re-hashed, no memo consulted or updated. A
+    /// diagnostic for tests; nothing on the product path calls it.
+    pub fn verify_blocks_full(&self) -> Vec<CorruptBlockInfo> {
+        self.durable
+            .as_ref()
+            .map_or_else(Vec::new, |d| d.verify_full())
     }
 
     /// One block of a file's bytes (clamped at EOF; empty when the inode
@@ -1315,9 +1327,9 @@ impl FileSystem {
     /// its page is poisoned (reads fail typed, maps raise `Eio`).
     pub fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
         let d = self.durable.as_deref_mut()?;
-        let pre = d.disk.block(ino, offset).to_vec();
+        let pre = d.disk().block(ino, offset).to_vec();
         let src = d.repair_block(ino, offset);
-        let good = d.disk.block(ino, offset).to_vec();
+        let good = d.disk().block(ino, offset).to_vec();
         let adopted = self.block(ino, offset) == pre;
         let page = (offset / crate::PAGE_SIZE as u64) as u32;
         if src.is_some() {

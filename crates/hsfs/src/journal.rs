@@ -335,6 +335,13 @@ struct Stamp {
     claim: (Ino, u64),
     /// A second full copy of the block, the primary self-heal source.
     replica: Vec<u8>,
+    /// Host-only memo, never on disk and in no digest: the block's
+    /// bytes on the disk image hash to `crc` and have not changed since.
+    /// Set only by a matching [`Durable::verify`] hash and by
+    /// [`Durable::stamp`] when the stamped bytes equal the disk's;
+    /// cleared by every disk write that can change the block
+    /// ([`Durable::write_disk`]). Lets verification skip re-hashing.
+    verified: bool,
 }
 
 /// The durable side of a [`FileSystem`]: the disk image twin, the
@@ -347,8 +354,8 @@ struct Stamp {
 /// the live file system exactly.
 #[derive(Clone, Debug)]
 pub struct Durable {
-    /// The disk image.
-    pub(crate) disk: Box<FileSystem>,
+    /// The disk image. Written only through [`Durable::write_disk`].
+    disk: Box<FileSystem>,
     /// The on-disk journal area.
     pub(crate) journal: Vec<Record>,
     /// Disk writes applied so far (the crash-point enumerator's `k`).
@@ -404,6 +411,19 @@ impl Durable {
             data_blocks_written: 0,
             integrity_blocks_written: 0,
         }
+    }
+
+    /// The disk image (read-only: every write goes through
+    /// [`Durable::write_disk`]).
+    pub(crate) fn disk(&self) -> &FileSystem {
+        &self.disk
+    }
+
+    /// Takes the disk image out at a power cut, leaving `empty` behind.
+    /// The twin is being dismantled: its journal and integrity region
+    /// move onto the fresh twin next.
+    pub(crate) fn take_disk(&mut self, empty: FileSystem) -> FileSystem {
+        std::mem::replace(&mut *self.disk, empty)
     }
 
     /// Carries the integrity state (the integrity region and write-amp
@@ -596,7 +616,8 @@ impl Durable {
     }
 
     /// Writes one block's integrity record — checksum, on-medium claim,
-    /// and replica copy — for `good` (the intended content).
+    /// and replica copy — for `good` (the intended content). The block
+    /// counts as verified only if `good` is what the disk now holds.
     fn stamp(&mut self, ino: Ino, offset: u64, good: Vec<u8>) {
         if good.is_empty() {
             self.stamps.remove(&(ino, offset));
@@ -605,6 +626,7 @@ impl Durable {
         let stamp = Stamp {
             crc: fnv1a(&good),
             claim: (ino, offset),
+            verified: self.disk.block(ino, offset) == good.as_slice(),
             replica: good,
         };
         self.stamps.insert((ino, offset), stamp);
@@ -673,6 +695,70 @@ impl Durable {
         }
     }
 
+    /// The one writer of the disk image. Clears the verified bit of every
+    /// stamped block `p` can change: a block write's range from the old
+    /// EOF (a write past it zero-fills the gap), a resize's range between
+    /// the old and new length, and the whole file for a (re)created or
+    /// freed inode. No other record touches file bytes.
+    fn write_disk(&mut self, p: &Payload) {
+        let changed = match p {
+            Payload::WriteBlock { ino, offset, bytes } => {
+                let old = self.disk_file_len(*ino).unwrap_or(0);
+                Some((*ino, (*offset).min(old), offset + bytes.len() as u64))
+            }
+            Payload::SetSize { ino, size } => {
+                let old = self.disk_file_len(*ino).unwrap_or(0);
+                Some((*ino, old.min(*size), old.max(*size)))
+            }
+            Payload::SetInode { ino, .. } | Payload::ClearInode { ino } => {
+                Some((*ino, 0, u64::MAX))
+            }
+            _ => None,
+        };
+        if let Some((ino, from, to)) = changed.filter(|&(_, from, to)| from < to) {
+            let first = from - from % crate::BLOCK_SIZE as u64;
+            for s in self
+                .stamps
+                .range_mut((ino, first)..(ino, to))
+                .map(|(_, s)| s)
+            {
+                s.verified = false;
+            }
+        }
+        self.disk.apply_phys(p);
+    }
+
+    /// Applies one home block write, returning the block image it
+    /// intends (`None` when the file is not on disk). A write past EOF
+    /// zero-fills the gap from the old EOF to its block, which is
+    /// legitimate new data: each gap block is re-stamped from disk —
+    /// unless its stamp already disagrees with the disk (a lost write's
+    /// intent), which a re-stamp would bless.
+    fn write_block(&mut self, p: &Payload) -> Option<Vec<u8>> {
+        let Payload::WriteBlock { ino, offset, bytes } = p else {
+            // invariant: both callers match WriteBlock first.
+            return None;
+        };
+        let (ino, offset) = (*ino, *offset);
+        let bs = crate::BLOCK_SIZE as u64;
+        let old = self.disk_file_len(ino).unwrap_or(0);
+        let gap: Vec<u64> = (old - old % bs..offset)
+            .step_by(bs as usize)
+            .filter(|&o| {
+                self.stamps
+                    .get(&(ino, o))
+                    .is_none_or(|s| s.replica == self.disk.block(ino, o))
+            })
+            .collect();
+        let intended = self.intended_block(ino, offset, bytes);
+        self.write_disk(p);
+        self.disk_file_len(ino)?;
+        for o in gap {
+            self.restamp_from_disk(ino, o);
+        }
+        Some(intended)
+    }
+
     /// Applies one home record to the disk image *and* maintains the
     /// integrity region — the single chokepoint shared by the write
     /// pipeline and journal replay (a replayed block is re-stamped, so
@@ -682,27 +768,25 @@ impl Durable {
             self.data_blocks_written += 1;
         }
         if !self.integrity {
-            self.disk.apply_phys(p);
+            self.write_disk(p);
             return;
         }
         match p {
-            Payload::WriteBlock { ino, offset, bytes } => {
-                let intended = self.intended_block(*ino, *offset, bytes);
-                self.disk.apply_phys(p);
-                if self.disk_file_len(*ino).is_some() {
+            Payload::WriteBlock { ino, offset, .. } => {
+                if let Some(intended) = self.write_block(p) {
                     self.stamp(*ino, *offset, intended);
                 }
             }
             Payload::SetSize { ino, size } => {
                 let old = self.disk_file_len(*ino).unwrap_or(0);
-                self.disk.apply_phys(p);
+                self.write_disk(p);
                 if self.disk_file_len(*ino).is_some() {
                     self.resize_stamps(*ino, old, *size);
                 }
             }
             Payload::SetInode { ino, .. } => {
                 let before = self.disk_file_len(*ino);
-                self.disk.apply_phys(p);
+                self.write_disk(p);
                 // A fresh materialization (or kind change) starts with
                 // empty content: stamps left by a previous tenant of the
                 // slot are stale. A metadata refresh keeps content and
@@ -712,10 +796,10 @@ impl Durable {
                 }
             }
             Payload::ClearInode { ino } => {
-                self.disk.apply_phys(p);
+                self.write_disk(p);
                 self.drop_stamps(*ino, 0);
             }
-            _ => self.disk.apply_phys(p),
+            _ => self.write_disk(p),
         }
     }
 
@@ -732,13 +816,12 @@ impl Durable {
         self.data_blocks_written += 1;
         let intended = self.intended_block(ino, offset, bytes);
         if intended.is_empty() {
-            self.disk.apply_phys(p);
+            self.write_disk(p);
             return;
         }
         match kind {
             CorruptKind::BitRot => {
-                self.disk.apply_phys(p);
-                if self.disk_file_len(ino).is_none() {
+                if self.write_block(p).is_none() {
                     return;
                 }
                 self.stamp(ino, offset, intended.clone());
@@ -746,7 +829,7 @@ impl Durable {
                 let h = fnv1a(&intended);
                 let idx = (h % intended.len() as u64) as usize;
                 let rotted = intended[idx] ^ (1u8 << ((h >> 7) & 7));
-                self.disk.apply_phys(&Payload::WriteBlock {
+                self.write_disk(&Payload::WriteBlock {
                     ino,
                     offset: offset + idx as u64,
                     bytes: vec![rotted],
@@ -789,7 +872,7 @@ impl Durable {
                 if wlen == 0 {
                     return;
                 }
-                self.disk.apply_phys(&Payload::WriteBlock {
+                self.write_disk(&Payload::WriteBlock {
                     ino,
                     offset: v,
                     bytes: intended[..wlen].to_vec(),
@@ -802,29 +885,41 @@ impl Durable {
         }
     }
 
-    /// Non-mutating verification scan of every stamped block: claim
-    /// check first (a wrong footer is a misdirected write's signature),
-    /// then content checksum against the checksum region.
-    pub(crate) fn verify(&self) -> Vec<CorruptBlockInfo> {
+    /// Verification scan of every stamped block: claim check first (a
+    /// wrong footer is a misdirected write's signature), then content
+    /// checksum against the checksum region. Only blocks not verified
+    /// since their last change are re-hashed; a match sets the bit.
+    pub(crate) fn verify(&mut self) -> Vec<CorruptBlockInfo> {
         let mut out = Vec::new();
-        if !self.integrity {
-            return out;
-        }
-        for (&(ino, offset), s) in &self.stamps {
-            let reason = if s.claim != (ino, offset) {
-                "address-stamp"
-            } else if fnv1a(self.disk.block(ino, offset)) != s.crc {
-                "checksum"
-            } else {
+        for (&key, s) in &mut self.stamps {
+            if s.verified && s.claim == key {
                 continue;
-            };
-            out.push(CorruptBlockInfo {
-                ino,
-                offset,
-                reason,
-            });
+            }
+            match block_fault(&self.disk, key, s) {
+                None => s.verified = true,
+                Some(reason) => out.push(CorruptBlockInfo {
+                    ino: key.0,
+                    offset: key.1,
+                    reason,
+                }),
+            }
         }
         out
+    }
+
+    /// The reference [`Durable::verify`] must equal: the same scan
+    /// re-hashing every block, ignoring (and leaving) the verified bits.
+    pub(crate) fn verify_full(&self) -> Vec<CorruptBlockInfo> {
+        self.stamps
+            .iter()
+            .filter_map(|(&key, s)| {
+                block_fault(&self.disk, key, s).map(|reason| CorruptBlockInfo {
+                    ino: key.0,
+                    offset: key.1,
+                    reason,
+                })
+            })
+            .collect()
     }
 
     /// Repairs one corrupt block on the disk image: replica region
@@ -840,8 +935,7 @@ impl Durable {
                 RepairSource::Journal,
             )
         };
-        self.disk
-            .apply_phys(&Payload::WriteBlock { ino, offset, bytes });
+        self.write_disk(&Payload::WriteBlock { ino, offset, bytes });
         if let Some(s) = self.stamps.get_mut(&(ino, offset)) {
             s.claim = (ino, offset);
         }
@@ -896,8 +990,7 @@ impl Durable {
             // byte (guaranteed ≠ the stamped content).
             CorruptKind::LostWrite => cur.iter().map(|b| !b).collect(),
         };
-        self.disk
-            .apply_phys(&Payload::WriteBlock { ino, offset, bytes });
+        self.write_disk(&Payload::WriteBlock { ino, offset, bytes });
         true
     }
 
@@ -926,7 +1019,7 @@ impl Durable {
             Unit::Home(Payload::WriteBlock { ino, offset, bytes }) => {
                 let half = bytes[..bytes.len() / 2].to_vec();
                 if !half.is_empty() {
-                    self.disk.apply_phys(&Payload::WriteBlock {
+                    self.write_disk(&Payload::WriteBlock {
                         ino,
                         offset,
                         bytes: half,
@@ -935,6 +1028,18 @@ impl Durable {
             }
             Unit::Home(_) | Unit::Checkpoint => {}
         }
+    }
+}
+
+/// Why one stamped block fails a full check, if it does: a footer
+/// naming another address, or bytes that do not hash to the stamp.
+fn block_fault(disk: &FileSystem, key: (Ino, u64), s: &Stamp) -> Option<&'static str> {
+    if s.claim != key {
+        Some("address-stamp")
+    } else if fnv1a(disk.block(key.0, key.1)) != s.crc {
+        Some("checksum")
+    } else {
+        None
     }
 }
 

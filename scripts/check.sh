@@ -37,6 +37,9 @@ cargo test -q --release --test e9_sanitizer
 echo "==> crash-point exhaustion (e13: every disk-write index, torn and clean)"
 cargo test -q --release --test e13_crash
 
+echo "==> hsfs in the optimized build (live tree equals disk image; verified-bit memo equals a full re-hash)"
+cargo test -q --release -p hsfs
+
 echo "==> disk-integrity properties (e14: corruption detect/heal/contain)"
 cargo test -q --release --test e14_integrity
 

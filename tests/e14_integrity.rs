@@ -327,6 +327,56 @@ fn clean_scrub_is_a_priced_noop() {
     assert_eq!(off.costs.time(&off.stats()), t0);
 }
 
+/// A write that starts past a partial last block zero-fills the gap on
+/// disk: the old short block grows to a full one and a hole block
+/// appears. Both are legitimate data and must be stamped as such —
+/// otherwise every scrub "finds" the grown block and "heals" it from a
+/// replica too short to restore it, billing a repair each time.
+#[test]
+fn sparse_write_past_partial_block_stamps_the_gap() {
+    let path = "/shared/data/g";
+    let mut world = common::world();
+    world
+        .kernel
+        .vfs
+        .mkdir_all("/shared/data", 0o755, 0)
+        .unwrap();
+    world.kernel.vfs.create_file(path, 0o644, 0).unwrap();
+    let stamped = world.kernel.vfs.shared.fs.stamped_blocks();
+    world.kernel.vfs.write(path, 0, &pat(0x5A, 100)).unwrap();
+    world.barrier();
+    world
+        .kernel
+        .vfs
+        .write(path, 2 * BS, &pat(0xA5, 10))
+        .unwrap();
+    world.barrier();
+    for _ in 0..3 {
+        assert!(world.scrub().unwrap().findings.is_empty());
+    }
+    let s = world.stats();
+    assert_eq!((s.corruptions_detected, s.blocks_repaired), (0, 0));
+    assert_eq!(
+        world.kernel.vfs.shared.fs.stamped_blocks(),
+        stamped + 3,
+        "the grown block, the hole and the written block are all stamped"
+    );
+    let mut want = pat(0x5A, 100);
+    want.resize((2 * BS) as usize, 0);
+    want.extend(pat(0xA5, 10));
+    // The hole block is covered like any other: rot there heals.
+    assert!(world.corrupt_shared_block(path, 1, CorruptKind::BitRot));
+    let report = world.scrub().unwrap();
+    assert_eq!(report.findings.len(), 1);
+    assert_eq!(report.findings[0].offset, BS);
+    assert_eq!(
+        report.findings[0].repaired_from,
+        Some(RepairSource::Replica)
+    );
+    assert!(world.scrub().unwrap().findings.is_empty());
+    assert_eq!(world.kernel.vfs.read(path, 0, want.len()).unwrap(), want);
+}
+
 // --- 5. the every-N-slices kernel scrub hook ---
 
 /// The kernel-driven scrub pass heals medium rot *during* a run — no
