@@ -8,7 +8,6 @@
 //! set each budget permits and the simulated time the thrash costs.
 
 use bench::{report_detailed, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, SimTime, World, WorldStats};
 
 /// Workers in the scenario (cf. `tests/e10_pressure.rs`).
@@ -236,36 +235,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e10(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let base_peak = run_budget(None, 1).0.peak_resident_frames;
-    let mut g = c.benchmark_group("e10_pressure");
-    g.sample_size(10);
-    for budget in [0u64, 2, 4] {
-        // 0 = unbounded; otherwise the budget is peak/divisor.
-        g.bench_with_input(BenchmarkId::new("budget_div", budget), &budget, |b, &d| {
-            b.iter(|| {
-                let arg = base_peak
-                    .checked_div(d)
-                    .filter(|_| d != 0)
-                    .map(|b| b.max(1));
-                run_budget(arg, 1)
-            })
-        });
-    }
-    // E12 wall lane: the peak/2 pressured run with the decoded-block
-    // cache on vs. off — eviction keeps invalidating hot blocks, so
-    // this bounds the cache's worst-case benefit under memory pressure.
-    for (label, cache) in [
-        ("budget_div_bbcache_on", true),
-        ("budget_div_bbcache_off", false),
-    ] {
-        g.bench_with_input(BenchmarkId::new(label, 2u64), &2u64, |b, &d| {
-            b.iter(|| run_budget_cache(Some((base_peak / d).max(1)), 1, cache))
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e10);
-criterion_main!(benches);

@@ -12,7 +12,6 @@
 //!    of un-checkpointed dirty blocks and record the replay bill.
 
 use bench::{report_detailed, run_ok, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, SimTime, World};
 
 const COUNTER: &str = r#"
@@ -160,19 +159,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e13(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e13_recovery");
-    g.sample_size(10);
-    for nblocks in [4u64, 64] {
-        g.bench_with_input(
-            BenchmarkId::new("crash_reboot_dirty_blocks", nblocks),
-            &nblocks,
-            |b, &n| b.iter(|| recovery(n)),
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e13);
-criterion_main!(benches);

@@ -16,7 +16,6 @@
 //!    whose bill is exactly `repairs × repair_ns` above the clean pass.
 
 use bench::{report_detailed, run_ok, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, SimTime, World};
 use hsfs::CorruptKind;
 
@@ -192,22 +191,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e14(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e14_integrity");
-    g.sample_size(10);
-    for blocks in [32u64, 128] {
-        g.bench_with_input(
-            BenchmarkId::new("scrub_stamped_blocks", blocks),
-            &blocks,
-            |b, &n| b.iter(|| scrub_cost(n, 0)),
-        );
-    }
-    g.bench_function("scrub_heal_32_blocks_8_rotted", |b| {
-        b.iter(|| scrub_cost(32, 8))
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_e14);
-criterion_main!(benches);

@@ -16,7 +16,6 @@
 //!    back to — asserted exactly.
 
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{CostModel, ShareClass, SimTime, World};
 
 const N: usize = 40;
@@ -169,32 +168,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e15(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e15_snapshot");
-    g.sample_size(10);
-    for (label, snapshots) in [("warm_snapshot_hit", true), ("warm_full_resolve", false)] {
-        g.bench_with_input(
-            BenchmarkId::new(label, format!("n{N}_eager")),
-            &snapshots,
-            |b, &snapshots| {
-                b.iter_with_setup(
-                    || {
-                        let (mut world, exe, _) = cold(snapshots);
-                        world.reboot();
-                        (world, exe)
-                    },
-                    |(mut world, exe)| {
-                        let pid = world.spawn(&exe).unwrap();
-                        run_ok(&mut world);
-                        world.exit_code(pid).unwrap()
-                    },
-                )
-            },
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e15);
-criterion_main!(benches);

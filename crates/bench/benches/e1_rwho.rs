@@ -8,7 +8,6 @@
 
 use baseline::rwho_files::{HostStatus, RwhoFilesBaseline};
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, World};
 
 const DB_MODULE: &str = r#"
@@ -42,40 +41,6 @@ done:   or   v0, r17, r0
         jr   ra
 "#;
 
-/// rwho for the wall-clock lane: one process scans the whole database
-/// 200 times, so *interpretation* (not spawn/teardown) dominates the
-/// wall time — the shape where the decoded-block cache earns its keep
-/// (E12). The exit code is the final scan's sum, identical to one
-/// `RWHO` pass.
-const RWHO_LOOP: &str = r#"
-.module rwho
-.text
-.globl main
-main:   li   r15, 200          ; scan passes
-outer:  la   r8, hosts
-        la   r10, nhosts
-        lw   r10, 0(r10)
-        li   r16, 0
-        li   r17, 0
-loop:   slt  r9, r16, r10      ; per-record work: sum, checksum,
-        beq  r9, r0, done      ; scaled total, running comparison —
-        sll  r11, r16, 5       ; the parse/accumulate share a real
-        add  r11, r8, r11      ; rwho spends per host record
-        lw   r12, 16(r11)
-        add  r17, r17, r12
-        xor  r14, r14, r12
-        sll  r13, r12, 2
-        add  r19, r19, r13
-        slt  r9, r12, r17
-        add  r20, r20, r9
-        addi r16, r16, 1
-        b    loop
-done:   addi r15, r15, -1
-        bgtz r15, outer
-        or   v0, r17, r0
-        jr   ra
-"#;
-
 fn files_world(machines: u32) -> (World, RwhoFilesBaseline) {
     let mut world = World::new();
     let b = RwhoFilesBaseline::default();
@@ -88,15 +53,11 @@ fn files_world(machines: u32) -> (World, RwhoFilesBaseline) {
 }
 
 fn shared_world(machines: u32) -> (World, String) {
-    shared_world_prog(machines, RWHO)
-}
-
-fn shared_world_prog(machines: u32, prog: &str) -> (World, String) {
     let mut world = World::new();
     world
         .install_template("/shared/lib/rwho_db.o", DB_MODULE)
         .unwrap();
-    world.install_template("/src/rwho.o", prog).unwrap();
+    world.install_template("/src/rwho.o", RWHO).unwrap();
     let exe = world
         .link(
             "/bin/rwho",
@@ -205,49 +166,6 @@ fn simulated_table() {
     report("E1", "rwho — per-invocation cost vs. fleet size", &rows);
 }
 
-fn bench_e1(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e1_rwho");
-    for machines in [5u32, 65] {
-        g.bench_with_input(BenchmarkId::new("files", machines), &machines, |bch, &m| {
-            let (mut world, b) = files_world(m);
-            bch.iter(|| b.rwho(&mut world.kernel.vfs).unwrap())
-        });
-        g.bench_with_input(
-            BenchmarkId::new("shared", machines),
-            &machines,
-            |bch, &m| {
-                let (world, exe) = shared_world(m);
-                let mut world = world;
-                bch.iter(|| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                })
-            },
-        );
-    }
-    // E12 wall lane: the steady-state scan loop (65 machines × 200
-    // passes in one process) interpreted with the decoded-block cache
-    // on and off. The on/off wall ratio is the cache's measured
-    // speedup; simulated time is identical by construction.
-    for (label, cache) in [
-        ("scan_loop_bbcache_on", true),
-        ("scan_loop_bbcache_off", false),
-    ] {
-        g.bench_with_input(BenchmarkId::new(label, 65u32), &65u32, |bch, &m| {
-            let (mut world, exe) = shared_world_prog(m, RWHO_LOOP);
-            world.set_bbcache(cache);
-            let expected: u32 = (0..m).map(|i| i % 5 + 1).sum();
-            bch.iter(|| {
-                let pid = world.spawn(&exe).unwrap();
-                run_ok(&mut world);
-                assert_eq!(world.exit_code(pid).unwrap() as u32, expected);
-            })
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e1);
-criterion_main!(benches);

@@ -16,7 +16,6 @@
 
 use baseline::linking::{FaultDrivenInputs, FaultDrivenModel, JumpTableInputs, JumpTableModel};
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, SimTime, World};
 
 /// Builds a world with `n` chained modules: `mod_i` calls `mod_{i+1}`;
@@ -25,7 +24,7 @@ use hemlock::{ShareClass, SimTime, World};
 fn chain_world(n: usize, touch_depth: usize) -> (World, String) {
     assert!(touch_depth <= n);
     let mut world = World::new();
-    install_chain(&mut world, n, false);
+    install_chain(&mut world, n);
     world
         .install_template(
             "/src/main.o",
@@ -47,13 +46,8 @@ fn chain_world(n: usize, touch_depth: usize) -> (World, String) {
     (world, exe)
 }
 
-/// Installs the `n`-module `.uses` chain. `dense` modules fold their
-/// argument into a running checksum before passing the call on — the
-/// per-call work a real library function does — so an interpretation-
-/// bound loop over the chain measures execution, not just call
-/// dispatch. The sim table uses the sparse chain (linking costs are
-/// the story there); the E12 wall lane uses the dense one.
-fn install_chain(world: &mut World, n: usize, dense: bool) {
+/// Installs the `n`-module `.uses` chain.
+fn install_chain(world: &mut World, n: usize) {
     for i in 0..n {
         let body = if i + 1 < n {
             // Each module calls the next *conditionally*: it decrements
@@ -61,19 +55,9 @@ fn install_chain(world: &mut World, n: usize, dense: bool) {
             // executes (and therefore only needs) the first `depth`
             // modules. The reference to the next module still exists —
             // that is the big reachability graph.
-            let work = if dense {
-                "sll r9, a0, 3\nxor a1, a1, r9\naddi a1, a1, 7\n\
-                 slt r9, a1, a0\nadd a2, a2, r9\nsll r9, a1, 1\n\
-                 xor a2, a2, r9\nadd a1, a1, a0\n\
-                 srl r9, a1, 2\nadd a2, a2, r9\nxor a1, a1, a2\n\
-                 sll r9, a2, 4\nsub a1, a1, r9\nslt r9, a0, a2\n\
-                 add a1, a1, r9\nxor a2, a2, a0\n"
-            } else {
-                ""
-            };
             format!(
                 ".module mod{i}\n.uses mod{next}\n.text\n.globl mod{i}_fn\n\
-                 mod{i}_fn: addi sp, sp, -8\nsw ra, 0(sp)\n{work}\
+                 mod{i}_fn: addi sp, sp, -8\nsw ra, 0(sp)\n\
                  addi a0, a0, -1\nblez a0, stop\njal mod{next}_fn\n\
                  b out\nstop: li v0, {i}\nout: lw ra, 0(sp)\naddi sp, sp, 8\njr ra\n",
                 next = i + 1
@@ -85,36 +69,6 @@ fn install_chain(world: &mut World, n: usize, dense: bool) {
             .install_template(&format!("/shared/lib/mod{i}.o"), &body)
             .unwrap();
     }
-}
-
-/// Like [`chain_world`], but `main` drives the whole (dense) chain
-/// `reps` times. After the first pass everything is linked; the
-/// remaining passes are pure call-heavy interpretation — the
-/// wall-clock shape for the decoded-block cache comparison (E12).
-fn chain_loop_world(n: usize, touch_depth: usize, reps: u32) -> (World, String) {
-    let mut world = World::new();
-    install_chain(&mut world, n, true);
-    world
-        .install_template(
-            "/src/mainloop.o",
-            &format!(
-                ".module mainloop\n.text\n.globl main\nmain: addi sp, sp, -8\nsw ra, 0(sp)\n\
-                 li r15, {reps}\nagain: li a0, {touch_depth}\njal mod0_fn\n\
-                 addi r15, r15, -1\nbgtz r15, again\n\
-                 lw ra, 0(sp)\naddi sp, sp, 8\njr ra\n"
-            ),
-        )
-        .unwrap();
-    let exe = world
-        .link(
-            "/bin/chainloop",
-            &[
-                ("/src/mainloop.o", ShareClass::StaticPrivate),
-                ("/shared/lib/mod0.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
 }
 
 fn run_measured(n: usize, depth: usize, eager: bool) -> (SimTime, u64, u64) {
@@ -195,68 +149,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e2(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e2_lazy_linking");
-    g.sample_size(10);
-    for &(n, depth) in &[(40usize, 1usize), (40, 40)] {
-        g.bench_with_input(
-            BenchmarkId::new("lazy", format!("n{n}_touch{depth}")),
-            &(n, depth),
-            |b, &(n, depth)| {
-                b.iter_with_setup(
-                    || chain_world(n, depth),
-                    |(mut world, exe)| {
-                        let pid = world.spawn(&exe).unwrap();
-                        run_ok(&mut world);
-                        world.exit_code(pid).unwrap()
-                    },
-                )
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("eager", format!("n{n}_touch{depth}")),
-            &(n, depth),
-            |b, &(n, depth)| {
-                b.iter_with_setup(
-                    || {
-                        let (mut w, e) = chain_world(n, depth);
-                        w.eager = true;
-                        (w, e)
-                    },
-                    |(mut world, exe)| {
-                        let pid = world.spawn(&exe).unwrap();
-                        run_ok(&mut world);
-                        world.exit_code(pid).unwrap()
-                    },
-                )
-            },
-        );
-    }
-    // E12 wall lane: the eager chain driven end to end 1000 times in
-    // one process (everything linked after pass one, so the loop is
-    // pure call-heavy interpretation), block cache on vs. off.
-    for (label, cache) in [
-        ("eager_loop_bbcache_on", true),
-        ("eager_loop_bbcache_off", false),
-    ] {
-        g.bench_with_input(
-            BenchmarkId::new(label, "n40_touch40"),
-            &(40usize, 40usize),
-            |b, &(n, depth)| {
-                let (mut world, exe) = chain_loop_world(n, depth, 1000);
-                world.eager = true;
-                world.set_bbcache(cache);
-                b.iter(|| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                })
-            },
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e2);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 
 use baseline::serialize::Figure;
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::segheap::SegHeap;
 use hemlock::{ShareClass, World};
 
@@ -109,29 +108,6 @@ fn simulated_table() {
     report("E3", "xfig — figure load cost vs. size", &rows);
 }
 
-fn bench_e3(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e3_xfig");
-    g.sample_size(20);
-    for n in [200u32, 1000] {
-        g.bench_with_input(BenchmarkId::new("linearize_parse", n), &n, |b, &n| {
-            let fig = Figure::synthetic(n as usize);
-            let text = fig.linearize();
-            b.iter(|| Figure::parse(&text).unwrap().count())
-        });
-        g.bench_with_input(BenchmarkId::new("segment_walk", n), &n, |b, &n| {
-            b.iter_with_setup(
-                || hemlock_world(n),
-                |(mut world, exe)| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                },
-            )
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e3);
-criterion_main!(benches);

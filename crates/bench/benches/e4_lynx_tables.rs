@@ -9,7 +9,6 @@
 
 use baseline::serialize::ParserTables;
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, World};
 
 fn hemlock_world(states: usize, symbols: usize) -> (World, String) {
@@ -112,34 +111,6 @@ fn simulated_table() {
     report("E4", "Lynx tables — 5 compiler runs, by table size", &rows);
 }
 
-fn bench_e4(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e4_lynx_tables");
-    g.sample_size(20);
-    {
-        let (states, symbols) = (150usize, 80usize);
-        let tables = ParserTables::synthetic(states, symbols);
-        let text = tables.linearize();
-        g.bench_with_input(
-            BenchmarkId::new("reparse", format!("{states}x{symbols}")),
-            &text,
-            |b, text| b.iter(|| ParserTables::parse(text).unwrap()),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("shared_module_run", format!("{states}x{symbols}")),
-            &(states, symbols),
-            |b, &(s, y)| {
-                let (mut world, exe) = hemlock_world(s, y);
-                b.iter(|| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                })
-            },
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e4);
-criterion_main!(benches);

@@ -13,7 +13,6 @@
 //! compile vs. compile+post-process, using the paper's 25–33% overhead.
 
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, SimTime, World};
 
 const SHARED_DATA: &str = r#"
@@ -175,22 +174,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e5(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e5_presto");
-    g.sample_size(10);
-    for workers in [2usize, 8] {
-        g.bench_with_input(BenchmarkId::new("job", workers), &workers, |b, &w| {
-            b.iter(|| run_job(w, false))
-        });
-        g.bench_with_input(
-            BenchmarkId::new("job_sanitized", workers),
-            &workers,
-            |b, &w| b.iter(|| run_job(w, true)),
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e5);
-criterion_main!(benches);

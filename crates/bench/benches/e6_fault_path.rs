@@ -8,7 +8,6 @@
 //! pointer-following requires no prior knowledge, which is the point.
 
 use bench::{report_detailed, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, World};
 use hsfs::AddrLookup;
 
@@ -162,28 +161,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_e6(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e6_fault_path");
-    g.sample_size(20);
-    for touches in [1u32, 1000] {
-        g.bench_with_input(BenchmarkId::new("touch", touches), &touches, |b, &t| {
-            b.iter_with_setup(
-                || {
-                    let (mut world, addrs) = seg_world(1);
-                    let exe = toucher(&mut world, addrs[0], t);
-                    (world, exe)
-                },
-                |(mut world, exe)| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                },
-            )
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e6);
-criterion_main!(benches);

@@ -6,7 +6,6 @@
 //! shares the single copy of each segment in the public portion."
 
 use bench::{report_detailed, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, World, WorldExit};
 
 /// A program with a `kb`-sized private bss that forks; the child touches
@@ -103,20 +102,6 @@ fn simulated_table() {
     report_detailed("E7", "fork — COW vs. deep copy by private footprint", &rows);
 }
 
-fn bench_e7(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("e7_fork");
-    g.sample_size(10);
-    for kb in [64u32, 1024] {
-        g.bench_with_input(BenchmarkId::new("cow", kb), &kb, |b, &kb| {
-            b.iter(|| run_fork(kb, 4))
-        });
-        g.bench_with_input(BenchmarkId::new("deep", kb), &kb, |b, &kb| {
-            b.iter(|| run_fork(kb, kb))
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_e7);
-criterion_main!(benches);

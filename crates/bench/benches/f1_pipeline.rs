@@ -2,7 +2,6 @@
 //! (assemble → lds → spawn/exec → crt0+ldl → main).
 
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, Criterion};
 use hemlock::{ShareClass, World};
 
 const MAIN: &str = ".module main\n.text\n.globl main\nmain: li v0, 1\njr ra\n";
@@ -57,56 +56,6 @@ fn simulated_table() {
     report("F1", "build-and-run pipeline stage costs", &rows);
 }
 
-fn bench_f1(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("f1_pipeline");
-    g.bench_function("assemble", |b| {
-        b.iter_with_setup(World::new, |mut world| {
-            world.install_template("/src/main.o", MAIN).unwrap();
-            world
-        })
-    });
-    g.bench_function("lds_link", |b| {
-        b.iter_with_setup(
-            || {
-                let mut world = World::new();
-                world.install_template("/src/main.o", MAIN).unwrap();
-                world.install_template("/shared/lib/lib.o", LIB).unwrap();
-                world
-            },
-            |mut world| {
-                world
-                    .link(
-                        "/bin/a.out",
-                        &[
-                            ("/src/main.o", ShareClass::StaticPrivate),
-                            ("/shared/lib/lib.o", ShareClass::DynamicPublic),
-                        ],
-                    )
-                    .unwrap();
-                world
-            },
-        )
-    });
-    g.bench_function("spawn_run", |b| {
-        b.iter_with_setup(
-            || {
-                let mut world = World::new();
-                world.install_template("/src/main.o", MAIN).unwrap();
-                let exe = world
-                    .link("/bin/a.out", &[("/src/main.o", ShareClass::StaticPrivate)])
-                    .unwrap();
-                (world, exe)
-            },
-            |(mut world, exe)| {
-                let pid = world.spawn(&exe).unwrap();
-                run_ok(&mut world);
-                world.exit_code(pid).unwrap()
-            },
-        )
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_f1);
-criterion_main!(benches);

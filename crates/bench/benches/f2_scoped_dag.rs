@@ -6,9 +6,7 @@
 //! scans it avoids repeating (cached per process).
 
 use bench::{report, run_ok, sim_delta, sim_time};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::{ShareClass, World};
-use hlink::scope::{LinkDag, ROOT};
 
 /// A chain of depth `d`: main → c0 → c1 → … → c{d-1}; the leaf calls
 /// `answer_fn`, which only the *root* provides — resolution must climb
@@ -76,37 +74,6 @@ fn simulated_table() {
     );
 }
 
-fn bench_f2(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("f2_scoped_dag");
-    g.sample_size(10);
-    for d in [4usize, 16] {
-        g.bench_with_input(BenchmarkId::new("chain", d), &d, |b, &d| {
-            b.iter_with_setup(
-                || chain_world(d),
-                |(mut world, exe)| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    world.exit_code(pid).unwrap()
-                },
-            )
-        });
-    }
-    // Micro: the DAG escalation walk itself.
-    g.bench_function("escalation_chain_depth64", |b| {
-        let mut dag = LinkDag::new();
-        for i in 0..64 {
-            let parent = if i == 0 {
-                ROOT.to_string()
-            } else {
-                format!("m{}", i - 1)
-            };
-            dag.add_edge(&format!("m{i}"), &parent);
-        }
-        b.iter(|| dag.escalation_chain("m63").len())
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_f2);
-criterion_main!(benches);

@@ -3,7 +3,6 @@
 //! scan that rebuilds the table after a crash.
 
 use bench::report_detailed;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hemlock::SimTime;
 use hkernel::{AddressSpace, MemBus, Prot};
 use hsfs::{AddrLookup, SharedFs, PAGE_SIZE};
@@ -67,31 +66,6 @@ fn simulated_table() {
     report_detailed("F3", "address→inode translation — linear vs. B-tree", &rows);
 }
 
-fn bench_f3(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("f3_addr_translate");
-    for n in [16u32, 1023] {
-        for (name, lookup) in [("linear", AddrLookup::Linear), ("btree", AddrLookup::BTree)] {
-            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-                let (mut s, addrs) = filled(n);
-                s.lookup = lookup;
-                let mut i = 0;
-                b.iter(|| {
-                    i = (i + 7) % addrs.len();
-                    s.addr_to_ino(addrs[i]).unwrap()
-                })
-            });
-        }
-        g.bench_with_input(BenchmarkId::new("boot_scan", n), &n, |b, &n| {
-            let (mut s, _) = filled(n);
-            b.iter(|| {
-                s.boot_scan();
-                s.slot_count()
-            })
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_f3);
-criterion_main!(benches);

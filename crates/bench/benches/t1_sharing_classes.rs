@@ -7,7 +7,6 @@
 //! classes once.
 
 use bench::{report, run_ok, sim_time};
-use criterion::{criterion_group, criterion_main, Criterion};
 use hemlock::{ShareClass, World};
 
 const COUNTER: &str = r#"
@@ -87,51 +86,6 @@ fn simulated_table() {
     report("T1", "sharing classes — per-process run cost", &rows);
 }
 
-fn bench_t1(c: &mut Criterion) {
+fn main() {
     simulated_table();
-    let mut g = c.benchmark_group("t1_sharing_classes");
-    for (name, class) in [
-        ("static_private", ShareClass::StaticPrivate),
-        ("dynamic_private", ShareClass::DynamicPrivate),
-        ("static_public", ShareClass::StaticPublic),
-        ("dynamic_public", ShareClass::DynamicPublic),
-    ] {
-        g.bench_function(format!("link_{name}"), |b| {
-            b.iter_with_setup(
-                || {
-                    let mut world = World::new();
-                    world.install_template("/src/main.o", MAIN).unwrap();
-                    world.install_template(class_path(class), COUNTER).unwrap();
-                    world
-                },
-                |mut world| {
-                    world
-                        .link(
-                            "/bin/p",
-                            &[
-                                ("/src/main.o", ShareClass::StaticPrivate),
-                                (class_path(class), class),
-                            ],
-                        )
-                        .unwrap();
-                    world
-                },
-            )
-        });
-        g.bench_function(format!("run_{name}"), |b| {
-            b.iter_with_setup(
-                || setup(class),
-                |(mut world, exe)| {
-                    let pid = world.spawn(&exe).unwrap();
-                    run_ok(&mut world);
-                    assert!(world.exit_code(pid).is_some());
-                    world
-                },
-            )
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_t1);
-criterion_main!(benches);

@@ -1,13 +1,10 @@
 //! Shared helpers for the experiment benchmarks.
 //!
-//! Every bench does two things:
-//!
-//! 1. prints a **simulated-time** table (the deterministic cost-model
-//!    numbers EXPERIMENTS.md records — these are what correspond to the
-//!    paper's claims), and
-//! 2. measures **host wall time** of the same operations with Criterion
-//!    (a secondary sanity check that the simulation itself is cheap
-//!    enough to iterate on).
+//! Every bench prints one **simulated-time** table (the deterministic
+//! cost-model numbers EXPERIMENTS.md records — these are what
+//! correspond to the paper's claims) and appends its rows to
+//! `BENCH_JSON_OUT` when that names a file. Host wall time is
+//! perfbench's job (`perfbench/`, `BENCHMARK.json`).
 
 use hemlock::{CostModel, SimTime, World, WorldExit};
 use std::io::Write;

@@ -139,7 +139,8 @@ pub struct WorldStats {
     pub corruptions_detected: u64,
     /// Corrupt blocks healed from the replica region or the journal.
     pub blocks_repaired: u64,
-    /// Processes killed by an uncorrectable-corruption `Eio` fault.
+    /// Processes killed by an uncorrectable-corruption `Eio` fault
+    /// (the `EioKilled` tally).
     pub eio_kills: u64,
     /// Prelink snapshots validated and applied (DESIGN.md §15). Each
     /// hit bills one `snapshot_validate_ns` instead of the per-symbol
@@ -336,6 +337,7 @@ impl CostModel {
             | TraceEvent::CpuSteal { .. }
             | TraceEvent::CrashTaken { .. }
             | TraceEvent::CorruptionDetected { .. }
+            | TraceEvent::EioKilled { .. }
             | TraceEvent::SnapshotMiss { .. }
             | TraceEvent::SnapshotRebuilt { .. }
             | TraceEvent::BlockInvalidated { .. } => 0,
@@ -427,7 +429,8 @@ mod tests {
         let miss = TraceEvent::SnapshotMiss {
             exe: "a".to_string(),
         };
-        assert_eq!((m.price(&crash), m.price(&miss)), (0, 0));
+        let eio = TraceEvent::EioKilled { addr: 0x3000_0000 };
+        assert_eq!((m.price(&crash), m.price(&miss), m.price(&eio)), (0, 0, 0));
         // Recovery records price the work the recovery redid.
         let recovery = |action, retries| m.price(&TraceEvent::RecoveryTaken { action, retries });
         assert_eq!(recovery("ldl-retry", 3), 3 * m.fault_ns);

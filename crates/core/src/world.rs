@@ -241,9 +241,6 @@ pub struct World {
     /// False between a [`World::power_cut`] and the next
     /// [`World::reboot`] — the machine is off; nothing can run.
     powered: bool,
-    /// Processes killed by an uncorrectable-corruption `Eio` fault
-    /// (the one crash/integrity counter no trace record mirrors).
-    eio_kills: u64,
     /// Run a scrub pass every N scheduler slices (`None` = never).
     scrub_interval: Option<u64>,
     /// Slices since the last interval-driven scrub pass.
@@ -301,7 +298,6 @@ impl World {
             sanitizer: None,
             races: Vec::new(),
             powered: true,
-            eio_kills: 0,
             scrub_interval: None,
             slices_since_scrub: 0,
         }
@@ -679,13 +675,13 @@ impl World {
                 }
                 RunEvent::Fatal { pid, fault } => {
                     self.log.push(format!("pid {pid}: fatal fault: {fault}"));
-                    if matches!(fault, hvm::Fault::Eio { .. }) {
+                    if let hvm::Fault::Eio { addr, .. } = fault {
                         // The SIGBUS-analog: a mapped page's backing
                         // block is uncorrectably corrupt. Only the
                         // touching process dies — the typed exit code
                         // (128 + SIGBUS) is the containment contract
                         // e14 pins.
-                        self.eio_kills += 1;
+                        self.publish(pid, TraceEvent::EioKilled { addr });
                         self.kill(pid, 135);
                     } else {
                         self.kill(pid, -1);
@@ -1646,7 +1642,7 @@ impl World {
             blocks_scrubbed: self.tallies.blocks_scrubbed(),
             corruptions_detected: self.tallies.get("CorruptionDetected").count,
             blocks_repaired: self.tallies.get("BlockRepaired").count,
-            eio_kills: self.eio_kills,
+            eio_kills: self.tallies.get("EioKilled").count,
             snapshot_hits: ldl.snapshot_hits,
             snapshot_misses: ldl.snapshot_misses,
             snapshot_invalidations: ldl.snapshot_invalidations,

@@ -195,6 +195,13 @@ pub enum TraceEvent {
         /// poisoning — reads fail typed, maps raise `Eio`).
         repaired: u64,
     },
+    /// A process touched a page whose backing block is uncorrectably
+    /// corrupt and was killed with 128 + SIGBUS; only the toucher dies
+    /// (DESIGN.md §14). Free — the kill is containment, not work.
+    EioKilled {
+        /// The faulting address.
+        addr: u32,
+    },
     /// A prelink snapshot validated and was applied: the whole link map
     /// was restored without export-index search or trampoline synthesis
     /// (DESIGN.md §15). Billed at `snapshot_validate_ns`.
@@ -270,6 +277,7 @@ impl TraceEvent {
             TraceEvent::CorruptionDetected { .. } => "CorruptionDetected",
             TraceEvent::BlockRepaired { .. } => "BlockRepaired",
             TraceEvent::ScrubPass { .. } => "ScrubPass",
+            TraceEvent::EioKilled { .. } => "EioKilled",
             TraceEvent::SnapshotHit { .. } => "SnapshotHit",
             TraceEvent::SnapshotMiss { .. } => "SnapshotMiss",
             TraceEvent::SnapshotInvalidated { .. } => "SnapshotInvalidated",
@@ -382,6 +390,7 @@ impl fmt::Display for TraceEvent {
                     "ScrubPass blocks={blocks} corrupt={corrupt} repaired={repaired}"
                 )
             }
+            TraceEvent::EioKilled { addr } => write!(f, "EioKilled addr={addr:#010x}"),
             TraceEvent::SnapshotHit { exe, modules } => {
                 write!(f, "SnapshotHit exe={exe} modules={modules}")
             }

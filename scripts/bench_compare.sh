@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Deterministic bench-regression gate.
 #
-# Runs every bench in crates/bench with BENCH_SIM_ONLY=1 (skipping
-# wall-clock measurement — only the cost-model simulated-time tables
-# run, which are exactly reproducible on any machine) and collects the
-# per-row numbers emitted via BENCH_JSON_OUT into a JSON baseline:
+# Runs every bench in crates/bench (each prints one cost-model
+# simulated-time table, exactly reproducible on any machine) and
+# collects the per-row numbers emitted via BENCH_JSON_OUT into a JSON
+# baseline:
 #
 #     { "<bench id>/<row label>": {"sim_ns":<n>}, ... }
 #
@@ -14,27 +14,27 @@
 # which is carried into the baseline for humans but never participates
 # in matching or comparison.
 #
-# If the baseline file (BENCH_2.json by default) is already committed,
-# the row *sets* must match exactly in both directions — a baseline row
-# with no current counterpart fails the gate, and so does a current row
-# absent from the baseline (new rows must be committed deliberately by
-# regenerating) — and a row that grew by more than BENCH_TOLERANCE
-# percent (default 10) fails. The fresh results are then written to the
-# baseline path — simulated time is deterministic, so the file only
-# changes when the code's cost behavior actually changed, and `git diff`
-# shows exactly which rows moved.
+# If the baseline file BENCH_2.json is already committed, the row
+# *sets* must match exactly in both directions — a baseline row with no
+# current counterpart fails the gate, and so does a current row absent
+# from the baseline (new rows must be committed deliberately by
+# regenerating) — and a row that grew by more than 10 percent fails.
+# The fresh results are then written to the baseline path — simulated
+# time is deterministic, so the file only changes when the code's cost
+# behavior actually changed, and `git diff` shows exactly which rows
+# moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${BENCH_OUT:-BENCH_2.json}
-TOL=${BENCH_TOLERANCE:-10}
+OUT=BENCH_2.json
+TOL=10
 
 jsonl=$(mktemp)
 new_json=$(mktemp)
 trap 'rm -f "$jsonl" "$new_json"' EXIT
 
-echo "==> running benches (sim-only) ..."
-BENCH_SIM_ONLY=1 BENCH_JSON_OUT="$jsonl" cargo bench -q -p bench >/dev/null
+echo "==> running benches ..."
+BENCH_JSON_OUT="$jsonl" cargo bench -q -p bench >/dev/null
 
 if ! [ -s "$jsonl" ]; then
     echo "bench_compare: benches emitted no rows" >&2
@@ -66,16 +66,11 @@ LC_ALL=C sort "$jsonl" | awk -F'"' '
         print "}"
     }' > "$new_json"
 
-# "key<TAB>sim_ns" pairs from a baseline-format JSON object. Also
-# accepts the legacy flat format ("key": 123) so an old committed
-# baseline still gates the first run after this format change.
+# "key<TAB>sim_ns" pairs from a baseline-format JSON object.
 parse() {
-    awk -F'"' '/"sim_ns":/ || /": *[0-9]+,?$/ {
+    awk -F'"' '/"sim_ns":/ {
         v = $0
-        if (v ~ /"sim_ns":/)
-            sub(/.*"sim_ns":/, "", v)
-        else
-            sub(/.*": */, "", v)
+        sub(/.*"sim_ns":/, "", v)
         sub(/[^0-9].*/, "", v)
         if ($2 != "" && v != "") print $2 "\t" v
     }' "$1"
@@ -85,12 +80,10 @@ if [ -f "$OUT" ]; then
     # Shape-check the committed baseline before comparing. A truncated,
     # hand-edited, or merge-mangled file would otherwise surface as a
     # confusing MISSING/NEW storm — or an abrupt `set -e` death with no
-    # hint — so name the offending lines and the fix instead. Accepts
-    # the current per-row-object format and the legacy flat format.
+    # hint — so name the offending lines and the fix instead.
     bad=$(awk '
         /^[{}],?$/ { next }
         /^  "[^"]+": \{"sim_ns":[0-9]+(,"detail":"[^"]*")?\},?$/ { next }
-        /^  "[^"]+": [0-9]+,?$/ { next }
         { printf "  line %d: %s\n", NR, $0 }' "$OUT")
     if ! [ -s "$OUT" ] || [ -n "$bad" ]; then
         echo "bench_compare: baseline $OUT is malformed (empty or unparseable rows):" >&2

@@ -810,9 +810,12 @@ pub enum Shape {
     /// E7's fork and wait: a lazily linking parent reaps three
     /// children that share its public counter.
     ForkWait,
+    /// E2's sparse `.uses` chain of [`EAGER_CHAIN_MODULES`] modules,
+    /// linked eagerly at init and touched [`EAGER_CHAIN_DEPTH`] deep.
+    EagerChain,
 }
 
-pub const SHAPES: [Shape; 9] = [
+pub const SHAPES: [Shape; 10] = [
     Shape::Pressure,
     Shape::DroppedShootdowns,
     Shape::Locked,
@@ -822,6 +825,7 @@ pub const SHAPES: [Shape; 9] = [
     Shape::Fuzz,
     Shape::Rwho,
     Shape::ForkWait,
+    Shape::EagerChain,
 ];
 
 impl Shape {
@@ -846,6 +850,7 @@ impl Shape {
             }
             Shape::Rwho => build_rwho(world),
             Shape::ForkWait => build_forkwait(world),
+            Shape::EagerChain => build_eager_chain(world),
         }
     }
 
@@ -859,7 +864,9 @@ impl Shape {
                 run_workload(world);
                 Vec::new()
             }
-            Shape::Chain | Shape::Fuzz | Shape::ForkWait => vec![world.spawn(exe).unwrap()],
+            Shape::Chain | Shape::Fuzz | Shape::ForkWait | Shape::EagerChain => {
+                vec![world.spawn(exe).unwrap()]
+            }
             Shape::Rwho => (0..RWHO_READERS)
                 .map(|_| world.spawn(exe).unwrap())
                 .collect(),
@@ -1148,6 +1155,54 @@ pub fn build_chain(world: &mut World) -> String {
                 ("/src/cmain.o", ShareClass::StaticPrivate),
                 ("/shared/lib/lib1.o", ShareClass::DynamicPublic),
                 ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
+// --- E2's eager chain ----------------------------------------------------
+
+/// Modules in the eager chain.
+pub const EAGER_CHAIN_MODULES: usize = 40;
+
+/// How deep `main` calls into the eager chain; the run exits with the
+/// last module it reaches, `EAGER_CHAIN_DEPTH - 1`.
+pub const EAGER_CHAIN_DEPTH: usize = 3;
+
+/// Installs E2's sparse chain (`mod_i` `.uses` and conditionally calls
+/// `mod_{i+1}`), links `/bin/eager` and sets `world.eager`, so `ldl`
+/// resolves the whole chain at init although the run touches three
+/// modules.
+pub fn build_eager_chain(world: &mut World) -> String {
+    let n = EAGER_CHAIN_MODULES;
+    for i in 0..n {
+        let body = if i + 1 < n {
+            format!(
+                ".module mod{i}\n.uses mod{next}\n.text\n.globl mod{i}_fn\n\
+                 mod{i}_fn: addi sp, sp, -8\nsw ra, 0(sp)\n\
+                 addi a0, a0, -1\nblez a0, stop\njal mod{next}_fn\n\
+                 b out\nstop: li v0, {i}\nout: lw ra, 0(sp)\naddi sp, sp, 8\njr ra\n",
+                next = i + 1
+            )
+        } else {
+            format!(".module mod{i}\n.text\n.globl mod{i}_fn\nmod{i}_fn: li v0, {i}\njr ra\n")
+        };
+        world
+            .install_template(&format!("/shared/lib/mod{i}.o"), &body)
+            .unwrap();
+    }
+    let main = format!(
+        ".module main\n.text\n.globl main\nmain: addi sp, sp, -8\nsw ra, 0(sp)\n\
+         li a0, {EAGER_CHAIN_DEPTH}\njal mod0_fn\nlw ra, 0(sp)\naddi sp, sp, 8\njr ra\n"
+    );
+    world.install_template("/src/main.o", &main).unwrap();
+    world.eager = true;
+    world
+        .link(
+            "/bin/eager",
+            &[
+                ("/src/main.o", ShareClass::StaticPrivate),
+                ("/shared/lib/mod0.o", ShareClass::DynamicPublic),
             ],
         )
         .unwrap()

@@ -290,6 +290,15 @@ fn uncorrectable_corruption_is_contained_to_the_reader() {
     assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid2), Some(135));
     assert_eq!(world.stats().eio_kills, 2);
+    // One `EioKilled` record per killed pid, and the tally reconciles.
+    let killed: Vec<_> = world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == "EioKilled")
+        .map(|r| r.pid)
+        .collect();
+    assert_eq!(killed, vec![pid, pid2]);
+    assert_eq!(world.audit(), Ok(()));
 }
 
 // --- 4. clean scrub: exact reconciliation, no state change ---

@@ -24,7 +24,8 @@
 mod common;
 
 use common::{
-    run_cell, sweep, Cell, Shape, FORKWAIT_CHILDREN, FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES,
+    run_cell, sweep, Cell, Shape, EAGER_CHAIN_DEPTH, EAGER_CHAIN_MODULES, FORKWAIT_CHILDREN,
+    FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES,
 };
 use proptest::prelude::*;
 
@@ -78,6 +79,18 @@ fn fork_wait() {
     let (replay, _) = run_cell(Shape::ForkWait, Cell::lattice()[0], 300, None, false);
     assert_eq!(replay.obs.exits, [Some(FORKWAIT_SUM)]);
     assert_eq!(replay.obs.shared, [1 + FORKWAIT_CHILDREN as u32]);
+}
+
+#[test]
+fn eager_chain() {
+    sweep(Shape::EagerChain, 300, &Cell::lattice());
+    let (replay, world) = run_cell(Shape::EagerChain, Cell::lattice()[0], 300, None, false);
+    assert_eq!(replay.obs.exits, [Some(EAGER_CHAIN_DEPTH as i32 - 1)]);
+    // Init resolved all 40 references (main's and 39 `.uses` edges),
+    // so no fault ever reached the linker.
+    let ldl = world.stats().ldl;
+    let resolved = (ldl.symbols_resolved, ldl.faults_resolved, ldl.lazy_links);
+    assert_eq!(resolved, (EAGER_CHAIN_MODULES as u64, 0, 0));
 }
 
 proptest! {
