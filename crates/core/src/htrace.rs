@@ -113,6 +113,12 @@ impl TraceBuffer {
 
     /// Renders the retained records as a text table for debugging.
     pub fn dump(&self) -> String {
+        self.dump_with(TraceEvent::to_string)
+    }
+
+    /// [`TraceBuffer::dump`] with each event rendered by `render`, so
+    /// the owner can add what only it knows (a path for an inode).
+    pub fn dump_with(&self, render: impl Fn(&TraceEvent) -> String) -> String {
         let mut out = String::new();
         if self.evicted > 0 {
             out.push_str(&format!("... {} older records evicted ...\n", self.evicted));
@@ -120,7 +126,10 @@ impl TraceBuffer {
         for r in &self.records {
             out.push_str(&format!(
                 "[{:>6}] pid {:<3} +{:>8} ns  {}\n",
-                r.seq, r.pid, r.cost_ns, r.event
+                r.seq,
+                r.pid,
+                r.cost_ns,
+                render(&r.event)
             ));
         }
         out
@@ -203,14 +212,14 @@ mod tests {
             5_000,
             TraceEvent::AddrTranslated {
                 addr: 0x3000_0000,
-                path: "/shared/db".into(),
+                ino: 5,
             },
         );
         assert_eq!(t.records_for(1).count(), 1);
         assert_eq!(t.records_for(2).count(), 1);
         let dump = t.dump();
         assert!(dump.contains("FaultTaken addr=0x30000000"));
-        assert!(dump.contains("/shared/db"));
+        assert!(dump.contains("AddrTranslated addr=0x30000000 ino=5"));
     }
 
     /// Exactly-capacity fill: nothing is evicted, ordering is oldest

@@ -816,8 +816,16 @@ impl World {
     }
 
     /// The trace ring rendered as text, for debugging E6-style runs.
+    /// An `AddrTranslated` row also names the path its inode has now.
     pub fn trace_dump(&self) -> String {
-        self.trace.dump()
+        let fs = &self.kernel.vfs.shared.fs;
+        self.trace.dump_with(|event| match event {
+            TraceEvent::AddrTranslated { ino, .. } => {
+                let path = fs.path_of(*ino).unwrap_or_else(|_| "?".into());
+                format!("{event} path={path}")
+            }
+            _ => event.to_string(),
+        })
     }
 
     // --- event handlers ---
@@ -1043,7 +1051,7 @@ impl World {
                         let state = self.link.entry(pid).or_default();
                         let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
                         ldl.load_module(&path, class, hlink::scope::ROOT)
-                            .map(|name| ldl.state.modules.get(&name).map(|m| m.base).unwrap_or(0))
+                            .map(|name| ldl.state.module(&name).map(|m| m.base).unwrap_or(0))
                     };
                     match result {
                         Ok(base) => base as i32,
@@ -1082,7 +1090,7 @@ impl World {
         let eager = self.eager;
         let result = {
             let state = self.link.entry(pid).or_default();
-            if !state.modules.is_empty() || !state.image_exports.is_empty() {
+            if state.modules().next().is_some() || !state.image_exports.is_empty() {
                 // Fork children inherit a fully initialized state; crt0
                 // runs only in fresh processes, but be idempotent.
                 return 0;
@@ -1095,10 +1103,9 @@ impl World {
                     loop {
                         let lazy: Vec<String> = ldl
                             .state
-                            .modules
-                            .values()
+                            .modules()
                             .filter(|m| m.lazy)
-                            .map(|m| m.name.clone())
+                            .map(|m| m.name().to_string())
                             .collect();
                         if lazy.is_empty() {
                             break;

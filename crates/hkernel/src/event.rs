@@ -24,8 +24,8 @@ pub enum TraceEvent {
     AddrTranslated {
         /// The translated address.
         addr: u32,
-        /// The shared-partition path it names.
-        path: String,
+        /// The shared-partition inode it names (a dump renders its path).
+        ino: u32,
     },
     /// A segment was mapped into the faulting process.
     SegmentMapped {
@@ -291,8 +291,8 @@ impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceEvent::FaultTaken { addr } => write!(f, "FaultTaken addr={addr:#010x}"),
-            TraceEvent::AddrTranslated { addr, path } => {
-                write!(f, "AddrTranslated addr={addr:#010x} path={path}")
+            TraceEvent::AddrTranslated { addr, ino } => {
+                write!(f, "AddrTranslated addr={addr:#010x} ino={ino}")
             }
             TraceEvent::SegmentMapped { base, module } => match module {
                 Some(m) => write!(f, "SegmentMapped base={base:#010x} module={m}"),

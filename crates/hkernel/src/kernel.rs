@@ -486,6 +486,7 @@ impl Kernel {
             Prot::RW,
         )?;
         proc.brk = round(image.data_base + image.data.len() as u32 + image.bss_size);
+        proc.heap_end = proc.brk;
         let aspace = &mut proc.aspace;
         if !image.text.is_empty() {
             aspace.write_bytes(&mut self.vfs.shared, image.text_base, &image.text)?;
@@ -1565,18 +1566,24 @@ impl Kernel {
             if new > layout::DYN_PRIVATE_BASE {
                 return -(FsError::NoSpace.errno());
             }
-            let first_new = old.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+            // Pages below `heap_end` are still mapped from before a
+            // shrink; map only the ones past it.
             let end = new.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            if end > first_new {
-                if let Err(e) = proc.aspace.map_anon(first_new, end - first_new, Prot::RW) {
-                    let _ = e;
+            if end > proc.heap_end {
+                if proc
+                    .aspace
+                    .map_anon(proc.heap_end, end - proc.heap_end, Prot::RW)
+                    .is_err()
+                {
                     return -(FsError::NoSpace.errno());
                 }
+                proc.heap_end = end;
             }
             proc.brk = new;
         } else if incr < 0 {
             // unsigned_abs, not negation: `-i32::MIN` overflows, and the
-            // increment is a guest-supplied register.
+            // increment is a guest-supplied register. The pages stay
+            // mapped (and `heap_end` with them).
             proc.brk = old.saturating_sub(incr.unsigned_abs());
         }
         old as i32
@@ -2072,6 +2079,50 @@ mod tests {
         k.exec_image(pid, &image(&prog, b"xxxx")).unwrap();
         let events = run_to_completion(&mut k);
         assert!(events.contains(&RunEvent::Exited(pid, 1234)));
+    }
+
+    /// Regression: a shrink leaves its pages mapped, so regrowing into
+    /// them used to fail with ENOSPC on the overlapping `map_anon`.
+    #[test]
+    fn sbrk_regrows_after_shrink() {
+        let mut k = Kernel::new();
+        let pid = k.spawn(1);
+        // base = sbrk(8192); sbrk(-4096); r10 = sbrk(4096);
+        // store/load 1234 at r10; exit((r10 - base) + loaded).
+        let mut prog = sys(Sys::Sbrk, 8192);
+        prog.push(mov(Reg(8), Reg::V0));
+        prog.extend(sys(Sys::Sbrk, (-4096i32) as u32));
+        prog.extend(sys(Sys::Sbrk, 4096));
+        prog.push(mov(Reg(10), Reg::V0));
+        prog.extend(li(Reg(9), 1234));
+        prog.push(Sw {
+            rt: Reg(9),
+            rs: Reg(10),
+            imm: 0,
+        });
+        prog.push(Lw {
+            rt: Reg(11),
+            rs: Reg(10),
+            imm: 0,
+        });
+        prog.push(Sub {
+            rd: Reg::A0,
+            rs: Reg(10),
+            rt: Reg(8),
+        });
+        prog.push(Add {
+            rd: Reg::A0,
+            rs: Reg::A0,
+            rt: Reg(11),
+        });
+        prog.extend(li(Reg::V0, Sys::Exit as u32));
+        prog.push(Syscall);
+        k.exec_image(pid, &image(&prog, b"xxxx")).unwrap();
+        let events = run_to_completion(&mut k);
+        assert!(
+            events.contains(&RunEvent::Exited(pid, 4096 + 1234)),
+            "the regrow returns the previous break and its page works: {events:?}"
+        );
     }
 
     #[test]

@@ -495,7 +495,7 @@ pub const TLB_ENTRIES: usize = 64;
 const TLB_INVALID: u32 = u32::MAX;
 
 /// A direct-mapped translation cache: vpn → slab slot. Consulted by the
-/// bus before the `BTreeMap` page walk. Structural changes that create
+/// bus before the radix [`PageTable`] walk. Structural changes that create
 /// or destroy translations (map/unmap/fork) flush it whole; protection
 /// changes and evictions invalidate only the affected pages' entries,
 /// so the rest of a hot working set stays warm across an `mprotect` or
@@ -577,11 +577,133 @@ impl Tlb {
     }
 }
 
-/// A per-process page table.
+/// Pages covered by one [`PageTable`] leaf: 4 MiB of address space.
+const LEAF_PAGES: usize = 1024;
+
+/// Shift from a vpn to its [`PageTable`] directory index.
+const LEAF_SHIFT: u32 = LEAF_PAGES.trailing_zeros();
+
+/// A [`PageTable`] leaf entry with no page mapped.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One 4 MiB span of a [`PageTable`]: a slab slot per page, and how
+/// many of them are mapped.
+#[derive(Clone, Debug)]
+struct Leaf {
+    live: u32,
+    slots: [u32; LEAF_PAGES],
+}
+
+/// A two-level radix page table: vpn → slab slot.
+///
+/// The directory holds one optional leaf per 4 MiB span. A leaf is
+/// allocated by the first mapping inside it and freed with its last,
+/// and the directory ends at the highest leaf in use. A lookup is two
+/// indexed loads, and mapping a range costs one store per page, so a
+/// process pays for its mapped spans rather than a tree per page.
+#[derive(Clone, Debug, Default)]
+struct PageTable {
+    dir: Vec<Option<Box<Leaf>>>,
+    len: usize,
+}
+
+impl PageTable {
+    /// Directory index and leaf index of a vpn.
+    #[inline]
+    fn split(vpn: u32) -> (usize, usize) {
+        (
+            (vpn >> LEAF_SHIFT) as usize,
+            vpn as usize & (LEAF_PAGES - 1),
+        )
+    }
+
+    /// The slot mapped at `vpn`, if any.
+    #[inline]
+    fn get(&self, vpn: u32) -> Option<u32> {
+        let (d, i) = Self::split(vpn);
+        let slot = self.dir.get(d)?.as_ref()?.slots[i];
+        (slot != NO_SLOT).then_some(slot)
+    }
+
+    /// Number of mapped pages.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Maps the unmapped `vpn` to `slot`.
+    fn insert(&mut self, vpn: u32, slot: u32) {
+        let (d, i) = Self::split(vpn);
+        if d >= self.dir.len() {
+            self.dir.resize_with(d + 1, || None);
+        }
+        let leaf = self.dir[d].get_or_insert_with(|| {
+            Box::new(Leaf {
+                live: 0,
+                slots: [NO_SLOT; LEAF_PAGES],
+            })
+        });
+        debug_assert_eq!(leaf.slots[i], NO_SLOT, "insert over a live mapping");
+        leaf.slots[i] = slot;
+        leaf.live += 1;
+        self.len += 1;
+    }
+
+    /// Unmaps `vpn`, returning its slot. Frees the leaf with its last
+    /// mapping and trims the directory to the highest leaf still used.
+    fn remove(&mut self, vpn: u32) -> Option<u32> {
+        let (d, i) = Self::split(vpn);
+        let leaf = self.dir.get_mut(d)?.as_mut()?;
+        let slot = std::mem::replace(&mut leaf.slots[i], NO_SLOT);
+        if slot == NO_SLOT {
+            return None;
+        }
+        leaf.live -= 1;
+        self.len -= 1;
+        if leaf.live == 0 {
+            self.dir[d] = None;
+            while matches!(self.dir.last(), Some(None)) {
+                self.dir.pop();
+            }
+        }
+        Some(slot)
+    }
+
+    /// Unmaps everything and frees every leaf.
+    fn clear(&mut self) {
+        self.dir = Vec::new();
+        self.len = 0;
+    }
+
+    /// Mapped `(vpn, slot)` pairs with `from <= vpn < to`, in vpn order.
+    /// Absent leaves are skipped whole.
+    fn range(&self, from: u32, to: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let end = (to as usize).min(self.dir.len() * LEAF_PAGES);
+        let start = (from as usize).min(end);
+        (start / LEAF_PAGES..end.div_ceil(LEAF_PAGES))
+            .filter_map(|d| Some((d, self.dir[d].as_deref()?)))
+            .flat_map(move |(d, leaf)| {
+                let first = d * LEAF_PAGES;
+                let lo = start.max(first) - first;
+                let hi = end.min(first + LEAF_PAGES) - first;
+                leaf.slots[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &slot)| slot != NO_SLOT)
+                    .map(move |(i, &slot)| ((first + lo + i) as u32, slot))
+            })
+    }
+
+    /// The lowest mapped vpn in `[from, to)`.
+    fn next_mapped(&self, from: u32, to: u32) -> Option<u32> {
+        self.range(from, to).next().map(|(vpn, _)| vpn)
+    }
+}
+
+/// A per-process address space.
 ///
 /// Page entries live in a slab (`entries` + `free`) so a slot index,
-/// once handed out, stays valid until that page is unmapped; the
-/// `pages` tree maps virtual page numbers to slots. The software TLB
+/// once handed out, stays valid until that page is unmapped; the radix
+/// `pages` table maps virtual page numbers to slots. The software TLB
 /// caches recent vpn→slot translations for the bus hot path.
 ///
 /// invariant: every slot reachable from `pages` (or cached in the TLB,
@@ -591,7 +713,7 @@ impl Tlb {
 /// all lean on this.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    pages: BTreeMap<u32, u32>,
+    pages: PageTable,
     entries: Vec<Option<PageEntry>>,
     free: Vec<u32>,
     tlb: Tlb,
@@ -743,7 +865,7 @@ impl AddressSpace {
     /// the user-level fault→handler→map→restart protocol. Page-granular:
     /// no remap, the existing entry just becomes resident again.
     pub fn repage_shared(&mut self, pid: u32, addr: u32) -> RepageOutcome {
-        let Some(&slot) = self.pages.get(&vpn(addr)) else {
+        let Some(slot) = self.pages.get(vpn(addr)) else {
             return RepageOutcome::NotEvicted;
         };
         let AddressSpace {
@@ -800,7 +922,7 @@ impl AddressSpace {
     /// terminates.
     pub(crate) fn clock_scan(&mut self, from_vpn: u32) -> Option<u32> {
         let AddressSpace { pages, entries, .. } = self;
-        for (&vp, &slot) in pages.range(from_vpn..) {
+        for (vp, slot) in pages.range(from_vpn, u32::MAX) {
             let entry = entries[slot as usize].as_mut().expect("live slot");
             if entry.flags & F_RESIDENT == 0 {
                 continue;
@@ -831,7 +953,7 @@ impl AddressSpace {
         shared: &mut SharedFs,
     ) -> EvictOutcome {
         let addr = page_vpn * PAGE_SIZE;
-        let Some(&slot) = self.pages.get(&page_vpn) else {
+        let Some(slot) = self.pages.get(page_vpn) else {
             return EvictOutcome::NotResident;
         };
         let AddressSpace {
@@ -911,7 +1033,7 @@ impl AddressSpace {
 
     /// Looks up the entry covering `addr`.
     pub fn entry(&self, addr: u32) -> Option<&PageEntry> {
-        let slot = *self.pages.get(&vpn(addr))?;
+        let slot = self.pages.get(vpn(addr))?;
         self.entries[slot as usize].as_ref()
     }
 
@@ -973,7 +1095,7 @@ impl AddressSpace {
     pub fn map_anon(&mut self, addr: u32, len: u32, prot: Prot) -> Result<(), MemError> {
         let (first, pages) = Self::check_range(addr, len)?;
         for p in first..first + pages {
-            if self.pages.contains_key(&p) {
+            if self.pages.get(p).is_some() {
                 return Err(MemError::Overlap {
                     addr: p * PAGE_SIZE,
                 });
@@ -1007,7 +1129,7 @@ impl AddressSpace {
     ) -> Result<(), MemError> {
         let (first, pages) = Self::check_range(addr, len)?;
         for p in first..first + pages {
-            if self.pages.contains_key(&p) {
+            if self.pages.get(p).is_some() {
                 return Err(MemError::Overlap {
                     addr: p * PAGE_SIZE,
                 });
@@ -1038,14 +1160,14 @@ impl AddressSpace {
     pub fn unmap(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
         let (first, pages) = Self::check_range(addr, len)?;
         for p in first..first + pages {
-            if !self.pages.contains_key(&p) {
+            if self.pages.get(p).is_none() {
                 return Err(MemError::NotMapped {
                     addr: p * PAGE_SIZE,
                 });
             }
         }
         for p in first..first + pages {
-            let slot = self.pages.remove(&p).expect("checked");
+            let slot = self.pages.remove(p).expect("checked");
             if let Some(entry) = self.entries[slot as usize].take() {
                 if entry.is_resident() {
                     self.resident -= 1;
@@ -1067,14 +1189,14 @@ impl AddressSpace {
     pub fn set_prot(&mut self, addr: u32, len: u32, prot: Prot) -> Result<(), MemError> {
         let (first, pages) = Self::check_range(addr, len)?;
         for p in first..first + pages {
-            if !self.pages.contains_key(&p) {
+            if self.pages.get(p).is_none() {
                 return Err(MemError::NotMapped {
                     addr: p * PAGE_SIZE,
                 });
             }
         }
         for p in first..first + pages {
-            let slot = *self.pages.get(&p).expect("checked");
+            let slot = self.pages.get(p).expect("checked");
             self.entry_at_slot_mut(slot).prot = prot;
         }
         self.tlb.invalidate_range(first, pages);
@@ -1087,17 +1209,13 @@ impl AddressSpace {
         let pages = len.div_ceil(PAGE_SIZE);
         let mut candidate = vpn(lo.div_ceil(PAGE_SIZE) * PAGE_SIZE);
         let limit = vpn(hi);
-        for (&p, _) in self.pages.range(candidate..limit) {
-            if p >= candidate + pages {
-                break;
+        while candidate + pages <= limit {
+            match self.pages.next_mapped(candidate, candidate + pages) {
+                Some(p) => candidate = p + 1,
+                None => return Some(candidate * PAGE_SIZE),
             }
-            candidate = p + 1;
         }
-        if candidate + pages <= limit {
-            Some(candidate * PAGE_SIZE)
-        } else {
-            None
-        }
+        None
     }
 
     /// The clone used by `fork`: anonymous frames become shared
@@ -1183,9 +1301,9 @@ impl AddressSpace {
         let mut written = 0usize;
         let mut a = addr;
         while written < data.len() {
-            let slot = *self
+            let slot = self
                 .pages
-                .get(&vpn(a))
+                .get(vpn(a))
                 .ok_or(MemError::NotMapped { addr: a })?;
             let entry = self.entries[slot as usize].as_mut().expect("live slot");
             let off = (a % PAGE_SIZE) as usize;
@@ -1371,10 +1489,10 @@ impl MemBus<'_> {
             }
             None => {
                 self.aspace.stats.tlb_misses += 1;
-                let slot = *self
+                let slot = self
                     .aspace
                     .pages
-                    .get(&vp)
+                    .get(vp)
                     .ok_or(Fault::Unmapped { addr, access })?;
                 self.ensure_resident(slot, addr, access)?;
                 self.aspace.tlb.fill(vp, slot);
@@ -1638,7 +1756,7 @@ impl MemBus<'_> {
             return Some(code);
         }
         let vp = vpn(pc);
-        let slot = *aspace.pages.get(&vp)?;
+        let slot = aspace.pages.get(vp)?;
         let entry = aspace.entries[slot as usize].as_ref()?;
         if entry.flags & F_RESIDENT == 0 || !entry.prot.can_exec() {
             return None;
@@ -1754,6 +1872,7 @@ impl Bus for MemBus<'_> {
 mod tests {
     use super::*;
     use hsfs::SLOT_SIZE;
+    use proptest::prelude::*;
 
     const P: u32 = PAGE_SIZE;
 
@@ -2125,6 +2244,153 @@ mod tests {
         let mut bus = MemBus::new(&mut a, &mut s);
         bus.store32(base + SLOT_SIZE - 4, 7).unwrap();
         assert_eq!(bus.load32(base + SLOT_SIZE - 4).unwrap(), 7);
+    }
+
+    /// The highest vpn of the 32-bit address space.
+    const TOP: u32 = (1 << 20) - 1;
+
+    /// What the page-table model records per mapped vpn: shared or not,
+    /// the protection, and whether a store made it resident.
+    type Model = BTreeMap<u32, (bool, Prot, bool)>;
+
+    /// First-fit over the model, as `find_free` answered with the
+    /// ordered tree it used to keep.
+    fn model_find_free(model: &Model, pages: u32, first: u32, limit: u32) -> Option<u32> {
+        let mut candidate = first;
+        if candidate < limit {
+            for (&p, _) in model.range(candidate..limit) {
+                if p >= candidate + pages {
+                    break;
+                }
+                candidate = p + 1;
+            }
+        }
+        (candidate + pages <= limit).then_some(candidate)
+    }
+
+    /// Every vpn the clock hand visits, in order, from a fresh sweep.
+    fn clock_order(a: &mut AddressSpace) -> Vec<u32> {
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(vp) = a.clock_scan(from) {
+            seen.push(vp);
+            from = vp + 1;
+        }
+        seen
+    }
+
+    /// Start vpns near the interesting edges: vpn 0, both sides of the
+    /// first two 4 MiB leaf boundaries, the top vpn, and anywhere.
+    fn edge_vpn() -> impl Strategy<Value = u32> {
+        let leaf = LEAF_PAGES as u32;
+        prop_oneof![
+            0u32..4,
+            leaf - 3..leaf + 3,
+            2 * leaf - 3..2 * leaf + 3,
+            TOP - 4..TOP + 1,
+            0u32..TOP + 1,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        /// The radix table answers exactly as an ordered map of the same
+        /// mappings: lookups, the page count, first-fit placement and the
+        /// clock hand's order. Its directory ends at the highest leaf in
+        /// use and holds a leaf exactly where a page is mapped.
+        #[test]
+        fn page_table_agrees_with_an_ordered_map(
+            ops in proptest::collection::vec(
+                (0u8..5, edge_vpn(), prop_oneof![1u32..4, 1020u32..1030], 0usize..4),
+                1..40,
+            ),
+            free_len in 1u32..6,
+        ) {
+            const PROTS: [Prot; 4] = [Prot::NONE, Prot::R, Prot::RW, Prot::RX];
+            let mut s = SharedFs::new();
+            let mut a = AddressSpace::new();
+            let mut model = Model::new();
+            for (op, first, pages, p) in ops {
+                let pages = pages.min((1 << 20) - first);
+                let addr = first * P;
+                let len = pages * P;
+                let range = first..first + pages;
+                let all_mapped = range.clone().all(|v| model.contains_key(&v));
+                let none_mapped = range.clone().all(|v| !model.contains_key(&v));
+                match op {
+                    0 | 1 => {
+                        let shared = op == 1;
+                        let got = if shared {
+                            a.map_shared(addr, len, PROTS[p], 7, 0)
+                        } else {
+                            a.map_anon(addr, len, PROTS[p])
+                        };
+                        prop_assert_eq!(got.is_ok(), none_mapped);
+                        if none_mapped {
+                            for v in range.clone() {
+                                model.insert(v, (shared, PROTS[p], false));
+                            }
+                        }
+                    }
+                    2 => {
+                        prop_assert_eq!(a.unmap(addr, len).is_ok(), all_mapped);
+                        if all_mapped {
+                            for v in range.clone() {
+                                model.remove(&v);
+                            }
+                        }
+                    }
+                    3 => {
+                        prop_assert_eq!(a.set_prot(addr, len, PROTS[p]).is_ok(), all_mapped);
+                        if all_mapped {
+                            for v in range.clone() {
+                                model.get_mut(&v).unwrap().1 = PROTS[p];
+                            }
+                        }
+                    }
+                    _ => {
+                        // A host store materializes a private page.
+                        if let Some((false, _, resident)) = model.get_mut(&first) {
+                            a.write_bytes(&mut s, addr, &[1]).unwrap();
+                            *resident = true;
+                        }
+                    }
+                }
+                prop_assert_eq!(a.page_count(), model.len());
+                for v in range.start.saturating_sub(1)..range.end.saturating_add(1).min(1 << 20) {
+                    let got = a.entry(v * P).map(|e| {
+                        (matches!(e.kind, PageKind::Shared { .. }), e.prot, e.is_resident())
+                    });
+                    prop_assert_eq!(got, model.get(&v).copied(), "vpn {:#x}", v);
+                }
+                let leaves = model.keys().next_back().map_or(0, |&v| v as usize / LEAF_PAGES + 1);
+                prop_assert_eq!(a.pages.dir.len(), leaves);
+                for (d, leaf) in a.pages.dir.iter().enumerate() {
+                    let lo = (d * LEAF_PAGES) as u32;
+                    let used = model.range(lo..lo + LEAF_PAGES as u32).next().is_some();
+                    prop_assert_eq!(leaf.is_some(), used, "leaf {}", d);
+                }
+                // `hi` is an exclusive address, so the top vpn is never free.
+                for (lo, hi) in [(0, TOP), (first.saturating_sub(2), first + pages + 2)] {
+                    let hi = hi.min(TOP);
+                    prop_assert_eq!(
+                        a.find_free(free_len * P, lo * P, hi * P),
+                        model_find_free(&model, free_len, lo, hi).map(|v| v * P)
+                    );
+                }
+            }
+            for (&v, &kind) in &model {
+                let e = a.entry(v * P).unwrap();
+                prop_assert_eq!(
+                    (matches!(e.kind, PageKind::Shared { .. }), e.prot, e.is_resident()),
+                    kind
+                );
+            }
+            let resident: Vec<u32> = model.iter().filter(|(_, k)| k.2).map(|(&v, _)| v).collect();
+            prop_assert_eq!(clock_order(&mut a), resident);
+            let child = a.fork_clone();
+            prop_assert_eq!(child.page_count(), model.len());
+        }
     }
 
     /// The block path's text-page fast path falls back to the full

@@ -64,6 +64,10 @@ pub struct Process {
     next_fd: i32,
     /// Heap break (top of the private data region in use).
     pub brk: u32,
+    /// End of the mapped heap, page-aligned and never below `brk`: a
+    /// shrinking `sbrk` leaves its pages mapped, so regrowth maps only
+    /// what lies past this.
+    pub(crate) heap_end: u32,
     /// Captured console output (writes to fd 1/2).
     pub console: Vec<u8>,
     /// Guest-registered SIGSEGV handler entry point, if any. Installed via
@@ -92,6 +96,7 @@ impl Process {
             fds: BTreeMap::new(),
             next_fd: 3,
             brk: 0,
+            heap_end: 0,
             console: Vec::new(),
             segv_handler: None,
             sig_saved: None,
@@ -130,6 +135,7 @@ impl Process {
             fds: self.fds.clone(),
             next_fd: self.next_fd,
             brk: self.brk,
+            heap_end: self.heap_end,
             console: Vec::new(),
             segv_handler: self.segv_handler,
             sig_saved: None,

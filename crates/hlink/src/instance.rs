@@ -15,13 +15,14 @@
 //! linker's resolution pass.
 
 use crate::error::LinkError;
-use crate::meta::ModuleMeta;
+use crate::meta::{ModuleMeta, ModuleRecord};
 use crate::tramp::{reserve_for, TrampolineArea};
 use hobj::reloc::patch_word;
 use hobj::{binfmt, ImageReloc, Object, RelocKind, SectionId};
 use hsfs::vfs::Mount;
 use hsfs::{FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Where each piece of a module lands relative to its base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,11 +223,13 @@ pub fn apply_with_trampoline(
     }
 }
 
-/// A cache of public-module metadata keyed by shared-partition inode,
-/// backed by the on-disk records in [`crate::meta::META_DIR`].
+/// A cache of public-module records keyed by shared-partition inode,
+/// backed by the on-disk metadata in [`crate::meta::META_DIR`]. Each
+/// record is built once, at load or put, and shared by every process
+/// that maps the module.
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
-    cache: HashMap<Ino, ModuleMeta>,
+    cache: HashMap<Ino, Arc<ModuleRecord>>,
 }
 
 impl ModuleRegistry {
@@ -235,20 +238,32 @@ impl ModuleRegistry {
         ModuleRegistry::default()
     }
 
-    /// Loads (and caches) the metadata for `ino`.
-    pub fn get(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&ModuleMeta> {
+    /// Loads (and caches) the shared record for `ino`.
+    pub fn record(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&Arc<ModuleRecord>> {
         if let std::collections::hash_map::Entry::Vacant(e) = self.cache.entry(ino) {
             let meta = ModuleMeta::load(vfs, ino)?;
-            e.insert(meta);
+            e.insert(Arc::new(ModuleRecord::new(meta)));
         }
         self.cache.get(&ino)
     }
 
-    /// Stores metadata for `ino` (persisting it).
-    pub fn put(&mut self, vfs: &mut Vfs, ino: Ino, meta: ModuleMeta) -> Result<(), LinkError> {
+    /// Loads (and caches) the metadata for `ino`.
+    pub fn get(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&ModuleMeta> {
+        self.record(vfs, ino).map(|r| &r.meta)
+    }
+
+    /// Stores metadata for `ino` (persisting it) and returns the record
+    /// that now stands for the module.
+    pub fn put(
+        &mut self,
+        vfs: &mut Vfs,
+        ino: Ino,
+        meta: ModuleMeta,
+    ) -> Result<Arc<ModuleRecord>, LinkError> {
         meta.save(vfs, ino)?;
-        self.cache.insert(ino, meta);
-        Ok(())
+        let record = Arc::new(ModuleRecord::new(meta));
+        self.cache.insert(ino, record.clone());
+        Ok(record)
     }
 
     /// Drops `ino` from cache and disk (segment destroyed).
@@ -282,7 +297,7 @@ pub fn instance_path_of(template_path: &str) -> Result<String, LinkError> {
 
 /// Ensures a public module instance exists for `template_path`, creating
 /// and initializing it from the template if necessary. Returns the
-/// instance's inode and metadata.
+/// instance's inode and the registry's shared record of it.
 ///
 /// Creation is serialized with an exclusive file lock on the template
 /// ("Ldl uses file locking to synchronize the creation of shared
@@ -292,7 +307,7 @@ pub fn ensure_public_instance(
     registry: &mut ModuleRegistry,
     template_path: &str,
     lock_owner: u64,
-) -> Result<(Ino, ModuleMeta), LinkError> {
+) -> Result<(Ino, Arc<ModuleRecord>), LinkError> {
     // Follow symlinks: the Presto launcher publishes templates via
     // symlinks in a temporary directory.
     let template_vnode = vfs.resolve(template_path)?;
@@ -317,11 +332,11 @@ fn ensure_locked(
     registry: &mut ModuleRegistry,
     template_path: &str,
     instance_path: &str,
-) -> Result<(Ino, ModuleMeta), LinkError> {
+) -> Result<(Ino, Arc<ModuleRecord>), LinkError> {
     // Fast path: instance already exists.
     if let Ok(v) = vfs.resolve(instance_path) {
-        if let Some(meta) = registry.get(vfs, v.ino) {
-            return Ok((v.ino, meta.clone()));
+        if let Some(record) = registry.record(vfs, v.ino) {
+            return Ok((v.ino, record.clone()));
         }
         // Instance file exists but has no metadata — treat as a plain
         // data segment created by someone else; not a module error here.
@@ -356,13 +371,15 @@ fn ensure_locked(
         .truncate_vnode(vnode, inst.layout.total_len as u64)
         .and_then(|()| vfs.write_vnode(vnode, 0, &inst.bytes))
         .map_err(LinkError::from)
-        .and_then(|()| registry.put(vfs, vnode.ino, inst.meta.clone()));
-    if let Err(e) = init {
-        registry.forget(vfs, vnode.ino);
-        let _ = vfs.unlink(instance_path);
-        return Err(e);
+        .and_then(|()| registry.put(vfs, vnode.ino, inst.meta));
+    match init {
+        Ok(record) => Ok((vnode.ino, record)),
+        Err(e) => {
+            registry.forget(vfs, vnode.ino);
+            let _ = vfs.unlink(instance_path);
+            Err(e)
+        }
     }
-    Ok((vnode.ino, inst.meta))
 }
 
 #[cfg(test)]
@@ -475,14 +492,16 @@ mod tests {
             0,
         )
         .unwrap();
-        let (ino1, meta1) =
+        let (ino1, rec1) =
             ensure_public_instance(&mut vfs, &mut reg, "/shared/lib/counter.o", 1).unwrap();
+        let meta1 = &rec1.meta;
         assert_eq!(meta1.base, SharedFs::addr_of_ino(ino1));
-        // Second caller (different process) gets the same instance.
-        let (ino2, meta2) =
+        // Second caller (different process) gets the same instance, and
+        // the very record the first one got.
+        let (ino2, rec2) =
             ensure_public_instance(&mut vfs, &mut reg, "/shared/lib/counter.o", 2).unwrap();
         assert_eq!(ino1, ino2);
-        assert_eq!(meta1, meta2);
+        assert!(Arc::ptr_eq(&rec1, &rec2));
         // The instance file holds the relocated bytes.
         let content = vfs.read_all("/shared/lib/counter").unwrap();
         assert_eq!(content.len() as u32, meta1.total_len);
@@ -521,9 +540,9 @@ mod tests {
         .unwrap();
         vfs.symlink("/templates/counter.o", "/shared/tmp/job/counter.o", 0)
             .unwrap();
-        let (_, meta) =
+        let (_, rec) =
             ensure_public_instance(&mut vfs, &mut reg, "/shared/tmp/job/counter.o", 1).unwrap();
-        assert_eq!(meta.name, "counter");
+        assert_eq!(rec.meta.name, "counter");
         assert!(vfs.resolve("/shared/templates/counter").is_ok());
     }
 
@@ -540,9 +559,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let (ino, meta) =
+        let (ino, rec) =
             ensure_public_instance(&mut vfs, &mut reg, "/shared/lib/counter.o", 1).unwrap();
         reg.clear_cache(); // "reboot"
-        assert_eq!(reg.get(&mut vfs, ino), Some(&meta));
+        assert_eq!(reg.get(&mut vfs, ino), Some(&rec.meta));
     }
 }

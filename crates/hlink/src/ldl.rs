@@ -16,6 +16,7 @@
 
 use crate::error::LinkError;
 use crate::instance::{ensure_public_instance, instantiate, ModuleRegistry};
+use crate::meta::{ModuleMeta, ModuleRecord};
 use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
 use crate::tramp::trampoline_code;
@@ -25,28 +26,25 @@ use hobj::reloc::RelocError;
 use hobj::{binfmt, ImageReloc, LoadImage, RelocKind, SearchStrategy, ShareClass};
 use hsfs::vfs::Mount;
 use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-/// One linked (or pending) module in a process.
+/// One linked (or pending) module in a process: the module's record
+/// plus what this process alone knows about its instance.
 #[derive(Clone, Debug)]
 pub struct ModuleInst {
-    /// Module name.
-    pub name: String,
+    /// Name, exports and search information. A public module's record
+    /// is the registry's, shared by every process that maps it; a
+    /// private instance owns its own.
+    record: Arc<ModuleRecord>,
     /// Sharing class.
     pub class: ShareClass,
     /// Base address of the instance.
     pub base: u32,
     /// Mapped length.
     pub total_len: u32,
-    /// Exported globals (definition order, as recorded by the linker).
-    pub exports: Vec<(String, u32)>,
-    /// Hashed index over `exports` for O(1) symbol lookup (first
-    /// definition wins, matching the historical linear scan).
-    export_index: HashMap<String, u32>,
     /// Unresolved relocations (nonempty ⇒ mapped without access).
     pub pending: Vec<ImageReloc>,
-    /// The module's own scoped-linking search information.
-    pub search: hobj::SearchSpec,
     /// Mapped without access permissions, awaiting its first touch.
     pub lazy: bool,
     /// Shared-partition inode (public modules only).
@@ -56,24 +54,50 @@ pub struct ModuleInst {
 }
 
 impl ModuleInst {
+    /// An instance of `record` at the record's base, awaiting its first
+    /// touch if references remain pending.
+    pub fn new(record: Arc<ModuleRecord>, class: ShareClass, ino: Option<Ino>) -> ModuleInst {
+        let meta = &record.meta;
+        ModuleInst {
+            class,
+            base: meta.base,
+            total_len: meta.total_len,
+            pending: meta.pending.clone(),
+            lazy: meta.needs_lazy_link(),
+            ino,
+            tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
+            record,
+        }
+    }
+
+    /// Module name.
+    pub fn name(&self) -> &str {
+        &self.record.meta.name
+    }
+
+    /// Exported globals (definition order, as recorded by the linker).
+    pub fn exports(&self) -> &[(String, u32)] {
+        &self.record.meta.exports
+    }
+
+    /// The module's own scoped-linking search information.
+    pub fn search(&self) -> &hobj::SearchSpec {
+        &self.record.meta.search
+    }
+
+    /// O(1) export lookup through the record's index.
+    pub fn export(&self, symbol: &str) -> Option<u32> {
+        self.record.export(symbol)
+    }
+
+    /// The record this instance was made from.
+    pub fn record(&self) -> &Arc<ModuleRecord> {
+        &self.record
+    }
+
     /// True if `addr` falls inside this instance.
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && addr < self.base + self.total_len
-    }
-
-    /// O(1) export lookup through the hashed index.
-    pub fn export(&self, symbol: &str) -> Option<u32> {
-        self.export_index.get(symbol).copied()
-    }
-
-    /// Builds the hashed index for an export list. Duplicate names keep
-    /// the first address, exactly as the old `iter().find(..)` scan did.
-    pub fn index_exports(exports: &[(String, u32)]) -> HashMap<String, u32> {
-        let mut index = HashMap::with_capacity(exports.len());
-        for (name, addr) in exports {
-            index.entry(name.clone()).or_insert(*addr);
-        }
-        index
     }
 }
 
@@ -161,7 +185,10 @@ impl LdlStats {
 #[derive(Clone, Debug, Default)]
 pub struct LinkState {
     /// Loaded modules by name.
-    pub modules: HashMap<String, ModuleInst>,
+    modules: HashMap<String, ModuleInst>,
+    /// Module names by base address. Instances never overlap, so the
+    /// one that can hold an address is the last based at or below it.
+    by_base: BTreeMap<u32, String>,
     /// The link DAG for scoped resolution.
     pub dag: LinkDag,
     /// The main image's exports.
@@ -203,9 +230,28 @@ pub struct LinkState {
 }
 
 impl LinkState {
+    /// The loaded module called `name`.
+    pub fn module(&self, name: &str) -> Option<&ModuleInst> {
+        self.modules.get(name)
+    }
+
+    /// Every loaded module, in no particular order.
+    pub fn modules(&self) -> impl Iterator<Item = &ModuleInst> {
+        self.modules.values()
+    }
+
+    /// Adds a module under its name and base; returns the name.
+    fn insert_module(&mut self, inst: ModuleInst) -> String {
+        let name = inst.name().to_string();
+        self.by_base.insert(inst.base, name.clone());
+        self.modules.insert(name.clone(), inst);
+        name
+    }
+
     /// The module instance containing `addr`, if any.
     pub fn module_at(&self, addr: u32) -> Option<&ModuleInst> {
-        self.modules.values().find(|m| m.contains(addr))
+        let (_, name) = self.by_base.range(..=addr).next_back()?;
+        self.modules.get(name).filter(|m| m.contains(addr))
     }
 
     /// Looks up a symbol among the image and every loaded module
@@ -324,8 +370,15 @@ impl<'a> Ldl<'a> {
             if rec.class != ShareClass::StaticPublic {
                 continue;
             }
-            let vnode = self.kernel.vfs.resolve(&rec.path)?;
-            self.map_public_module(vnode.ino, ShareClass::StaticPublic, ROOT)?;
+            let ino = self.kernel.vfs.resolve(&rec.path)?.ino;
+            let record = self
+                .registry
+                .record(&mut self.kernel.vfs, ino)
+                .cloned()
+                .ok_or(LinkError::Unresolvable {
+                    addr: SharedFs::addr_of_ino(ino),
+                })?;
+            self.map_public_module(record, ino, ShareClass::StaticPublic, ROOT)?;
         }
         // Locate and link dynamic modules.
         let search = self.runtime_search();
@@ -447,22 +500,21 @@ impl<'a> Ldl<'a> {
                 .map_err(LinkError::Fs)?;
         }
         for m in &snap.modules {
-            self.state.modules.insert(
-                m.name.clone(),
-                ModuleInst {
-                    name: m.name.clone(),
-                    class: m.class,
-                    base: m.base,
-                    total_len: m.total_len,
-                    export_index: ModuleInst::index_exports(&m.exports),
-                    exports: m.exports.clone(),
-                    pending: m.pending.clone(),
-                    search: m.search.clone(),
-                    lazy: m.lazy,
-                    ino: Some(m.ino),
-                    tramp: m.tramp,
-                },
-            );
+            let meta = ModuleMeta {
+                name: m.name.clone(),
+                base: m.base,
+                total_len: m.total_len,
+                tramp_off: m.tramp.0,
+                tramp_cap: m.tramp.1,
+                tramp_used: m.tramp.2,
+                exports: m.exports.clone(),
+                pending: m.pending.clone(),
+                search: m.search.clone(),
+                ..ModuleMeta::default()
+            };
+            let mut inst = ModuleInst::new(Arc::new(ModuleRecord::new(meta)), m.class, Some(m.ino));
+            inst.lazy = m.lazy;
+            self.state.insert_module(inst);
             for parent in &m.parents {
                 self.state.dag.add_edge(&m.name, parent);
             }
@@ -533,7 +585,7 @@ impl<'a> Ldl<'a> {
             .state
             .modules
             .values()
-            .filter_map(|m| m.ino.map(|i| (m.name.clone(), i)))
+            .filter_map(|m| m.ino.map(|i| (m.name().to_string(), i)))
             .collect();
         insts.sort();
         let mount = self.kernel.vfs.mount_point.clone();
@@ -546,7 +598,7 @@ impl<'a> Ldl<'a> {
                 return;
             };
             modules.push(crate::snapshot::SnapModule {
-                name: m.name.clone(),
+                name: name.clone(),
                 class: m.class,
                 path: format!("{mount}{inner}"),
                 ino: *ino,
@@ -554,10 +606,10 @@ impl<'a> Ldl<'a> {
                 total_len: m.total_len,
                 lazy: m.lazy,
                 tramp: m.tramp,
-                exports: m.exports.clone(),
+                exports: m.exports().to_vec(),
                 pending: m.pending.clone(),
-                search: m.search.clone(),
-                parents: self.state.dag.parents_of(&m.name).to_vec(),
+                search: m.search().clone(),
+                parents: self.state.dag.parents_of(name).to_vec(),
                 content_digest: 0,
                 meta_digest: 0,
             });
@@ -615,8 +667,8 @@ impl<'a> Ldl<'a> {
     ) -> Result<String, LinkError> {
         match class {
             ShareClass::DynamicPublic | ShareClass::StaticPublic => {
-                let ino = self.ensure_public_with_retry(template_path)?;
-                self.map_public_module(ino, class, parent)
+                let (ino, record) = self.ensure_public_with_retry(template_path)?;
+                self.map_public_module(record, ino, class, parent)
             }
             ShareClass::DynamicPrivate | ShareClass::StaticPrivate => {
                 self.load_private_module(template_path, parent)
@@ -642,7 +694,10 @@ impl<'a> Ldl<'a> {
     /// [`LdlStats::retry_backoff_steps`], which the cost model prices.
     /// A success after ≥1 retry journals an `ldl-retry`
     /// [`TraceEvent::RecoveryTaken`] so the trace shows the recovery.
-    fn ensure_public_with_retry(&mut self, template_path: &str) -> Result<Ino, LinkError> {
+    fn ensure_public_with_retry(
+        &mut self,
+        template_path: &str,
+    ) -> Result<(Ino, Arc<ModuleRecord>), LinkError> {
         const MAX_LINK_RETRIES: u32 = 4;
         let mut attempt = 0u32;
         loop {
@@ -652,14 +707,14 @@ impl<'a> Ldl<'a> {
                 template_path,
                 self.pid as u64,
             ) {
-                Ok((ino, _)) => {
+                Ok(found) => {
                     if attempt > 0 {
                         self.state.journal.push(TraceEvent::RecoveryTaken {
                             action: "ldl-retry",
                             retries: attempt,
                         });
                     }
-                    return Ok(ino);
+                    return Ok(found);
                 }
                 Err(e) if attempt < MAX_LINK_RETRIES && Self::is_transient(&e) => {
                     attempt += 1;
@@ -671,29 +726,23 @@ impl<'a> Ldl<'a> {
         }
     }
 
-    /// Maps an existing public instance into this process.
+    /// Maps the public instance `ino`, described by `record`, into this
+    /// process.
     fn map_public_module(
         &mut self,
+        record: Arc<ModuleRecord>,
         ino: Ino,
         class: ShareClass,
         parent: &str,
     ) -> Result<String, LinkError> {
-        let meta = self
-            .registry
-            .get(&mut self.kernel.vfs, ino)
-            .cloned()
-            .ok_or(LinkError::Unresolvable {
-                addr: SharedFs::addr_of_ino(ino),
-            })?;
-        let name = meta.name.clone();
-        if let Some(existing) = self.state.modules.get(&name) {
+        let name = record.meta.name.as_str();
+        if self.state.modules.contains_key(name) {
             // Already mapped; just record the additional DAG edge.
-            let _ = existing;
-            self.state.dag.add_edge(&name, parent);
-            return Ok(name);
+            self.state.dag.add_edge(name, parent);
+            return Ok(name.to_string());
         }
-        let lazy = meta.needs_lazy_link();
-        let prot = if lazy { Prot::NONE } else { Prot::RWX };
+        let inst = ModuleInst::new(record, class, Some(ino));
+        let prot = if inst.lazy { Prot::NONE } else { Prot::RWX };
         let proc = self
             .kernel
             .procs
@@ -702,28 +751,13 @@ impl<'a> Ldl<'a> {
                 what: "process vanished while mapping a public module",
             })?;
         proc.aspace
-            .map_shared(meta.base, meta.total_len, prot, ino, 0)
+            .map_shared(inst.base, inst.total_len, prot, ino, 0)
             .map_err(|_| LinkError::Fs(FsError::Busy))?;
         self.state.journal.push(TraceEvent::SegmentMapped {
-            base: meta.base,
-            module: Some(name.clone()),
+            base: inst.base,
+            module: Some(inst.name().to_string()),
         });
-        self.state.modules.insert(
-            name.clone(),
-            ModuleInst {
-                name: name.clone(),
-                class,
-                base: meta.base,
-                total_len: meta.total_len,
-                export_index: ModuleInst::index_exports(&meta.exports),
-                exports: meta.exports.clone(),
-                pending: meta.pending.clone(),
-                search: meta.search.clone(),
-                lazy,
-                ino: Some(ino),
-                tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
-            },
-        );
+        let name = self.state.insert_module(inst);
         self.state.dag.add_edge(&name, parent);
         Ok(name)
     }
@@ -740,10 +774,9 @@ impl<'a> Ldl<'a> {
             path: template_path.to_string(),
             err,
         })?;
-        if let Some(existing) = self.state.modules.get(&obj.name) {
-            let name = existing.name.clone();
-            self.state.dag.add_edge(&name, parent);
-            return Ok(name);
+        if self.state.modules.contains_key(&obj.name) {
+            self.state.dag.add_edge(&obj.name, parent);
+            return Ok(obj.name);
         }
         let layout = crate::instance::layout_of(&obj);
         let proc = self
@@ -760,8 +793,11 @@ impl<'a> Ldl<'a> {
                 name: obj.name.clone(),
             })?;
         let inst = instantiate(&obj, base)?;
-        let lazy = inst.meta.needs_lazy_link();
-        let prot = if lazy { Prot::NONE } else { Prot::RWX };
+        let prot = if inst.meta.needs_lazy_link() {
+            Prot::NONE
+        } else {
+            Prot::RWX
+        };
         proc.aspace
             .map_anon(base, layout.total_len, prot)
             .map_err(|_| LinkError::OutOfPrivateSpace {
@@ -772,27 +808,10 @@ impl<'a> Ldl<'a> {
             .map_err(|_| LinkError::OutOfPrivateSpace {
                 name: obj.name.clone(),
             })?;
-        let name = inst.meta.name.clone();
-        self.state.modules.insert(
-            name.clone(),
-            ModuleInst {
-                name: name.clone(),
-                class: ShareClass::DynamicPrivate,
-                base,
-                total_len: layout.total_len,
-                export_index: ModuleInst::index_exports(&inst.meta.exports),
-                exports: inst.meta.exports.clone(),
-                pending: inst.meta.pending.clone(),
-                search: inst.meta.search.clone(),
-                lazy,
-                ino: None,
-                tramp: (
-                    inst.meta.tramp_off,
-                    inst.meta.tramp_cap,
-                    inst.meta.tramp_used,
-                ),
-            },
-        );
+        let record = Arc::new(ModuleRecord::new(inst.meta));
+        let name =
+            self.state
+                .insert_module(ModuleInst::new(record, ShareClass::DynamicPrivate, None));
         self.state.dag.add_edge(&name, parent);
         Ok(name)
     }
@@ -821,24 +840,20 @@ impl<'a> Ldl<'a> {
                 }
             }
         }
-        // Case 1: the address lies in a module mapped for lazy linking.
-        if let Some(name) = self
-            .state
-            .modules
-            .values()
-            .find(|m| m.contains(addr) && m.lazy)
-            .map(|m| m.name.clone())
-        {
+        // Case 1: the address lies in a module. One mapped for lazy
+        // linking links now. A fault inside an already-linked module
+        // (e.g. an exec attempt on a data page) is a genuine error, not
+        // a mapping request — falling into case 2 would uselessly
+        // "re-map" it forever.
+        if let Some(m) = self.state.module_at(addr) {
+            if !m.lazy {
+                return self.fall_through(addr);
+            }
+            let name = m.name().to_string();
             self.lazy_link(&name)?;
             self.state.stats.faults_resolved += 1;
             self.state.stats.lazy_links += 1;
             return Ok(FaultDisposition::Resolved);
-        }
-        // A fault inside an already-linked module (e.g. an exec attempt
-        // on a data page) is a genuine error, not a mapping request —
-        // falling into case 2 would uselessly "re-map" it forever.
-        if self.state.module_at(addr).is_some() {
-            return self.fall_through(addr);
         }
         // Case 2: a pointer into the shared region.
         if SharedFs::contains(addr) {
@@ -857,16 +872,16 @@ impl<'a> Ldl<'a> {
                         let path = self.kernel.vfs.shared.fs.path_of(ino).unwrap_or_default();
                         return Err(LinkError::AccessDenied { path });
                     }
-                    let path = self.kernel.vfs.shared.fs.path_of(ino).unwrap_or_default();
                     self.state
                         .journal
-                        .push(TraceEvent::AddrTranslated { addr, path });
-                    if self.registry.get(&mut self.kernel.vfs, ino).is_some() {
+                        .push(TraceEvent::AddrTranslated { addr, ino });
+                    let record = self.registry.record(&mut self.kernel.vfs, ino).cloned();
+                    if let Some(record) = record {
                         // The segment is a module: map it (possibly for
                         // lazy linking), attributing the DAG edge to the
                         // module whose code faulted.
                         let parent = self.faulting_parent();
-                        self.map_public_module(ino, ShareClass::DynamicPublic, &parent)?;
+                        self.map_public_module(record, ino, ShareClass::DynamicPublic, &parent)?;
                     } else {
                         self.map_plain_segment(ino)?;
                         self.state.stats.segments_mapped += 1;
@@ -890,7 +905,7 @@ impl<'a> Ldl<'a> {
             .unwrap_or(0);
         self.state
             .module_at(pc)
-            .map(|m| m.name.clone())
+            .map(|m| m.name().to_string())
             .unwrap_or_else(|| ROOT.to_string())
     }
 
@@ -997,12 +1012,17 @@ impl<'a> Ldl<'a> {
             .map_err(|_| LinkError::Unresolvable { addr: base })?;
         // Persist the resolved state for public modules so other
         // processes (and later runs) see the link.
+        // This process keeps the registry's new record, like any
+        // process that maps the module from now on.
         if let Some(ino) = ino {
-            if let Some(meta) = self.registry.get(&mut self.kernel.vfs, ino).cloned() {
-                let mut meta = meta;
+            if let Some(meta) = self.registry.get(&mut self.kernel.vfs, ino) {
+                let mut meta = meta.clone();
                 meta.pending = unresolved;
                 meta.tramp_used = tramp.2;
-                self.registry.put(&mut self.kernel.vfs, ino, meta)?;
+                let record = self.registry.put(&mut self.kernel.vfs, ino, meta)?;
+                if let Some(m) = self.state.modules.get_mut(name) {
+                    m.record = record;
+                }
             }
         }
         // The link map grew (or a module's pendings drained): re-record
@@ -1058,19 +1078,19 @@ impl<'a> Ldl<'a> {
                 }
                 // Finally the ldl search path directories.
                 let search = self.runtime_search();
-                if let Some(addr) = self.scan_dirs_for(symbol, search.dirs().to_vec(), ROOT)? {
+                if let Some(addr) = self.scan_dirs_for(symbol, search.dirs(), ROOT)? {
                     return Ok(Some(addr));
                 }
                 continue;
             }
-            let (uses, dirs) = match self.state.modules.get(&node) {
-                Some(m) => (m.search.modules.clone(), m.search.dirs.clone()),
-                None => continue,
+            let Some(record) = self.state.modules.get(&node).map(|m| m.record.clone()) else {
+                continue;
             };
+            let (uses, dirs) = (&record.meta.search.modules, &record.meta.search.dirs);
             // (a) Modules on the node's module list: load on demand (the
             // "chain reaction" of recursive inclusion).
-            for dep in &uses {
-                let dep_name = self.ensure_dep_loaded(dep, &node, &dirs)?;
+            for dep in uses {
+                let dep_name = self.ensure_dep_loaded(dep, &node, dirs)?;
                 if let Some(dep_name) = dep_name {
                     if let Some(addr) = self.export_of(&dep_name, symbol) {
                         return Ok(Some(addr));
@@ -1098,7 +1118,13 @@ impl<'a> Ldl<'a> {
     /// Exports of modules whose DAG parent includes `node`.
     fn exports_of_children(&self, node: &str, symbol: &str) -> Option<u32> {
         for m in self.state.modules.values() {
-            if self.state.dag.parents_of(&m.name).iter().any(|p| p == node) {
+            if self
+                .state
+                .dag
+                .parents_of(m.name())
+                .iter()
+                .any(|p| p == node)
+            {
                 if let Some(a) = m.export(symbol) {
                     return Some(a);
                 }
@@ -1144,14 +1170,14 @@ impl<'a> Ldl<'a> {
     fn scan_dirs_for(
         &mut self,
         symbol: &str,
-        dirs: Vec<String>,
+        dirs: &[String],
         parent: &str,
     ) -> Result<Option<u32>, LinkError> {
         for dir in dirs {
-            if !self.state.dir_cache.contains_key(&dir) {
+            if !self.state.dir_cache.contains_key(dir) {
                 self.state.stats.dir_scans += 1;
                 let mut map = HashMap::new();
-                if let Ok(names) = self.kernel.vfs.readdir(&dir) {
+                if let Ok(names) = self.kernel.vfs.readdir(dir) {
                     for file in names {
                         if !file.ends_with(".o") {
                             continue;
@@ -1168,7 +1194,7 @@ impl<'a> Ldl<'a> {
                 }
                 self.state.dir_cache.insert(dir.clone(), map);
             }
-            let hit = self.state.dir_cache[&dir].get(symbol).cloned();
+            let hit = self.state.dir_cache[dir].get(symbol).cloned();
             if let Some(template) = hit {
                 let class = match self.kernel.vfs.route_norm(&template) {
                     Ok((Mount::Shared, _)) => ShareClass::DynamicPublic,
@@ -1334,33 +1360,52 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The pre-index lookup this module used everywhere.
-    fn linear_scan(exports: &[(String, u32)], symbol: &str) -> Option<u32> {
-        exports.iter().find(|(n, _)| n == symbol).map(|&(_, a)| a)
+    fn inst(name: &str, base: u32, total_len: u32) -> ModuleInst {
+        let meta = ModuleMeta {
+            name: name.into(),
+            base,
+            total_len,
+            ..ModuleMeta::default()
+        };
+        ModuleInst::new(
+            Arc::new(ModuleRecord::new(meta)),
+            ShareClass::DynamicPrivate,
+            None,
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        /// The base-address index finds the same module as scanning
+        /// every instance, inside, between and around the instances.
         #[test]
-        fn hashed_export_lookup_agrees_with_linear_scan(
-            exports in proptest::collection::vec(("[a-c]{1,3}", any::<u32>()), 0..24),
-            probe in "[a-c]{1,3}",
+        fn module_at_agrees_with_a_linear_scan(
+            extents in proptest::collection::vec((0u32..3, 1u32..4), 0..12),
+            probes in proptest::collection::vec(0u32..64, 1..32),
+            reversed in any::<bool>(),
         ) {
-            // Names drawn from a tiny alphabet so duplicates (where
-            // first-definition-wins matters) and missing probes both
-            // occur routinely.
-            let index = ModuleInst::index_exports(&exports);
-            for (name, _) in &exports {
-                prop_assert_eq!(index.get(name).copied(), linear_scan(&exports, name));
+            const START: u32 = 0x3000_0000;
+            let mut insts = Vec::new();
+            let mut next = START;
+            for (i, (gap, pages)) in extents.into_iter().enumerate() {
+                let base = next + gap * PAGE_SIZE;
+                insts.push(inst(&format!("m{i}"), base, pages * PAGE_SIZE));
+                next = base + pages * PAGE_SIZE;
             }
-            prop_assert_eq!(index.get(&probe).copied(), linear_scan(&exports, &probe));
+            if reversed {
+                insts.reverse();
+            }
+            let mut state = LinkState::default();
+            for m in insts {
+                state.insert_module(m);
+            }
+            for probe in probes {
+                // Page-sized steps from just below the first instance,
+                // plus an offset so both page edges get probed.
+                let addr = START - PAGE_SIZE + probe * PAGE_SIZE / 2 + probe % 3;
+                let scanned = state.modules().find(|m| m.contains(addr)).map(|m| m.name());
+                prop_assert_eq!(state.module_at(addr).map(|m| m.name()), scanned);
+            }
         }
-    }
-
-    #[test]
-    fn index_keeps_first_duplicate() {
-        let exports = vec![("f".to_string(), 0x10), ("f".to_string(), 0x20)];
-        let index = ModuleInst::index_exports(&exports);
-        assert_eq!(index.get("f"), Some(&0x10));
     }
 }

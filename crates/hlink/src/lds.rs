@@ -158,15 +158,15 @@ impl Lds {
         let mut statics: Vec<StaticModuleRecord> = Vec::new();
         let mut public_metas = Vec::new();
         for (spec, path) in &public_paths {
-            let (ino, meta) = ensure_public_instance(vfs, registry, path, u64::MAX)?;
+            let (ino, record) = ensure_public_instance(vfs, registry, path, u64::MAX)?;
             statics.push(StaticModuleRecord {
-                name: meta.name.clone(),
+                name: record.meta.name.clone(),
                 path: crate::instance::instance_path_of(&vfs_real_path(vfs, path)?)?,
-                base: meta.base,
+                base: record.meta.base,
                 class: ShareClass::StaticPublic,
             });
             let _ = spec;
-            public_metas.push((ino, meta));
+            public_metas.push((ino, record));
         }
 
         // 3. Lay out the private image: text blocks (crt0 first), then a
@@ -252,7 +252,8 @@ impl Lds {
                 add_sym(&sym.name, addr, &pm.obj.name, &mut symmap, &mut warnings)?;
             }
         }
-        for (_, meta) in &public_metas {
+        for (_, record) in &public_metas {
+            let meta = &record.meta;
             for (name, addr) in &meta.exports {
                 add_sym(name, *addr, &meta.name, &mut symmap, &mut warnings)?;
             }
@@ -318,10 +319,11 @@ impl Lds {
         // 6. Resolve pendings of freshly created public instances against
         //    *public* exports (a shared module must never capture one
         //    program's private addresses).
-        for (ino, meta) in &mut public_metas {
-            if meta.pending.is_empty() {
+        for (ino, record) in &public_metas {
+            if record.meta.pending.is_empty() {
                 continue;
             }
+            let mut meta = record.meta.clone();
             let mut still = Vec::new();
             let mut inst_tramps = TrampolineArea::new(
                 meta.base + meta.tramp_off + meta.tramp_used,
@@ -344,7 +346,7 @@ impl Lds {
                 vfs.write_vnode(vnode, off, &inst_tramps.bytes())?;
             }
             meta.pending = still;
-            registry.put(vfs, *ino, meta.clone())?;
+            registry.put(vfs, *ino, meta)?;
         }
 
         // 7. Assemble the image.
@@ -476,8 +478,8 @@ fn public_metas_lookup(
             continue;
         }
         let v = vfs.resolve(&rec.path).ok()?;
-        if let Some(meta) = registry.get(vfs, v.ino) {
-            if let Some(addr) = meta.find_export(symbol) {
+        if let Some(record) = registry.record(vfs, v.ino) {
+            if let Some(addr) = record.export(symbol) {
                 return Some(addr);
             }
         }

@@ -43,7 +43,7 @@ pub use error::LinkError;
 pub use instance::ModuleRegistry;
 pub use ldl::{FaultDisposition, Ldl, LinkState, ModuleInst};
 pub use lds::{Lds, LdsInput, LdsOutput, ModuleSpec};
-pub use meta::ModuleMeta;
+pub use meta::{ModuleMeta, ModuleRecord};
 pub use search::SearchPath;
 pub use snapshot::PrelinkSnapshot;
 

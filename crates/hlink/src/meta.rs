@@ -15,6 +15,7 @@ use crate::error::LinkError;
 use hobj::binfmt::{reloc_kind_from, reloc_kind_tag, BinError, Reader, Writer};
 use hobj::{ImageReloc, SearchSpec};
 use hsfs::{Ino, Vfs};
+use std::collections::HashMap;
 
 /// Magic for module metadata records.
 pub const META_MAGIC: u32 = 0x4154_4D48; // "HMTA"
@@ -195,10 +196,68 @@ impl ModuleMeta {
     }
 }
 
+/// One module's link record: its metadata plus a hashed index over its
+/// exports, built once. The registry hands the same `Arc` of it to
+/// every process that maps the public module; a private instance owns
+/// its own.
+#[derive(Debug)]
+pub struct ModuleRecord {
+    /// The metadata the record was built from.
+    pub meta: ModuleMeta,
+    /// Export name → address (first definition wins, as in
+    /// [`ModuleMeta::find_export`]'s scan).
+    exports: HashMap<String, u32>,
+}
+
+impl ModuleRecord {
+    /// Builds the record and its export index.
+    pub fn new(meta: ModuleMeta) -> ModuleRecord {
+        let mut exports = HashMap::with_capacity(meta.exports.len());
+        for (name, addr) in &meta.exports {
+            exports.entry(name.clone()).or_insert(*addr);
+        }
+        ModuleRecord { meta, exports }
+    }
+
+    /// O(1) export lookup through the index.
+    pub fn export(&self, symbol: &str) -> Option<u32> {
+        self.exports.get(symbol).copied()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hobj::RelocKind;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        #[test]
+        fn hashed_export_lookup_agrees_with_linear_scan(
+            exports in proptest::collection::vec(("[a-c]{1,3}", any::<u32>()), 0..24),
+            probe in "[a-c]{1,3}",
+        ) {
+            // Names drawn from a tiny alphabet so duplicates (where
+            // first-definition-wins matters) and missing probes both
+            // occur routinely.
+            let meta = ModuleMeta { exports, ..ModuleMeta::default() };
+            let record = ModuleRecord::new(meta.clone());
+            for (name, _) in &meta.exports {
+                prop_assert_eq!(record.export(name), meta.find_export(name));
+            }
+            prop_assert_eq!(record.export(&probe), meta.find_export(&probe));
+        }
+    }
+
+    #[test]
+    fn index_keeps_first_duplicate() {
+        let meta = ModuleMeta {
+            exports: vec![("f".to_string(), 0x10), ("f".to_string(), 0x20)],
+            ..ModuleMeta::default()
+        };
+        assert_eq!(ModuleRecord::new(meta).export("f"), Some(0x10));
+    }
 
     fn sample() -> ModuleMeta {
         ModuleMeta {

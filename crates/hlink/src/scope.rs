@@ -32,9 +32,14 @@ impl LinkDag {
     /// are ignored; an edge that would point *down* from the root to an
     /// existing ancestor is fine (the structure is a DAG, not a tree).
     pub fn add_edge(&mut self, child: &str, parent: &str) {
-        let entry = self.parents.entry(child.to_string()).or_default();
-        if !entry.iter().any(|p| p == parent) {
-            entry.push(parent.to_string());
+        // Look up before inserting, so a known child costs no key copy.
+        let Some(parents) = self.parents.get_mut(child) else {
+            self.parents
+                .insert(child.to_string(), vec![parent.to_string()]);
+            return;
+        };
+        if !parents.iter().any(|p| p == parent) {
+            parents.push(parent.to_string());
         }
     }
 

@@ -29,8 +29,8 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> interpreter and kernel in the optimized build (block replay fast paths, debug_asserts off)"
-cargo test -q --release -p hvm -p hkernel
+echo "==> interpreter, kernel and linker in the optimized build (block replay fast paths, page-table and module-index properties, debug_asserts off)"
+cargo test -q --release -p hvm -p hkernel -p hlink
 cargo test -q --release --test e12_bbcache
 
 echo "==> process lifecycle (e7: fork/wait semantics, one world's table stays O(live))"

@@ -188,9 +188,26 @@ fn trace_records_fault_protocol_in_order() {
         &r.event,
         TraceEvent::SegmentMapped { module: Some(m), .. } if m == "mod0"
     )));
-    // And the text dump names each protocol step.
+    // The translation names the inode of the segment that gets mapped.
+    let mod0 = world.kernel.vfs.resolve("/shared/lib/mod0").unwrap().ino;
+    assert!(world.trace().records_for(pid).any(|r| matches!(
+        r.event,
+        TraceEvent::AddrTranslated { addr: a, ino } if a == addr && ino == mod0
+    )));
+    assert!(world.trace().records_for(pid).any(|r| matches!(
+        r.event,
+        TraceEvent::SegmentMapped { base, .. } if base == SharedFs::addr_of_ino(mod0)
+    )));
+    // And the text dump names each protocol step, with the translated
+    // segment's path.
     let dump = world.trace_dump();
     for want in expected {
         assert!(dump.contains(want), "dump lacks {want}:\n{dump}");
     }
+    assert!(
+        dump.contains(&format!(
+            "AddrTranslated addr={addr:#010x} ino={mod0} path=/lib/mod0"
+        )),
+        "dump lacks the translated path:\n{dump}"
+    );
 }

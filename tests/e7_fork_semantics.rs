@@ -10,6 +10,7 @@ mod common;
 
 use common::{build_counter, build_forkwait, run_prog, FORKWAIT_SUM};
 use hemlock::{ShareClass, World, WorldExit};
+use std::sync::Arc;
 
 /// A public module with a word both processes will touch.
 const SHARED_CELL: &str = r#"
@@ -96,6 +97,71 @@ fn fork_shares_public_and_copies_private() {
     assert_eq!(world.exit_code(pid), Some(570), "log: {:?}", world.log);
     // COW actually copied at least one page (the child's private store).
     assert!(world.stats().cow_copies >= 1);
+}
+
+/// One shared record per public module: two processes and a fork
+/// child that all map the same public module hold the registry's record
+/// itself, not copies of it.
+#[test]
+fn processes_and_fork_children_share_one_module_record() {
+    let mut world = World::new();
+    world
+        .install_template("/shared/lib/cell.o", SHARED_CELL)
+        .unwrap();
+    // Link the cell, fork, then both sides block forever on a fresh
+    // semaphore, so every process is live when the world deadlocks.
+    world
+        .install_template(
+            "/src/main.o",
+            r#"
+            .module main
+            .text
+            .globl main
+            main:   jal  cell_addr
+                    li   v0, 6          ; fork
+                    syscall
+                    li   v0, 12         ; sem_create(0)
+                    li   a0, 0
+                    syscall
+                    or   a0, v0, r0
+                    li   v0, 13         ; sem_p: never posted
+                    syscall
+            "#,
+        )
+        .unwrap();
+    let exe = world
+        .link(
+            "/bin/parked",
+            &[
+                ("/src/main.o", ShareClass::StaticPrivate),
+                ("/shared/lib/cell.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap();
+    let first = world.spawn(&exe).unwrap();
+    world.spawn(&exe).unwrap();
+    assert_eq!(
+        world.run(300_000),
+        WorldExit::Deadlock,
+        "log: {:?}",
+        world.log
+    );
+    let ino = world.kernel.vfs.resolve("/shared/lib/cell").unwrap().ino;
+    let shared = world
+        .registry
+        .record(&mut world.kernel.vfs, ino)
+        .unwrap()
+        .clone();
+    let pids: Vec<u32> = world.kernel.procs.keys().copied().collect();
+    assert_eq!(pids.len(), 4, "two processes and their fork children");
+    assert!(pids.iter().any(|p| world.kernel.procs[p].ppid == first));
+    for pid in pids {
+        let cell = world.link_state(pid).unwrap().module("cell").unwrap();
+        assert!(
+            Arc::ptr_eq(cell.record(), &shared),
+            "pid {pid} holds a copy"
+        );
+    }
 }
 
 #[test]

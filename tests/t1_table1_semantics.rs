@@ -40,7 +40,7 @@ fn counter_base(world: &mut World, pid: u32) -> u32 {
     loop {
         world.run(1);
         let state = world.link_state(pid).expect("live until it links");
-        if let Some(m) = state.modules.get("counter") {
+        if let Some(m) = state.module("counter") {
             return m.base;
         }
     }
