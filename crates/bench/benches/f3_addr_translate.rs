@@ -45,8 +45,9 @@ fn simulated_table() {
     let base = 0x1000_0000u32;
     let mut aspace = AddressSpace::new();
     let mut shared = SharedFs::new();
+    let mut text = hvm::SharedText::default();
     aspace.map_anon(base, npages * PAGE_SIZE, Prot::RW).unwrap();
-    let mut bus = MemBus::new(&mut aspace, &mut shared);
+    let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text);
     for pass in ["cold", "warm"] {
         let before = bus.aspace.stats;
         for i in 0..npages {

@@ -18,7 +18,7 @@ use hsfs::fs::{LockKind, NodeKind};
 use hsfs::path as fspath;
 use hsfs::vfs::{Mount, Vfs, Vnode};
 use hsfs::{FsError, PAGE_SIZE};
-use hvm::{Cpu, Fault, Instr, Reg, StepOutcome};
+use hvm::{Cpu, Fault, Instr, Reg, SharedText, StepOutcome};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -174,6 +174,9 @@ pub struct Kernel {
     /// Decoded basic-block caching (DESIGN.md §12): on by default,
     /// switched per-space at spawn/exec/fork time.
     bb_enabled: bool,
+    /// Blocks decoded from shared file pages, for every process
+    /// (DESIGN.md §12). Emptied by power cuts and `set_bbcache(false)`.
+    text: SharedText,
     /// Prelink snapshot caching (DESIGN.md §15): on by default, the
     /// linker consults it before every init-time resolve.
     link_snapshots: bool,
@@ -183,9 +186,6 @@ pub struct Kernel {
     /// link state and never touch (or bill for) the snapshot again.
     /// Cleared by the world on every reboot.
     snap_consulted: BTreeSet<String>,
-    /// Address-space id generator: every fresh space (spawn, exec,
-    /// fork child) gets the next id, deterministically.
-    next_asid: u32,
     /// Block-cache counters accumulated from exited processes (the
     /// live remainder is summed from `procs` by [`Kernel::bb_stats`]).
     reaped_bb: hvm::BbStats,
@@ -248,9 +248,9 @@ impl Kernel {
             round_active: false,
             smp_journal: Vec::new(),
             bb_enabled: true,
+            text: SharedText::default(),
             link_snapshots: true,
             snap_consulted: BTreeSet::new(),
-            next_asid: 1,
             reaped_bb: hvm::BbStats::default(),
         }
     }
@@ -258,11 +258,14 @@ impl Kernel {
     /// Enables or disables decoded basic-block caching for spaces
     /// created from now on, and reconfigures every live space (a
     /// disabled cache clears silently, so switching is unobservable).
+    /// The shared-text table follows.
     pub fn set_bbcache(&mut self, enabled: bool) {
         self.bb_enabled = enabled;
+        if !enabled {
+            self.text.flush();
+        }
         for proc in self.procs.values_mut() {
-            let asid = proc.aspace.bbcache().asid();
-            proc.aspace.bbcache_mut().configure(asid, enabled);
+            proc.aspace.bbcache_mut().configure(enabled);
         }
     }
 
@@ -313,15 +316,8 @@ impl Kernel {
             .map_err(|_| FsError::Busy)
     }
 
-    /// Tags a fresh address space with the next asid and the current
-    /// enable flag.
-    fn bb_configure(bb_enabled: bool, next_asid: &mut u32, aspace: &mut AddressSpace) {
-        let asid = *next_asid;
-        *next_asid += 1;
-        aspace.bbcache_mut().configure(asid, bb_enabled);
-    }
-
     /// Block-cache counters summed across exited and live processes.
+    /// `invalidations <= built` holds for this sum, not for each space.
     pub fn bb_stats(&self) -> hvm::BbStats {
         let mut total = self.reaped_bb;
         for proc in self.procs.values() {
@@ -382,6 +378,11 @@ impl Kernel {
         std::mem::take(&mut self.smp_journal)
     }
 
+    /// The kernel-wide table of blocks decoded from shared file pages.
+    pub fn shared_text(&self) -> &SharedText {
+        &self.text
+    }
+
     /// The kernel's frame pool (budget configuration and statistics).
     pub fn frame_pool(&self) -> &FramePool {
         &self.pool
@@ -390,9 +391,11 @@ impl Kernel {
     /// The power cut, kernel side: every process dies instantly (their
     /// per-space counters are folded into the cumulative stats first,
     /// as an exit would), semaphores, pending waits, the scheduler
-    /// round, the clock hand, and all frame/swap residency vanish.
+    /// round, the clock hand, all frame/swap residency and the
+    /// shared-text table vanish. The table must: the file system's
+    /// power cut restarts its write epochs, so old stamps would alias.
     /// Configuration (CPU count, budgets, cache enablement), the exit
-    /// records and the monotonic pid/asid generators survive — they
+    /// records and the monotonic pid generator survive — they
     /// model the machine and its history, not its RAM.
     pub fn power_cut(&mut self) {
         for (_, p) in std::mem::take(&mut self.procs) {
@@ -408,6 +411,7 @@ impl Kernel {
         self.cur_cpu = 0;
         self.round_active = false;
         self.smp_journal.clear();
+        self.text.flush();
         self.pool.reset_volatile();
         self.vfs.unlock_everything();
     }
@@ -453,7 +457,7 @@ impl Kernel {
         let mut proc = Process::new(pid, 0, uid);
         proc.aspace.arm_faults(self.faults.clone());
         proc.aspace.attach_pool(&self.pool);
-        Self::bb_configure(self.bb_enabled, &mut self.next_asid, &mut proc.aspace);
+        proc.aspace.bbcache_mut().configure(self.bb_enabled);
         self.procs.insert(pid, proc);
         pid
     }
@@ -469,7 +473,7 @@ impl Kernel {
         proc.aspace = AddressSpace::new();
         proc.aspace.arm_faults(self.faults.clone());
         proc.aspace.attach_pool(&self.pool);
-        Self::bb_configure(self.bb_enabled, &mut self.next_asid, &mut proc.aspace);
+        proc.aspace.bbcache_mut().configure(self.bb_enabled);
         proc.cpu = Cpu::new();
         proc.image_name = image.name.clone();
         if !image.text.is_empty() {
@@ -846,11 +850,11 @@ impl Kernel {
                     uid: proc.uid,
                     cpu,
                 };
+                let (aspace, shared, text) =
+                    (&mut proc.aspace, &mut self.vfs.shared, &mut self.text);
                 let mut bus = match &self.monitor {
-                    Some(monitor) => {
-                        MemBus::observed(&mut proc.aspace, &mut self.vfs.shared, ctx, monitor)
-                    }
-                    None => MemBus::attributed(&mut proc.aspace, &mut self.vfs.shared, ctx),
+                    Some(monitor) => MemBus::observed(aspace, shared, text, ctx, monitor),
+                    None => MemBus::attributed(aspace, shared, text, ctx),
                 };
                 // Fast path: replay decoded blocks, capped at the
                 // remaining budget so blocks never straddle a (sub-)
@@ -1064,7 +1068,6 @@ impl Kernel {
                 parent.cpu.set_reg(Reg::V0, child_pid);
                 let mut child = parent.fork_into(child_pid);
                 child.cpu.set_reg(Reg::V0, 0);
-                Self::bb_configure(self.bb_enabled, &mut self.next_asid, &mut child.aspace);
                 self.procs.insert(child_pid, child);
                 self.edge(SyncEdge::Fork {
                     parent: pid,

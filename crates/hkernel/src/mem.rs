@@ -35,7 +35,7 @@ use crate::layout::{
 use crate::monitor::{AccessCtx, MonitorRef};
 use crate::process::Pid;
 use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE, SLOT_SIZE};
-use hvm::bbcache::BbCache;
+use hvm::bbcache::{BbCache, SharedLookup, SharedText};
 use hvm::{Access, Bus, Fault, Instr};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -729,8 +729,9 @@ pub struct AddressSpace {
     resident: u64,
     /// Pages carrying `F_PINNED` (skips the unpin sweep when zero).
     pinned: u32,
-    /// Decoded basic-block cache (DESIGN.md §12). Disabled until the
-    /// kernel configures it; invalidated in lock-step with the TLB.
+    /// Blocks decoded from this space's private text (DESIGN.md §12).
+    /// Disabled until the kernel configures it; invalidated in
+    /// lock-step with the TLB.
     bb: BbCache,
 }
 
@@ -798,6 +799,13 @@ pub enum RepageOutcome {
 
 fn vpn(addr: u32) -> u32 {
     addr / PAGE_SIZE
+}
+
+/// Decodes the block at the start of `bytes`; `None` when its first word
+/// does not decode.
+fn decode_block(bytes: &[u8]) -> Option<Arc<[Instr]>> {
+    let code = hvm::bbcache::decode_run(bytes);
+    (!code.is_empty()).then(|| code.into())
 }
 
 impl AddressSpace {
@@ -1372,8 +1380,8 @@ impl AddressSpace {
         }
         // A host poke can patch text in place (the linkers do, for
         // trampolines and GOT slots): drop any decoded blocks covering
-        // the written range. Other spaces mapping the same shared pages
-        // catch the stamped write epoch at their next block entry.
+        // the written range. Blocks decoded from shared pages catch the
+        // stamped write epoch at their next entry.
         if !data.is_empty() {
             let first = vpn(addr);
             let pages = vpn(addr + (data.len() as u32 - 1)) - first + 1;
@@ -1408,6 +1416,8 @@ pub struct MemBus<'a> {
     pub aspace: &'a mut AddressSpace,
     /// The shared partition backing public mappings.
     pub shared: &'a mut SharedFs,
+    /// The kernel's blocks decoded from shared file pages.
+    text: &'a mut SharedText,
     /// Sanitizer hook: observes data accesses that hit shared pages.
     monitor: Option<&'a MonitorRef>,
     /// Who is driving the bus (meaningful only when `monitor` is armed).
@@ -1420,19 +1430,12 @@ pub struct MemBus<'a> {
 
 impl<'a> MemBus<'a> {
     /// An unobserved bus — the default, zero-overhead configuration.
-    pub fn new(aspace: &'a mut AddressSpace, shared: &'a mut SharedFs) -> MemBus<'a> {
-        MemBus {
-            aspace,
-            shared,
-            monitor: None,
-            ctx: AccessCtx {
-                pid: 0,
-                pc: 0,
-                uid: 0,
-                cpu: 0,
-            },
-            text_vpn: TLB_INVALID,
-        }
+    pub fn new(
+        aspace: &'a mut AddressSpace,
+        shared: &'a mut SharedFs,
+        text: &'a mut SharedText,
+    ) -> MemBus<'a> {
+        MemBus::attributed(aspace, shared, text, AccessCtx::default())
     }
 
     /// An unobserved bus that still knows who is driving it, so
@@ -1441,11 +1444,13 @@ impl<'a> MemBus<'a> {
     pub fn attributed(
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
+        text: &'a mut SharedText,
         ctx: AccessCtx,
     ) -> MemBus<'a> {
         MemBus {
             aspace,
             shared,
+            text,
             monitor: None,
             ctx,
             text_vpn: TLB_INVALID,
@@ -1457,15 +1462,13 @@ impl<'a> MemBus<'a> {
     pub fn observed(
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
+        text: &'a mut SharedText,
         ctx: AccessCtx,
         monitor: &'a MonitorRef,
     ) -> MemBus<'a> {
         MemBus {
-            aspace,
-            shared,
             monitor: Some(monitor),
-            ctx,
-            text_vpn: TLB_INVALID,
+            ..MemBus::attributed(aspace, shared, text, ctx)
         }
     }
 }
@@ -1688,9 +1691,8 @@ impl MemBus<'_> {
                         .unwrap_or(true),
                     None => true,
                 };
-                // Page-precise write-epoch stamp: other spaces with
-                // blocks decoded from this file page notice at their
-                // next block entry; blocks from its other pages live on.
+                // Page-precise write-epoch stamp: blocks decoded from
+                // the file's other pages live on.
                 let file = self
                     .shared
                     .fs
@@ -1715,18 +1717,20 @@ impl MemBus<'_> {
         }
         // W^X-style dirty hook: a store that can alter executable bytes
         // (the page is executable, or it aliases a shared file page some
-        // cached block was decoded from) drops the affected blocks and
-        // moves the store epoch, so a block in flight aborts before its
-        // next instruction (`Cpu::run_block` re-checks after each store).
+        // block was decoded from, through any mapping) drops the
+        // affected blocks, charging the drop to this space, and moves
+        // the store epoch, so a block in flight aborts before its next
+        // instruction (`Cpu::run_block` re-checks after each store).
         // This is the only place the store epoch moves.
-        if self.aspace.bb.enabled()
-            && (can_exec
-                || shared_dst.is_some_and(|(ino, fpage)| self.aspace.bb.has_src_page(ino, fpage)))
-        {
-            self.aspace.bb.bump_store_epoch();
-            self.aspace.bb.invalidate_page(vpn(addr), "store-exec");
-            if let Some((ino, fpage)) = shared_dst {
-                self.aspace.bb.invalidate_src_page(ino, fpage, "store-exec");
+        if self.aspace.bb.enabled() {
+            let dropped = shared_dst.map_or(0, |(ino, fpage)| self.text.drop_page(ino, fpage));
+            if can_exec || dropped > 0 {
+                let bb = &mut self.aspace.bb;
+                bb.bump_store_epoch();
+                bb.invalidate_page(vpn(addr), "store-exec");
+                if dropped > 0 {
+                    bb.note_dropped(addr & !(PAGE_SIZE - 1), dropped, "store-exec");
+                }
             }
         }
         Ok(())
@@ -1738,6 +1742,11 @@ impl MemBus<'_> {
     /// (the slow path must surface the exact fault or do the residency
     /// work), or the first word does not decode.
     ///
+    /// Shared text goes through the kernel's [`SharedText`] at the
+    /// page's current write epoch: a hit is counted here, not copied
+    /// into this space's cache; a stale block is dropped
+    /// (`shared-store`) and decoded again.
+    ///
     /// The build peeks at resident bytes without side effects: no TLB
     /// traffic, no reference bits, no chaos decisions, no fs stats —
     /// those all happen (identically to the slow path) when the block
@@ -1747,48 +1756,48 @@ impl MemBus<'_> {
         if !aspace.bb.enabled() || !pc.is_multiple_of(4) {
             return None;
         }
-        let fs = &shared.fs;
-        let fs_stamp = fs.content_stamp();
-        if let Some(code) = aspace
-            .bb
-            .lookup(pc, fs_stamp, |ino, page| fs.write_epoch(ino, page))
-        {
+        if let Some(code) = aspace.bb.lookup(pc) {
             return Some(code);
         }
-        let vp = vpn(pc);
-        let slot = aspace.pages.get(vp)?;
+        let slot = aspace.pages.get(vpn(pc))?;
         let entry = aspace.entries[slot as usize].as_ref()?;
         if entry.flags & F_RESIDENT == 0 || !entry.prot.can_exec() {
             return None;
         }
-        let off = (pc % PAGE_SIZE) as usize;
-        let (bytes, src): (&[u8], Option<(u32, u32, u64)>) = match &entry.kind {
-            PageKind::Anon(frame) => (&frame[off..], None),
-            PageKind::Shared { ino, page } => {
-                // Poisoned backing block: decline to decode — the slow
-                // path surfaces the precise `Eio` fault.
-                if fs.is_poisoned(*ino, *page) {
-                    return None;
-                }
-                let file = fs.file_bytes(*ino).ok()?;
-                let start = (*page * PAGE_SIZE) as usize + off;
-                let end = ((*page + 1) * PAGE_SIZE) as usize;
-                if start >= file.len() {
-                    return None;
-                }
-                (
-                    &file[start..end.min(file.len())],
-                    Some((*ino, *page, fs.write_epoch(*ino, *page))),
-                )
+        let off = pc % PAGE_SIZE;
+        let (ino, page) = match &entry.kind {
+            PageKind::Anon(frame) => {
+                let code = decode_block(&frame[off as usize..])?;
+                aspace.bb.insert(pc, code.clone());
+                return Some(code);
             }
+            PageKind::Shared { ino, page } => (*ino, *page),
             PageKind::Zero | PageKind::Swapped { .. } => return None,
         };
-        let code = hvm::bbcache::decode_run(bytes);
-        if code.is_empty() {
+        let fs = &shared.fs;
+        // Poisoned backing block: decline — the slow path surfaces the
+        // precise `Eio` fault.
+        if fs.is_poisoned(ino, page) {
             return None;
         }
-        let code: Arc<[Instr]> = code.into();
-        aspace.bb.insert(pc, code.clone(), src, fs_stamp);
+        let file = fs.file_bytes(ino).ok()?;
+        let foff = page * PAGE_SIZE + off;
+        let epoch = fs.write_epoch(ino, page);
+        match self.text.lookup(ino, foff, epoch) {
+            SharedLookup::Hit(code) => {
+                aspace.bb.count_hit();
+                return Some(code);
+            }
+            SharedLookup::Stale => aspace.bb.note_dropped(pc - off, 1, "shared-store"),
+            SharedLookup::Miss => {}
+        }
+        let end = (foff + PAGE_SIZE - off) as usize;
+        let code = decode_block(file.get(foff as usize..end.min(file.len()))?)?;
+        let flushed = self.text.insert(ino, foff, epoch, code.clone());
+        if flushed > 0 {
+            aspace.bb.note_dropped(0, flushed, "capacity");
+        }
+        aspace.bb.count_built();
         Some(code)
     }
 
@@ -1904,10 +1913,10 @@ mod tests {
     fn release_all_frees_tables_and_cached_blocks() {
         let mut a = AddressSpace::new();
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
-        a.bbcache_mut().configure(1, true);
+        a.bbcache_mut().configure(true);
         let code: Arc<[Instr]> = vec![Instr::Syscall].into();
-        a.bbcache_mut().insert(0x1000, code.clone(), None, 0);
-        assert!(a.bbcache_mut().lookup(0x1000, 0, |_, _| 0).is_some());
+        a.bbcache_mut().insert(0x1000, code.clone());
+        assert!(a.bbcache_mut().lookup(0x1000).is_some());
         assert!(Arc::strong_count(&code) > 1, "cached twice over");
         a.release_all();
         assert_eq!(Arc::strong_count(&code), 1, "no decoded block survives");
@@ -1935,9 +1944,10 @@ mod tests {
     fn bus_protection_checks() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::R).unwrap();
         a.map_anon(0x2000, P, Prot::NONE).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         assert!(bus.load32(0x1000).is_ok());
         assert_eq!(
             bus.store32(0x1000, 1),
@@ -1974,17 +1984,18 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut b = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         let ino = s.create_file("/seg", 0o666, 0).unwrap();
         s.fs.truncate(ino, (2 * P) as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         a.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
         b.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.store32(base + 8, 0xCAFE_F00D).unwrap();
         }
         // Process B sees A's store instantly (genuine write sharing).
-        let mut bus_b = MemBus::new(&mut b, &mut s);
+        let mut bus_b = MemBus::new(&mut b, &mut s, &mut t);
         assert_eq!(bus_b.load32(base + 8).unwrap(), 0xCAFE_F00D);
         // And the bytes are the file's bytes.
         assert_eq!(
@@ -1997,11 +2008,12 @@ mod tests {
     fn shared_mapping_beyond_file_faults() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         let ino = s.create_file("/small", 0o666, 0).unwrap();
         s.fs.truncate(ino, P as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         a.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         assert!(bus.load32(base).is_ok());
         assert!(bus.load32(base + P).is_err());
     }
@@ -2041,13 +2053,14 @@ mod tests {
     fn set_prot_enables_lazy_link_trap() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::NONE).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             assert!(matches!(bus.load32(0x1000), Err(Fault::Protection { .. })));
         }
         a.set_prot(0x1000, P, Prot::RWX).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         assert!(bus.load32(0x1000).is_ok());
         assert!(bus.fetch(0x1000).is_ok());
     }
@@ -2088,9 +2101,10 @@ mod tests {
     fn tlb_warm_second_access_hits() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         bus.load32(0x1000).unwrap(); // cold: page walk + fill
         bus.load32(0x1004).unwrap(); // warm: same page, served by TLB
         assert_eq!(a.stats.tlb_misses, 1);
@@ -2102,15 +2116,16 @@ mod tests {
     fn tlb_invalidated_by_unmap() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.load32(0x1000).unwrap();
         }
         assert!(a.tlb_cached(0x1000));
         a.unmap(0x1000, P).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         assert_eq!(
             bus.load32(0x1000),
             Err(Fault::Unmapped {
@@ -2124,15 +2139,16 @@ mod tests {
     fn tlb_invalidated_by_set_prot() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.load32(0x1000).unwrap();
         }
         assert!(a.tlb_cached(0x1000));
         a.set_prot(0x1000, P, Prot::NONE).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         // The new protection takes effect immediately — no stale grant.
         assert_eq!(
             bus.load32(0x1000),
@@ -2150,9 +2166,10 @@ mod tests {
         // access to them is a TLB hit, not a page-table walk.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, 3 * P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             for vpn in 1..4 {
                 bus.load32(vpn * P).unwrap();
             }
@@ -2163,7 +2180,7 @@ mod tests {
         assert!(a.tlb_cached(0x3000), "page above the range stays warm");
         let misses_before = a.stats.tlb_misses;
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.load32(0x1000).unwrap();
             bus.load32(0x3000).unwrap();
         }
@@ -2175,7 +2192,7 @@ mod tests {
         a.attach_pool(&pool);
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.store32(0x1000, 7).unwrap();
             bus.store32(0x2000, 9).unwrap();
         }
@@ -2192,9 +2209,10 @@ mod tests {
     fn tlb_cold_on_both_sides_of_fork() {
         let mut parent = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         parent.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut parent, &mut s);
+            let mut bus = MemBus::new(&mut parent, &mut s, &mut t);
             bus.store32(0x1000, 0xAA55).unwrap();
         }
         assert!(parent.tlb_cached(0x1000));
@@ -2204,12 +2222,12 @@ mod tests {
         assert!(!child.tlb_cached(0x1000));
         // A warm-TLB child write still copies, leaving the parent intact.
         {
-            let mut bus = MemBus::new(&mut child, &mut s);
+            let mut bus = MemBus::new(&mut child, &mut s, &mut t);
             bus.load32(0x1000).unwrap();
             bus.store32(0x1000, 0x1234).unwrap();
         }
         assert_eq!(child.stats.cow_copies, 1);
-        let mut bus = MemBus::new(&mut parent, &mut s);
+        let mut bus = MemBus::new(&mut parent, &mut s, &mut t);
         assert_eq!(bus.load32(0x1000).unwrap(), 0xAA55);
     }
 
@@ -2220,14 +2238,15 @@ mod tests {
         // page's entry.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
             bus.store32(0x1000, 7).unwrap();
         }
         a.unmap(0x1000, P).unwrap();
         a.map_anon(0x2000, P, Prot::RW).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         assert_eq!(bus.load32(0x2000).unwrap(), 0); // fresh zero frame
         assert!(bus.load32(0x1000).is_err());
     }
@@ -2237,11 +2256,12 @@ mod tests {
         // A full 1 MB module segment maps and is addressable end to end.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut t = SharedText::default();
         let ino = s.create_file("/big", 0o666, 0).unwrap();
         s.fs.truncate(ino, SLOT_SIZE as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         a.map_shared(base, SLOT_SIZE, Prot::RW, ino, 0).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
         bus.store32(base + SLOT_SIZE - 4, 7).unwrap();
         assert_eq!(bus.load32(base + SLOT_SIZE - 4).unwrap(), 7);
     }
@@ -2434,6 +2454,7 @@ mod tests {
         let run = |cache: bool| {
             let mut a = AddressSpace::new();
             let mut s = SharedFs::new();
+            let mut t = SharedText::default();
             a.map_anon(TEXT, P, Prot::RX).unwrap();
             a.map_anon(data, P, Prot::RW).unwrap();
             let text: Vec<u8> = program
@@ -2442,14 +2463,14 @@ mod tests {
                 .collect();
             a.write_bytes(&mut s, TEXT, &text).unwrap();
             a.write_bytes(&mut s, data, &9u32.to_le_bytes()).unwrap();
-            a.bbcache_mut().configure(1, cache);
+            a.bbcache_mut().configure(cache);
             let mut cpu = Cpu::new();
             cpu.pc = TEXT;
             cpu.set_reg(r8, data);
             cpu.set_reg(r10, ITERS);
             let outcome = {
                 // One bus for the whole run, as within one slice.
-                let mut bus = MemBus::new(&mut a, &mut s);
+                let mut bus = MemBus::new(&mut a, &mut s, &mut t);
                 loop {
                     let out = match bus.bb_block(cpu.pc) {
                         Some(code) => cpu.run_block(&mut bus, &code, u64::MAX).1,

@@ -17,7 +17,7 @@ use crate::process::Pid;
 use std::sync::{Arc, Mutex};
 
 /// Who performed a shared-window access, and from where.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessCtx {
     /// The executing process.
     pub pid: Pid,

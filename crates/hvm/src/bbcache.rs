@@ -3,7 +3,7 @@
 //! Every retired instruction pays fetch → decode → dispatch through
 //! [`crate::Cpu::step`]; for hot loops that is almost pure interpreter
 //! overhead — the simulated cost model charges the same either way, but
-//! host wall-time does not. A [`BbCache`] memoizes straight-line decoded
+//! host wall-time does not. Two tables memoize straight-line decoded
 //! [`Instr`] runs ("basic blocks"): decoded once, executed many times via
 //! [`crate::Cpu::run_block`], which replays the *exact* per-instruction
 //! semantics (translation, protection, residency, monitor visibility)
@@ -14,27 +14,23 @@
 //! `run_block` without re-entering the cache while
 //! [`BbCache::mutation_stamp`] stands still.
 //!
-//! The cache is owned by whoever owns the address space (in Hemlock, one
-//! per `AddressSpace`, so the `asid` tag is implicit in ownership and
-//! recorded only for observability). Blocks are keyed by entry PC and
-//! validated with three stamps, checked on every lookup:
+//! The tables split by where the bytes live:
 //!
-//! * a per-virtual-page **generation** (`gens`), bumped whenever the
-//!   owning layer invalidates that page — the same events that
-//!   invalidate a TLB entry;
-//! * a cache-wide **flush epoch**, bumped on whole-cache flushes and on
-//!   generation wraparound (so a wrapped generation can never alias a
-//!   stale block — no ABA);
-//! * for blocks decoded out of a shared file page, the file's
-//!   **write epoch** for that page (supplied by the caller at lookup
-//!   time), so a store by *another* process into shared text is caught
-//!   lazily at the next block entry.
+//! * A [`BbCache`] per address space holds blocks decoded from
+//!   *private* text, keyed by entry PC and validated by a per-page
+//!   **generation** (`gens`), bumped by the same events that invalidate
+//!   a TLB entry, and a cache-wide **flush epoch**, bumped on flushes
+//!   and on generation wraparound (so no stale block can ABA-match).
+//! * One [`SharedText`] per kernel holds blocks decoded from *shared
+//!   file* pages, which sit at the same address in every process, so
+//!   each is decoded once per boot. Blocks are keyed by `(ino, file
+//!   offset)` and carry their page's file **write epoch** at decode
+//!   time, which catches at the next entry any write that did not drop
+//!   them at once. The kernel charges the table's hits, builds and
+//!   drops to the space that looked ([`BbCache::count_hit`] and so on).
 //!
-//! Invalidation is otherwise eager: the owner calls
-//! [`BbCache::invalidate_vpns`] / [`BbCache::invalidate_src_page`] /
-//! [`BbCache::flush`] at the event, dropped blocks are counted once, and
-//! an entry is appended to a drainable journal only when blocks were
-//! actually dropped (so a disabled or empty cache journals nothing).
+//! Dropped blocks are counted once and journaled in the space's
+//! drainable journal, only when blocks actually dropped.
 //!
 //! A separate **store epoch** supports mid-block self-modification: the
 //! bus bumps it when a guest store could alter executable bytes, and
@@ -101,8 +97,10 @@ pub fn decode_run(bytes: &[u8]) -> Vec<Instr> {
 }
 
 /// Cache counters. `entries` counts block *entries* (each is either a
-/// hit or a fresh build, so `hits + built == entries` always); it is
-/// internal bookkeeping — `WorldStats` exports only the other three.
+/// hit or a fresh build, so `hits + built == entries`); it is internal
+/// bookkeeping — `WorldStats` exports only the other three. One space
+/// may drop a [`SharedText`] block another built, so
+/// `invalidations <= built` holds only summed over a kernel's spaces.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BbStats {
     /// Blocks decoded and inserted.
@@ -110,7 +108,7 @@ pub struct BbStats {
     /// Lookups satisfied by a valid cached block.
     pub hits: u64,
     /// Cached blocks dropped by an invalidation event (each built block
-    /// is dropped at most once, so `invalidations <= built`).
+    /// is dropped at most once).
     pub invalidations: u64,
     /// Block entries (`hits + built`).
     pub entries: u64,
@@ -178,41 +176,27 @@ type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
 struct CachedBlock {
     gen: u32,
     flush_epoch: u64,
-    /// `(ino, file_page, write_epoch_at_build)` when the block was
-    /// decoded from a shared file page.
-    src: Option<(u32, u32, u64)>,
-    /// The caller's global content stamp when `src` was last validated
-    /// (at build, or at the last [`BbCache::lookup`] that re-checked
-    /// the page epoch). While the global stamp still equals this, no
-    /// file byte anywhere has changed, so the per-page epoch query can
-    /// be skipped — the hot-path win for shared text, where every
-    /// dispatch would otherwise walk the epoch maps.
-    verified_at: u64,
     code: Arc<[Instr]>,
 }
 
 /// Slots in the direct-mapped dispatch front-end (see [`BbCache::l1`]).
 const L1_SLOTS: usize = 512;
 
-/// One entry of the dispatch front-end: a `lookup` result plus the two
-/// stamps that prove the result is still what `lookup` would return —
-/// the cache's own mutation stamp, and (for shared-text blocks) the
-/// caller's global file-content stamp.
+/// One entry of the dispatch front-end: a `lookup` result plus the
+/// cache's mutation stamp, which proves the result is still what
+/// `lookup` would return.
 #[derive(Clone, Debug)]
 struct L1Slot {
     pc: u32,
     mutation: u64,
-    fs_stamp: u64,
-    is_src: bool,
     code: Arc<[Instr]>,
 }
 
-/// A per-address-space decoded basic-block cache. See the module docs
-/// for the validation protocol.
+/// A per-address-space cache of blocks decoded from private text. See
+/// the module docs for the validation protocol.
 #[derive(Clone, Debug)]
 pub struct BbCache {
     enabled: bool,
-    asid: u32,
     page_size: u32,
     blocks: FastMap<u32, CachedBlock>,
     /// Entry PCs per virtual page number, for page-granular drops.
@@ -221,8 +205,6 @@ pub struct BbCache {
     gens: FastMap<u32, u32>,
     flush_epoch: u64,
     store_epoch: u64,
-    /// Entry PCs per shared source `(ino, file_page)`.
-    src_pages: FastMap<(u32, u32), Vec<u32>>,
     /// Bumped by every operation that could change what `lookup` would
     /// return for *any* pc — the dispatcher's memo is valid only while
     /// this stands still (see [`BbCache::mutation_stamp`]).
@@ -232,10 +214,9 @@ pub struct BbCache {
     /// through the map (hash, probe, validate) costs more than running
     /// it. A slot short-circuits `lookup` for a pc whose result
     /// provably has not changed: the mutation stamp covers every drop,
-    /// insert, and generation movement, and the fs stamp covers shared
-    /// text going stale under a cross-process store. Stale slots are
+    /// insert, and generation movement. Stale slots are
     /// never evicted eagerly — their stamp comparison just fails and
-    /// the full `lookup` path refreshes them.
+    /// the full `lookup` path refreshes them. Allocated by the first hit.
     l1: Vec<Option<L1Slot>>,
     stats: BbStats,
     journal: Vec<BbInvalidation>,
@@ -254,16 +235,14 @@ impl BbCache {
     pub fn new(page_size: u32) -> BbCache {
         BbCache {
             enabled: false,
-            asid: 0,
             page_size,
             blocks: FastMap::default(),
             by_page: FastMap::default(),
             gens: FastMap::default(),
             flush_epoch: 0,
             store_epoch: 0,
-            src_pages: FastMap::default(),
             mutation: 0,
-            l1: vec![None; L1_SLOTS],
+            l1: Vec::new(),
             stats: BbStats::default(),
             journal: Vec::new(),
         }
@@ -281,15 +260,12 @@ impl BbCache {
     pub fn fresh_like(&self) -> BbCache {
         let mut fresh = BbCache::new(self.page_size);
         fresh.enabled = self.enabled;
-        fresh.asid = self.asid;
         fresh
     }
 
-    /// Tags the cache with its address-space id and switches it on or
-    /// off. Disabling clears silently (nothing is observable about a
-    /// cache that is not in use).
-    pub fn configure(&mut self, asid: u32, enabled: bool) {
-        self.asid = asid;
+    /// Switches the cache on or off. Disabling clears silently (nothing
+    /// is observable about a cache that is not in use).
+    pub fn configure(&mut self, enabled: bool) {
         if !enabled {
             self.clear_silent();
         }
@@ -310,18 +286,22 @@ impl BbCache {
 
     /// Accounts a dispatch served from a memoized [`BbCache::lookup`]
     /// result (same stamp discipline as a real hit, without the map
-    /// walk), keeping `hits + built == entries` exact.
+    /// walk) or from the kernel's [`SharedText`], keeping
+    /// `hits + built == entries` exact.
     pub fn count_hit(&mut self) {
         self.stats.hits += 1;
         self.stats.entries += 1;
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// Accounts a block this space decoded into the kernel's
+    /// [`SharedText`].
+    pub fn count_built(&mut self) {
+        self.stats.built += 1;
+        self.stats.entries += 1;
     }
 
-    pub fn asid(&self) -> u32 {
-        self.asid
+    pub fn enabled(&self) -> bool {
+        self.enabled
     }
 
     pub fn stats(&self) -> BbStats {
@@ -339,11 +319,6 @@ impl BbCache {
         self.mutation += 1;
     }
 
-    /// True if any cached block was decoded from shared `(ino, fpage)`.
-    pub fn has_src_page(&self, ino: u32, fpage: u32) -> bool {
-        self.src_pages.contains_key(&(ino, fpage))
-    }
-
     fn vpn(&self, addr: u32) -> u32 {
         addr / self.page_size
     }
@@ -352,94 +327,52 @@ impl BbCache {
         self.gens.get(&vp).copied().unwrap_or(0)
     }
 
-    /// Looks up the block entered at `pc`. `src_epoch(ino, fpage)` must
-    /// return the backing file page's current write epoch — a mismatch
-    /// against the build-time stamp means some process stored into that
-    /// shared text since, and the block is dropped (counted, journaled)
-    /// as if the invalidation had been delivered eagerly.
-    ///
-    /// `fs_stamp` is the caller's global content stamp (monotonic;
-    /// unchanged ⇒ no file byte changed anywhere). It only gates the
-    /// *optimization*: while it equals the block's last validation
-    /// stamp the `src_epoch` query is provably redundant and skipped —
-    /// which blocks get dropped, and when, is identical either way.
-    pub fn lookup(
-        &mut self,
-        pc: u32,
-        fs_stamp: u64,
-        mut src_epoch: impl FnMut(u32, u32) -> u64,
-    ) -> Option<Arc<[Instr]>> {
+    /// Looks up the block entered at `pc`. A block whose page
+    /// generation or flush epoch has moved is dropped (counted,
+    /// journaled) as if the invalidation had been delivered eagerly.
+    pub fn lookup(&mut self, pc: u32) -> Option<Arc<[Instr]>> {
         if !self.enabled {
             return None;
         }
         let idx = Self::l1_index(pc);
-        if let Some(slot) = &self.l1[idx] {
-            if slot.pc == pc
-                && slot.mutation == self.mutation
-                && (!slot.is_src || slot.fs_stamp == fs_stamp)
-            {
+        if let Some(Some(slot)) = self.l1.get(idx) {
+            if slot.pc == pc && slot.mutation == self.mutation {
                 let code = slot.code.clone();
-                self.stats.hits += 1;
-                self.stats.entries += 1;
+                self.count_hit();
                 return Some(code);
             }
         }
         let vp = self.vpn(pc);
-        let (cause, revalidated) = {
-            let block = self.blocks.get(&pc)?;
-            if block.flush_epoch != self.flush_epoch {
-                (Some("gen-wrap"), false)
-            } else if block.gen != self.gen_of(vp) {
-                (Some("stale-gen"), false)
-            } else if let Some((ino, fpage, stamp)) = block.src {
-                if block.verified_at == fs_stamp {
-                    (None, false)
-                } else if src_epoch(ino, fpage) != stamp {
-                    (Some("shared-store"), false)
-                } else {
-                    (None, true)
-                }
-            } else {
-                (None, false)
-            }
+        let block = self.blocks.get(&pc)?;
+        let cause = if block.flush_epoch != self.flush_epoch {
+            Some("gen-wrap")
+        } else if block.gen != self.gen_of(vp) {
+            Some("stale-gen")
+        } else {
+            None
         };
         if let Some(cause) = cause {
             self.remove_block(pc);
             self.note_dropped(vp * self.page_size, 1, cause);
             return None;
         }
-        if revalidated {
-            // Bless the block up to the current stamp (host-side
-            // bookkeeping only — observably a plain hit either way).
-            self.blocks.get_mut(&pc).expect("checked above").verified_at = fs_stamp;
-        }
-        self.stats.hits += 1;
-        self.stats.entries += 1;
-        let block = &self.blocks[&pc];
         let code = block.code.clone();
+        self.count_hit();
+        if self.l1.is_empty() {
+            self.l1 = vec![None; L1_SLOTS];
+        }
         self.l1[idx] = Some(L1Slot {
             pc,
             mutation: self.mutation,
-            fs_stamp,
-            is_src: block.src.is_some(),
             code: code.clone(),
         });
         Some(code)
     }
 
-    /// Inserts a freshly decoded block entered at `pc`. `src` carries
-    /// `(ino, file_page, write_epoch)` when the bytes came from a
-    /// shared file page; `fs_stamp` is the global content stamp the
-    /// bytes were read under (see [`BbCache::lookup`]). At
+    /// Inserts a freshly decoded block entered at `pc`. At
     /// [`MAX_BLOCKS`] the whole cache is flushed first (counted,
     /// journaled as `"capacity"`).
-    pub fn insert(
-        &mut self,
-        pc: u32,
-        code: Arc<[Instr]>,
-        src: Option<(u32, u32, u64)>,
-        fs_stamp: u64,
-    ) {
+    pub fn insert(&mut self, pc: u32, code: Arc<[Instr]>) {
         if !self.enabled {
             return;
         }
@@ -449,21 +382,15 @@ impl BbCache {
         self.remove_block(pc); // replacing never double-counts pages
         let vp = self.vpn(pc);
         self.by_page.entry(vp).or_default().push(pc);
-        if let Some((ino, fpage, _)) = src {
-            self.src_pages.entry((ino, fpage)).or_default().push(pc);
-        }
         self.blocks.insert(
             pc,
             CachedBlock {
                 gen: self.gen_of(vp),
                 flush_epoch: self.flush_epoch,
-                src,
-                verified_at: fs_stamp,
                 code,
             },
         );
-        self.stats.built += 1;
-        self.stats.entries += 1;
+        self.count_built();
         self.mutation += 1;
     }
 
@@ -479,8 +406,7 @@ impl BbCache {
                 continue;
             };
             for pc in pcs {
-                if let Some(block) = self.blocks.remove(&pc) {
-                    self.unindex_src(pc, &block);
+                if self.blocks.remove(&pc).is_some() {
                     dropped += 1;
                 }
             }
@@ -495,39 +421,6 @@ impl BbCache {
     /// [`BbCache::invalidate_vpns`] for a single page.
     pub fn invalidate_page(&mut self, vp: u32, cause: &'static str) -> u64 {
         self.invalidate_vpns(vp, 1, cause)
-    }
-
-    /// Drops every block decoded from shared `(ino, fpage)` — the
-    /// store-to-shared-text path, where the writer may have mapped the
-    /// page at a different virtual address than the blocks did.
-    pub fn invalidate_src_page(&mut self, ino: u32, fpage: u32, cause: &'static str) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        let Some(pcs) = self.src_pages.remove(&(ino, fpage)) else {
-            return 0;
-        };
-        let mut dropped = 0u64;
-        let mut lowest = u32::MAX;
-        for pc in pcs {
-            if let Some(block) = self.blocks.remove(&pc) {
-                let vp = self.vpn(pc);
-                if let Some(list) = self.by_page.get_mut(&vp) {
-                    list.retain(|&p| p != pc);
-                    if list.is_empty() {
-                        self.by_page.remove(&vp);
-                    }
-                }
-                self.bump_gen(vp);
-                lowest = lowest.min(pc);
-                drop(block);
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            self.note_dropped(lowest & !(self.page_size - 1), dropped, cause);
-        }
-        dropped
     }
 
     /// Drops everything. With `Some(cause)` the drop is counted and
@@ -592,7 +485,6 @@ impl BbCache {
         self.blocks = FastMap::default();
         self.by_page = FastMap::default();
         self.gens = FastMap::default();
-        self.src_pages = FastMap::default();
         self.l1 = Vec::new();
     }
 
@@ -600,7 +492,6 @@ impl BbCache {
         self.mutation += 1;
         self.blocks.clear();
         self.by_page.clear();
-        self.src_pages.clear();
         self.gens.clear();
         self.flush_epoch += 1;
     }
@@ -618,38 +509,135 @@ impl BbCache {
         }
     }
 
-    fn unindex_src(&mut self, pc: u32, block: &CachedBlock) {
-        if let Some((ino, fpage, _)) = block.src {
-            if let Some(list) = self.src_pages.get_mut(&(ino, fpage)) {
-                list.retain(|&p| p != pc);
-                if list.is_empty() {
-                    self.src_pages.remove(&(ino, fpage));
-                }
-            }
-        }
-    }
-
     fn remove_block(&mut self, pc: u32) {
         self.mutation += 1;
-        if let Some(block) = self.blocks.remove(&pc) {
+        if self.blocks.remove(&pc).is_some() {
             let vp = self.vpn(pc);
-            if let Some(list) = self.by_page.get_mut(&vp) {
-                list.retain(|&p| p != pc);
-                if list.is_empty() {
-                    self.by_page.remove(&vp);
-                }
-            }
-            self.unindex_src(pc, &block);
+            unindex(&mut self.by_page, vp, pc);
         }
     }
 
-    fn note_dropped(&mut self, addr: u32, blocks: u64, cause: &'static str) {
+    /// Counts and journals `blocks` dropped at `addr` for `cause`. The
+    /// kernel also calls this for [`SharedText`] blocks dropped on this
+    /// space's behalf; the drop moves the mutation stamp, so a dispatch
+    /// memo never outlives a block that left the table.
+    pub fn note_dropped(&mut self, addr: u32, blocks: u64, cause: &'static str) {
+        self.mutation += 1;
         self.stats.invalidations += blocks;
         self.journal.push(BbInvalidation {
             addr,
             blocks,
             cause,
         });
+    }
+}
+
+/// Removes `item` from `key`'s list in a page index, and the list once
+/// it is empty.
+fn unindex<K: std::hash::Hash + Eq>(index: &mut FastMap<K, Vec<u32>>, key: K, item: u32) {
+    if let Some(list) = index.get_mut(&key) {
+        list.retain(|&p| p != item);
+        if list.is_empty() {
+            index.remove(&key);
+        }
+    }
+}
+
+type EpochBlock = (u64, Arc<[Instr]>);
+
+/// What [`SharedText::lookup`] found.
+#[derive(Debug)]
+pub enum SharedLookup {
+    /// A block decoded at the current write epoch.
+    Hit(Arc<[Instr]>),
+    /// A block decoded at another epoch: it has been dropped.
+    Stale,
+    /// No block.
+    Miss,
+}
+
+/// The kernel-wide table of blocks decoded from shared file pages,
+/// keyed by `(ino, file offset)`: every process that maps the page
+/// shares them. Each block carries its page's write epoch at decode
+/// time. Bounded by the same [`MAX_BLOCKS`] whole-flush policy as
+/// [`BbCache`]; see the module docs for who counts what.
+#[derive(Debug)]
+pub struct SharedText {
+    page_size: u32,
+    /// Each block with the write epoch it was decoded at.
+    blocks: FastMap<(u32, u32), EpochBlock>,
+    /// File offsets of the blocks per `(ino, file page)`, for page drops.
+    by_page: FastMap<(u32, u32), Vec<u32>>,
+}
+
+impl Default for SharedText {
+    /// An empty table for 4 KiB pages. Allocates nothing until the
+    /// first insert.
+    fn default() -> SharedText {
+        SharedText {
+            page_size: 4096,
+            blocks: FastMap::default(),
+            by_page: FastMap::default(),
+        }
+    }
+}
+
+impl SharedText {
+    /// The block at `off` in file `ino` if it was decoded at `epoch`,
+    /// the page's current write epoch. A block decoded at another epoch
+    /// is dropped and reported [`SharedLookup::Stale`].
+    pub fn lookup(&mut self, ino: u32, off: u32, epoch: u64) -> SharedLookup {
+        match self.blocks.get(&(ino, off)) {
+            None => SharedLookup::Miss,
+            Some((at, code)) if *at == epoch => SharedLookup::Hit(code.clone()),
+            Some(_) => {
+                self.blocks.remove(&(ino, off));
+                unindex(&mut self.by_page, (ino, off / self.page_size), off);
+                SharedLookup::Stale
+            }
+        }
+    }
+
+    /// Inserts a block decoded from `off` in file `ino` at write epoch
+    /// `epoch`, in place of any block there. At [`MAX_BLOCKS`] the whole
+    /// table is flushed first; returns the blocks that flush dropped.
+    pub fn insert(&mut self, ino: u32, off: u32, epoch: u64, code: Arc<[Instr]>) -> u64 {
+        let flushed = (self.blocks.len() >= MAX_BLOCKS).then(|| self.flush());
+        if self.blocks.insert((ino, off), (epoch, code)).is_none() {
+            let page = (ino, off / self.page_size);
+            self.by_page.entry(page).or_default().push(off);
+        }
+        flushed.unwrap_or(0)
+    }
+
+    /// Drops every block decoded from file page `page` of `ino`;
+    /// returns how many.
+    pub fn drop_page(&mut self, ino: u32, page: u32) -> u64 {
+        let Some(offs) = self.by_page.remove(&(ino, page)) else {
+            return 0;
+        };
+        for off in &offs {
+            self.blocks.remove(&(ino, *off));
+        }
+        offs.len() as u64
+    }
+
+    /// Drops every block and frees the table's memory; returns how many
+    /// blocks it held.
+    pub fn flush(&mut self) -> u64 {
+        let n = self.blocks.len() as u64;
+        self.blocks = FastMap::default();
+        self.by_page = FastMap::default();
+        n
+    }
+
+    /// The block at `off` in file `ino`, whatever its epoch.
+    pub fn get(&self, ino: u32, off: u32) -> Option<&[Instr]> {
+        self.blocks.get(&(ino, off)).map(|(_, code)| &code[..])
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
     }
 }
 
@@ -680,7 +668,7 @@ mod tests {
 
     fn armed() -> BbCache {
         let mut bb = BbCache::new(4096);
-        bb.configure(1, true);
+        bb.configure(true);
         bb
     }
 
@@ -723,10 +711,10 @@ mod tests {
     #[test]
     fn hit_and_build_counters_reconcile_with_entries() {
         let mut bb = armed();
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_none());
-        bb.insert(0x1000, block(3), None, 0);
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_some());
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_some());
+        assert!(bb.lookup(0x1000).is_none());
+        bb.insert(0x1000, block(3));
+        assert!(bb.lookup(0x1000).is_some());
+        assert!(bb.lookup(0x1000).is_some());
         let s = bb.stats();
         assert_eq!((s.built, s.hits, s.entries), (1, 2, 3));
         assert_eq!(s.built + s.hits, s.entries);
@@ -737,12 +725,12 @@ mod tests {
         let mut bb = armed();
         assert_eq!(bb.invalidate_page(1, "unmap"), 0);
         assert!(bb.journal_is_empty(), "empty cache never journals");
-        bb.insert(0x1000, block(1), None, 0);
-        bb.insert(0x1008, block(1), None, 0);
-        bb.insert(0x2000, block(1), None, 0);
+        bb.insert(0x1000, block(1));
+        bb.insert(0x1008, block(1));
+        bb.insert(0x2000, block(1));
         assert_eq!(bb.invalidate_page(1, "unmap"), 2);
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_none());
-        assert!(bb.lookup(0x2000, 0, |_, _| 0).is_some(), "neighbor stays");
+        assert!(bb.lookup(0x1000).is_none());
+        assert!(bb.lookup(0x2000).is_some(), "neighbor stays");
         let j = bb.drain_journal();
         assert_eq!(j.len(), 1);
         assert_eq!((j[0].addr, j[0].blocks, j[0].cause), (0x1000, 2, "unmap"));
@@ -750,72 +738,28 @@ mod tests {
     }
 
     #[test]
-    fn shared_src_epoch_mismatch_drops_lazily() {
-        let mut bb = armed();
-        bb.insert(0x1000, block(1), Some((7, 2, 10)), 1);
-        assert!(bb.lookup(0x1000, 2, |_, _| 10).is_some());
-        assert!(bb.lookup(0x1000, 3, |_, _| 11).is_none(), "stale epoch");
-        let j = bb.drain_journal();
-        assert_eq!(j.len(), 1);
-        assert_eq!(j[0].cause, "shared-store");
-        assert_eq!(bb.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn unmoved_content_stamp_skips_the_epoch_query() {
-        let mut bb = armed();
-        bb.insert(0x1000, block(1), Some((7, 2, 10)), 5);
-        // Same global stamp as the build: no file byte changed anywhere,
-        // so the per-page epoch must not even be consulted.
-        assert!(bb
-            .lookup(0x1000, 5, |_, _| panic!("epoch queried needlessly"))
-            .is_some());
-        // A moved stamp re-checks (and blesses up to the new stamp)...
-        assert!(bb.lookup(0x1000, 6, |_, _| 10).is_some());
-        // ...after which the new stamp skips again.
-        assert!(bb
-            .lookup(0x1000, 6, |_, _| panic!("epoch queried after bless"))
-            .is_some());
-        // And a real epoch movement still drops the block.
-        assert!(bb.lookup(0x1000, 7, |_, _| 11).is_none());
-        assert_eq!(bb.drain_journal()[0].cause, "shared-store");
-    }
-
-    #[test]
-    fn src_page_invalidation_finds_blocks_by_backing_page() {
-        let mut bb = armed();
-        bb.insert(0x1000, block(1), Some((7, 2, 0)), 0);
-        bb.insert(0x5000, block(1), Some((7, 3, 0)), 0);
-        assert!(bb.has_src_page(7, 2));
-        assert_eq!(bb.invalidate_src_page(7, 2, "store-shared-text"), 1);
-        assert!(!bb.has_src_page(7, 2));
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_none());
-        assert!(bb.lookup(0x5000, 0, |_, _| 0).is_some());
-    }
-
-    #[test]
     fn gen_wraparound_advances_flush_epoch_instead_of_aba() {
         let mut bb = armed();
-        bb.insert(0x1000, block(1), None, 0);
-        bb.insert(0x2000, block(1), None, 0);
+        bb.insert(0x1000, block(1));
+        bb.insert(0x2000, block(1));
         bb.force_gen(1, u32::MAX);
         let epoch = bb.flush_epoch();
         assert_eq!(bb.invalidate_page(1, "mprotect"), 1);
         assert_eq!(bb.flush_epoch(), epoch + 1, "wrap advances the epoch");
         // The untouched page's block predates the new epoch: dropped
         // lazily at lookup, counted as an invalidation.
-        assert!(bb.lookup(0x2000, 0, |_, _| 0).is_none());
+        assert!(bb.lookup(0x2000).is_none());
         assert_eq!(bb.stats().invalidations, 2);
         assert!(bb.stats().invalidations <= bb.stats().built);
         // A rebuilt block at the wrapped page validates fine.
-        bb.insert(0x1000, block(1), None, 0);
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_some());
+        bb.insert(0x1000, block(1));
+        assert!(bb.lookup(0x1000).is_some());
     }
 
     #[test]
     fn silent_flush_counts_nothing() {
         let mut bb = armed();
-        bb.insert(0x1000, block(1), None, 0);
+        bb.insert(0x1000, block(1));
         assert_eq!(bb.flush(None), 1);
         assert_eq!(bb.stats().invalidations, 0);
         assert!(bb.journal_is_empty());
@@ -824,8 +768,8 @@ mod tests {
     #[test]
     fn disabled_cache_is_inert() {
         let mut bb = BbCache::new(4096);
-        bb.insert(0x1000, block(1), None, 0);
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_none());
+        bb.insert(0x1000, block(1));
+        assert!(bb.lookup(0x1000).is_none());
         assert_eq!(bb.invalidate_page(1, "unmap"), 0);
         assert_eq!(bb.stats(), BbStats::default());
         assert!(bb.journal_is_empty());
@@ -834,25 +778,82 @@ mod tests {
     #[test]
     fn disabling_clears_silently() {
         let mut bb = armed();
-        bb.insert(0x1000, block(1), None, 0);
-        bb.configure(1, false);
+        bb.insert(0x1000, block(1));
+        bb.configure(false);
         assert!(bb.is_empty());
         assert_eq!(bb.stats().invalidations, 0);
-        bb.configure(1, true);
-        assert!(bb.lookup(0x1000, 0, |_, _| 0).is_none());
+        bb.configure(true);
+        assert!(bb.lookup(0x1000).is_none());
     }
 
     #[test]
     fn capacity_flush_is_counted() {
         let mut bb = armed();
         for i in 0..MAX_BLOCKS {
-            bb.insert(0x1000 + (i as u32) * 8, block(1), None, 0);
+            bb.insert(0x1000 + (i as u32) * 8, block(1));
         }
         assert_eq!(bb.len(), MAX_BLOCKS);
-        bb.insert(0x9000_0000, block(1), None, 0);
+        bb.insert(0x9000_0000, block(1));
         assert_eq!(bb.len(), 1);
         let j = bb.drain_journal();
         assert_eq!(j.last().map(|e| e.cause), Some("capacity"));
         assert_eq!(bb.stats().invalidations, MAX_BLOCKS as u64);
+    }
+
+    #[test]
+    fn shared_text_epoch_mismatch_drops_the_block() {
+        let mut text = SharedText::default();
+        assert!(matches!(text.lookup(7, 0x2010, 10), SharedLookup::Miss));
+        assert_eq!(text.insert(7, 0x2010, 10, block(1)), 0);
+        assert!(matches!(text.lookup(7, 0x2010, 10), SharedLookup::Hit(_)));
+        assert!(matches!(text.lookup(7, 0x2010, 11), SharedLookup::Stale));
+        assert!(text.is_empty(), "a stale block is dropped, not kept");
+        assert!(matches!(text.lookup(7, 0x2010, 11), SharedLookup::Miss));
+        assert_eq!(text.drop_page(7, 2), 0, "its page index went with it");
+    }
+
+    #[test]
+    fn shared_text_unmoved_epoch_keeps_hitting() {
+        let mut text = SharedText::default();
+        let code = block(2);
+        text.insert(7, 0x2010, 10, code.clone());
+        for _ in 0..3 {
+            let SharedLookup::Hit(hit) = text.lookup(7, 0x2010, 10) else {
+                panic!("an unmoved epoch must hit");
+            };
+            assert!(Arc::ptr_eq(&hit, &code), "one decode, shared");
+        }
+        // Same offset in another file, or another offset in this one:
+        // different blocks.
+        assert!(matches!(text.lookup(8, 0x2010, 10), SharedLookup::Miss));
+        assert!(matches!(text.lookup(7, 0x2014, 10), SharedLookup::Miss));
+    }
+
+    #[test]
+    fn shared_text_drops_a_page_by_backing_file_page() {
+        let mut text = SharedText::default();
+        text.insert(7, 0x2000, 0, block(1));
+        text.insert(7, 0x2ff0, 0, block(1));
+        text.insert(7, 0x3000, 0, block(1));
+        text.insert(9, 0x2000, 0, block(1));
+        assert_eq!(text.drop_page(7, 2), 2);
+        assert_eq!(text.drop_page(7, 2), 0, "dropped once");
+        assert!(text.get(7, 0x2000).is_none() && text.get(7, 0x2ff0).is_none());
+        assert!(text.get(7, 0x3000).is_some(), "the next page stays");
+        assert!(text.get(9, 0x2000).is_some(), "the other file stays");
+        assert_eq!(text.flush(), 2);
+    }
+
+    #[test]
+    fn shared_text_capacity_flush_drops_everything_first() {
+        let mut text = SharedText::default();
+        for i in 0..MAX_BLOCKS as u32 {
+            assert_eq!(text.insert(1 + i / 1024, (i % 1024) * 4, 0, block(1)), 0);
+        }
+        assert_eq!(text.insert(99, 0, 0, block(1)), MAX_BLOCKS as u64);
+        assert!(text.get(99, 0).is_some());
+        assert_eq!(text.drop_page(1, 0), 0, "the page index was flushed too");
+        assert_eq!(text.flush(), 1, "only the new block survived");
+        assert!(text.is_empty());
     }
 }

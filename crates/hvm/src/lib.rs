@@ -26,7 +26,7 @@ pub mod encode;
 pub mod isa;
 pub mod regs;
 
-pub use bbcache::{BbCache, BbInvalidation, BbStats};
+pub use bbcache::{BbCache, BbInvalidation, BbStats, SharedLookup, SharedText};
 pub use cpu::{Bus, Cpu, StepOutcome};
 pub use decode::{decode, DecodeError};
 pub use encode::encode;

@@ -17,6 +17,12 @@ if grep -rnE 'std::time|Instant' crates/bench; then
   exit 1
 fi
 
+echo "==> product crates read no host clock (simulated time is the only clock they keep)"
+if grep -rnE 'std::time|Instant::' crates/{core,hkernel,hlink,hsfs,hvm,hobj,hfault,hsan}/src; then
+  echo "host clock in a product crate: host wall time belongs to perfbench" >&2
+  exit 1
+fi
+
 echo "==> World::publish is the only code that appends to the trace ring"
 if awk '/^    (pub )?fn /{f=$0} /\.record\(/ && f !~ /fn publish\(/{print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' crates/core/src/world.rs; then
   echo "trace ring appended outside World::publish: price records with CostModel::price there" >&2

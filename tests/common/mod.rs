@@ -813,9 +813,13 @@ pub enum Shape {
     /// E2's sparse `.uses` chain of [`EAGER_CHAIN_MODULES`] modules,
     /// linked eagerly at init and touched [`EAGER_CHAIN_DEPTH`] deep.
     EagerChain,
+    /// Two readers call a public function, a third process patches
+    /// it, and a fourth re-enters it: public text shared across a
+    /// store.
+    SharedText,
 }
 
-pub const SHAPES: [Shape; 10] = [
+pub const SHAPES: [Shape; 11] = [
     Shape::Pressure,
     Shape::DroppedShootdowns,
     Shape::Locked,
@@ -826,6 +830,7 @@ pub const SHAPES: [Shape; 10] = [
     Shape::Rwho,
     Shape::ForkWait,
     Shape::EagerChain,
+    Shape::SharedText,
 ];
 
 impl Shape {
@@ -851,6 +856,7 @@ impl Shape {
             Shape::Rwho => build_rwho(world),
             Shape::ForkWait => build_forkwait(world),
             Shape::EagerChain => build_eager_chain(world),
+            Shape::SharedText => build_shared_text(world),
         }
     }
 
@@ -864,9 +870,11 @@ impl Shape {
                 run_workload(world);
                 Vec::new()
             }
-            Shape::Chain | Shape::Fuzz | Shape::ForkWait | Shape::EagerChain => {
-                vec![world.spawn(exe).unwrap()]
-            }
+            Shape::Chain
+            | Shape::Fuzz
+            | Shape::ForkWait
+            | Shape::EagerChain
+            | Shape::SharedText => vec![world.spawn(exe).unwrap()],
             Shape::Rwho => (0..RWHO_READERS)
                 .map(|_| world.spawn(exe).unwrap())
                 .collect(),
@@ -1203,6 +1211,91 @@ pub fn build_eager_chain(world: &mut World) -> String {
             &[
                 ("/src/main.o", ShareClass::StaticPrivate),
                 ("/shared/lib/mod0.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
+// --- public text shared across a store --------------------------------------
+
+/// A public function and a donor instruction to patch its first word
+/// with: `func` returns 1 until patched, 77 after.
+const STEXT: &str = r#"
+.module stext
+.text
+.globl func
+func:   addi v0, r0, 1
+        jr   ra
+.globl donor
+donor:  addi v0, r0, 77
+"#;
+
+/// A parent that forks two readers of `func`, waits for both, forks a
+/// patcher that stores `donor` over `func`'s first word through its
+/// own RWX mapping, waits, forks a reader that re-enters `func`, waits,
+/// and exits with the sum of the four statuses, [`SHARED_TEXT_SUM`].
+/// Each reader touches `donor` first, so its page is resident and the
+/// call enters `func` through the block table.
+const STEXT_MAIN: &str = r#"
+.module main
+.text
+.globl main
+main:   li   r17, 2             ; main never returns: exit below
+rd:     li   v0, 6              ; fork a reader
+        syscall
+        beq  v0, r0, call
+        addi r17, r17, -1
+        bgtz r17, rd
+        li   r19, 0
+        jal  reap
+        jal  reap
+        li   v0, 6              ; fork the patcher
+        syscall
+        beq  v0, r0, patch
+        jal  reap
+        li   v0, 6              ; fork the reader that re-enters func
+        syscall
+        beq  v0, r0, call
+        jal  reap
+        or   a0, r19, r0
+        li   v0, 1
+        syscall
+reap:   li   v0, 16             ; waitpid(any): r19 += its status
+        li   a0, 0
+        syscall
+        add  r19, r19, v1
+        jr   ra
+call:   la   r9, donor
+        lw   r9, 0(r9)
+        jal  func
+        or   a0, v0, r0
+        li   v0, 1
+        syscall
+patch:  la   r9, donor
+        lw   r10, 0(r9)
+        la   r8, func
+        sw   r10, 0(r8)
+        li   a0, 0
+        li   v0, 1
+        syscall
+"#;
+
+/// [`STEXT_MAIN`]'s exit status: readers 1 and 1, the patcher 0, and
+/// the re-entering reader 77.
+pub const SHARED_TEXT_SUM: i32 = 79;
+
+/// Installs [`STEXT`] and links `/bin/stext` against it, public.
+pub fn build_shared_text(world: &mut World) -> String {
+    world
+        .install_template("/shared/lib/stext.o", STEXT)
+        .unwrap();
+    world.install_template("/src/stext.o", STEXT_MAIN).unwrap();
+    world
+        .link(
+            "/bin/stext",
+            &[
+                ("/src/stext.o", ShareClass::StaticPrivate),
+                ("/shared/lib/stext.o", ShareClass::DynamicPublic),
             ],
         )
         .unwrap()

@@ -10,7 +10,7 @@
 //! and cache-off cells, pressured or not, on one or four CPUs, armed or
 //! under chaos, agree in observables, race reports, simulated time,
 //! trace and `WorldStats`, modulo the three `bblock` counters and the
-//! cache's own 0-cost `BlockInvalidated` records. Three claims are
+//! cache's own 0-cost `BlockInvalidated` records. Four claims are
 //! tested here:
 //!
 //! 1. **Invisibility at any quantum**: the cache slice of the lattice,
@@ -25,7 +25,12 @@
 //!    back to the dispatch loop. The kernel's dispatch memo matches the
 //!    cache-off run with more hot blocks than ways, colliding in one
 //!    way, and a store into the loop's own text.
-//! 3. **The switch** reconfigures live processes too.
+//! 3. **Shared text is decoded once per boot**: blocks decoded from a
+//!    public module's pages live in one kernel-wide table that every
+//!    process uses. A store by one process reaches every later one, and
+//!    neither a power cut nor inode reuse can hand out a block decoded
+//!    from other bytes.
+//! 4. **The switch** reconfigures live processes too.
 
 mod common;
 
@@ -36,6 +41,11 @@ use hemlock::{ShareClass, World, WorldExit};
 use proptest::prelude::*;
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
+    trace_cause_pids(world, cause).len() as u64
+}
+
+/// The pid of every `BlockInvalidated` record with `cause`, in order.
+fn trace_cause_pids(world: &World, cause: &str) -> Vec<hkernel::Pid> {
     world
         .trace()
         .records()
@@ -43,7 +53,104 @@ fn trace_cause_count(world: &World, cause: &str) -> u64 {
             hemlock::TraceEvent::BlockInvalidated { cause: c, .. } => *c == cause,
             _ => false,
         })
-        .count() as u64
+        .map(|r| r.pid)
+        .collect()
+}
+
+/// A public function and a donor instruction to patch its first word
+/// with: `func` returns 1 until patched, 77 after.
+const PATCHMOD: &str = r#"
+.module patchmod
+.text
+.globl func
+func:   addi v0, r0, 1
+        jr   ra
+.globl donor
+donor:  addi v0, r0, 77
+"#;
+
+/// main: exit with what `func` returns. It reads `donor` first, which
+/// links the module and makes its page resident, so the call enters
+/// `func` through the block table rather than the fetch slow path.
+const CALLER: &str = r#"
+.module caller
+.text
+.globl main
+main:   addi sp, sp, -8
+        sw   ra, 0(sp)
+        la   r9, donor
+        lw   r9, 0(r9)
+        jal  func
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+"#;
+
+/// main: patch `func`'s first word with `donor` through the module's
+/// RWX text, exit 0.
+const PATCHER: &str = r#"
+.module patcher
+.text
+.globl main
+main:   la   r9, donor
+        lw   r10, 0(r9)
+        la   r8, func
+        sw   r10, 0(r8)
+        li   v0, 0
+        jr   ra
+"#;
+
+/// Installs `module` as the public template `/shared/lib/<name>.o` and
+/// links `/bin/<main>` from `source` against it.
+fn link_against(world: &mut World, module: (&str, &str), main: (&str, &str)) -> String {
+    let template = format!("/shared/lib/{}.o", module.0);
+    if world.kernel.vfs.resolve(&template).is_err() {
+        world.install_template(&template, module.1).unwrap();
+    }
+    let object = format!("/src/{}.o", main.0);
+    world.install_template(&object, main.1).unwrap();
+    world
+        .link(
+            &format!("/bin/{}", main.0),
+            &[
+                (&object, ShareClass::StaticPrivate),
+                (&template, ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
+/// Runs `exe` alone to completion and returns its pid.
+fn run_alone(world: &mut World, exe: &str) -> hkernel::Pid {
+    let pid = world.spawn(exe).unwrap();
+    assert_eq!(world.run_to_completion(), WorldExit::AllExited);
+    pid
+}
+
+/// The public instance's inode and `symbol`'s offset in it: the key of
+/// the kernel's shared-text table.
+fn text_key(world: &mut World, instance: &str, symbol: &str) -> (u32, u32) {
+    let ino = world.kernel.vfs.resolve(instance).unwrap().ino;
+    let meta = world.registry.get(&mut world.kernel.vfs, ino).unwrap();
+    (ino, meta.find_export(symbol).unwrap() - meta.base)
+}
+
+/// The first instruction of the kernel's block at `key`, if it has one.
+fn table_head(world: &World, key: (u32, u32)) -> Option<hvm::Instr> {
+    world
+        .kernel
+        .shared_text()
+        .get(key.0, key.1)
+        .map(|code| code[0])
+}
+
+/// `addi v0, r0, imm`: the first instruction of `func`, or of `donor`.
+fn ret(imm: u16) -> hvm::Instr {
+    hvm::Instr::Addi {
+        rt: hvm::Reg::V0,
+        rs: hvm::Reg::ZERO,
+        imm,
+    }
 }
 
 // --- 1. the differential property -------------------------------------
@@ -88,15 +195,6 @@ proptest! {
 /// would win and the run would exit 1.
 #[test]
 fn store_into_cached_executable_page_aborts_the_running_block() {
-    const PATCHMOD: &str = r#"
-.module patchmod
-.text
-.globl func
-func:   addi v0, r0, 1
-        jr   ra
-.globl donor
-donor:  addi v0, r0, 77
-"#;
     const MAIN: &str = r#"
 .module main
 .text
@@ -492,7 +590,145 @@ main:   addi sp, sp, -8
     }
 }
 
-// --- 3. the switch ----------------------------------------------------
+// --- 3. shared text -----------------------------------------------------
+
+/// Process A runs a lazily linked public function, B patches its first
+/// word through its own RWX text, and a fresh C calls it. B's store
+/// drops the block A decoded from the kernel-wide table at once,
+/// journaled under B's pid, so C's first entry misses the table and
+/// decodes the patched bytes. Cache on and off agree modulo the cache's
+/// own counters and records.
+#[test]
+fn a_store_into_shared_text_reaches_every_later_process() {
+    let run = |cache: bool| {
+        let mut world = World::new();
+        world.set_bbcache(cache);
+        let caller = link_against(&mut world, ("patchmod", PATCHMOD), ("caller", CALLER));
+        let patcher = link_against(&mut world, ("patchmod", PATCHMOD), ("patcher", PATCHER));
+        let a = run_alone(&mut world, &caller);
+        let key = text_key(&mut world, "/shared/lib/patchmod", "func");
+        let after_a = table_head(&world, key);
+        let b = run_alone(&mut world, &patcher);
+        let after_b = table_head(&world, key);
+        let c = world.spawn(&caller).unwrap();
+        let replay = settle(&mut world, &[a, b, c], Mask::Nothing);
+        let after_c = table_head(&world, key);
+        (replay, world, [a, b, c], [after_a, after_b, after_c])
+    };
+    let (on, on_world, [_, b, _], heads) = run(true);
+    let (off, _, _, off_heads) = run(false);
+    assert_eq!(off.obs.exits, [Some(1), Some(0), Some(77)], "reference");
+    assert_same(
+        on.view(&[Mask::BbCache]),
+        off.view(&[Mask::BbCache]),
+        "cache on against off",
+    );
+    // A decoded `func` into the table; B's store dropped it, so C's
+    // first entry was a table miss that decoded the patched word.
+    assert_eq!(heads, [Some(ret(1)), None, Some(ret(77))]);
+    assert_eq!(off_heads, [None; 3], "cache off decodes nothing");
+    assert_eq!(trace_cause_pids(&on_world, "store-exec"), [b]);
+    assert!(
+        trace_cause_pids(&on_world, "shared-store").is_empty(),
+        "nothing was left for a lazy epoch check to find"
+    );
+}
+
+/// Power cut: a public module's text is decoded, an un-barriered host
+/// write patches that page, a process decodes the patched bytes, and
+/// the power fails. The cut restarts the file system's write epochs, so
+/// the kernel's table must go with it: after the reboot every process
+/// runs what the disk holds, cache on equal to cache off.
+#[test]
+fn a_power_cut_empties_the_shared_text_table() {
+    let run = |cache: bool| {
+        let mut world = World::new();
+        world.set_bbcache(cache);
+        let caller = link_against(&mut world, ("patchmod", PATCHMOD), ("caller", CALLER));
+        let a = run_alone(&mut world, &caller);
+        world.barrier();
+        let (ino, func) = text_key(&mut world, "/shared/lib/patchmod", "func");
+        let donor = text_key(&mut world, "/shared/lib/patchmod", "donor").1;
+        let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
+        let patch = bytes[donor as usize..donor as usize + 4].to_vec();
+        world
+            .kernel
+            .vfs
+            .write("/shared/lib/patchmod", u64::from(func), &patch)
+            .unwrap();
+        let b = run_alone(&mut world, &caller);
+        let before_cut = table_head(&world, (ino, func));
+        world.power_cut();
+        assert!(world.kernel.shared_text().is_empty(), "the cut empties it");
+        world.reboot();
+        let on_disk = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap()
+            [func as usize..func as usize + 4]
+            .to_vec();
+        let c = world.spawn(&caller).unwrap();
+        let replay = settle(&mut world, &[a, b, c], Mask::Nothing);
+        (replay, before_cut, on_disk == patch)
+    };
+    let (on, before_cut, patched_on_disk) = run(true);
+    let (off, _, _) = run(false);
+    assert_same(
+        on.view(&[Mask::BbCache]),
+        off.view(&[Mask::BbCache]),
+        "cache on against off",
+    );
+    assert_eq!(before_cut, Some(ret(77)), "B decoded the live patch");
+    let after = if patched_on_disk { 77 } else { 1 };
+    assert_eq!(off.obs.exits, [Some(1), Some(77), Some(after)]);
+}
+
+/// Inode reuse: a public module is run, its instance removed, and a
+/// different module installed whose instance gets the same inode and
+/// so the same global address. The table still holds the old module's
+/// block under that `(ino, offset)`; the new module's first entry must
+/// find it stale, drop it and decode the new bytes.
+#[test]
+fn a_reused_inode_never_returns_the_old_block() {
+    const TWOMOD: &str = r#"
+.module twomod
+.text
+.globl func
+func:   addi v0, r0, 2
+        jr   ra
+.globl donor
+donor:  .word 0
+"#;
+    let run = |cache: bool| {
+        let mut world = World::new();
+        world.set_bbcache(cache);
+        let one = link_against(&mut world, ("patchmod", PATCHMOD), ("one", CALLER));
+        let a = run_alone(&mut world, &one);
+        let old = text_key(&mut world, "/shared/lib/patchmod", "func");
+        world
+            .install_template("/shared/lib/twomod.o", TWOMOD)
+            .unwrap();
+        world.registry.forget(&mut world.kernel.vfs, old.0);
+        world.kernel.vfs.unlink("/shared/lib/patchmod").unwrap();
+        let held = table_head(&world, old);
+        let two = link_against(&mut world, ("twomod", TWOMOD), ("two", CALLER));
+        let b = world.spawn(&two).unwrap();
+        let replay = settle(&mut world, &[a, b], Mask::Nothing);
+        let new = text_key(&mut world, "/shared/lib/twomod", "func");
+        assert_eq!(new, old, "the new instance reuses the inode");
+        let stale = trace_cause_pids(&world, "shared-store");
+        (replay, [held, table_head(&world, new)], stale, b)
+    };
+    let (on, heads, stale, b) = run(true);
+    let (off, _, _, _) = run(false);
+    assert_eq!(off.obs.exits, [Some(1), Some(2)], "reference");
+    assert_same(
+        on.view(&[Mask::BbCache]),
+        off.view(&[Mask::BbCache]),
+        "cache on against off",
+    );
+    assert_eq!(heads, [Some(ret(1)), Some(ret(2))]);
+    assert_eq!(stale, [b], "the old block was found stale and dropped");
+}
+
+// --- 4. the switch ----------------------------------------------------
 
 /// `World::set_bbcache(false)` reconfigures *live* processes too: a
 /// world switched off mid-run stops building and still finishes with

@@ -25,7 +25,7 @@ mod common;
 
 use common::{
     run_cell, sweep, Cell, Shape, EAGER_CHAIN_DEPTH, EAGER_CHAIN_MODULES, FORKWAIT_CHILDREN,
-    FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES,
+    FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES, SHARED_TEXT_SUM,
 };
 use proptest::prelude::*;
 
@@ -91,6 +91,30 @@ fn eager_chain() {
     let ldl = world.stats().ldl;
     let resolved = (ldl.symbols_resolved, ldl.faults_resolved, ldl.lazy_links);
     assert_eq!(resolved, (EAGER_CHAIN_MODULES as u64, 0, 0));
+}
+
+#[test]
+fn shared_text() {
+    let stats = sweep(Shape::SharedText, 300, &Cell::lattice());
+    let (replay, world) = run_cell(Shape::SharedText, Cell::lattice()[0], 300, None, false);
+    assert_eq!(replay.obs.exits, [Some(SHARED_TEXT_SUM)]);
+    // With the cache on, the readers shared the block and the patcher's
+    // store dropped it: one `store-exec` record, and its pid is the
+    // patcher's, the third child.
+    let store_exec: Vec<_> = world
+        .trace()
+        .records()
+        .filter(|r| {
+            let cause = match &r.event {
+                hemlock::TraceEvent::BlockInvalidated { cause, .. } => *cause,
+                _ => "",
+            };
+            cause == "store-exec"
+        })
+        .map(|r| r.pid)
+        .collect();
+    assert_eq!(store_exec, [4]);
+    assert!(stats[0].bblock_hits > 0, "{:?}", stats[0]);
 }
 
 proptest! {
