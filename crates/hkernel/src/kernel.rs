@@ -864,8 +864,9 @@ impl Kernel {
                 // per-dispatch proc/bus setup is paid once per chain,
                 // not once per block (call-heavy code averages a
                 // handful of instructions per block). `fetch_check`
-                // re-stamps the access context every instruction, so
-                // attribution follows the chain. State transitions
+                // re-stamps the access context's pc before every load
+                // and store, and `fetch` before a stepped instruction,
+                // so attribution follows the chain. State transitions
                 // only happen inside syscalls, which terminate blocks
                 // and end the chain, so the Runnable check above holds
                 // for every instruction the chain retires. `None` from

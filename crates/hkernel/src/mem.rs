@@ -1821,7 +1821,11 @@ impl MemBus<'_> {
 }
 
 impl Bus for MemBus<'_> {
+    /// The slow path's fetch: also stamps the access context's PC, so a
+    /// data access of a stepped instruction is attributed to it even
+    /// when blocks ran earlier on this bus.
     fn fetch(&mut self, addr: u32) -> Result<u32, Fault> {
+        self.ctx.pc = addr;
         self.load(addr, 4, Access::Exec)
     }
     /// Every side effect of `fetch` except reading the bytes out: the
@@ -1830,8 +1834,10 @@ impl Bus for MemBus<'_> {
     /// bytes themselves were validated when the block was built, and a
     /// backing-file truncation since then moves the write epoch, which
     /// evicts the block before it can re-enter. Also refreshes the
-    /// access context's PC so monitor attribution (hsan race reports)
-    /// stays per-instruction inside a block.
+    /// access context's PC. `run_block` calls it before every load and
+    /// store, so monitor attribution (hsan race reports) stays
+    /// per-instruction inside a block; the monitor reads the PC only
+    /// in those accesses.
     ///
     /// The text page is checked in full once per bus: after one execute
     /// translation of a page succeeds, a later fetch from that page
@@ -1853,6 +1859,13 @@ impl Bus for MemBus<'_> {
         self.translate(addr, Access::Exec)?;
         self.text_vpn = vp;
         Ok(())
+    }
+    /// The fetches `run_block` made without a call: each follows a
+    /// successful check of the same page with no data access between,
+    /// so the TLB still holds that page and each is the tag-compare hit
+    /// `fetch_check` counts above.
+    fn fetch_hits(&mut self, n: u64) {
+        self.aspace.stats.tlb_hits += n;
     }
     fn text_epoch(&mut self) -> u64 {
         self.aspace.bb.store_epoch()
@@ -2413,67 +2426,143 @@ mod tests {
         }
     }
 
-    /// The block path's text-page fast path falls back to the full
-    /// translation when a data access displaces the text page's TLB
-    /// entry: a cached loop whose `lw`/`sw` hit a page that aliases its
-    /// own text page under `Tlb::index` misses and refills on every
-    /// fetch after them, exactly as fetch+decode does, with the same
-    /// TLB counters, reference bits and outcome.
+    /// The block path checks the text page in full at block entry,
+    /// at each load and store, and at the first fetch after one, and
+    /// counts the other fetches as TLB hits in bulk. A cached loop
+    /// whose `lw`/`sw` hit a page that aliases its own text page under
+    /// `Tlb::index`, with register-only instructions around them,
+    /// misses and refills after each of them exactly as fetch+decode
+    /// does: the same TLB counters, reference bits and outcome, whole
+    /// blocks or blocks cut by the budget anywhere. With a monitor
+    /// armed, a shared read in the middle of a block is attributed to
+    /// the load's own pc.
     #[test]
     fn fetch_fast_path_refills_after_an_aliasing_data_access() {
+        use crate::monitor::{Monitor, SyncEdge};
         use hvm::{Cpu, Reg, StepOutcome};
         const TEXT: u32 = 0x0040_0000;
         const ITERS: u32 = 4;
+        /// The shared load's index in `program`.
+        const SHARED_LW: u32 = 6;
+
+        #[derive(Default)]
+        struct Reads(Vec<(u32, Ino, u32)>);
+        impl Monitor for Reads {
+            fn shared_read(&mut self, ctx: AccessCtx, ino: Ino, off: u32, _len: u32) {
+                self.0.push((ctx.pc, ino, off));
+            }
+            fn shared_write(&mut self, _: AccessCtx, _: Ino, _: u32, _: u32, _: bool) {}
+            fn sync_edge(&mut self, _: SyncEdge) {}
+        }
+
         let data = (vpn(TEXT) + 1..)
             .find(|&v| Tlb::index(v) == Tlb::index(vpn(TEXT)))
             .unwrap()
             * P;
-        let (r8, r9, r10) = (Reg(8), Reg(9), Reg(10));
+        let r = Reg;
         let program = [
+            Instr::Addi {
+                rt: r(11),
+                rs: r(11),
+                imm: 1,
+            },
+            Instr::Sll {
+                rd: r(12),
+                rt: r(11),
+                shamt: 2,
+            },
             Instr::Lw {
-                rt: r9,
-                rs: r8,
+                rt: r(9),
+                rs: r(8),
                 imm: 0,
             },
+            Instr::Addi {
+                rt: r(13),
+                rs: r(9),
+                imm: 1,
+            },
             Instr::Sw {
-                rt: r9,
-                rs: r8,
+                rt: r(9),
+                rs: r(8),
                 imm: 4,
             },
+            Instr::Xor {
+                rd: r(14),
+                rs: r(14),
+                rt: r(13),
+            },
+            Instr::Lw {
+                rt: r(15),
+                rs: r(16),
+                imm: 8,
+            },
+            Instr::Add {
+                rd: r(17),
+                rs: r(17),
+                rt: r(15),
+            },
             Instr::Addi {
-                rt: r10,
-                rs: r10,
+                rt: r(10),
+                rs: r(10),
                 imm: 0xFFFF,
             },
             Instr::Bgtz {
-                rs: r10,
-                imm: 0xFFFC,
-            }, // back to the lw
+                rs: r(10),
+                imm: 0xFFF6,
+            }, // back to the first addi
+            // A last block whose only refill is the fetch after its lw.
+            Instr::Lw {
+                rt: r(18),
+                rs: r(8),
+                imm: 0,
+            },
+            Instr::Addi {
+                rt: r(18),
+                rs: r(18),
+                imm: 1,
+            },
             Instr::Break { code: 0 },
         ];
-        let run = |cache: bool| {
+        let run = |cache: bool, budget: u64, armed: bool| {
             let mut a = AddressSpace::new();
             let mut s = SharedFs::new();
             let mut t = SharedText::default();
+            let ino = s.create_file("/db", 0o666, 0).unwrap();
+            s.fs.truncate(ino, u64::from(P)).unwrap();
+            let shared = SharedFs::addr_of_ino(ino);
             a.map_anon(TEXT, P, Prot::RX).unwrap();
             a.map_anon(data, P, Prot::RW).unwrap();
+            a.map_shared(shared, P, Prot::RW, ino, 0).unwrap();
             let text: Vec<u8> = program
                 .iter()
                 .flat_map(|i| hvm::encode(*i).to_le_bytes())
                 .collect();
             a.write_bytes(&mut s, TEXT, &text).unwrap();
             a.write_bytes(&mut s, data, &9u32.to_le_bytes()).unwrap();
+            a.write_bytes(&mut s, shared + 8, &5u32.to_le_bytes())
+                .unwrap();
             a.bbcache_mut().configure(cache);
+            let reads = Arc::new(Mutex::new(Reads::default()));
+            let monitor: MonitorRef = reads.clone();
             let mut cpu = Cpu::new();
             cpu.pc = TEXT;
-            cpu.set_reg(r8, data);
-            cpu.set_reg(r10, ITERS);
+            cpu.set_reg(r(8), data);
+            cpu.set_reg(r(10), ITERS);
+            cpu.set_reg(r(16), shared);
             let outcome = {
                 // One bus for the whole run, as within one slice.
-                let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+                let ctx = AccessCtx {
+                    pc: TEXT,
+                    ..AccessCtx::default()
+                };
+                let mut bus = if armed {
+                    MemBus::observed(&mut a, &mut s, &mut t, ctx, &monitor)
+                } else {
+                    MemBus::attributed(&mut a, &mut s, &mut t, ctx)
+                };
                 loop {
                     let out = match bus.bb_block(cpu.pc) {
-                        Some(code) => cpu.run_block(&mut bus, &code, u64::MAX).1,
+                        Some(code) => cpu.run_block(&mut bus, &code, budget).1,
                         None => Some(cpu.step(&mut bus)),
                     };
                     match out {
@@ -2483,6 +2572,7 @@ mod tests {
                 }
             };
             let referenced = |addr| a.entry(addr).unwrap().flags & F_REFERENCED != 0;
+            let reads = std::mem::take(&mut reads.lock().unwrap().0);
             let seen = (
                 outcome,
                 cpu.clone(),
@@ -2490,22 +2580,45 @@ mod tests {
                 a.stats.tlb_misses,
                 referenced(TEXT),
                 referenced(data),
+                reads,
             );
             (seen, a.bbcache().stats())
         };
-        let (on, bb) = run(true);
-        let (off, _) = run(false);
-        assert_eq!(
-            bb.hits,
-            u64::from(ITERS) - 1,
-            "the loop replays from the cache"
-        );
-        assert_eq!(on, off, "block path and fetch+decode disagree");
-        assert_eq!(on.0, StepOutcome::Break(0));
-        assert_eq!(on.1.reg(Reg(9)), 9);
-        // Per iteration: the lw evicts the text entry, so the sw's fetch
-        // refills it, the sw evicts it again, and the addi's refills it.
-        assert!(on.3 >= 2 * u64::from(ITERS), "misses {}", on.3);
-        assert!(on.4 && on.5, "both pages referenced");
+        for armed in [false, true] {
+            let (off, _) = run(false, u64::MAX, armed);
+            for budget in [u64::MAX, 1, 3, 4] {
+                let (on, bb) = run(true, budget, armed);
+                if budget == u64::MAX {
+                    assert_eq!(
+                        bb.hits,
+                        u64::from(ITERS) - 1,
+                        "the loop replays from the cache"
+                    );
+                }
+                assert_eq!(
+                    on, off,
+                    "block path (budget {budget}, armed {armed}) and fetch+decode disagree"
+                );
+            }
+            assert_eq!(off.0, StepOutcome::Break(0));
+            assert_eq!(off.1.reg(Reg(9)), 9);
+            assert_eq!(off.1.reg(Reg(17)), 5 * ITERS);
+            assert_eq!(off.1.reg(Reg(18)), 10);
+            // Per iteration: the lw evicts the text entry, so the addi
+            // after it refills it, the sw evicts it again, and the xor's
+            // fetch refills it.
+            assert!(off.3 >= 2 * u64::from(ITERS), "misses {}", off.3);
+            assert!(off.4 && off.5, "both pages referenced");
+            let shared_pc = TEXT + 4 * SHARED_LW;
+            let want = if armed { ITERS as usize } else { 0 };
+            assert_eq!(off.6.len(), want, "one shared read per iteration");
+            assert!(
+                off.6
+                    .iter()
+                    .all(|&(pc, _, off)| pc == shared_pc && off == 8),
+                "shared reads attributed to the load: {:?}",
+                off.6
+            );
+        }
     }
 }

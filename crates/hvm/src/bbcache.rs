@@ -5,13 +5,16 @@
 //! overhead — the simulated cost model charges the same either way, but
 //! host wall-time does not. Two tables memoize straight-line decoded
 //! [`Instr`] runs ("basic blocks"): decoded once, executed many times via
-//! [`crate::Cpu::run_block`], which replays the *exact* per-instruction
-//! semantics (translation, protection, residency, monitor visibility)
-//! through [`crate::Bus::fetch_check`] while skipping the byte fetch and
-//! decode. The bus may serve repeat fetches from a text page it has
-//! already checked with a TLB tag compare (see `hkernel`'s `MemBus`),
-//! and the kernel's dispatch memo lends a few recent blocks to
-//! `run_block` without re-entering the cache while
+//! [`crate::Cpu::run_block`], which keeps the *exact* semantics
+//! (translation, protection, residency, monitor visibility) while
+//! skipping the byte fetch and decode. A block lies within one page, so
+//! its fetches go through [`crate::Bus::fetch_check`] only at entry, at
+//! each load and store, and at the first fetch after one; the fetches
+//! between are repeats of a checked page with no data access in between,
+//! which `run_block` retires without a bus call and hands to
+//! [`crate::Bus::fetch_hits`] in bulk (see the contract on
+//! [`crate::Bus`]). The kernel's dispatch memo lends a few recent blocks
+//! to `run_block` without re-entering the cache while
 //! [`BbCache::mutation_stamp`] stands still.
 //!
 //! The tables split by where the bytes live:

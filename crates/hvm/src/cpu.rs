@@ -15,6 +15,17 @@ use crate::regs::Reg;
 ///
 /// Implementations perform translation and protection checks. A `Fault`
 /// return must leave memory unchanged.
+///
+/// **Fetch contract of [`Cpu::run_block`].** A cached block lies within
+/// one page. `run_block` calls [`Bus::fetch_check`] for the block's
+/// first instruction, for every load and store, and for the first
+/// instruction after a load or store. Every other fetch in the block
+/// follows a successful `fetch_check` of the same page with no data
+/// access in between; `run_block` makes no call for it, and hands the
+/// number of such fetches to [`Bus::fetch_hits`] once, on every exit
+/// from the block. A bus must therefore make such a repeated fetch
+/// unable to fault, and give it no side effect beyond what `fetch_hits`
+/// accounts in bulk.
 pub trait Bus {
     /// Fetches the instruction word at `addr` (checked for execute access).
     fn fetch(&mut self, addr: u32) -> Result<u32, Fault>;
@@ -33,11 +44,21 @@ pub trait Bus {
 
     /// Performs the side effects of an instruction fetch at `addr`
     /// (translation, protection, residency, reference bits) *without*
-    /// returning the bytes — the block-cache fast path, where the word
-    /// was already decoded. Must be observably identical to
-    /// [`Bus::fetch`] minus the data. The default is exactly that.
+    /// returning the bytes — the block-cache path, where the word was
+    /// already decoded. Must be observably identical to [`Bus::fetch`]
+    /// minus the data. The default is exactly that. `run_block` calls
+    /// it only where the contract above says, not for every fetch.
     fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
         self.fetch(addr).map(|_| ())
+    }
+
+    /// Accounts `n` fetches that [`Cpu::run_block`] retired without a
+    /// call, each a repeat of the block's last successful
+    /// [`Bus::fetch_check`] page (see the contract above). The default
+    /// does nothing, which is exact for a bus whose fetches of mapped
+    /// text have no side effects, such as a flat memory.
+    fn fetch_hits(&mut self, n: u64) {
+        let _ = n;
     }
 
     /// A stamp that moves whenever a store through this bus could have
@@ -146,9 +167,15 @@ impl Cpu {
     /// as one more `step` — so `None` means "budget exhausted or block
     /// aborted mid-run; re-enter at `self.pc`".
     ///
-    /// Per instruction this replays the slow path in order: budget
-    /// check, [`Bus::fetch_check`] (every fetch side effect except the
-    /// bytes), then [`Cpu::execute`]. After a store retires it checks
+    /// `code` must lie within one page, as every cached block does. The
+    /// fetches follow the contract on [`Bus`]: [`Bus::fetch_check`] at
+    /// block entry, for every load and store, and for the first fetch
+    /// after a load or store; every other fetch is counted and handed
+    /// to [`Bus::fetch_hits`] once, on every exit path. Register-only
+    /// instructions retire in a loop that keeps `pc` and the retired
+    /// count in locals; they are written back before anything else
+    /// runs ([`Cpu::execute`] for loads, stores, `div*`, `syscall` and
+    /// `break`). After a store retires the block checks
     /// [`Bus::text_epoch`] and aborts if the store invalidated the text
     /// under us (PC is correct, nothing is lost). Only stores move the
     /// epoch, so checking after them is checking before every
@@ -160,24 +187,69 @@ impl Cpu {
         code: &[Instr],
         max: u64,
     ) -> (u64, Option<StepOutcome>) {
-        let mut ran = 0u64;
+        let code = &code[..code.len().min(usize::try_from(max).unwrap_or(usize::MAX))];
+        if code.is_empty() {
+            return (0, None);
+        }
+        if let Err(f) = bus.fetch_check(self.pc) {
+            return (0, Some(StepOutcome::Fault(f)));
+        }
         let epoch = bus.text_epoch();
-        for instr in code {
-            if ran >= max {
-                return (ran, None);
+        let base = self.retired;
+        let mut pc = self.pc;
+        // Successful `fetch_check` calls, and the pc of the last one.
+        let mut checks = 1u64;
+        let mut checked = pc;
+        // Instructions retired so far; also the index of the next one.
+        let mut i = 0usize;
+        let fault = loop {
+            let Some(&instr) = code.get(i) else {
+                break None;
+            };
+            if let Some(next) = self.register_only(instr, pc) {
+                pc = next;
+                i += 1;
+                continue;
             }
-            if let Err(fault) = bus.fetch_check(self.pc) {
-                return (ran, Some(StepOutcome::Fault(fault)));
+            let data = instr.accesses_memory();
+            if data && checked != pc {
+                if let Err(f) = bus.fetch_check(pc) {
+                    break Some(StepOutcome::Fault(f));
+                }
+                checks += 1;
+                checked = pc;
             }
-            match self.execute(*instr, bus) {
-                StepOutcome::Retired => ran += 1,
-                outcome => return (ran, Some(outcome)),
+            self.pc = pc;
+            self.retired = base + i as u64;
+            match self.execute(instr, bus) {
+                StepOutcome::Retired => {}
+                outcome => {
+                    bus.fetch_hits(i as u64 + 1 - checks);
+                    return (i as u64, Some(outcome));
+                }
+            }
+            pc = self.pc;
+            i += 1;
+            if !data {
+                continue;
             }
             if instr.is_store() && bus.text_epoch() != epoch {
-                return (ran, None);
+                break None;
             }
-        }
-        (ran, None)
+            // The data access may have displaced the text page or
+            // evicted it: check the next fetch in full.
+            if i < code.len() {
+                if let Err(f) = bus.fetch_check(pc) {
+                    break Some(StepOutcome::Fault(f));
+                }
+                checks += 1;
+                checked = pc;
+            }
+        };
+        self.pc = pc;
+        self.retired = base + i as u64;
+        bus.fetch_hits(i as u64 - checks);
+        (i as u64, fault)
     }
 
     /// Executes an already-decoded instruction.
@@ -187,44 +259,13 @@ impl Cpu {
     pub fn execute<B: Bus>(&mut self, instr: Instr, bus: &mut B) -> StepOutcome {
         use Instr::*;
         let pc = self.pc;
-        let mut next = pc.wrapping_add(4);
+        if let Some(next) = self.register_only(instr, pc) {
+            self.pc = next;
+            self.retired += 1;
+            return StepOutcome::Retired;
+        }
+        let next = pc.wrapping_add(4);
         match instr {
-            Add { rd, rs, rt } => {
-                let v = self.reg(rs).wrapping_add(self.reg(rt));
-                self.set_reg(rd, v);
-            }
-            Sub { rd, rs, rt } => {
-                let v = self.reg(rs).wrapping_sub(self.reg(rt));
-                self.set_reg(rd, v);
-            }
-            And { rd, rs, rt } => self.set_reg(rd, self.reg(rs) & self.reg(rt)),
-            Or { rd, rs, rt } => self.set_reg(rd, self.reg(rs) | self.reg(rt)),
-            Xor { rd, rs, rt } => self.set_reg(rd, self.reg(rs) ^ self.reg(rt)),
-            Nor { rd, rs, rt } => self.set_reg(rd, !(self.reg(rs) | self.reg(rt))),
-            Slt { rd, rs, rt } => {
-                let v = ((self.reg(rs) as i32) < (self.reg(rt) as i32)) as u32;
-                self.set_reg(rd, v);
-            }
-            Sltu { rd, rs, rt } => self.set_reg(rd, (self.reg(rs) < self.reg(rt)) as u32),
-            Sll { rd, rt, shamt } => self.set_reg(rd, self.reg(rt) << shamt),
-            Srl { rd, rt, shamt } => self.set_reg(rd, self.reg(rt) >> shamt),
-            Sra { rd, rt, shamt } => self.set_reg(rd, ((self.reg(rt) as i32) >> shamt) as u32),
-            Sllv { rd, rt, rs } => self.set_reg(rd, self.reg(rt) << (self.reg(rs) & 31)),
-            Srlv { rd, rt, rs } => self.set_reg(rd, self.reg(rt) >> (self.reg(rs) & 31)),
-            Srav { rd, rt, rs } => {
-                let v = ((self.reg(rt) as i32) >> (self.reg(rs) & 31)) as u32;
-                self.set_reg(rd, v);
-            }
-            Mult { rs, rt } => {
-                let p = (self.reg(rs) as i32 as i64) * (self.reg(rt) as i32 as i64);
-                self.hi = (p >> 32) as u32;
-                self.lo = p as u32;
-            }
-            Multu { rs, rt } => {
-                let p = (self.reg(rs) as u64) * (self.reg(rt) as u64);
-                self.hi = (p >> 32) as u32;
-                self.lo = p as u32;
-            }
             Div { rs, rt } => {
                 let (n, d) = (self.reg(rs) as i32, self.reg(rt) as i32);
                 if d == 0 {
@@ -241,18 +282,6 @@ impl Cpu {
                 self.lo = n / d;
                 self.hi = n % d;
             }
-            Mfhi { rd } => self.set_reg(rd, self.hi),
-            Mflo { rd } => self.set_reg(rd, self.lo),
-            Addi { rt, rs, imm } => self.set_reg(rt, self.reg(rs).wrapping_add(sext16(imm))),
-            Slti { rt, rs, imm } => {
-                let v = ((self.reg(rs) as i32) < (sext16(imm) as i32)) as u32;
-                self.set_reg(rt, v);
-            }
-            Sltiu { rt, rs, imm } => self.set_reg(rt, (self.reg(rs) < sext16(imm)) as u32),
-            Andi { rt, rs, imm } => self.set_reg(rt, self.reg(rs) & imm as u32),
-            Ori { rt, rs, imm } => self.set_reg(rt, self.reg(rs) | imm as u32),
-            Xori { rt, rs, imm } => self.set_reg(rt, self.reg(rs) ^ imm as u32),
-            Lui { rt, imm } => self.set_reg(rt, (imm as u32) << 16),
             Lb { rt, rs, imm } => {
                 let addr = self.reg(rs).wrapping_add(sext16(imm));
                 match bus.load8(addr) {
@@ -336,6 +365,84 @@ impl Cpu {
                     return StepOutcome::Fault(f);
                 }
             }
+            Syscall => {
+                self.pc = next;
+                self.retired += 1;
+                return StepOutcome::Syscall;
+            }
+            Break { code } => {
+                self.pc = next;
+                self.retired += 1;
+                return StepOutcome::Break(code);
+            }
+            _ => unreachable!("register-only instructions retired above"),
+        }
+        self.pc = next;
+        self.retired += 1;
+        StepOutcome::Retired
+    }
+
+    /// The meaning of every instruction that touches only the register
+    /// file: ALU, shifts, `lui`, branches, jumps, `mult*` and `mf*`. It
+    /// applies `instr`, executing at `pc`, and returns the next pc, or
+    /// returns `None` and changes nothing for the instructions that can
+    /// touch memory or trap (loads, stores, `div*`, `syscall`,
+    /// `break`). This is the one definition of those instructions:
+    /// [`Cpu::execute`] and [`Cpu::run_block`] both call it, and neither
+    /// advances `pc` or `retired` here.
+    #[inline(always)]
+    fn register_only(&mut self, instr: Instr, pc: u32) -> Option<u32> {
+        use Instr::*;
+        let mut next = pc.wrapping_add(4);
+        match instr {
+            Add { rd, rs, rt } => {
+                let v = self.reg(rs).wrapping_add(self.reg(rt));
+                self.set_reg(rd, v);
+            }
+            Sub { rd, rs, rt } => {
+                let v = self.reg(rs).wrapping_sub(self.reg(rt));
+                self.set_reg(rd, v);
+            }
+            And { rd, rs, rt } => self.set_reg(rd, self.reg(rs) & self.reg(rt)),
+            Or { rd, rs, rt } => self.set_reg(rd, self.reg(rs) | self.reg(rt)),
+            Xor { rd, rs, rt } => self.set_reg(rd, self.reg(rs) ^ self.reg(rt)),
+            Nor { rd, rs, rt } => self.set_reg(rd, !(self.reg(rs) | self.reg(rt))),
+            Slt { rd, rs, rt } => {
+                let v = ((self.reg(rs) as i32) < (self.reg(rt) as i32)) as u32;
+                self.set_reg(rd, v);
+            }
+            Sltu { rd, rs, rt } => self.set_reg(rd, (self.reg(rs) < self.reg(rt)) as u32),
+            Sll { rd, rt, shamt } => self.set_reg(rd, self.reg(rt) << shamt),
+            Srl { rd, rt, shamt } => self.set_reg(rd, self.reg(rt) >> shamt),
+            Sra { rd, rt, shamt } => self.set_reg(rd, ((self.reg(rt) as i32) >> shamt) as u32),
+            Sllv { rd, rt, rs } => self.set_reg(rd, self.reg(rt) << (self.reg(rs) & 31)),
+            Srlv { rd, rt, rs } => self.set_reg(rd, self.reg(rt) >> (self.reg(rs) & 31)),
+            Srav { rd, rt, rs } => {
+                let v = ((self.reg(rt) as i32) >> (self.reg(rs) & 31)) as u32;
+                self.set_reg(rd, v);
+            }
+            Mult { rs, rt } => {
+                let p = (self.reg(rs) as i32 as i64) * (self.reg(rt) as i32 as i64);
+                self.hi = (p >> 32) as u32;
+                self.lo = p as u32;
+            }
+            Multu { rs, rt } => {
+                let p = (self.reg(rs) as u64) * (self.reg(rt) as u64);
+                self.hi = (p >> 32) as u32;
+                self.lo = p as u32;
+            }
+            Mfhi { rd } => self.set_reg(rd, self.hi),
+            Mflo { rd } => self.set_reg(rd, self.lo),
+            Addi { rt, rs, imm } => self.set_reg(rt, self.reg(rs).wrapping_add(sext16(imm))),
+            Slti { rt, rs, imm } => {
+                let v = ((self.reg(rs) as i32) < (sext16(imm) as i32)) as u32;
+                self.set_reg(rt, v);
+            }
+            Sltiu { rt, rs, imm } => self.set_reg(rt, (self.reg(rs) < sext16(imm)) as u32),
+            Andi { rt, rs, imm } => self.set_reg(rt, self.reg(rs) & imm as u32),
+            Ori { rt, rs, imm } => self.set_reg(rt, self.reg(rs) | imm as u32),
+            Xori { rt, rs, imm } => self.set_reg(rt, self.reg(rs) ^ imm as u32),
+            Lui { rt, imm } => self.set_reg(rt, (imm as u32) << 16),
             Beq { rs, rt, imm } => {
                 if self.reg(rs) == self.reg(rt) {
                     next = branch_target(pc, imm);
@@ -378,20 +485,20 @@ impl Cpu {
                 self.set_reg(rd, pc.wrapping_add(4));
                 next = dest;
             }
-            Syscall => {
-                self.pc = next;
-                self.retired += 1;
-                return StepOutcome::Syscall;
-            }
-            Break { code } => {
-                self.pc = next;
-                self.retired += 1;
-                return StepOutcome::Break(code);
-            }
+            Div { .. }
+            | Divu { .. }
+            | Lb { .. }
+            | Lbu { .. }
+            | Lh { .. }
+            | Lhu { .. }
+            | Lw { .. }
+            | Sb { .. }
+            | Sh { .. }
+            | Sw { .. }
+            | Syscall
+            | Break { .. } => return None,
         }
-        self.pc = next;
-        self.retired += 1;
-        StepOutcome::Retired
+        Some(next)
     }
 }
 
@@ -399,6 +506,8 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::isa::strategy::any_instr;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     /// A flat test bus: sparse byte map, everything readable/writable,
@@ -840,5 +949,231 @@ mod tests {
         assert_eq!(cpu.reg(Reg(9)), 0xFFFF_FF00);
         assert_eq!(cpu.reg(Reg(10)), 0x0FFF_FFFF);
         assert_eq!(cpu.reg(Reg(11)), 0xFFFF_FFFF);
+    }
+
+    const TEXT: u32 = 0x1000;
+    const PAGE: u32 = 0x1000;
+
+    /// A [`TestBus`] that records how the CPU drives it, and whose text
+    /// epoch moves on every store that lands in the text page.
+    #[derive(Default)]
+    struct RecordingBus {
+        flat: TestBus,
+        /// The pc of the last `fetch` or `fetch_check`: the pc a monitor
+        /// would attribute a data access to.
+        pc: u32,
+        fetches: u64,
+        /// The pc of every `fetch_check`, in order.
+        checked: Vec<u32>,
+        hits: u64,
+        /// Every data access attempted: `(attributed pc, address, store)`.
+        accesses: Vec<(u32, u32, bool)>,
+        epoch: u64,
+    }
+
+    impl RecordingBus {
+        fn saw(&mut self, addr: u32, store: bool) {
+            self.accesses.push((self.pc, addr, store));
+        }
+        fn stored(&mut self, addr: u32, r: Result<(), Fault>) -> Result<(), Fault> {
+            if r.is_ok() && (TEXT..TEXT + PAGE).contains(&addr) {
+                self.epoch += 1;
+            }
+            r
+        }
+    }
+
+    impl Bus for RecordingBus {
+        fn fetch(&mut self, addr: u32) -> Result<u32, Fault> {
+            self.pc = addr;
+            self.fetches += 1;
+            self.flat.fetch(addr)
+        }
+        fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
+            self.pc = addr;
+            self.checked.push(addr);
+            self.flat.fetch(addr).map(|_| ())
+        }
+        fn fetch_hits(&mut self, n: u64) {
+            self.hits += n;
+        }
+        fn text_epoch(&mut self) -> u64 {
+            self.epoch
+        }
+        fn load8(&mut self, addr: u32) -> Result<u8, Fault> {
+            self.saw(addr, false);
+            self.flat.load8(addr)
+        }
+        fn load16(&mut self, addr: u32) -> Result<u16, Fault> {
+            self.saw(addr, false);
+            self.flat.load16(addr)
+        }
+        fn load32(&mut self, addr: u32) -> Result<u32, Fault> {
+            self.saw(addr, false);
+            self.flat.load32(addr)
+        }
+        fn store8(&mut self, addr: u32, val: u8) -> Result<(), Fault> {
+            self.saw(addr, true);
+            let r = self.flat.store8(addr, val);
+            self.stored(addr, r)
+        }
+        fn store16(&mut self, addr: u32, val: u16) -> Result<(), Fault> {
+            self.saw(addr, true);
+            let r = self.flat.store16(addr, val);
+            self.stored(addr, r)
+        }
+        fn store32(&mut self, addr: u32, val: u32) -> Result<(), Fault> {
+            self.saw(addr, true);
+            let r = self.flat.store32(addr, val);
+            self.stored(addr, r)
+        }
+    }
+
+    /// A straight-line block from [`any_instr`]: register-only
+    /// instructions, `div*`, loads and stores, then one terminator. Half
+    /// the loads and stores get a word-aligned displacement, so blocks
+    /// often run past them.
+    fn block() -> impl Strategy<Value = Vec<Instr>> {
+        use crate::bbcache::is_terminator;
+        let body = any_instr().prop_filter("straight-line", |i| !is_terminator(i));
+        let end = any_instr().prop_filter("terminator", is_terminator);
+        let body = (body, any::<bool>()).prop_map(|(i, align)| if align { aligned(i) } else { i });
+        (proptest::collection::vec(body, 0..24), end).prop_map(|(mut code, end)| {
+            code.push(end);
+            code
+        })
+    }
+
+    /// `instr` with its memory displacement rounded down to a word.
+    fn aligned(instr: Instr) -> Instr {
+        let a = |imm: u16| imm & !3;
+        match instr {
+            Lb { rt, rs, imm } => Lb {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Lbu { rt, rs, imm } => Lbu {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Lh { rt, rs, imm } => Lh {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Lhu { rt, rs, imm } => Lhu {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Lw { rt, rs, imm } => Lw {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Sb { rt, rs, imm } => Sb {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Sh { rt, rs, imm } => Sh {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            Sw { rt, rs, imm } => Sw {
+                rt,
+                rs,
+                imm: a(imm),
+            },
+            other => other,
+        }
+    }
+
+    /// Register values that send loads and stores into the hole, the
+    /// text page (moving the text epoch), plain memory, or anywhere at
+    /// all, and make `div*` fault now and then.
+    fn reg_value() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            0u32..4,
+            (TEXT - 16..TEXT + 2 * PAGE).prop_map(|v| v & !3),
+            (0x3000u32..0x5000).prop_map(|v| v & !3),
+            any::<u32>(),
+        ]
+    }
+
+    /// What `run_block` must equal: `step` until the budget, the end of
+    /// the block, a non-retiring outcome, or a store that moved the
+    /// text epoch.
+    fn step_reference(
+        cpu: &mut Cpu,
+        bus: &mut RecordingBus,
+        len: usize,
+        max: u64,
+    ) -> (u64, Option<StepOutcome>) {
+        let epoch = bus.epoch;
+        let mut ran = 0u64;
+        while ran < max && (ran as usize) < len {
+            match cpu.step(bus) {
+                StepOutcome::Retired => ran += 1,
+                outcome => return (ran, Some(outcome)),
+            }
+            if bus.epoch != epoch {
+                break;
+            }
+        }
+        (ran, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `run_block` is `step` repeated: the same `Cpu` (registers,
+        /// hi/lo, pc, retired), outcome, retired count, memory and data
+        /// accesses, each attributed to its own instruction's pc. It
+        /// checks in full exactly the fetches the `Bus` contract names,
+        /// and those plus its bulk hits are the instructions `step`
+        /// fetched.
+        #[test]
+        fn run_block_matches_repeated_step(
+            code in block(),
+            regs in proptest::collection::vec(reg_value(), 32..33),
+            max in 0u64..28,
+        ) {
+            let mut bus = RecordingBus::default();
+            bus.flat.hole = Some((0x4000, 0x5000));
+            bus.flat.load_program(TEXT, &code);
+            let mut cpu = Cpu::new();
+            cpu.pc = TEXT;
+            for (i, v) in regs.iter().enumerate() {
+                cpu.set_reg(Reg(i as u8), *v);
+            }
+            let (mut cpu_b, mut bus_b) = (cpu.clone(), RecordingBus::default());
+            bus_b.flat.mem = bus.flat.mem.clone();
+            bus_b.flat.hole = bus.flat.hole;
+
+            let got = cpu.run_block(&mut bus, &code, max);
+            let want = step_reference(&mut cpu_b, &mut bus_b, code.len(), max);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&cpu, &cpu_b);
+            prop_assert_eq!(&bus.accesses, &bus_b.accesses);
+            prop_assert!(bus.flat.mem == bus_b.flat.mem, "memory differs");
+            prop_assert_eq!(bus.fetches, 0, "run_block fetches no bytes");
+            let fetched = want.0 + u64::from(want.1.is_some());
+            prop_assert_eq!(bus_b.fetches, fetched);
+            prop_assert_eq!(bus.checked.len() as u64 + bus.hits, fetched);
+            let contract: Vec<u32> = (0..fetched as usize)
+                .filter(|&i| {
+                    i == 0 || code[i].accesses_memory() || code[i - 1].accesses_memory()
+                })
+                .map(|i| TEXT + 4 * i as u32)
+                .collect();
+            prop_assert_eq!(&bus.checked, &contract);
+            for &(pc, addr, _) in &bus_b.accesses {
+                let at = ((pc - TEXT) / 4) as usize;
+                prop_assert!(code[at].accesses_memory(), "{:#x} from {:?}", addr, code[at]);
+            }
+        }
     }
 }

@@ -90,46 +90,13 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::isa::strategy::any_instr;
     use proptest::prelude::*;
 
-    fn reg() -> impl Strategy<Value = Reg> {
-        (0u8..32).prop_map(Reg)
-    }
-
-    fn instr() -> impl Strategy<Value = Instr> {
-        use Instr::*;
-        prop_oneof![
-            (reg(), reg(), reg()).prop_map(|(rd, rs, rt)| Add { rd, rs, rt }),
-            (reg(), reg(), reg()).prop_map(|(rd, rs, rt)| Sub { rd, rs, rt }),
-            (reg(), reg(), reg()).prop_map(|(rd, rs, rt)| Nor { rd, rs, rt }),
-            (reg(), reg(), reg()).prop_map(|(rd, rs, rt)| Sltu { rd, rs, rt }),
-            (reg(), reg(), 0u8..32).prop_map(|(rd, rt, shamt)| Sll { rd, rt, shamt }),
-            (reg(), reg(), 0u8..32).prop_map(|(rd, rt, shamt)| Sra { rd, rt, shamt }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Addi { rt, rs, imm }),
-            (reg(), any::<u16>()).prop_map(|(rt, imm)| Lui { rt, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Lw { rt, rs, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Sw { rt, rs, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Lb { rt, rs, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Sh { rt, rs, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rs, rt, imm)| Beq { rs, rt, imm }),
-            (reg(), reg(), any::<u16>()).prop_map(|(rs, rt, imm)| Bne { rs, rt, imm }),
-            (reg(), any::<u16>()).prop_map(|(rs, imm)| Bltz { rs, imm }),
-            (reg(), any::<u16>()).prop_map(|(rs, imm)| Bgez { rs, imm }),
-            (0u32..(1 << 26)).prop_map(|target| J { target }),
-            (0u32..(1 << 26)).prop_map(|target| Jal { target }),
-            reg().prop_map(|rs| Jr { rs }),
-            (reg(), reg()).prop_map(|(rd, rs)| Jalr { rd, rs }),
-            (reg(), reg()).prop_map(|(rs, rt)| Mult { rs, rt }),
-            (reg(), reg()).prop_map(|(rs, rt)| Divu { rs, rt }),
-            reg().prop_map(|rd| Mfhi { rd }),
-            Just(Syscall),
-            (0u32..(1 << 20)).prop_map(|code| Break { code }),
-        ]
-    }
-
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
         #[test]
-        fn encode_decode_round_trip(i in instr()) {
+        fn encode_decode_round_trip(i in any_instr()) {
             prop_assert_eq!(decode(encode(i)), Ok(i));
         }
     }

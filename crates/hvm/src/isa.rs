@@ -221,6 +221,24 @@ impl Instr {
     pub fn is_store(&self) -> bool {
         matches!(self, Instr::Sb { .. } | Instr::Sh { .. } | Instr::Sw { .. })
     }
+
+    /// True for the loads and stores: the only instructions that reach
+    /// the [`crate::Bus`] beyond their own fetch.
+    #[inline]
+    pub fn accesses_memory(&self) -> bool {
+        use Instr::*;
+        matches!(
+            self,
+            Lb { .. }
+                | Lbu { .. }
+                | Lh { .. }
+                | Lhu { .. }
+                | Lw { .. }
+                | Sb { .. }
+                | Sh { .. }
+                | Sw { .. }
+        )
+    }
 }
 
 /// Sign-extends a 16-bit immediate to 32 bits.
@@ -252,6 +270,94 @@ pub fn branch_disp(pc: u32, target: u32) -> Option<u16> {
 /// raw 26-bit target field.
 pub fn jump_target(pc: u32, target: u32) -> u32 {
     (pc.wrapping_add(4) & 0xF000_0000) | ((target & 0x03FF_FFFF) << 2)
+}
+
+/// Proptest strategies over the instruction set, shared by the crate's
+/// tests.
+#[cfg(test)]
+pub(crate) mod strategy {
+    use super::Instr;
+    use crate::regs::Reg;
+    use proptest::prelude::*;
+
+    /// Number of [`Instr`] variants; [`any_instr`] draws every one.
+    pub const VARIANTS: usize = 47;
+
+    /// Any register, `$zero` included.
+    pub fn reg() -> impl Strategy<Value = Reg> {
+        (0u8..32).prop_map(Reg)
+    }
+
+    /// Any instruction: each of the [`VARIANTS`] variants equally
+    /// likely, each field drawn over its whole encodable range, so
+    /// `decode(encode(i)) == i` must hold for every draw.
+    pub fn any_instr() -> impl Strategy<Value = Instr> {
+        use Instr::*;
+        let r3 = || (reg(), reg(), reg());
+        let sh = || (reg(), reg(), 0u8..32);
+        let ri = || (reg(), reg(), any::<u16>());
+        let bz = || (reg(), any::<u16>());
+        let target = || 0u32..(1 << 26);
+        prop_oneof![
+            r3().prop_map(|(rd, rs, rt)| Add { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Sub { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| And { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Or { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Xor { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Nor { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Slt { rd, rs, rt }),
+            r3().prop_map(|(rd, rs, rt)| Sltu { rd, rs, rt }),
+            sh().prop_map(|(rd, rt, shamt)| Sll { rd, rt, shamt }),
+            sh().prop_map(|(rd, rt, shamt)| Srl { rd, rt, shamt }),
+            sh().prop_map(|(rd, rt, shamt)| Sra { rd, rt, shamt }),
+            r3().prop_map(|(rd, rt, rs)| Sllv { rd, rt, rs }),
+            r3().prop_map(|(rd, rt, rs)| Srlv { rd, rt, rs }),
+            r3().prop_map(|(rd, rt, rs)| Srav { rd, rt, rs }),
+            (reg(), reg()).prop_map(|(rs, rt)| Mult { rs, rt }),
+            (reg(), reg()).prop_map(|(rs, rt)| Multu { rs, rt }),
+            (reg(), reg()).prop_map(|(rs, rt)| Div { rs, rt }),
+            (reg(), reg()).prop_map(|(rs, rt)| Divu { rs, rt }),
+            reg().prop_map(|rd| Mfhi { rd }),
+            reg().prop_map(|rd| Mflo { rd }),
+            ri().prop_map(|(rt, rs, imm)| Addi { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Slti { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Sltiu { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Andi { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Ori { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Xori { rt, rs, imm }),
+            bz().prop_map(|(rt, imm)| Lui { rt, imm }),
+            ri().prop_map(|(rt, rs, imm)| Lb { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Lbu { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Lh { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Lhu { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Lw { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Sb { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Sh { rt, rs, imm }),
+            ri().prop_map(|(rt, rs, imm)| Sw { rt, rs, imm }),
+            ri().prop_map(|(rs, rt, imm)| Beq { rs, rt, imm }),
+            ri().prop_map(|(rs, rt, imm)| Bne { rs, rt, imm }),
+            bz().prop_map(|(rs, imm)| Blez { rs, imm }),
+            bz().prop_map(|(rs, imm)| Bgtz { rs, imm }),
+            bz().prop_map(|(rs, imm)| Bltz { rs, imm }),
+            bz().prop_map(|(rs, imm)| Bgez { rs, imm }),
+            target().prop_map(|target| J { target }),
+            target().prop_map(|target| Jal { target }),
+            reg().prop_map(|rs| Jr { rs }),
+            (reg(), reg()).prop_map(|(rd, rs)| Jalr { rd, rs }),
+            Just(Syscall),
+            (0u32..(1 << 20)).prop_map(|code| Break { code }),
+        ]
+    }
+
+    #[test]
+    fn any_instr_draws_every_variant() {
+        let s = any_instr();
+        let mut rng = TestRng::from_seed(1);
+        let seen: std::collections::HashSet<_> = (0..4096)
+            .map(|_| std::mem::discriminant(&s.generate(&mut rng)))
+            .collect();
+        assert_eq!(seen.len(), VARIANTS);
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   failures reproduce without `.proptest-regressions` files;
 //! * only the strategy combinators used in this repository exist:
 //!   integer ranges, `any::<T>()`, tuples, `Just`, `prop_map`,
-//!   `prop_oneof!`, `collection::vec`, and a tiny `[class]{m,n}`
+//!   `prop_filter`, `prop_oneof!`, `collection::vec`, and a tiny `[class]{m,n}`
 //!   regex-string strategy.
 
 use std::ops::Range;
@@ -72,6 +72,51 @@ pub trait Strategy {
         F: Fn(Self::Value) -> T,
     {
         Map { inner: self, f }
+    }
+
+    /// Keeps only values for which `fun` holds, drawing again otherwise.
+    /// `whence` says what the filter wants; a filter that rejects
+    /// [`MAX_REJECTS`] draws in a row panics with it.
+    fn prop_filter<F>(self, whence: &'static str, fun: F) -> Filter<Self, F>
+    where
+        Self: Sized,
+        F: Fn(&Self::Value) -> bool,
+    {
+        Filter {
+            inner: self,
+            whence,
+            fun,
+        }
+    }
+}
+
+/// Consecutive rejections after which [`Strategy::prop_filter`] gives up.
+pub const MAX_REJECTS: u32 = 1 << 16;
+
+/// See [`Strategy::prop_filter`].
+pub struct Filter<S, F> {
+    inner: S,
+    whence: &'static str,
+    fun: F,
+}
+
+impl<S, F> Strategy for Filter<S, F>
+where
+    S: Strategy,
+    F: Fn(&S::Value) -> bool,
+{
+    type Value = S::Value;
+    fn generate(&self, rng: &mut TestRng) -> S::Value {
+        for _ in 0..MAX_REJECTS {
+            let v = self.inner.generate(rng);
+            if (self.fun)(&v) {
+                return v;
+            }
+        }
+        panic!(
+            "prop_filter rejected {MAX_REJECTS} draws in a row: {}",
+            self.whence
+        );
     }
 }
 
@@ -506,5 +551,14 @@ mod tests {
             seen.insert(Strategy::generate(&s, &mut rng));
         }
         assert_eq!(seen.len(), 3);
+    }
+
+    #[test]
+    fn filter_keeps_only_accepted_values() {
+        let s = (0u32..10).prop_filter("even", |x| x % 2 == 0);
+        let mut rng = TestRng::from_seed(9);
+        for _ in 0..100 {
+            assert_eq!(Strategy::generate(&s, &mut rng) % 2, 0);
+        }
     }
 }
