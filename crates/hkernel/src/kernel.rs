@@ -775,14 +775,9 @@ impl Kernel {
         let retried = self.faults.should_inject(hfault::FaultSite::ShootdownDrop);
         self.stats.ipis += if retried { 2 } else { 1 };
         self.stats.shootdowns += pages as u64;
-        // The remote CPU's decoded blocks for those pages die with its
-        // translations, billed under the same IPI (no extra sim cost —
-        // the drop rides the notification that was already priced).
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.aspace
-                .bbcache_mut()
-                .invalidate_vpns(addr / PAGE_SIZE, pages, "shootdown");
-        }
+        // The victim's decoded blocks for those pages are already gone:
+        // `evict_page` dropped them, and an OOM victim's cache was
+        // released with its space.
         let event = TraceEvent::TlbShootdown {
             from_cpu: BOOT_CPU,
             to_cpu: victim_cpu,

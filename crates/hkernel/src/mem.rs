@@ -735,8 +735,8 @@ pub struct AddressSpace {
     bb: BbCache,
 }
 
-// The default `BbCache` assumes this geometry; keep them in sync.
-const _: () = assert!(PAGE_SIZE == 4096);
+// The block caches index by this geometry; keep them in sync.
+const _: () = assert!(PAGE_SIZE == hvm::bbcache::PAGE_SIZE);
 
 impl Clone for AddressSpace {
     fn clone(&self) -> AddressSpace {
@@ -1085,8 +1085,8 @@ impl AddressSpace {
         &self.bb
     }
 
-    /// Mutable access to the block cache (kernel configuration and the
-    /// wraparound test hook).
+    /// Mutable access to the block cache (kernel configuration, journal
+    /// drains, and tests).
     pub fn bbcache_mut(&mut self) -> &mut BbCache {
         &mut self.bb
     }
@@ -1119,9 +1119,8 @@ impl AddressSpace {
         }
         self.stats.pages_mapped += pages as u64;
         self.tlb.flush();
-        // Parity with the TLB event; the range was unmapped, so this
-        // can never drop a block (and so never journals).
-        self.bb.invalidate_vpns(first, pages, "map");
+        // No block to drop: the range was unmapped, and `unmap` dropped
+        // every block on it.
         Ok(())
     }
 
@@ -1160,7 +1159,7 @@ impl AddressSpace {
         }
         self.stats.pages_mapped += pages as u64;
         self.tlb.flush();
-        self.bb.invalidate_vpns(first, pages, "map");
+        // No block to drop, as in `map_anon`.
         Ok(())
     }
 
@@ -1719,14 +1718,15 @@ impl MemBus<'_> {
         // (the page is executable, or it aliases a shared file page some
         // block was decoded from, through any mapping) drops the
         // affected blocks, charging the drop to this space, and moves
-        // the store epoch, so a block in flight aborts before its next
-        // instruction (`Cpu::run_block` re-checks after each store).
-        // This is the only place the store epoch moves.
+        // the mutation stamp even when nothing dropped, so a block in
+        // flight aborts before its next instruction (`Cpu::run_block`
+        // re-checks after each store). Inside `run_block` this is the
+        // only place the stamp moves.
         if self.aspace.bb.enabled() {
             let dropped = shared_dst.map_or(0, |(ino, fpage)| self.text.drop_page(ino, fpage));
             if can_exec || dropped > 0 {
                 let bb = &mut self.aspace.bb;
-                bb.bump_store_epoch();
+                bb.note_text_store();
                 bb.invalidate_page(vpn(addr), "store-exec");
                 if dropped > 0 {
                     bb.note_dropped(addr & !(PAGE_SIZE - 1), dropped, "store-exec");
@@ -1867,8 +1867,10 @@ impl Bus for MemBus<'_> {
     fn fetch_hits(&mut self, n: u64) {
         self.aspace.stats.tlb_hits += n;
     }
+    /// The block cache's mutation stamp: inside `run_block` only a
+    /// store into executable bytes moves it (see `store`).
     fn text_epoch(&mut self) -> u64 {
-        self.aspace.bb.store_epoch()
+        self.aspace.bb.mutation_stamp()
     }
     fn load8(&mut self, addr: u32) -> Result<u8, Fault> {
         Ok(self.load(addr, 1, Access::Read)? as u8)
@@ -1920,8 +1922,8 @@ mod tests {
     }
 
     /// A dead space holds no memory: releasing it drops every decoded
-    /// block (the dispatch front-end's copy included), disables the
-    /// cache, and empties the page table, keeping only the counters.
+    /// block, disables the cache, and empties the page table, keeping
+    /// only the counters.
     #[test]
     fn release_all_frees_tables_and_cached_blocks() {
         let mut a = AddressSpace::new();
@@ -1930,7 +1932,7 @@ mod tests {
         let code: Arc<[Instr]> = vec![Instr::Syscall].into();
         a.bbcache_mut().insert(0x1000, code.clone());
         assert!(a.bbcache_mut().lookup(0x1000).is_some());
-        assert!(Arc::strong_count(&code) > 1, "cached twice over");
+        assert!(Arc::strong_count(&code) > 1, "cached");
         a.release_all();
         assert_eq!(Arc::strong_count(&code), 1, "no decoded block survives");
         assert!(a.bbcache().is_empty());
@@ -2423,6 +2425,137 @@ mod tests {
             prop_assert_eq!(clock_order(&mut a), resident);
             let child = a.fork_clone();
             prop_assert_eq!(child.page_count(), model.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+        /// A warm block cache answers every `bb_block` exactly as a cold
+        /// one: after each random map, unmap, mprotect, host write,
+        /// guest store (into private text, and into shared text through
+        /// another space's mapping), eviction, re-fault or fork, every pc
+        /// of every mapped page gets the same block, or the same refusal,
+        /// from the warm space and kernel table as from a cache-cold
+        /// clone with an empty table. Private blocks carry no stamp, so
+        /// the eager page drops alone must keep them exact.
+        #[test]
+        fn warm_block_cache_answers_like_a_cold_one(
+            ops in proptest::collection::vec(
+                (0u8..9, 0usize..4, 0u32..P / 4, 0usize..5, 0usize..3),
+                1..24,
+            ),
+        ) {
+            const PRIV: u32 = 0x0040_0000;
+            let r = hvm::Reg;
+            // Register-only work, a store, both kinds of terminator, and
+            // (index 4) an undecodable word: writes lengthen, shorten,
+            // end or kill blocks.
+            let words = [
+                Instr::Addi { rt: r(8), rs: r(8), imm: 1 },
+                Instr::Sw { rt: r(8), rs: r(9), imm: 0 },
+                Instr::Bne { rs: r(8), rt: r(0), imm: 0xFFFE },
+                Instr::Jr { rs: r(31) },
+            ]
+            .map(hvm::encode);
+            let word = |w: usize| words.get(w).copied().unwrap_or(u32::MAX);
+            let prots = [Prot::RX, Prot::RWX, Prot::RW];
+            let mut s = SharedFs::new();
+            let mut text = SharedText::default();
+            let ino = s.create_file("/text", 0o666, 0).unwrap();
+            s.fs.truncate(ino, u64::from(2 * P)).unwrap();
+            let shared = SharedFs::addr_of_ino(ino);
+            // Pages 0 and 1 are private, 2 and 3 the file's two pages.
+            let page = |k: usize| match k {
+                0 | 1 => (PRIV + k as u32 * P, None),
+                _ => (shared + (k as u32 - 2) * P, Some(k as u32 - 2)),
+            };
+            let map = |a: &mut AddressSpace, k: usize, prot: Prot| match page(k) {
+                (addr, None) => a.map_anon(addr, P, prot),
+                (addr, Some(file_page)) => a.map_shared(addr, P, prot, ino, file_page),
+            };
+            let mut a = AddressSpace::new();
+            a.bbcache_mut().configure(true);
+            for k in 0..4 {
+                map(&mut a, k, Prot::RWX).unwrap();
+                let code: Vec<u8> = (0..P as usize / 4)
+                    .flat_map(|i| word((i * 7 + k) % 5).to_le_bytes())
+                    .collect();
+                a.write_bytes(&mut s, page(k).0, &code).unwrap();
+            }
+            // Another process's writable view of the shared text.
+            let mut b = AddressSpace::new();
+            b.bbcache_mut().configure(true);
+            b.map_shared(shared, 2 * P, Prot::RW, ino, 0).unwrap();
+            for (step, (op, k, slot, w, p)) in ops.into_iter().enumerate() {
+                let base = page(k).0;
+                let addr = base + slot * 4;
+                let bytes = word(w).to_le_bytes();
+                match op {
+                    0 => {
+                        let _ = map(&mut a, k, prots[p]);
+                    }
+                    1 => {
+                        // Unmap, and mostly map the address again.
+                        let _ = a.unmap(base, P);
+                        if p > 0 {
+                            let _ = map(&mut a, k, prots[p]);
+                        }
+                    }
+                    2 => {
+                        let _ = a.set_prot(base, P, prots[p]);
+                    }
+                    3 => {
+                        let _ = a.write_bytes(&mut s, addr, &bytes);
+                    }
+                    4 => {
+                        let _ = MemBus::new(&mut a, &mut s, &mut text).store32(addr, word(w));
+                    }
+                    5 => {
+                        let at = shared + (k as u32 % 2) * P + slot * 4;
+                        let _ = MemBus::new(&mut b, &mut s, &mut text).store32(at, word(w));
+                    }
+                    6 => {
+                        a.unpin_all();
+                        a.evict_page(0, vpn(base), &mut s);
+                    }
+                    7 => {
+                        a.repage_shared(0, base);
+                        let _ = MemBus::new(&mut a, &mut s, &mut text).load32(addr);
+                    }
+                    _ => {
+                        // The child's write un-shares a COW page under
+                        // the parent; either side carries on.
+                        let mut child = a.fork_clone();
+                        let _ = child.write_bytes(&mut s, addr, &bytes);
+                        if p == 0 {
+                            a = child;
+                        }
+                    }
+                }
+                let mut cold = a.clone();
+                let mut cold_text = SharedText::default();
+                for k in 0..4 {
+                    let base = page(k).0;
+                    if a.entry(base).is_none() {
+                        continue;
+                    }
+                    let pcs = (base..base + P).step_by(4);
+                    let warm: Vec<_> = {
+                        let mut bus = MemBus::new(&mut a, &mut s, &mut text);
+                        pcs.clone().map(|pc| bus.bb_block(pc)).collect()
+                    };
+                    let mut bus = MemBus::new(&mut cold, &mut s, &mut cold_text);
+                    for (pc, warm) in pcs.zip(warm) {
+                        prop_assert_eq!(
+                            warm.as_deref(),
+                            bus.bb_block(pc).as_deref(),
+                            "pc {:#x} after step {}",
+                            pc,
+                            step
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -110,9 +110,10 @@ impl Vfs {
         self.shared.addr_lookups = lookups;
         self.shared.addr_probe_steps = probes;
         // Cache writes are not content changes: nothing mapped or
-        // executed can depend on snapshot bytes, so change-tracking
-        // consumers (bbcache epochs, snapshot fast-path validation)
-        // must not see the stamp move.
+        // executed can depend on snapshot bytes, so snapshot fast-path
+        // validation, the one reader of the global stamp, must not see
+        // it move. The block caches read the per-page write epochs
+        // instead, which this does not restore.
         self.shared.fs.restore_content_stamp(stamp);
         r
     }

@@ -35,7 +35,7 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> interpreter, kernel and linker in the optimized build (block replay fast paths, page-table and module-index properties, debug_asserts off)"
+echo "==> interpreter, kernel and linker in the optimized build (block replay fast paths, warm-against-cold block-cache, page-table and module-index properties, debug_asserts off)"
 cargo test -q --release -p hvm -p hkernel -p hlink
 cargo test -q --release --test e12_bbcache
 

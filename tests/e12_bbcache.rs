@@ -18,8 +18,9 @@
 //! 2. **Invalidation edges**: a guest store into a cached executable
 //!    page aborts the in-flight block (self-modifying code executes the
 //!    *new* bytes), clock eviction under SMP pressure drops the victim's
-//!    blocks, fork flushes the parent and starts the child cold, and a
-//!    generation-counter wraparound flushes rather than ABA-matching.
+//!    blocks, fork flushes the parent and starts the child cold, and
+//!    no block survives an invalidation of its page, however often the
+//!    page is invalidated.
 //!    A block never outlives a text-epoch movement: the partial run
 //!    retires exactly the instructions that executed and hands control
 //!    back to the dispatch loop. The kernel's dispatch memo matches the
@@ -267,7 +268,7 @@ fn eviction_drops_cached_blocks_built_on_other_cpus() {
         "evictions must drop cached blocks"
     );
     let bb = on_world.kernel.bb_stats();
-    assert_eq!(bb.hits + bb.built, bb.entries, "{bb:?}");
+    assert!(bb.hits + bb.built > 0, "{bb:?}");
     assert!(bb.invalidations <= bb.built, "{bb:?}");
 }
 
@@ -418,12 +419,14 @@ parent: li   v0, 16         ; waitpid(any)
     );
 }
 
-/// Generation-counter wraparound: when a page's generation stamp wraps,
-/// the cache must flush (epoch bump) rather than let a stale block
-/// ABA-match the reset stamp. We warm the cache, pin the hot page's
-/// generation to `u32::MAX` (restamping its live blocks), force one
-/// more invalidation to wrap it, and the world still finishes correctly
-/// with the whole cache demonstrably rebuilt.
+/// Repeated invalidation of a hot page: every drop takes all of the
+/// page's blocks with it, so no block decoded before an invalidation
+/// can be found after it, however often the page is invalidated. That
+/// is why private blocks need no per-page generation stamp, whose
+/// wraparound the test name recalls. We warm the cache, invalidate the
+/// loop's page three times with a run in between, and after each drop
+/// probe every word of the page; the world still finishes correctly,
+/// with the loop rebuilt.
 #[test]
 fn generation_wraparound_flushes_instead_of_aba_matching() {
     const SPINNER: &str = r#"
@@ -443,30 +446,34 @@ loop:   addi r16, r16, -1
         .unwrap();
     let pid = world.spawn(&exe).unwrap();
     world.quantum = 50;
-    assert_eq!(world.run(40), WorldExit::StepLimit, "still mid-loop");
-
-    let proc = world.kernel.procs.get_mut(&pid).unwrap();
-    let vp = proc.cpu.pc / hsfs::PAGE_SIZE;
-    let bb = proc.aspace.bbcache_mut();
-    assert!(!bb.is_empty(), "the loop must be cached by now");
-    let epoch_before = bb.flush_epoch();
-    let built_before = bb.stats().built;
-    bb.force_gen(vp, u32::MAX);
-    bb.invalidate_page(vp, "wrap-test"); // MAX + 1 wraps ⇒ full flush
-    assert!(
-        bb.flush_epoch() > epoch_before,
-        "wraparound must bump the flush epoch"
-    );
-    assert!(bb.is_empty(), "nothing may survive the wrap");
+    let mut built_before = 0;
+    for round in 0..3 {
+        assert_eq!(world.run(20), WorldExit::StepLimit, "still mid-loop");
+        let proc = world.kernel.procs.get_mut(&pid).unwrap();
+        let vp = proc.cpu.pc / hsfs::PAGE_SIZE;
+        let bb = proc.aspace.bbcache_mut();
+        let cached = bb.len();
+        built_before = bb.stats().built;
+        let dropped = bb.invalidate_page(vp, "repeat-test");
+        assert!(dropped > 0, "round {round}: the loop must be cached");
+        assert_eq!(bb.len() as u64, cached as u64 - dropped);
+        let base = vp * hsfs::PAGE_SIZE;
+        for pc in (base..base + hsfs::PAGE_SIZE).step_by(4) {
+            assert!(
+                bb.lookup(pc).is_none(),
+                "round {round}: a block at {pc:#x} survived its page's drop"
+            );
+        }
+    }
 
     assert_eq!(world.run_to_completion(), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(0));
+    assert_eq!(trace_cause_count(&world, "repeat-test"), 3);
     let bb = world.kernel.bb_stats();
     assert!(
         bb.built > built_before,
-        "the loop must have been rebuilt after the wrap: {bb:?}"
+        "the loop must have been rebuilt after the last drop: {bb:?}"
     );
-    assert_eq!(bb.hits + bb.built, bb.entries);
 }
 
 /// The kernel's dispatch memo (four ways of block code, indexed by
@@ -584,7 +591,6 @@ main:   addi sp, sp, -8
         assert_eq!(offsets, [0, 4, 0]);
 
         let bb = on_world.kernel.bb_stats();
-        assert_eq!(bb.hits + bb.built, bb.entries, "{bb:?}");
         assert!(bb.hits > 0 && bb.invalidations > 0, "{bb:?}");
         assert!(trace_cause_count(&on_world, "store-exec") > 0);
     }
@@ -741,10 +747,17 @@ fn cache_can_be_disabled_mid_run() {
     world.quantum = 50;
     assert_eq!(world.run(20), WorldExit::StepLimit);
     let warm = world.kernel.bb_stats();
-    assert!(warm.entries > 0, "cache must be warm before the switch");
+    assert!(
+        warm.hits + warm.built > 0,
+        "cache must be warm before the switch"
+    );
     world.set_bbcache(false);
     assert_eq!(world.run_to_completion(), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(0), "log: {:?}", world.log);
     let cold = world.kernel.bb_stats();
-    assert_eq!(cold.entries, warm.entries, "no entries after the switch");
+    assert_eq!(
+        cold.hits + cold.built,
+        warm.hits + warm.built,
+        "no entries after the switch"
+    );
 }
