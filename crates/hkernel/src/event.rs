@@ -242,12 +242,12 @@ pub enum TraceEvent {
     /// cache-off run records none).
     BlockInvalidated {
         /// First affected virtual address (page-aligned; 0 for
-        /// whole-cache events like fork or migration).
+        /// whole-cache events like a capacity flush).
         addr: u32,
         /// Decoded blocks dropped by this event.
         blocks: u64,
         /// Which invalidation edge fired (`"unmap"`, `"mprotect"`,
-        /// `"evict"`, `"fork"`, `"migrate"`, `"store-exec"`, ...).
+        /// `"evict"`, `"host-store"`, `"store-exec"`, `"capacity"`, ...).
         cause: &'static str,
     },
 }

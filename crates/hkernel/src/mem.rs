@@ -1072,12 +1072,10 @@ impl AddressSpace {
 
     /// Empties the TLB because the owning process migrated to a
     /// different simulated CPU: translations cached on the old CPU are
-    /// unreachable there, and the new CPU starts cold.
+    /// unreachable there, and the new CPU starts cold. Decoded blocks
+    /// stay: a migration changes no private byte or mapping.
     pub(crate) fn tlb_migrate_flush(&mut self) {
         self.tlb.flush();
-        // Decoded blocks are CPU-local state in spirit: a migration
-        // starts cold on the new CPU, and the drop is observable.
-        self.bb.flush(Some("migrate"));
     }
 
     /// The decoded basic-block cache (counters, journal, test hooks).
@@ -1231,12 +1229,11 @@ impl AddressSpace {
     ///
     /// Both TLBs start cold: the parent's is flushed (its cached
     /// translations predate the COW sharing) and the child's is empty.
+    /// The parent keeps its decoded blocks: COW keeps its bytes, and a
+    /// later store into its text drops the page like any other store.
+    /// The child's block cache starts cold via `Clone`.
     pub fn fork_clone(&mut self) -> AddressSpace {
         self.tlb.flush();
-        // COW un-sharing: the parent's decoded blocks predate the
-        // sharing, exactly like its cached translations. The child's
-        // cache starts cold via `Clone`.
-        self.bb.flush(Some("fork"));
         // `Clone` charges the pool for the child's resident mappings and
         // bumps swap-slot refcounts; the child also draws from the same
         // injection stream, so chaos decisions stay a single
@@ -2433,15 +2430,16 @@ mod tests {
         /// A warm block cache answers every `bb_block` exactly as a cold
         /// one: after each random map, unmap, mprotect, host write,
         /// guest store (into private text, and into shared text through
-        /// another space's mapping), eviction, re-fault or fork, every pc
-        /// of every mapped page gets the same block, or the same refusal,
+        /// another space's mapping), eviction, re-fault, migration or
+        /// fork, every pc of every mapped page gets the same block, or the
+        /// same refusal,
         /// from the warm space and kernel table as from a cache-cold
         /// clone with an empty table. Private blocks carry no stamp, so
         /// the eager page drops alone must keep them exact.
         #[test]
         fn warm_block_cache_answers_like_a_cold_one(
             ops in proptest::collection::vec(
-                (0u8..9, 0usize..4, 0u32..P / 4, 0usize..5, 0usize..3),
+                (0u8..10, 0usize..4, 0u32..P / 4, 0usize..5, 0usize..3),
                 1..24,
             ),
         ) {
@@ -2522,6 +2520,7 @@ mod tests {
                         a.repage_shared(0, base);
                         let _ = MemBus::new(&mut a, &mut s, &mut text).load32(addr);
                     }
+                    8 => a.tlb_migrate_flush(),
                     _ => {
                         // The child's write un-shares a COW page under
                         // the parent; either side carries on.

@@ -1,5 +1,6 @@
 //! Linker diagnostics.
 
+use crate::tramp::PatchError;
 use hobj::binfmt::BinError;
 use hobj::{ObjectError, RelocError};
 use hsfs::FsError;
@@ -66,6 +67,19 @@ pub enum LinkError {
     /// mid-link). Reported as a typed error so one faulting process is
     /// killed instead of panicking the whole world.
     Internal { what: &'static str },
+}
+
+impl LinkError {
+    /// The error for a [`crate::tramp::patch`] that failed on a site of
+    /// `module` (the owning module, or `<image>`): a full trampoline
+    /// area is an overflow, anything else a relocation error.
+    pub fn from_patch(module: &str, err: PatchError) -> LinkError {
+        let module = module.to_string();
+        match err {
+            PatchError::AreaFull => LinkError::TrampolineOverflow { module },
+            PatchError::Reloc(err) => LinkError::Reloc { module, err },
+        }
+    }
 }
 
 impl From<FsError> for LinkError {
@@ -153,5 +167,28 @@ mod tests {
             LinkError::from(FsError::NoSpace),
             LinkError::Fs(FsError::NoSpace)
         );
+    }
+
+    #[test]
+    fn failed_patches_name_their_module() {
+        assert_eq!(
+            LinkError::from_patch("<image>", PatchError::AreaFull),
+            LinkError::TrampolineOverflow {
+                module: "<image>".into()
+            }
+        );
+        let err = RelocError::BranchOutOfRange {
+            pc: 0x1000,
+            target: 0x3000_0000,
+        };
+        let e = LinkError::from_patch("twice", PatchError::Reloc(err));
+        assert_eq!(
+            e,
+            LinkError::Reloc {
+                module: "twice".into(),
+                err
+            }
+        );
+        assert!(e.to_string().contains("`twice`"));
     }
 }

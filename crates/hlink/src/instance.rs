@@ -16,8 +16,7 @@
 
 use crate::error::LinkError;
 use crate::meta::{ModuleMeta, ModuleRecord};
-use crate::tramp::{reserve_for, TrampolineArea};
-use hobj::reloc::patch_word;
+use crate::tramp::{patch, reserve_for, TrampolineArea};
 use hobj::{binfmt, ImageReloc, Object, RelocKind, SectionId};
 use hsfs::vfs::Mount;
 use hsfs::{FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
@@ -127,30 +126,27 @@ pub fn instantiate(obj: &Object, base: u32) -> Result<Instance, LinkError> {
         };
         let site_addr = base + site_off;
         let sym = &obj.symbols[reloc.symbol as usize];
-        match &sym.def {
-            Some(def) => {
-                let value = symbol_addr(&layout, base, def.section, def.offset)
-                    .wrapping_add(reloc.addend as u32);
-                apply_with_trampoline(
-                    &mut bytes,
-                    site_off,
-                    site_addr,
-                    reloc.kind,
-                    value,
-                    &mut tramps,
-                )
-                .map_err(|err| LinkError::Reloc {
-                    module: obj.name.clone(),
-                    err,
-                })?;
-            }
-            None => pending.push(ImageReloc {
+        let Some(def) = &sym.def else {
+            pending.push(ImageReloc {
                 addr: site_addr,
                 kind: reloc.kind,
                 symbol: sym.name.clone(),
                 addend: reloc.addend,
-            }),
-        }
+            });
+            continue;
+        };
+        let value =
+            symbol_addr(&layout, base, def.section, def.offset).wrapping_add(reloc.addend as u32);
+        patch(
+            &mut bytes,
+            site_off,
+            site_addr,
+            reloc.kind,
+            value,
+            &mut tramps,
+            || true,
+        )
+        .map_err(|e| LinkError::from_patch(&obj.name, e))?;
     }
     // Copy emitted trampolines into the reserved area.
     let tb = tramps.bytes();
@@ -188,39 +184,6 @@ pub fn instantiate(obj: &Object, base: u32) -> Result<Instance, LinkError> {
         meta,
         layout,
     })
-}
-
-/// Applies one relocation into a byte buffer, falling back to a
-/// trampoline when a `Jump26` target is out of region.
-pub fn apply_with_trampoline(
-    bytes: &mut [u8],
-    site_off: u32,
-    site_addr: u32,
-    kind: RelocKind,
-    value: u32,
-    tramps: &mut TrampolineArea,
-) -> Result<(), hobj::RelocError> {
-    match patch_word(bytes, site_off, kind, value, site_addr) {
-        Ok(()) => Ok(()),
-        Err(hobj::RelocError::JumpOutOfRange { .. }) => {
-            let Some(tramp_addr) = tramps.get(value) else {
-                return Err(hobj::RelocError::JumpOutOfRange {
-                    pc: site_addr,
-                    target: value,
-                });
-            };
-            // Refresh the trampoline area bytes (the new fragment).
-            let tb = tramps.bytes();
-            let area_off = (tramps.base - (site_addr - site_off)) as usize;
-            // The caller keeps the trampoline area inside `bytes`; when it
-            // does not (runtime patching), it re-copies from `tramps`.
-            if area_off + tb.len() <= bytes.len() {
-                bytes[area_off..area_off + tb.len()].copy_from_slice(&tb);
-            }
-            patch_word(bytes, site_off, kind, tramp_addr, site_addr)
-        }
-        Err(e) => Err(e),
-    }
 }
 
 /// A cache of public-module records keyed by shared-partition inode,

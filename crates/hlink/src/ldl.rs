@@ -19,7 +19,7 @@ use crate::instance::{ensure_public_instance, instantiate, ModuleRegistry};
 use crate::meta::{ModuleMeta, ModuleRecord};
 use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
-use crate::tramp::trampoline_code;
+use crate::tramp::{patch, PatchError, TrampolineArea};
 use hkernel::layout::{DATA_END, DYN_PRIVATE_BASE};
 use hkernel::{Kernel, Pid, Prot, RepageOutcome, TraceEvent};
 use hobj::reloc::RelocError;
@@ -28,6 +28,9 @@ use hsfs::vfs::Mount;
 use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// The owner named for failures in the main image's own relocations.
+const IMAGE: &str = "<image>";
 
 /// One linked (or pending) module in a process: the module's record
 /// plus what this process alone knows about its instance.
@@ -410,7 +413,7 @@ impl<'a> Ldl<'a> {
             };
             match looked {
                 Some(addr) => {
-                    self.patch_pending(&p, addr, None)?;
+                    self.patch_site(None, p.addr, p.kind, addr.wrapping_add(p.addend as u32))?;
                     self.state.stats.symbols_resolved += 1;
                     self.state.journal.push(TraceEvent::SymbolResolved {
                         module: ROOT.to_string(),
@@ -522,37 +525,16 @@ impl<'a> Ldl<'a> {
         // The image is private memory, fresh on every spawn: replay its
         // recorded trampolines (allocation order ⇒ addresses follow
         // from the base) and then its patches, which may target them.
-        let (tbase, cap, used0) = self.state.image_tramp;
-        let mut used = used0;
         for &target in &snap.tramp_targets {
-            if used + crate::tramp::TRAMP_BYTES > cap {
-                return Err(LinkError::TrampolineOverflow {
-                    module: "<image>".into(),
-                });
-            }
-            let code: Vec<u8> = trampoline_code(target)
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect();
-            let proc = self
-                .kernel
-                .procs
-                .get_mut(&self.pid)
-                .ok_or(LinkError::Internal {
-                    what: "process vanished while replaying trampolines",
-                })?;
-            proc.aspace
-                .write_bytes(&mut self.kernel.vfs.shared, tbase + used, &code)
-                .map_err(|_| LinkError::Unresolvable { addr: tbase + used })?;
-            used += crate::tramp::TRAMP_BYTES;
+            let mut area = self.fresh_area(None)?;
+            area.get(target, || true)
+                .ok_or_else(|| LinkError::from_patch(IMAGE, PatchError::AreaFull))?;
+            self.poke(area.base, &area.bytes())?;
+            self.state.image_tramp.2 += area.used;
         }
-        self.state.image_tramp.2 = snap.image_tramp_used.max(used);
+        self.state.image_tramp.2 = self.state.image_tramp.2.max(snap.image_tramp_used);
         for &(addr, kind, value) in &snap.image_patches {
-            self.try_patch(addr, kind, value)
-                .map_err(|err| LinkError::Reloc {
-                    module: ROOT.to_string(),
-                    err,
-                })?;
+            self.patch_site(None, addr, kind, value)?;
         }
         self.state.image_pending = snap.image_pending.clone();
         // Future rebuilds (a lazy link after this hit) must re-record
@@ -975,7 +957,8 @@ impl<'a> Ldl<'a> {
                     if ino.is_some() && !SharedFs::contains(addr) {
                         self.state.stats.cross_domain_resolutions += 1;
                     }
-                    self.patch_pending(&p, addr, Some(name))?;
+                    let value = addr.wrapping_add(p.addend as u32);
+                    self.patch_site(Some(name), p.addr, p.kind, value)?;
                     self.state.stats.symbols_resolved += 1;
                     self.state.journal.push(TraceEvent::SymbolResolved {
                         module: name.to_string(),
@@ -1209,139 +1192,93 @@ impl<'a> Ldl<'a> {
         Ok(None)
     }
 
-    /// Patches one pending relocation site in guest memory, synthesizing
-    /// a trampoline in the owner's area when a jump is out of region.
-    /// `owner` is the module whose area serves the trampoline (`None` ⇒
-    /// the main image's area).
-    fn patch_pending(
-        &mut self,
-        p: &ImageReloc,
-        symbol_addr: u32,
-        owner: Option<&str>,
-    ) -> Result<(), LinkError> {
-        let value = symbol_addr.wrapping_add(p.addend as u32);
-        match self.try_patch(p.addr, p.kind, value) {
-            Ok(()) => {
-                // Image-owned patches go into private memory, which a
-                // snapshot hit must replay; record the final value.
-                if owner.is_none() {
-                    self.state.snap_image_patches.push((p.addr, p.kind, value));
-                }
-                Ok(())
-            }
-            Err(RelocError::JumpOutOfRange { .. }) => {
-                let tramp_addr = self.alloc_runtime_trampoline(owner, value)?;
-                self.try_patch(p.addr, p.kind, tramp_addr)
-                    .map_err(|err| LinkError::Reloc {
-                        module: p.symbol.clone(),
-                        err,
-                    })?;
-                if owner.is_none() {
-                    self.state
-                        .snap_image_patches
-                        .push((p.addr, p.kind, tramp_addr));
-                }
-                Ok(())
-            }
-            Err(err) => Err(LinkError::Reloc {
-                module: p.symbol.clone(),
-                err,
-            }),
-        }
-    }
-
-    /// Reads, patches, and writes back the 32-bit word at `addr` through
-    /// the kernel (works for both private and shared mappings).
-    fn try_patch(&mut self, addr: u32, kind: RelocKind, value: u32) -> Result<(), RelocError> {
-        let proc = self
-            .kernel
-            .procs
-            .get_mut(&self.pid)
-            .ok_or(RelocError::Misaligned { offset: addr })?;
-        let old = proc
-            .aspace
-            .read_bytes(&self.kernel.vfs.shared, addr, 4)
-            .map_err(|_| RelocError::Misaligned { offset: addr })?;
-        let word = u32::from_le_bytes([old[0], old[1], old[2], old[3]]);
-        let patched = kind.apply(word, value, addr)?;
-        proc.aspace
-            .write_bytes(&mut self.kernel.vfs.shared, addr, &patched.to_le_bytes())
-            .map_err(|_| RelocError::Misaligned { offset: addr })?;
-        Ok(())
-    }
-
-    /// Allocates (and writes) a run-time trampoline in `owner`'s area.
-    fn alloc_runtime_trampoline(
-        &mut self,
-        owner: Option<&str>,
-        target: u32,
-    ) -> Result<u32, LinkError> {
-        let (base, cap, used, who) = match owner {
+    /// A fresh trampoline area past the bytes `owner`'s area has used
+    /// (`None` ⇒ the image's). Each run-time trampoline takes one, so
+    /// none is ever reused.
+    fn fresh_area(&self, owner: Option<&str>) -> Result<TrampolineArea, LinkError> {
+        let (base, cap, used) = match owner {
             Some(name) => {
-                let m = self
-                    .state
-                    .modules
-                    .get(name)
-                    .ok_or(LinkError::Unresolvable { addr: target })?;
-                (
-                    m.base + m.tramp.0,
-                    m.tramp.1,
-                    m.tramp.2,
-                    Some(name.to_string()),
-                )
+                let m = self.state.modules.get(name).ok_or(LinkError::Internal {
+                    what: "trampoline owner disappeared",
+                })?;
+                (m.base + m.tramp.0, m.tramp.1, m.tramp.2)
             }
-            None => {
-                let (b, c, u) = self.state.image_tramp;
-                (b, c, u, None)
-            }
+            None => self.state.image_tramp,
         };
-        // Chaos: the Trampoline injection reports the area full even
-        // when capacity remains — the overflow path must be survivable.
-        if used + crate::tramp::TRAMP_BYTES > cap
-            || self
-                .kernel
-                .faults_handle()
-                .should_inject(hfault::FaultSite::Trampoline)
-        {
-            return Err(LinkError::TrampolineOverflow {
-                module: who.unwrap_or_else(|| "<image>".into()),
-            });
-        }
-        let addr = base + used;
-        let code: Vec<u8> = trampoline_code(target)
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
+        Ok(TrampolineArea::new(base + used, cap.saturating_sub(used)))
+    }
+
+    /// Kernel-side write into this process's memory.
+    fn poke(&mut self, addr: u32, bytes: &[u8]) -> Result<(), LinkError> {
         let proc = self
             .kernel
             .procs
             .get_mut(&self.pid)
             .ok_or(LinkError::Internal {
-                what: "process vanished while writing a trampoline",
+                what: "process vanished while patching",
             })?;
         proc.aspace
-            .write_bytes(&mut self.kernel.vfs.shared, addr, &code)
-            .map_err(|_| LinkError::Unresolvable { addr })?;
-        match who {
-            Some(name) => {
-                let m = self
-                    .state
-                    .modules
-                    .get_mut(&name)
-                    .ok_or(LinkError::Internal {
-                        what: "trampoline owner disappeared",
-                    })?;
-                m.tramp.2 += crate::tramp::TRAMP_BYTES;
-            }
-            None => {
-                self.state.image_tramp.2 += crate::tramp::TRAMP_BYTES;
-                // Image-area trampolines are private memory; a snapshot
-                // hit re-synthesizes them from the recorded targets.
-                self.state.snap_tramp_targets.push(target);
+            .write_bytes(&mut self.kernel.vfs.shared, addr, bytes)
+            .map_err(|_| LinkError::Unresolvable { addr })
+    }
+
+    /// Patches the relocation site at `addr` in guest memory (private
+    /// or shared) with `value`: [`patch`] works on a copy of the word
+    /// and takes any trampoline from a [`Ldl::fresh_area`] of `owner`'s
+    /// (`None` ⇒ the image's); the trampoline is written before the site.
+    fn patch_site(
+        &mut self,
+        owner: Option<&str>,
+        addr: u32,
+        kind: RelocKind,
+        value: u32,
+    ) -> Result<(), LinkError> {
+        let module = owner.unwrap_or(IMAGE);
+        let mut area = self.fresh_area(owner)?;
+        let mut word = self
+            .kernel
+            .procs
+            .get(&self.pid)
+            .and_then(|p| p.aspace.read_bytes(&self.kernel.vfs.shared, addr, 4).ok())
+            .ok_or_else(|| {
+                LinkError::from_patch(
+                    module,
+                    PatchError::Reloc(RelocError::Misaligned { offset: addr }),
+                )
+            })?;
+        // Chaos: the Trampoline injection refuses a trampoline that
+        // fits — the overflow path must be survivable.
+        let faults = self.kernel.faults_handle();
+        patch(&mut word, 0, addr, kind, value, &mut area, || {
+            !faults.should_inject(hfault::FaultSite::Trampoline)
+        })
+        .map_err(|e| LinkError::from_patch(module, e))?;
+        let mut patched = value;
+        if area.used > 0 {
+            self.poke(area.base, &area.bytes())?;
+            patched = area.base;
+            self.state.stats.trampolines += 1;
+            match owner {
+                Some(name) => {
+                    if let Some(m) = self.state.modules.get_mut(name) {
+                        m.tramp.2 += area.used;
+                    }
+                }
+                None => {
+                    self.state.image_tramp.2 += area.used;
+                    // Image-area trampolines are private memory; a
+                    // snapshot hit re-synthesizes them from the targets.
+                    self.state.snap_tramp_targets.push(value);
+                }
             }
         }
-        self.state.stats.trampolines += 1;
-        Ok(addr)
+        self.poke(addr, &word)?;
+        // Image-owned patches go into private memory, which a snapshot
+        // hit must replay; record the final value.
+        if owner.is_none() {
+            self.state.snap_image_patches.push((addr, kind, patched));
+        }
+        Ok(())
     }
 
     /// Maps the shared segment at `addr` read/write without any linking —

@@ -14,10 +14,9 @@
 use crate::error::LinkError;
 use crate::instance::{ensure_public_instance, ModuleRegistry};
 use crate::search::SearchPath;
-use crate::tramp::{reserve_for, TrampolineArea};
+use crate::tramp::{patch, reserve_for, TrampolineArea};
 use hkernel::layout::{DATA_BASE, TEXT_BASE};
 use hobj::binfmt;
-use hobj::reloc::patch_word;
 use hobj::{
     Binding, DynamicModule, ImageReloc, ImageSymbol, LoadImage, Object, RelocKind, SearchStrategy,
     SectionId, ShareClass, StaticModuleRecord,
@@ -289,27 +288,20 @@ impl Lds {
                     }),
                     None => symmap.get(&sym.name).map(|&(a, _)| a),
                 };
-                match value {
-                    Some(v) => {
-                        let v = v.wrapping_add(reloc.addend as u32);
-                        apply_image_reloc(
-                            buf,
-                            site_off,
-                            site_addr,
-                            reloc.kind,
-                            v,
-                            &mut tramps,
-                            &pm.obj.name,
-                            tramp_offset,
-                        )?;
-                    }
-                    None => pending.push(ImageReloc {
+                let Some(v) = value else {
+                    pending.push(ImageReloc {
                         addr: site_addr,
                         kind: reloc.kind,
                         symbol: sym.name.clone(),
                         addend: reloc.addend,
-                    }),
-                }
+                    });
+                    continue;
+                };
+                let v = v.wrapping_add(reloc.addend as u32);
+                patch(buf, site_off, site_addr, reloc.kind, v, &mut tramps, || {
+                    true
+                })
+                .map_err(|e| LinkError::from_patch(&pm.obj.name, e))?;
             }
         }
         // Copy the trampoline fragments emitted so far into the text.
@@ -330,10 +322,13 @@ impl Lds {
                 meta.tramp_cap - meta.tramp_used,
             );
             for p in std::mem::take(&mut meta.pending) {
-                let target = public_metas_lookup(&statics, registry, vfs, &p.symbol);
-                match target {
+                match public_metas_lookup(&statics, registry, vfs, &p.symbol) {
                     Some(v) => {
-                        patch_segment_word(vfs, meta.base, *ino, &p, v, &mut inst_tramps)?;
+                        let bytes = vfs.shared.fs.file_bytes_mut(*ino)?;
+                        let v = v.wrapping_add(p.addend as u32);
+                        let off = p.addr - meta.base;
+                        patch(bytes, off, p.addr, p.kind, v, &mut inst_tramps, || true)
+                            .map_err(|e| LinkError::from_patch(&meta.name, e))?;
                     }
                     None => still.push(p),
                 }
@@ -435,37 +430,6 @@ fn vfs_real_path(vfs: &mut Vfs, path: &str) -> Result<String, LinkError> {
     Ok(vfs.path_of(v)?)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_image_reloc(
-    buf: &mut [u8],
-    site_off: u32,
-    site_addr: u32,
-    kind: RelocKind,
-    value: u32,
-    tramps: &mut TrampolineArea,
-    module: &str,
-    _tramp_offset: u32,
-) -> Result<(), LinkError> {
-    match patch_word(buf, site_off, kind, value, site_addr) {
-        Ok(()) => Ok(()),
-        Err(hobj::RelocError::JumpOutOfRange { .. }) => {
-            let tramp_addr = tramps
-                .get(value)
-                .ok_or_else(|| LinkError::TrampolineOverflow {
-                    module: module.to_string(),
-                })?;
-            patch_word(buf, site_off, kind, tramp_addr, site_addr).map_err(|err| LinkError::Reloc {
-                module: module.to_string(),
-                err,
-            })
-        }
-        Err(err) => Err(LinkError::Reloc {
-            module: module.to_string(),
-            err,
-        }),
-    }
-}
-
 /// Looks up `symbol` among the public modules recorded in `statics`.
 fn public_metas_lookup(
     statics: &[StaticModuleRecord],
@@ -493,39 +457,4 @@ fn statics_path_for(statics: &[StaticModuleRecord], name: &str) -> String {
         .find(|r| r.name == name)
         .map(|r| r.path.clone())
         .unwrap_or_default()
-}
-
-/// Patches one pending relocation inside a public instance file.
-fn patch_segment_word(
-    vfs: &mut Vfs,
-    base: u32,
-    ino: hsfs::Ino,
-    p: &ImageReloc,
-    value: u32,
-    tramps: &mut TrampolineArea,
-) -> Result<(), LinkError> {
-    let off = (p.addr - base) as usize;
-    let bytes = vfs.shared.fs.file_bytes_mut(ino)?;
-    let value = value.wrapping_add(p.addend as u32);
-    match patch_word(bytes, off as u32, p.kind, value, p.addr) {
-        Ok(()) => Ok(()),
-        Err(hobj::RelocError::JumpOutOfRange { .. }) => {
-            let tramp_addr = tramps
-                .get(value)
-                .ok_or_else(|| LinkError::TrampolineOverflow {
-                    module: p.symbol.clone(),
-                })?;
-            let bytes = vfs.shared.fs.file_bytes_mut(ino)?;
-            patch_word(bytes, off as u32, p.kind, tramp_addr, p.addr).map_err(|err| {
-                LinkError::Reloc {
-                    module: p.symbol.clone(),
-                    err,
-                }
-            })
-        }
-        Err(err) => Err(LinkError::Reloc {
-            module: p.symbol.clone(),
-            err,
-        }),
-    }
 }

@@ -706,10 +706,6 @@ impl FileSystem {
         }
     }
 
-    /// The write epoch of one page of a file: moves (monotonically)
-    /// whenever any mutating view could have touched that page's bytes.
-    /// Inode-number reuse keeps the old stamps — epochs only ever grow,
-    /// which is all a staleness check needs. Absent entry ⇒ 0.
     /// The global content stamp: unchanged between two reads ⇒ no file's
     /// bytes changed in between (the converse does not hold — it also
     /// moves for writes the caller does not care about). Monotonic.
@@ -727,6 +723,10 @@ impl FileSystem {
         self.content_stamp = stamp;
     }
 
+    /// The write epoch of one page of a file: moves (monotonically)
+    /// whenever any mutating view could have touched that page's bytes.
+    /// Inode-number reuse keeps the old stamps — epochs only ever grow,
+    /// which is all a staleness check needs. Absent entry ⇒ 0.
     pub fn write_epoch(&self, ino: Ino, page: u32) -> u64 {
         match self.write_epochs.get(&ino) {
             Some(epochs) => epochs.whole + epochs.pages.get(&page).copied().unwrap_or(0),

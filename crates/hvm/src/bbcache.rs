@@ -24,7 +24,8 @@
 //!   no validation stamps: every event that could stale a block
 //!   (unmap, mprotect, eviction, a host or guest store into executable
 //!   bytes) drops the blocks on the affected pages eagerly, so whatever
-//!   the map holds is current. Migration and fork flush it too.
+//!   the map holds is current. Migration and fork leave it alone:
+//!   neither changes a private byte or mapping.
 //! * One [`SharedText`] per kernel holds blocks decoded from *shared
 //!   file* pages, which sit at the same address in every process, so
 //!   each is decoded once per boot. Blocks are keyed by `(ino, file

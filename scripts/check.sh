@@ -29,6 +29,12 @@ if awk '/^    (pub )?fn /{f=$0} /\.record\(/ && f !~ /fn publish\(/{print FILENA
   exit 1
 fi
 
+echo "==> hlink applies relocations only in hlink::tramp (one patcher for lds, instantiation and ldl)"
+if grep -rnE 'patch_word|\.apply\(' crates/hlink/src --exclude=tramp.rs; then
+  echo "relocation applied outside crates/hlink/src/tramp.rs: call hlink::tramp::patch" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -18,7 +18,7 @@
 //! 2. **Invalidation edges**: a guest store into a cached executable
 //!    page aborts the in-flight block (self-modifying code executes the
 //!    *new* bytes), clock eviction under SMP pressure drops the victim's
-//!    blocks, fork flushes the parent and starts the child cold, and
+//!    blocks, fork keeps the parent's blocks and starts the child cold, and
 //!    no block survives an invalidation of its page, however often the
 //!    page is invalidated.
 //!    A block never outlives a text-epoch movement: the partial run
@@ -350,9 +350,12 @@ sw r8, 256(r0)\naddi r8, r8, 1\naddi r8, r8, 1\njr ra\n";
     assert_eq!((ran2, outcome2), (3, None), "2 addis + the retiring jr");
 }
 
-/// Fork COW un-sharing: the parent's cache is flushed at the fork (its
-/// pages un-share underneath it) and the child starts cold — and the
-/// forked world still computes exactly what the cache-off twin does.
+/// Fork COW sharing leaves the parent's decoded blocks exact: COW keeps
+/// its bytes, and a store into its text would drop the page anyway. So
+/// the fork drops nothing (no `fork` record), the parent re-enters the
+/// loop it decoded before the fork as hits, never decoding a block
+/// twice, the child starts cold, and the forked world matches its
+/// cache-off twin.
 #[test]
 fn fork_flushes_parent_blocks_and_matches_cache_off() {
     const SHARED_CELL: &str = r#"
@@ -361,15 +364,15 @@ fn fork_flushes_parent_blocks_and_matches_cache_off() {
 .globl cell
 cell:   .word 0
 "#;
-    // Parent spins enough to cache its loop, forks; child bumps the
-    // shared cell and exits 7; parent waits and exits with cell+10.
+    // Parent runs `spin`, forks and runs `spin` again; the child bumps
+    // the shared cell and exits 7; the parent waits and exits with
+    // cell+10.
     const FORKER: &str = r#"
 .module main
 .text
 .globl main
 main:   li   r16, 6
-warm:   addi r16, r16, -1
-        bgtz r16, warm
+        jal  spin
         li   v0, 6          ; fork
         syscall
         bne  v0, r0, parent
@@ -379,7 +382,9 @@ warm:   addi r16, r16, -1
         li   v0, 1          ; exit(7)
         li   a0, 7
         syscall
-parent: li   v0, 16         ; waitpid(any)
+parent: li   r16, 6
+        jal  spin           ; the loop decoded before the fork
+        li   v0, 16         ; waitpid(any)
         li   a0, 0
         syscall
         la   r8, cell
@@ -387,6 +392,10 @@ parent: li   v0, 16         ; waitpid(any)
         addi a0, r9, 10
         li   v0, 1          ; exit(cell + 10)
         syscall
+.globl spin
+spin:   addi r16, r16, -1
+        bgtz r16, spin
+        jr   ra
 "#;
     let run = |cache: bool| {
         let mut world = World::new();
@@ -405,18 +414,37 @@ parent: li   v0, 16         ; waitpid(any)
             )
             .unwrap();
         let pid = world.spawn(&exe).unwrap();
-        assert_eq!(world.run_to_completion(), WorldExit::AllExited);
-        (world.exit_code(pid), world)
+        // Run until the fork: the parent's slice ends in `waitpid`,
+        // after its second pass through `spin`.
+        while world.kernel.procs.len() < 2 {
+            assert_eq!(world.run(1), WorldExit::StepLimit, "the parent forks");
+        }
+        // Probe a copy, so the probes count no hits in the world.
+        let mut cache = world.kernel.procs[&pid].aspace.bbcache().clone();
+        let image = &world.link_state(pid).unwrap().image_exports;
+        assert_eq!(image["main"] / 4096, image["spin"] / 4096, "one text page");
+        let cached = ["main", "spin"].map(|s| cache.lookup(image[s]).is_some());
+        let replay = settle(&mut world, &[pid], Mask::Nothing);
+        (cached, replay, world)
     };
-    let (on_code, on_world) = run(true);
-    let (off_code, _) = run(false);
-    assert_eq!(off_code, Some(17), "child's 7 + 10");
-    assert_eq!(on_code, off_code);
-    assert!(
-        trace_cause_count(&on_world, "fork") > 0,
-        "fork must flush the parent's warmed cache:\n{}",
+    let (cached, on, on_world) = run(true);
+    let (_, off, _) = run(false);
+    assert_eq!(off.obs.exits, vec![Some(17)], "child's 7 + 10");
+    assert_same(
+        on.view(&[Mask::BbCache]),
+        off.view(&[Mask::BbCache]),
+        "fork, cache on against off",
+    );
+    assert_eq!(
+        trace_cause_count(&on_world, "fork"),
+        0,
+        "fork drops no block:\n{}",
         on_world.trace_dump()
     );
+    // `main`'s first block ran only before the fork and is still
+    // cached, so nothing dropped the page, and the second pass through
+    // `spin`, on the same page, hit the blocks the first pass built.
+    assert_eq!(cached, [true, true], "main's and spin's blocks survive");
 }
 
 /// Repeated invalidation of a hot page: every drop takes all of the
