@@ -14,7 +14,7 @@ use crate::segheap::SegHeap;
 use crate::services::*;
 use hfault::{FaultHandle, FaultPlan};
 use hkernel::kernel::ExecImage;
-use hkernel::{Kernel, Pid, ProcState, RunEvent};
+use hkernel::{Kernel, Lifecycle, Pid, ProcState, RunEvent};
 use hlink::ldl::FaultDisposition;
 use hlink::{Ldl, Lds, LdsInput, LinkError, LinkState, ModuleRegistry, ModuleSpec};
 use hobj::binfmt::{self, BinError};
@@ -25,7 +25,7 @@ use hsfs::path as fspath;
 use hsfs::vfs::{Mount, Vnode};
 use hsfs::FsError;
 use hvm::Reg;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Why [`World::run`] stopped.
@@ -204,15 +204,25 @@ impl std::fmt::Display for WorldError {
 
 impl std::error::Error for WorldError {}
 
+/// What the runtime keeps for one live process. Born by
+/// [`World::spawn_with`] or a journaled fork, reaped by a journaled
+/// exit or a halt.
+struct ProcRuntime {
+    link: LinkState,
+    /// The image `ldl` init links; gone once init has run.
+    image: Option<LoadImage>,
+    /// The last fault address and how many times in a row it refaulted.
+    fault_guard: Option<(u32, u32)>,
+}
+
 /// The complete simulated machine.
 pub struct World {
     /// The kernel (public for inspection by tests and benches).
     pub kernel: Kernel,
     /// The public-module metadata registry.
     pub registry: ModuleRegistry,
-    link: HashMap<Pid, LinkState>,
-    images: HashMap<Pid, Arc<LoadImage>>,
-    fault_guard: HashMap<Pid, (u32, u32)>,
+    /// One record per live process (see [`ProcRuntime`]).
+    runtime: BTreeMap<Pid, ProcRuntime>,
     /// Runtime diagnostics (linker warnings, kill reasons).
     pub log: Vec<String>,
     /// Scheduler quantum in instructions.
@@ -284,9 +294,7 @@ impl World {
         World {
             kernel,
             registry: ModuleRegistry::new(),
-            link: HashMap::new(),
-            images: HashMap::new(),
-            fault_guard: HashMap::new(),
+            runtime: BTreeMap::new(),
             log: Vec::new(),
             quantum: 10_000,
             eager: false,
@@ -640,14 +648,17 @@ impl World {
                 proc.env.insert(k.to_string(), v.to_string());
             }
         }
-        self.images.insert(pid, Arc::new(image));
-        self.link.insert(pid, LinkState::default());
+        let runtime = ProcRuntime {
+            link: LinkState::default(),
+            image: Some(image),
+            fault_guard: None,
+        };
+        self.runtime.insert(pid, runtime);
         Ok(pid)
     }
 
     /// Runs the world for up to `max_slices` scheduler slices.
     pub fn run(&mut self, max_slices: u64) -> WorldExit {
-        self.sync_processes();
         for _ in 0..max_slices {
             let ev = self.kernel.step_system(self.quantum);
             let ev_pid = match &ev {
@@ -704,17 +715,17 @@ impl World {
             // pressure and shootdown work the rebalance pass did.
             self.drain_journals(ev_pid);
             self.pump_scrub();
-            self.sync_processes();
         }
         self.drain_journals(0);
         WorldExit::StepLimit
     }
 
-    /// Moves every subsystem journal into the trace ring, in a fixed
-    /// order: injections (attributed to `pid`), pressure, SMP, block
-    /// cache (each record attributed to the pid its layer named),
-    /// sanitizer.
+    /// Applies the kernel's fork/exit journal, then moves every
+    /// subsystem journal into the trace ring, in a fixed order:
+    /// injections (attributed to `pid`), pressure, SMP, block cache
+    /// (each record attributed to the pid its layer named), sanitizer.
     fn drain_journals(&mut self, pid: Pid) {
+        self.drain_lifecycle();
         self.drain_injections(pid);
         let journaled = [
             self.kernel.frame_pool().drain_events(),
@@ -770,8 +781,8 @@ impl World {
             ProcState::Blocked(Block::Wait(child)) => WaitReason::AwaitingChild { child },
             // Runnable, but mid-fault-resolution per the guard: the
             // last event we saw from it was a fault at this address.
-            _ => match self.fault_guard.get(&pid) {
-                Some(&(addr, n)) if n > 0 => WaitReason::AwaitingFault { addr },
+            _ => match self.runtime.get(&pid).and_then(|rt| rt.fault_guard) {
+                Some((addr, n)) if n > 0 => WaitReason::AwaitingFault { addr },
                 _ => WaitReason::Runnable,
             },
         }
@@ -795,7 +806,7 @@ impl World {
 
     /// Link state of a live process (for tests and diagnostics).
     pub fn link_state(&self, pid: Pid) -> Option<&LinkState> {
-        self.link.get(&pid)
+        self.runtime.get(&pid).map(|rt| &rt.link)
     }
 
     /// The fault-path trace ring (see [`crate::htrace`]).
@@ -830,43 +841,53 @@ impl World {
 
     // --- event handlers ---
 
-    /// Brings the per-pid maps in line with the process table. A fork
-    /// child gets its parent's link state (shared public mappings, COW
-    /// copies of the private ones at identical addresses) but not its
-    /// journal or counters; it is adopted before a parent that died in
-    /// the same slice is dropped. A dead pid's linker counters fold
-    /// into the totals.
-    fn sync_processes(&mut self) {
-        let born: Vec<(Pid, Pid)> = self
-            .kernel
-            .procs
-            .iter()
-            .filter(|(pid, _)| !self.link.contains_key(pid))
-            .map(|(&pid, p)| (pid, p.ppid))
-            .collect();
-        for (pid, ppid) in born {
-            let mut inherited = self.link.get(&ppid).cloned().unwrap_or_default();
-            inherited.journal.clear();
-            inherited.stats = Default::default();
-            self.link.insert(pid, inherited);
-            if let Some(img) = self.images.get(&ppid).cloned() {
-                self.images.insert(pid, img);
+    /// Gives each process forked since the last drain its runtime record
+    /// (its parent's links and no image: crt0 ran init in the parent
+    /// before `main` could fork) and reaps each one that died, in
+    /// occurrence order, so a child is adopted before a parent that
+    /// died in the same slice is dropped. A dead pid's linker counters
+    /// fold into the totals.
+    fn drain_lifecycle(&mut self) {
+        for entry in self.kernel.drain_lifecycle() {
+            match entry {
+                Lifecycle::Forked { parent, child } => {
+                    if let Some(parent) = self.runtime.get(&parent) {
+                        let runtime = ProcRuntime {
+                            link: parent.link.fork_child(),
+                            image: None,
+                            fault_guard: None,
+                        };
+                        self.runtime.insert(child, runtime);
+                    }
+                }
+                Lifecycle::Exited(pid) => {
+                    if let Some(rt) = self.runtime.remove(&pid) {
+                        self.reaped_ldl.absorb(&rt.link.stats);
+                    }
+                }
             }
         }
-        let live = &self.kernel.procs;
-        for (_, state) in self.link.extract_if(|pid, _| !live.contains_key(pid)) {
-            self.reaped_ldl.absorb(&state.stats);
+    }
+
+    /// The linker bound to `pid`'s runtime record.
+    fn ldl(&mut self, pid: Pid) -> Ldl<'_> {
+        // invariant: only live pids surface events, and every live pid
+        // has a record from the moment its spawn or fork was drained.
+        let rt = self.runtime.get_mut(&pid).expect("live pid has a record");
+        Ldl {
+            kernel: &mut self.kernel,
+            registry: &mut self.registry,
+            state: &mut rt.link,
+            pid,
         }
-        self.images.retain(|pid, _| live.contains_key(pid));
-        self.fault_guard.retain(|pid, _| live.contains_key(pid));
     }
 
     /// Drains the linker's journal into the trace ring.
     fn drain_linker(&mut self, pid: Pid) {
-        let Some(state) = self.link.get_mut(&pid) else {
+        let Some(rt) = self.runtime.get_mut(&pid) else {
             return;
         };
-        for event in std::mem::take(&mut state.journal) {
+        for event in std::mem::take(&mut rt.link.journal) {
             self.publish(pid, event);
         }
     }
@@ -885,7 +906,9 @@ impl World {
             .and_then(|p| p.aspace.entry(addr))
             .map(|e| e.was_evicted())
             .unwrap_or(false);
-        let guard = self.fault_guard.entry(pid).or_insert((addr, 0));
+        // invariant: as in `ldl`, the faulting pid is live.
+        let rt = self.runtime.get_mut(&pid).expect("live pid has a record");
+        let guard = rt.fault_guard.get_or_insert((addr, 0));
         if evicted_refault {
             *guard = (addr, 0);
         } else if guard.0 == addr {
@@ -902,11 +925,7 @@ impl World {
         }
         self.publish(pid, TraceEvent::FaultTaken { addr });
         let injected_before = self.faults.injected();
-        let result = {
-            let state = self.link.entry(pid).or_default();
-            let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
-            ldl.handle_fault(addr)
-        };
+        let result = self.ldl(pid).handle_fault(addr);
         self.drain_linker(pid);
         self.drain_injections(pid);
         // Did the handler hit an injected failure on this fault?
@@ -970,19 +989,8 @@ impl World {
             SVC_LDL_INIT => self.svc_ldl_init(pid),
             SVC_MAP_SEGMENT => match self.guest_str(pid, a0) {
                 Ok(path) => {
-                    let result = {
-                        let state = self.link.entry(pid).or_default();
-                        let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
-                        ldl.map_segment_by_path(&path)
-                    };
-                    match result {
-                        Ok(base) => base as i32,
-                        Err(e) => {
-                            self.log
-                                .push(format!("pid {pid}: map_segment({path}): {e}"));
-                            err_code(&e)
-                        }
-                    }
+                    let result = self.ldl(pid).map_segment_by_path(&path);
+                    self.link_reply(pid, "map_segment", &path, result)
                 }
                 Err(e) => e,
             },
@@ -1047,28 +1055,16 @@ impl World {
                     } else {
                         ShareClass::DynamicPrivate
                     };
-                    let result = {
-                        let state = self.link.entry(pid).or_default();
-                        let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
-                        ldl.load_module(&path, class, hlink::scope::ROOT)
-                            .map(|name| ldl.state.module(&name).map(|m| m.base).unwrap_or(0))
-                    };
-                    match result {
-                        Ok(base) => base as i32,
-                        Err(e) => {
-                            self.log
-                                .push(format!("pid {pid}: link_module({path}): {e}"));
-                            err_code(&e)
-                        }
-                    }
+                    let mut ldl = self.ldl(pid);
+                    let result = ldl
+                        .load_module(&path, class, hlink::scope::ROOT)
+                        .map(|name| ldl.state.module(&name).map(|m| m.base).unwrap_or(0));
+                    self.link_reply(pid, "link_module", &path, result)
                 }
                 Err(e) => e,
             },
             SVC_LOOKUP_SYMBOL => match self.guest_str_raw(pid, a0) {
-                Ok(name) => {
-                    let state = self.link.entry(pid).or_default();
-                    state.lookup_global(&name).unwrap_or(0) as i32
-                }
+                Ok(name) => self.ldl(pid).state.lookup_global(&name).unwrap_or(0) as i32,
                 Err(e) => e,
             },
             other => {
@@ -1081,43 +1077,53 @@ impl World {
         self.kernel.set_reg(pid, Reg::V0, result as u32);
     }
 
+    /// A linker service's `v0`: the address it returned, or its error,
+    /// logged as `call(path): error` and returned as a negated errno.
+    fn link_reply(&mut self, pid: Pid, call: &str, path: &str, r: Result<u32, LinkError>) -> i32 {
+        let e = match r {
+            Ok(addr) => return addr as i32,
+            Err(e) => e,
+        };
+        self.log.push(format!("pid {pid}: {call}({path}): {e}"));
+        match e {
+            LinkError::Fs(fs) => -fs.errno(),
+            LinkError::AccessDenied { .. } => -13,
+            _ => -14,
+        }
+    }
+
+    /// `ldl` init: links the image the record holds, then drops it. A
+    /// link failure ends the process with status 127, the conventional
+    /// "loader failed" status, before `main` can run unlinked code.
     fn svc_ldl_init(&mut self, pid: Pid) -> i32 {
-        let Some(image) = self.images.get(&pid).cloned() else {
-            self.log
-                .push(format!("pid {pid}: ldl_init without an image"));
-            return -14;
+        // The image is gone once init has run (crt0 runs only in fresh
+        // processes, and a fork child inherits its parent's links).
+        let Some(image) = self.runtime.get_mut(&pid).and_then(|rt| rt.image.take()) else {
+            return 0;
         };
         let eager = self.eager;
-        let result = {
-            let state = self.link.entry(pid).or_default();
-            if state.modules().next().is_some() || !state.image_exports.is_empty() {
-                // Fork children inherit a fully initialized state; crt0
-                // runs only in fresh processes, but be idempotent.
-                return 0;
-            }
-            let mut ldl = Ldl::new(&mut self.kernel, &mut self.registry, state, pid);
-            ldl.init(&image).and_then(|warnings| {
-                if eager {
-                    // Eager baseline: keep linking until no module is
-                    // still awaiting its first touch (transitive).
-                    loop {
-                        let lazy: Vec<String> = ldl
-                            .state
-                            .modules()
-                            .filter(|m| m.lazy)
-                            .map(|m| m.name().to_string())
-                            .collect();
-                        if lazy.is_empty() {
-                            break;
-                        }
-                        for name in lazy {
-                            ldl.lazy_link(&name)?;
-                        }
+        let mut ldl = self.ldl(pid);
+        let result = ldl.init(&image).and_then(|warnings| {
+            if eager {
+                // Eager baseline: keep linking until no module is
+                // still awaiting its first touch (transitive).
+                loop {
+                    let lazy: Vec<String> = ldl
+                        .state
+                        .modules()
+                        .filter(|m| m.lazy)
+                        .map(|m| m.name().to_string())
+                        .collect();
+                    if lazy.is_empty() {
+                        break;
+                    }
+                    for name in lazy {
+                        ldl.lazy_link(&name)?;
                     }
                 }
-                Ok(warnings)
-            })
-        };
+            }
+            Ok(warnings)
+        });
         match result {
             Ok(warnings) => {
                 for w in warnings {
@@ -1127,6 +1133,7 @@ impl World {
             }
             Err(e) => {
                 self.log.push(format!("pid {pid}: ldl init failed: {e}"));
+                self.kill(pid, 127);
                 -1
             }
         }
@@ -1192,7 +1199,7 @@ impl World {
 
     /// Everything that dies when the machine stops, cleanly or not:
     /// processes (their cumulative counters folded in first, as a reap
-    /// would), linker state, cached images, semaphores, the scheduler
+    /// would), their runtime records, semaphores, the scheduler
     /// round, frame and swap residency, all advisory locks, the
     /// in-kernel address table, and the module-metadata cache. On a
     /// clean halt the shared partition is flushed first, so nothing in
@@ -1205,13 +1212,11 @@ impl World {
         if !crash {
             self.kernel.vfs.shared.fs.barrier();
         }
-        for (_, s) in self.link.drain() {
-            self.reaped_ldl.absorb(&s.stats);
+        for rt in std::mem::take(&mut self.runtime).into_values() {
+            self.reaped_ldl.absorb(&rt.link.stats);
         }
         let discarded = self.kernel.vfs.shared.fs.power_cut();
         self.kernel.power_cut();
-        self.images.clear();
-        self.fault_guard.clear();
         self.kernel.vfs.shared.linear_table_clear_for_test();
         self.registry.clear_cache();
         self.powered = false;
@@ -1601,8 +1606,8 @@ impl World {
             tlb_misses += p.aspace.stats.tlb_misses;
         }
         let mut ldl = self.reaped_ldl;
-        for s in self.link.values() {
-            ldl.absorb(&s.stats);
+        for rt in self.runtime.values() {
+            ldl.absorb(&rt.link.stats);
         }
         let (races_detected, sync_edges, shadow_bytes) = match &self.sanitizer {
             Some(san) => {
@@ -1660,9 +1665,10 @@ impl World {
     /// The conservation oracle. Drains every pending journal, then
     /// checks that each counter a layer keeps beside its records equals
     /// that record kind's tally, and that each priced tally group equals
-    /// its [`CostModel::time`] term priced with `self.costs`. The error
-    /// names every relation that failed. `run` and `stats` never call
-    /// it, so it costs nothing unless asked for.
+    /// its [`CostModel::time`] term priced with `self.costs`, and that
+    /// every live pid has a runtime record and no record outlives its
+    /// pid. The error names every relation that failed. `run` and
+    /// `stats` never call it, so it costs nothing unless asked for.
     pub fn audit(&mut self) -> Result<(), String> {
         self.drain_journals(0);
         let s = self.stats();
@@ -1693,6 +1699,13 @@ impl World {
                     count(kind)
                 ));
             }
+        }
+        let procs = &self.kernel.procs;
+        for pid in procs.keys().filter(|pid| !self.runtime.contains_key(pid)) {
+            failed.push(format!("pid {pid} is live without a runtime record"));
+        }
+        for pid in self.runtime.keys().filter(|pid| !procs.contains_key(pid)) {
+            failed.push(format!("pid {pid} exited but its runtime record remains"));
         }
         // The live plan counts only itself; the tally spans every plan.
         if self.faults.injected() > s.faults_injected {
@@ -1747,12 +1760,4 @@ enum HeapOp {
     Init,
     Alloc,
     Free,
-}
-
-fn err_code(e: &LinkError) -> i32 {
-    match e {
-        LinkError::Fs(fs) => -fs.errno(),
-        LinkError::AccessDenied { .. } => -13,
-        _ => -14,
-    }
 }

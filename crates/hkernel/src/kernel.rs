@@ -72,6 +72,16 @@ pub enum RunEvent {
     OomKill { pid: Pid, resident: u64 },
 }
 
+/// A process birth or death, journaled for the embedder so that state
+/// it keeps per process is born and reaped with the process.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lifecycle {
+    /// `fork` made `child` from `parent`.
+    Forked { parent: Pid, child: Pid },
+    /// The process left the table (exit, kill, OOM, refused spawn).
+    Exited(Pid),
+}
+
 /// Kernel-level activity counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
@@ -144,6 +154,8 @@ pub struct Kernel {
     waitable: BTreeSet<(Pid, Pid)>,
     /// `BlockInvalidated` records of processes that have since exited.
     exited_bb: Vec<(Pid, TraceEvent)>,
+    /// Forks and exits since the last drain, in occurrence order.
+    lifecycle: Vec<Lifecycle>,
     next_pid: Pid,
     sems: BTreeMap<u32, Sem>,
     next_sem: u32,
@@ -234,6 +246,7 @@ impl Kernel {
             exits: BTreeMap::new(),
             waitable: BTreeSet::new(),
             exited_bb: Vec::new(),
+            lifecycle: Vec::new(),
             next_pid: 1,
             sems: BTreeMap::new(),
             next_sem: 1,
@@ -378,6 +391,12 @@ impl Kernel {
         std::mem::take(&mut self.smp_journal)
     }
 
+    /// Drains the forks and exits journaled since the last drain, in
+    /// occurrence order (a power cut empties the journal unread).
+    pub fn drain_lifecycle(&mut self) -> Vec<Lifecycle> {
+        std::mem::take(&mut self.lifecycle)
+    }
+
     /// The kernel-wide table of blocks decoded from shared file pages.
     pub fn shared_text(&self) -> &SharedText {
         &self.text
@@ -391,9 +410,10 @@ impl Kernel {
     /// The power cut, kernel side: every process dies instantly (their
     /// per-space counters are folded into the cumulative stats first,
     /// as an exit would), semaphores, pending waits, the scheduler
-    /// round, the clock hand, all frame/swap residency and the
-    /// shared-text table vanish. The table must: the file system's
-    /// power cut restarts its write epochs, so old stamps would alias.
+    /// round, the clock hand, the fork/exit journal, all frame/swap
+    /// residency and the shared-text table vanish. The table must: the
+    /// file system's power cut restarts its write epochs, so old stamps
+    /// would alias.
     /// Configuration (CPU count, budgets, cache enablement), the exit
     /// records and the monotonic pid generator survive — they
     /// model the machine and its history, not its RAM.
@@ -403,6 +423,7 @@ impl Kernel {
         }
         self.waitable.clear();
         self.exited_bb.clear();
+        self.lifecycle.clear();
         self.sems.clear();
         self.rr_cursor = 0;
         self.clock = None;
@@ -1065,6 +1086,10 @@ impl Kernel {
                 let mut child = parent.fork_into(child_pid);
                 child.cpu.set_reg(Reg::V0, 0);
                 self.procs.insert(child_pid, child);
+                self.lifecycle.push(Lifecycle::Forked {
+                    parent: pid,
+                    child: child_pid,
+                });
                 self.edge(SyncEdge::Fork {
                     parent: pid,
                     child: child_pid,
@@ -1608,6 +1633,7 @@ impl Kernel {
         }
         let console = std::mem::take(&mut p.console).into_boxed_slice();
         self.exits.insert(pid, (code, console));
+        self.lifecycle.push(Lifecycle::Exited(pid));
         self.edge(SyncEdge::Exit { pid });
         self.vfs.unlock_all(pid as u64);
         for sem in self.sems.values_mut() {
@@ -1972,6 +1998,29 @@ mod tests {
             .any(|e| matches!(e, RunEvent::Exited(p, 7) if *p != pid)));
         assert!(events.contains(&RunEvent::Exited(pid, 7)));
         assert_eq!(k.stats.forks, 1);
+    }
+
+    #[test]
+    fn forks_and_exits_are_journaled_in_order_until_a_power_cut() {
+        let mut k = Kernel::new();
+        let pid = k.spawn(1);
+        // fork(); the child exits 7, the parent exits 3 in the same slice.
+        let mut prog = fork_split(5);
+        prog.extend(sys(Sys::Exit, 7));
+        prog.extend(sys(Sys::Exit, 3));
+        k.exec_image(pid, &image(&prog, &[])).unwrap();
+        assert_eq!(k.step_system(1000), RunEvent::Exited(pid, 3));
+        let child = pid + 1;
+        assert_eq!(
+            k.lifecycle,
+            [
+                Lifecycle::Forked { parent: pid, child },
+                Lifecycle::Exited(pid)
+            ]
+        );
+        k.power_cut();
+        assert!(k.drain_lifecycle().is_empty(), "a power cut empties it");
+        assert!(k.procs.is_empty(), "the child died unjournaled");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod process;
 pub mod syscall;
 
 pub use event::TraceEvent;
-pub use kernel::{Kernel, KernelStats, RunEvent};
+pub use kernel::{Kernel, KernelStats, Lifecycle, RunEvent};
 pub use layout::Region;
 pub use mem::{AddressSpace, FramePool, MemBus, MemError, PoolStats, Prot, RepageOutcome};
 pub use monitor::{AccessCtx, Monitor, MonitorRef, SyncEdge};

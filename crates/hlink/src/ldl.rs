@@ -257,6 +257,15 @@ impl LinkState {
         self.modules.get(name).filter(|m| m.contains(addr))
     }
 
+    /// A fork child's link state: its parent's links (shared public
+    /// mappings, COW copies of the private ones at identical
+    /// addresses), but not the parent's journal or counters.
+    pub fn fork_child(&self) -> LinkState {
+        let mut child = self.clone();
+        (child.journal, child.stats) = Default::default();
+        child
+    }
+
     /// Looks up a symbol among the image and every loaded module
     /// (used for the image's own resolution at init, which the paper
     /// performs eagerly).
@@ -286,21 +295,6 @@ pub struct Ldl<'a> {
 }
 
 impl<'a> Ldl<'a> {
-    /// Bundles the linker context.
-    pub fn new(
-        kernel: &'a mut Kernel,
-        registry: &'a mut ModuleRegistry,
-        state: &'a mut LinkState,
-        pid: Pid,
-    ) -> Ldl<'a> {
-        Ldl {
-            kernel,
-            registry,
-            state,
-            pid,
-        }
-    }
-
     fn env(&self, name: &str) -> Option<String> {
         self.kernel
             .procs
@@ -1309,6 +1303,21 @@ mod tests {
             ShareClass::DynamicPrivate,
             None,
         )
+    }
+
+    #[test]
+    fn a_fork_child_inherits_links_but_not_journal_or_counters() {
+        let mut parent = LinkState::default();
+        parent.insert_module(inst("m", 0x3000_0000, PAGE_SIZE));
+        parent.image_exports.insert("main".into(), 0x40);
+        parent.journal.push(TraceEvent::FaultTaken { addr: 4 });
+        parent.stats.lazy_links = 3;
+        let child = parent.fork_child();
+        assert_eq!(child.module_at(0x3000_0004).map(|m| m.name()), Some("m"));
+        assert_eq!(child.image_exports, parent.image_exports);
+        assert!(child.journal.is_empty());
+        assert_eq!(child.stats.lazy_links, 0);
+        assert_eq!(parent.stats.lazy_links, 3, "the parent keeps its own");
     }
 
     proptest! {

@@ -35,6 +35,13 @@ if grep -rnE 'patch_word|\.apply\(' crates/hlink/src --exclude=tramp.rs; then
   exit 1
 fi
 
+echo "==> World keeps one map keyed by pid (per-process state lives in its runtime record)"
+if [ "$(grep -cE '(HashMap|BTreeMap)<Pid' crates/core/src/world.rs)" -gt 1 ]; then
+  grep -nE '(HashMap|BTreeMap)<Pid' crates/core/src/world.rs
+  echo "a second pid-keyed map in World: add the field to ProcRuntime, which the kernel's fork/exit journal creates and reaps" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{build_counter, build_forkwait, run_prog, FORKWAIT_SUM};
+use common::{build_counter, build_forkwait, run_prog, FORKWAIT_CHILDREN, FORKWAIT_SUM};
 use hemlock::{ShareClass, World, WorldExit};
 use std::sync::Arc;
 
@@ -397,9 +397,9 @@ fn kill_leaves_exited_and_unknown_pids_alone() {
 
 #[test]
 fn a_world_keeps_only_live_processes() {
-    // One world runs the counter program many times: every exit leaves
-    // the process table and the runtime's per-process state, while its
-    // status and console stay readable.
+    // One world runs the counter program many times, then the fork-wait
+    // program: every exit leaves the process table and the runtime's
+    // per-process state, while its status and console stay readable.
     let mut world = World::new();
     let exe = build_counter(&mut world);
     let mut pids = Vec::new();
@@ -418,4 +418,27 @@ fn a_world_keeps_only_live_processes() {
     for (run, pid) in (1..).zip(pids) {
         assert_eq!(world.exit_code(pid), Some(run));
     }
+    // Fork children are born into and reaped from the same table: the
+    // parent and every child it waited for leave no per-process state.
+    let exe = build_forkwait(&mut world);
+    for run in 1..=200 {
+        let pid = world.spawn(&exe).unwrap();
+        assert_eq!(world.run(300_000), WorldExit::AllExited);
+        assert!(
+            world.kernel.procs.is_empty(),
+            "fork run {run}: table not empty"
+        );
+        let children = pid + 1..=pid + FORKWAIT_CHILDREN as u32;
+        for p in std::iter::once(pid).chain(children.clone()) {
+            assert!(
+                world.link_state(p).is_none(),
+                "fork run {run}: pid {p}'s link state kept"
+            );
+        }
+        let sum = children
+            .map(|child| world.exit_code(child).expect("the child exited"))
+            .sum();
+        assert_eq!(world.exit_code(pid), Some(sum), "fork run {run}");
+    }
+    world.audit().unwrap();
 }

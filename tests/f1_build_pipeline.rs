@@ -2,7 +2,7 @@
 //! the §2 run-time protocol (crt0 → ldl → lazy linking → fault-driven
 //! resolution → pointer following).
 
-use hemlock::{ShareClass, World, WorldExit};
+use hemlock::{ShareClass, WaitReason, World, WorldExit};
 use hobj::binfmt;
 
 /// Module with an *external* reference: `deep_fn` is not defined here, so
@@ -292,6 +292,57 @@ fn unresolvable_fault_reaches_guest_handler_then_kills() {
         world.log
     );
     assert_eq!(world.exit_code(pid), Some(55), "log: {:?}", world.log);
+}
+
+#[test]
+fn a_process_stuck_refaulting_awaits_its_fault() {
+    // The handler returns to the same unresolvable load, so the process
+    // refaults at one address. Short of the runtime's fault-loop limit
+    // it is reported mid-fault, not as plain runnable; past the limit
+    // it is killed.
+    let mut world = World::new();
+    world
+        .install_template(
+            "/src/main.o",
+            r#"
+            .module main
+            .text
+            .globl main
+            main:   li   v0, 15          ; sigaction(handler)
+                    la   a0, handler
+                    syscall
+                    li   r8, 0x20000000  ; unmapped private address
+                    lw   r9, 0(r8)       ; faults again after each return
+                    li   v0, 0
+                    jr   ra
+            handler:
+                    li   v0, 31          ; sigreturn: retry the load
+                    syscall
+            "#,
+        )
+        .unwrap();
+    let exe = world
+        .link("/bin/a.out", &[("/src/main.o", ShareClass::StaticPrivate)])
+        .unwrap();
+    let pid = world.spawn(&exe).unwrap();
+    let unsettled = world.run_to_settle(20).unwrap_err();
+    assert_eq!(
+        unsettled.waits,
+        [(pid, WaitReason::AwaitingFault { addr: 0x2000_0000 })],
+        "log: {:?}",
+        world.log
+    );
+    assert_eq!(world.run(1_000), WorldExit::AllExited);
+    assert_eq!(world.exit_code(pid), Some(139));
+    assert!(
+        world
+            .log
+            .iter()
+            .any(|l| l.contains("unresolvable fault loop")),
+        "log: {:?}",
+        world.log
+    );
+    world.audit().unwrap();
 }
 
 #[test]
