@@ -1054,23 +1054,23 @@ impl FileSystem {
             return ReplayStats::default();
         };
         let mut stats = ReplayStats::default();
-        let mut pending: Vec<Payload> = Vec::new();
-        let mut apply: Vec<Payload> = Vec::new();
+        let mut pending: Vec<(Payload, Option<u64>)> = Vec::new();
+        let mut apply: Vec<(Payload, Option<u64>)> = Vec::new();
         for rec in &d.journal {
-            if !rec.valid() {
+            let Some(block) = rec.checked() else {
                 // A torn record is always the journal's last write;
                 // its transaction never committed and is void.
                 break;
-            }
+            };
             stats.records += 1;
             if matches!(rec.payload(), Payload::Commit) {
                 stats.txs += 1;
                 apply.append(&mut pending);
             } else {
-                pending.push(rec.payload().clone());
+                pending.push((rec.payload().clone(), block));
             }
         }
-        for p in &apply {
+        for (p, block) in &apply {
             if matches!(p, Payload::WriteBlock { .. }) {
                 stats.blocks += 1;
             } else {
@@ -1078,9 +1078,10 @@ impl FileSystem {
             }
             self.apply_phys(p);
             // The integrity-maintaining chokepoint: a replayed block is
-            // re-stamped, so recovery re-blesses exactly the newest
-            // committed data (verified-read on the replay path).
-            d.apply_home(p);
+            // re-stamped with the hash its record's check just computed,
+            // so recovery re-blesses exactly the newest committed data
+            // (verified-read on the replay path).
+            d.apply_home(p, *block);
         }
         self.durable = Some(d);
         stats

@@ -138,8 +138,11 @@ pub enum RecKind {
 }
 
 impl Payload {
-    /// Canonical byte encoding, checksummed into each journal record.
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// Canonical byte encoding, checksummed into each journal record. A
+    /// `WriteBlock` encodes its header and its block's FNV-1a in place
+    /// of the bytes, and returns that hash, so the home write can stamp
+    /// the block without hashing it again; other payloads return `None`.
+    fn encode(&self, out: &mut Vec<u8>) -> Option<u64> {
         fn put_str(out: &mut Vec<u8>, s: &str) {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
@@ -205,19 +208,31 @@ impl Payload {
                 out.extend_from_slice(&nlink.to_le_bytes());
             }
             Payload::WriteBlock { ino, offset, bytes } => {
+                let hash = fnv1a(bytes);
                 out.push(9);
                 out.extend_from_slice(&ino.to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
                 out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                out.extend_from_slice(&hash.to_le_bytes());
+                return Some(hash);
             }
             Payload::Commit => out.push(10),
         }
+        None
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes [`fnv1a`] has hashed on this thread: tests pin how often a
+    /// block is hashed.
+    pub(crate) static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// FNV-1a 64-bit — the journal's record checksum.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -237,28 +252,42 @@ pub struct Record {
     torn: bool,
 }
 
+/// A record's checksum over its txid and payload encoding, and the
+/// block hash that encoding computed ([`Payload::encode`]).
+fn checksum(txid: u64, payload: &Payload) -> (u64, Option<u64>) {
+    let mut buf = txid.to_le_bytes().to_vec();
+    let block = payload.encode(&mut buf);
+    (fnv1a(&buf), block)
+}
+
 impl Record {
-    fn sealed(txid: u64, payload: Payload) -> Record {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&txid.to_le_bytes());
-        payload.encode(&mut buf);
-        Record {
+    /// Seals `payload` into transaction `txid`, returning the record and
+    /// its block's FNV-1a (`None` unless a `WriteBlock`).
+    fn sealed(txid: u64, payload: Payload) -> (Record, Option<u64>) {
+        let (crc, block) = checksum(txid, &payload);
+        let rec = Record {
             txid,
             payload,
-            crc: fnv1a(&buf),
+            crc,
             torn: false,
-        }
+        };
+        (rec, block)
     }
 
     /// Checksum verification, as replay performs it.
     pub fn valid(&self) -> bool {
+        self.checked().is_some()
+    }
+
+    /// [`Record::valid`], keeping what the check hashed: `None` for a
+    /// torn or mismatching record, else `Some` of the block's FNV-1a
+    /// (`Some(None)` for a payload without a block).
+    pub(crate) fn checked(&self) -> Option<Option<u64>> {
         if self.torn {
-            return false;
+            return None;
         }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&self.txid.to_le_bytes());
-        self.payload.encode(&mut buf);
-        self.crc == fnv1a(&buf)
+        let (crc, block) = checksum(self.txid, &self.payload);
+        (crc == self.crc).then_some(block)
     }
 
     /// The record's transaction id.
@@ -277,8 +306,9 @@ impl Record {
 enum Unit {
     /// Append a record to the on-disk journal area.
     Journal(Record),
-    /// Apply a record to its home location on the disk image.
-    Home(Payload),
+    /// Apply a record to its home location on the disk image, with the
+    /// block hash its journal record sealed.
+    Home(Payload, Option<u64>),
     /// Clear the journal (barrier checkpoint; one superblock write).
     Checkpoint,
 }
@@ -529,13 +559,16 @@ impl Durable {
     pub(crate) fn tx(&mut self, faults: &FaultHandle, payloads: Vec<Payload>) {
         let txid = self.next_txid;
         self.next_txid += 1;
-        for p in &payloads {
-            let rec = Record::sealed(txid, p.clone());
-            self.push_unit(faults, Unit::Journal(rec));
-        }
-        self.push_unit(faults, Unit::Journal(Record::sealed(txid, Payload::Commit)));
+        let mut homes = Vec::with_capacity(payloads.len());
         for p in payloads {
-            self.push_unit(faults, Unit::Home(p));
+            let (rec, block) = Record::sealed(txid, p.clone());
+            self.push_unit(faults, Unit::Journal(rec));
+            homes.push(Unit::Home(p, block));
+        }
+        let (commit, _) = Record::sealed(txid, Payload::Commit);
+        self.push_unit(faults, Unit::Journal(commit));
+        for u in homes {
+            self.push_unit(faults, u);
         }
     }
 
@@ -565,7 +598,7 @@ impl Durable {
         }
         match u {
             Unit::Journal(rec) => self.journal.push(rec),
-            Unit::Home(p) => {
+            Unit::Home(p, block) => {
                 // Silent-corruption chaos fires only on home data-block
                 // writes, and only with the integrity machinery on (the
                 // corruption model and its detector ship together, so an
@@ -585,8 +618,8 @@ impl Durable {
                     None
                 };
                 match silent {
-                    None => self.apply_home(&p),
-                    Some(kind) => self.apply_corrupted(&p, kind),
+                    None => self.apply_home(&p, block),
+                    Some(kind) => self.apply_corrupted(&p, block, kind),
                 }
             }
             Unit::Checkpoint => self.journal.clear(),
@@ -603,28 +636,33 @@ impl Durable {
         self.disk.file_bytes(ino).ok().map(|b| b.len() as u64)
     }
 
-    /// The block image the write *intends* to leave on disk: the current
-    /// block with `bytes` spliced over its front (a `WriteBlock` never
-    /// shrinks, so any stale tail beyond the write survives).
-    fn intended_block(&self, ino: Ino, offset: u64, bytes: &[u8]) -> Vec<u8> {
-        let mut cur = self.disk.block(ino, offset).to_vec();
-        if cur.len() < bytes.len() {
-            cur.resize(bytes.len(), 0);
+    /// The block image the write *intends* to leave on disk, with its
+    /// FNV-1a: `bytes` and their hash `block` when the write covers the
+    /// current block, else the current block with `bytes` spliced over
+    /// its front (a `WriteBlock` never shrinks, so any stale tail beyond
+    /// the write survives), hashed afresh.
+    fn intended_block(&self, ino: Ino, offset: u64, bytes: &[u8], block: u64) -> (Vec<u8>, u64) {
+        let cur = self.disk.block(ino, offset);
+        if cur.len() <= bytes.len() {
+            return (bytes.to_vec(), block);
         }
-        cur[..bytes.len()].copy_from_slice(bytes);
-        cur
+        let mut img = cur.to_vec();
+        img[..bytes.len()].copy_from_slice(bytes);
+        let crc = fnv1a(&img);
+        (img, crc)
     }
 
-    /// Writes one block's integrity record — checksum, on-medium claim,
-    /// and replica copy — for `good` (the intended content). The block
-    /// counts as verified only if `good` is what the disk now holds.
-    fn stamp(&mut self, ino: Ino, offset: u64, good: Vec<u8>) {
+    /// Writes one block's integrity record — checksum `crc`, on-medium
+    /// claim, and replica copy — for `good` (the intended content, which
+    /// hashes to `crc`). The block counts as verified only if `good` is
+    /// what the disk now holds.
+    fn stamp(&mut self, ino: Ino, offset: u64, good: Vec<u8>, crc: u64) {
         if good.is_empty() {
             self.stamps.remove(&(ino, offset));
             return;
         }
         let stamp = Stamp {
-            crc: fnv1a(&good),
+            crc,
             claim: (ino, offset),
             verified: self.disk.block(ino, offset) == good.as_slice(),
             replica: good,
@@ -651,7 +689,8 @@ impl Durable {
     /// preserving detection of any corruption already under them).
     fn restamp_from_disk(&mut self, ino: Ino, offset: u64) {
         let bytes = self.disk.block(ino, offset).to_vec();
-        self.stamp(ino, offset, bytes);
+        let crc = fnv1a(&bytes);
+        self.stamp(ino, offset, bytes, crc);
     }
 
     /// Stamps every data block of the disk image (enable / set_integrity).
@@ -728,13 +767,14 @@ impl Durable {
         self.disk.apply_phys(p);
     }
 
-    /// Applies one home block write, returning the block image it
-    /// intends (`None` when the file is not on disk). A write past EOF
+    /// Applies one home block write whose bytes hash to `block`,
+    /// returning the block image it intends and that image's FNV-1a
+    /// (`None` when the file is not on disk). A write past EOF
     /// zero-fills the gap from the old EOF to its block, which is
     /// legitimate new data: each gap block is re-stamped from disk —
     /// unless its stamp already disagrees with the disk (a lost write's
     /// intent), which a re-stamp would bless.
-    fn write_block(&mut self, p: &Payload) -> Option<Vec<u8>> {
+    fn write_block(&mut self, p: &Payload, block: u64) -> Option<(Vec<u8>, u64)> {
         let Payload::WriteBlock { ino, offset, bytes } = p else {
             // invariant: both callers match WriteBlock first.
             return None;
@@ -750,7 +790,7 @@ impl Durable {
                     .is_none_or(|s| s.replica == self.disk.block(ino, o))
             })
             .collect();
-        let intended = self.intended_block(ino, offset, bytes);
+        let intended = self.intended_block(ino, offset, bytes, block);
         self.write_disk(p);
         self.disk_file_len(ino)?;
         for o in gap {
@@ -762,8 +802,11 @@ impl Durable {
     /// Applies one home record to the disk image *and* maintains the
     /// integrity region — the single chokepoint shared by the write
     /// pipeline and journal replay (a replayed block is re-stamped, so
-    /// recovery re-blesses exactly the newest committed data).
-    pub(crate) fn apply_home(&mut self, p: &Payload) {
+    /// recovery re-blesses exactly the newest committed data). `block`
+    /// is a `WriteBlock`'s FNV-1a as its journal record sealed or
+    /// checked it; the stamp reuses it whenever the write covers the
+    /// block.
+    pub(crate) fn apply_home(&mut self, p: &Payload, block: Option<u64>) {
         if matches!(p, Payload::WriteBlock { .. }) {
             self.data_blocks_written += 1;
         }
@@ -772,9 +815,10 @@ impl Durable {
             return;
         }
         match p {
-            Payload::WriteBlock { ino, offset, .. } => {
-                if let Some(intended) = self.write_block(p) {
-                    self.stamp(*ino, *offset, intended);
+            Payload::WriteBlock { ino, offset, bytes } => {
+                let block = block.unwrap_or_else(|| fnv1a(bytes));
+                if let Some((good, crc)) = self.write_block(p, block) {
+                    self.stamp(*ino, *offset, good, crc);
                 }
             }
             Payload::SetSize { ino, size } => {
@@ -807,26 +851,26 @@ impl Durable {
     /// corruption. In every flavor the checksum region records the
     /// *intent* (the write was acknowledged), which is exactly what lets
     /// scrub detect the divergence later.
-    fn apply_corrupted(&mut self, p: &Payload, kind: CorruptKind) {
+    fn apply_corrupted(&mut self, p: &Payload, block: Option<u64>, kind: CorruptKind) {
         let Payload::WriteBlock { ino, offset, bytes } = p else {
             // invariant: push_unit only routes WriteBlock payloads here.
             return;
         };
         let (ino, offset) = (*ino, *offset);
         self.data_blocks_written += 1;
-        let intended = self.intended_block(ino, offset, bytes);
+        let block = block.unwrap_or_else(|| fnv1a(bytes));
+        let (intended, h) = self.intended_block(ino, offset, bytes, block);
         if intended.is_empty() {
             self.write_disk(p);
             return;
         }
         match kind {
             CorruptKind::BitRot => {
-                if self.write_block(p).is_none() {
+                if self.write_block(p, block).is_none() {
                     return;
                 }
-                self.stamp(ino, offset, intended.clone());
+                self.stamp(ino, offset, intended.clone(), h);
                 // Deterministic bit flip derived from the block content.
-                let h = fnv1a(&intended);
                 let idx = (h % intended.len() as u64) as usize;
                 let rotted = intended[idx] ^ (1u8 << ((h >> 7) & 7));
                 self.write_disk(&Payload::WriteBlock {
@@ -839,7 +883,7 @@ impl Durable {
                 // Never reaches the platter: the disk keeps its stale
                 // bytes while the checksum region records the intent.
                 if self.disk_file_len(ino).is_some() {
-                    self.stamp(ino, offset, intended);
+                    self.stamp(ino, offset, intended, h);
                 }
             }
             CorruptKind::MisdirectedWrite => {
@@ -849,7 +893,7 @@ impl Durable {
                 // The intent is recorded unconditionally — that is what
                 // lets scrub catch the stray write even when the file
                 // is still empty on disk and nothing can be spliced.
-                self.stamp(ino, offset, intended.clone());
+                self.stamp(ino, offset, intended.clone(), h);
                 let bs = crate::BLOCK_SIZE as u64;
                 let len = self.disk_file_len(ino).unwrap_or(0);
                 let victim = if offset >= bs {
@@ -952,20 +996,20 @@ impl Durable {
             .filter(|r| r.valid() && matches!(r.payload(), Payload::Commit))
             .map(Record::txid)
             .collect();
-        let newest = self
+        let (newest, hash) = self
             .journal
             .iter()
             .rev()
-            .filter(|r| r.valid() && committed.contains(&r.txid()))
+            .filter(|r| committed.contains(&r.txid()))
             .find_map(|r| match r.payload() {
                 Payload::WriteBlock {
                     ino: ri,
                     offset: ro,
                     bytes,
-                } if (*ri, *ro) == (ino, offset) => Some(bytes),
+                } if (*ri, *ro) == (ino, offset) => Some((bytes, r.checked()??)),
                 _ => None,
             })?;
-        (fnv1a(newest) == expect).then(|| newest.clone())
+        (hash == expect).then(|| newest.clone())
     }
 
     /// Deterministically corrupts one stamped block on the disk image
@@ -1016,7 +1060,7 @@ impl Durable {
                 rec.torn = true;
                 self.journal.push(rec);
             }
-            Unit::Home(Payload::WriteBlock { ino, offset, bytes }) => {
+            Unit::Home(Payload::WriteBlock { ino, offset, bytes }, _) => {
                 let half = bytes[..bytes.len() / 2].to_vec();
                 if !half.is_empty() {
                     self.write_disk(&Payload::WriteBlock {
@@ -1026,7 +1070,7 @@ impl Durable {
                     });
                 }
             }
-            Unit::Home(_) | Unit::Checkpoint => {}
+            Unit::Home(..) | Unit::Checkpoint => {}
         }
     }
 }
@@ -1046,10 +1090,20 @@ fn block_fault(disk: &FileSystem, key: (Ino, u64), s: &Stamp) -> Option<&'static
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::FsConfig;
+
+    const BS: usize = crate::BLOCK_SIZE as usize;
+
+    /// Bytes `f` makes [`fnv1a`] hash on this thread.
+    fn hashed(f: impl FnOnce()) -> u64 {
+        let before = HASHED_BYTES.with(|n| n.get());
+        f();
+        HASHED_BYTES.with(|n| n.get()) - before
+    }
 
     #[test]
     fn checksums_catch_tears() {
-        let mut r = Record::sealed(
+        let (mut r, _) = Record::sealed(
             7,
             Payload::WriteBlock {
                 ino: 3,
@@ -1060,16 +1114,123 @@ mod tests {
         assert!(r.valid());
         r.torn = true;
         assert!(!r.valid());
-        let mut s = Record::sealed(7, Payload::Commit);
+        let (mut s, _) = Record::sealed(7, Payload::Commit);
         assert!(s.valid());
         s.txid = 8;
         assert!(!s.valid(), "payload swap breaks the checksum");
     }
 
+    /// A `WriteBlock`'s inode, offset and bytes, to alter in place.
+    fn parts(p: &mut Payload) -> (&mut Ino, &mut u64, &mut Vec<u8>) {
+        let Payload::WriteBlock { ino, offset, bytes } = p else {
+            unreachable!("the test seals only a WriteBlock");
+        };
+        (ino, offset, bytes)
+    }
+
+    #[test]
+    fn a_record_checksum_covers_every_byte_of_its_block() {
+        let bytes: Vec<u8> = (0..BS).map(|i| (i * 7 + 3) as u8).collect();
+        let (r, block) = Record::sealed(
+            5,
+            Payload::WriteBlock {
+                ino: 9,
+                offset: 8192,
+                bytes: bytes.clone(),
+            },
+        );
+        assert_eq!(block, Some(fnv1a(&bytes)));
+        assert_eq!(r.checked(), Some(block));
+        let stays_valid = |alter: &dyn Fn(&mut Payload)| {
+            let mut t = r.clone();
+            alter(&mut t.payload);
+            t.valid()
+        };
+        assert!(stays_valid(&|_| ()));
+        for i in 0..BS {
+            assert!(
+                !stays_valid(&|p| parts(p).2[i] ^= 1),
+                "byte {i} flipped unnoticed"
+            );
+        }
+        assert!(!stays_valid(&|p| *parts(p).0 += 1), "inode");
+        assert!(!stays_valid(&|p| *parts(p).1 += BS as u64), "offset");
+        assert!(!stays_valid(&|p| parts(p).2.truncate(BS - 1)), "shorter");
+        assert!(!stays_valid(&|p| parts(p).2.push(0)), "longer");
+    }
+
+    #[test]
+    fn a_journaled_block_is_hashed_once() {
+        // Each record header (txid, tag, inode, offset, length, block
+        // hash) is a few dozen bytes; a second hash of any block would
+        // add a whole block.
+        let headers = 256;
+        let mut f = FileSystem::new(FsConfig::root());
+        f.enable_durability();
+        assert!(f.integrity_enabled());
+        let ino = f.create_file("/f", 0o644, 0).unwrap();
+        let data: Vec<u8> = (0..3 * BS).map(|i| (i % 251) as u8).collect();
+
+        let n = hashed(|| f.write_at(ino, 0, &data).unwrap());
+        assert!(
+            (3 * BS as u64..3 * BS as u64 + headers).contains(&n),
+            "write_at hashed {n}"
+        );
+        assert!(f.verify_blocks_full().is_empty());
+
+        f.power_cut();
+        let mut stats = ReplayStats::default();
+        let n = hashed(|| stats = f.replay_journal());
+        assert_eq!(stats.blocks, 3);
+        assert!(
+            (3 * BS as u64..3 * BS as u64 + headers).contains(&n),
+            "replay hashed {n}"
+        );
+        assert!(f.verify_blocks_full().is_empty());
+
+        f.barrier();
+        for page in [0, 2] {
+            f.file_bytes_mut_stamped(ino, page).unwrap()[page as usize * BS] ^= 0xFF;
+        }
+        let n = hashed(|| {
+            f.barrier();
+        });
+        assert!(
+            (2 * BS as u64..2 * BS as u64 + headers).contains(&n),
+            "barrier hashed {n}"
+        );
+        assert!(f.verify_blocks_full().is_empty());
+        assert_eq!(f.disk_digest(), Some(f.state_digest()));
+    }
+
+    #[test]
+    fn a_spliced_block_is_stamped_with_its_own_hash() {
+        let mut disk = FileSystem::new(FsConfig::root());
+        let ino = disk.create_file("/f", 0o644, 0).unwrap();
+        disk.write_at(ino, 0, &[7; BS]).unwrap();
+        let mut d = Durable::new(disk);
+        d.stamp_all();
+        let bytes = vec![1; 100];
+        let block = Some(fnv1a(&bytes));
+        d.apply_home(
+            &Payload::WriteBlock {
+                ino,
+                offset: 0,
+                bytes,
+            },
+            block,
+        );
+        let mut intended = vec![7; BS];
+        intended[..100].fill(1);
+        assert_eq!(d.disk().block(ino, 0), intended.as_slice());
+        assert_eq!(d.stamps[&(ino, 0)].crc, fnv1a(&intended));
+        assert!(d.verify_full().is_empty());
+    }
+
     #[test]
     fn encodings_are_distinct() {
-        let a = Record::sealed(1, Payload::ClearInode { ino: 2 });
-        let b = Record::sealed(1, Payload::SetSize { ino: 2, size: 0 });
+        let (a, _) = Record::sealed(1, Payload::ClearInode { ino: 2 });
+        let (b, _) = Record::sealed(1, Payload::SetSize { ino: 2, size: 0 });
         assert_ne!(a.crc, b.crc);
     }
 }

@@ -42,6 +42,9 @@ if [ "$(grep -cE '(HashMap|BTreeMap)<Pid' crates/core/src/world.rs)" -gt 1 ]; th
   exit 1
 fi
 
+echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
+bash -n scripts/perf_ab.sh
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
