@@ -9,9 +9,6 @@
 //! * [`serialize`] — linearization of pointer-rich data structures to a
 //!   flat format and back (what xfig and the Lynx compiler had to do
 //!   before Hemlock, §4);
-//! * [`pipes`] — kernel-mediated message passing with copy costs, the
-//!   client/server alternative to shared data (§4, "Utility Programs and
-//!   Servers");
 //! * [`linking`] — alternative linking disciplines: *eager* dynamic
 //!   linking (resolve the whole reachability graph at startup) and the
 //!   SunOS-style *jump-table* cost model (lazy for functions, eager for
@@ -19,7 +16,6 @@
 //!   fault-driven approach.
 
 pub mod linking;
-pub mod pipes;
 pub mod rwho_files;
 pub mod serialize;
 

@@ -142,6 +142,9 @@ pub struct WorldStats {
     /// Processes killed by an uncorrectable-corruption `Eio` fault
     /// (the `EioKilled` tally).
     pub eio_kills: u64,
+    /// Links that failed with a typed error, at `ldl` init or on the
+    /// lazy fault path (the `LinkFailed` tally). Free.
+    pub link_failures: u64,
     /// Prelink snapshots validated and applied (DESIGN.md §15). Each
     /// hit bills one `snapshot_validate_ns` instead of the per-symbol
     /// resolution it skipped.
@@ -338,6 +341,7 @@ impl CostModel {
             | TraceEvent::CrashTaken { .. }
             | TraceEvent::CorruptionDetected { .. }
             | TraceEvent::EioKilled { .. }
+            | TraceEvent::LinkFailed { .. }
             | TraceEvent::SnapshotMiss { .. }
             | TraceEvent::SnapshotRebuilt { .. }
             | TraceEvent::BlockInvalidated { .. } => 0,
@@ -430,7 +434,12 @@ mod tests {
             exe: "a".to_string(),
         };
         let eio = TraceEvent::EioKilled { addr: 0x3000_0000 };
-        assert_eq!((m.price(&crash), m.price(&miss), m.price(&eio)), (0, 0, 0));
+        let link = TraceEvent::LinkFailed {
+            module: "a".to_string(),
+            cause: "trampoline area overflow in `<image>`".to_string(),
+        };
+        let free = [&crash, &miss, &eio, &link].map(|e| m.price(e));
+        assert_eq!(free, [0; 4]);
         // Recovery records price the work the recovery redid.
         let recovery = |action, retries| m.price(&TraceEvent::RecoveryTaken { action, retries });
         assert_eq!(recovery("ldl-retry", 3), 3 * m.fault_ns);

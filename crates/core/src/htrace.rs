@@ -154,6 +154,7 @@ pub struct TraceTallies {
     kinds: BTreeMap<&'static str, Tally>,
     blocks_discarded: u64,
     blocks_scrubbed: u64,
+    blocks_invalidated: u64,
 }
 
 impl TraceTallies {
@@ -167,6 +168,7 @@ impl TraceTallies {
                 self.blocks_discarded += blocks_discarded
             }
             TraceEvent::ScrubPass { blocks, .. } => self.blocks_scrubbed += blocks,
+            TraceEvent::BlockInvalidated { blocks, .. } => self.blocks_invalidated += blocks,
             _ => {}
         }
     }
@@ -184,6 +186,11 @@ impl TraceTallies {
     /// `blocks` summed over `ScrubPass` records.
     pub fn blocks_scrubbed(&self) -> u64 {
         self.blocks_scrubbed
+    }
+
+    /// `blocks` summed over `BlockInvalidated` records.
+    pub fn blocks_invalidated(&self) -> u64 {
+        self.blocks_invalidated
     }
 }
 

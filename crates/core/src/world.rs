@@ -15,7 +15,7 @@ use crate::services::*;
 use hfault::{FaultHandle, FaultPlan};
 use hkernel::kernel::ExecImage;
 use hkernel::{Kernel, Lifecycle, Pid, ProcState, RunEvent};
-use hlink::ldl::FaultDisposition;
+use hlink::ldl::{FaultDisposition, LdlStats};
 use hlink::{Ldl, Lds, LdsInput, LinkError, LinkState, ModuleRegistry, ModuleSpec};
 use hobj::binfmt::{self, BinError};
 use hobj::hasm::{assemble, AsmError};
@@ -230,8 +230,11 @@ pub struct World {
     /// Force a full transitive link at `ldl`-init time instead of lazy,
     /// fault-driven linking (the eager baseline for experiment E2).
     pub eager: bool,
-    /// Accumulated linker stats of processes that have exited.
-    reaped_ldl: hlink::ldl::LdlStats,
+    /// The linker's counters, machine-wide: every [`Ldl`] counts here.
+    ldl_stats: LdlStats,
+    /// The linker's records since the last drain, published under the
+    /// pid it was bound to.
+    ldl_journal: Vec<TraceEvent>,
     /// Fault-path trace ring (see [`crate::htrace`]).
     trace: TraceBuffer,
     /// Exact per-kind totals of every record published to the ring;
@@ -298,7 +301,8 @@ impl World {
             log: Vec::new(),
             quantum: 10_000,
             eager: false,
-            reaped_ldl: Default::default(),
+            ldl_stats: LdlStats::default(),
+            ldl_journal: Vec::new(),
             trace: TraceBuffer::default(),
             tallies: TraceTallies::default(),
             costs: CostModel::default(),
@@ -845,15 +849,14 @@ impl World {
     /// (its parent's links and no image: crt0 ran init in the parent
     /// before `main` could fork) and reaps each one that died, in
     /// occurrence order, so a child is adopted before a parent that
-    /// died in the same slice is dropped. A dead pid's linker counters
-    /// fold into the totals.
+    /// died in the same slice is dropped.
     fn drain_lifecycle(&mut self) {
         for entry in self.kernel.drain_lifecycle() {
             match entry {
                 Lifecycle::Forked { parent, child } => {
                     if let Some(parent) = self.runtime.get(&parent) {
                         let runtime = ProcRuntime {
-                            link: parent.link.fork_child(),
+                            link: parent.link.clone(),
                             image: None,
                             fault_guard: None,
                         };
@@ -861,9 +864,7 @@ impl World {
                     }
                 }
                 Lifecycle::Exited(pid) => {
-                    if let Some(rt) = self.runtime.remove(&pid) {
-                        self.reaped_ldl.absorb(&rt.link.stats);
-                    }
+                    self.runtime.remove(&pid);
                 }
             }
         }
@@ -878,16 +879,15 @@ impl World {
             kernel: &mut self.kernel,
             registry: &mut self.registry,
             state: &mut rt.link,
+            stats: &mut self.ldl_stats,
+            journal: &mut self.ldl_journal,
             pid,
         }
     }
 
-    /// Drains the linker's journal into the trace ring.
+    /// Drains the linker's journal into the trace ring, under `pid`.
     fn drain_linker(&mut self, pid: Pid) {
-        let Some(rt) = self.runtime.get_mut(&pid) else {
-            return;
-        };
-        for event in std::mem::take(&mut rt.link.journal) {
+        for event in std::mem::take(&mut self.ldl_journal) {
             self.publish(pid, event);
         }
     }
@@ -926,6 +926,16 @@ impl World {
         self.publish(pid, TraceEvent::FaultTaken { addr });
         let injected_before = self.faults.injected();
         let result = self.ldl(pid).handle_fault(addr);
+        if let Err(e) = &result {
+            let module = self.runtime[&pid]
+                .link
+                .module_at(addr)
+                .map(|m| m.name().to_string());
+            self.ldl_journal.push(TraceEvent::LinkFailed {
+                module: module.unwrap_or_else(|| format!("{addr:#010x}")),
+                cause: e.to_string(),
+            });
+        }
         self.drain_linker(pid);
         self.drain_injections(pid);
         // Did the handler hit an injected failure on this fault?
@@ -1133,6 +1143,10 @@ impl World {
             }
             Err(e) => {
                 self.log.push(format!("pid {pid}: ldl init failed: {e}"));
+                self.ldl_journal.push(TraceEvent::LinkFailed {
+                    module: image.name,
+                    cause: e.to_string(),
+                });
                 self.kill(pid, 127);
                 -1
             }
@@ -1212,9 +1226,7 @@ impl World {
         if !crash {
             self.kernel.vfs.shared.fs.barrier();
         }
-        for rt in std::mem::take(&mut self.runtime).into_values() {
-            self.reaped_ldl.absorb(&rt.link.stats);
-        }
+        self.runtime.clear();
         let discarded = self.kernel.vfs.shared.fs.power_cut();
         self.kernel.power_cut();
         self.kernel.vfs.shared.linear_table_clear_for_test();
@@ -1605,10 +1617,6 @@ impl World {
             tlb_hits += p.aspace.stats.tlb_hits;
             tlb_misses += p.aspace.stats.tlb_misses;
         }
-        let mut ldl = self.reaped_ldl;
-        for rt in self.runtime.values() {
-            ldl.absorb(&rt.link.stats);
-        }
         let (races_detected, sync_edges, shadow_bytes) = match &self.sanitizer {
             Some(san) => {
                 let s = san.lock().unwrap();
@@ -1617,7 +1625,8 @@ impl World {
             None => (0, 0, 0),
         };
         let pool = self.kernel.frame_pool().stats();
-        let bb = self.kernel.bb_stats();
+        let text = self.kernel.shared_text();
+        let ldl = self.ldl_stats;
         WorldStats {
             kernel: self.kernel.stats,
             root_fs: self.kernel.vfs.root.stats,
@@ -1644,9 +1653,9 @@ impl World {
             shootdowns: self.kernel.stats.shootdowns,
             ipis: self.kernel.stats.ipis,
             cross_cpu_steals: self.kernel.stats.cross_cpu_steals,
-            bblocks_built: bb.built,
-            bblock_hits: bb.hits,
-            bblock_invalidations: bb.invalidations,
+            bblocks_built: text.built,
+            bblock_hits: text.hits,
+            bblock_invalidations: self.tallies.blocks_invalidated(),
             crashes: self.tallies.get("CrashTaken").count,
             journal_replays: self.tallies.get("JournalReplayed").count,
             blocks_discarded: self.tallies.blocks_discarded(),
@@ -1655,6 +1664,7 @@ impl World {
             corruptions_detected: self.tallies.get("CorruptionDetected").count,
             blocks_repaired: self.tallies.get("BlockRepaired").count,
             eio_kills: self.tallies.get("EioKilled").count,
+            link_failures: self.tallies.get("LinkFailed").count,
             snapshot_hits: ldl.snapshot_hits,
             snapshot_misses: ldl.snapshot_misses,
             snapshot_invalidations: ldl.snapshot_invalidations,

@@ -202,6 +202,17 @@ pub enum TraceEvent {
         /// The faulting address.
         addr: u32,
     },
+    /// A link failed with a typed error: `ldl` init (the process then
+    /// exits 127) or the lazy fault path (the guest's SEGV handler
+    /// runs, else the process exits 139). Free — the work that failed
+    /// is billed by its own records.
+    LinkFailed {
+        /// The executable whose init failed, or the module the faulting
+        /// address lies in (the address itself outside every module).
+        module: String,
+        /// The linker's error.
+        cause: String,
+    },
     /// A prelink snapshot validated and was applied: the whole link map
     /// was restored without export-index search or trampoline synthesis
     /// (DESIGN.md §15). Billed at `snapshot_validate_ns`.
@@ -278,6 +289,7 @@ impl TraceEvent {
             TraceEvent::BlockRepaired { .. } => "BlockRepaired",
             TraceEvent::ScrubPass { .. } => "ScrubPass",
             TraceEvent::EioKilled { .. } => "EioKilled",
+            TraceEvent::LinkFailed { .. } => "LinkFailed",
             TraceEvent::SnapshotHit { .. } => "SnapshotHit",
             TraceEvent::SnapshotMiss { .. } => "SnapshotMiss",
             TraceEvent::SnapshotInvalidated { .. } => "SnapshotInvalidated",
@@ -391,6 +403,9 @@ impl fmt::Display for TraceEvent {
                 )
             }
             TraceEvent::EioKilled { addr } => write!(f, "EioKilled addr={addr:#010x}"),
+            TraceEvent::LinkFailed { module, cause } => {
+                write!(f, "LinkFailed module={module} cause={cause}")
+            }
             TraceEvent::SnapshotHit { exe, modules } => {
                 write!(f, "SnapshotHit exe={exe} modules={modules}")
             }

@@ -183,10 +183,8 @@ pub struct Kernel {
     /// Cross-CPU scheduler records (`TlbShootdown`, `CpuSteal`) since
     /// the last drain. Empty on a single-CPU kernel.
     smp_journal: Vec<(Pid, TraceEvent)>,
-    /// Decoded basic-block caching (DESIGN.md §12): on by default,
-    /// switched per-space at spawn/exec/fork time.
-    bb_enabled: bool,
-    /// Blocks decoded from shared file pages, for every process
+    /// Blocks decoded from shared file pages, for every process, with
+    /// the block-cache switch (on by default) and the block totals
     /// (DESIGN.md §12). Emptied by power cuts and `set_bbcache(false)`.
     text: SharedText,
     /// Prelink snapshot caching (DESIGN.md §15): on by default, the
@@ -198,9 +196,6 @@ pub struct Kernel {
     /// link state and never touch (or bill for) the snapshot again.
     /// Cleared by the world on every reboot.
     snap_consulted: BTreeSet<String>,
-    /// Block-cache counters accumulated from exited processes (the
-    /// live remainder is summed from `procs` by [`Kernel::bb_stats`]).
-    reaped_bb: hvm::BbStats,
 }
 
 /// A stable identity for a mutual-exclusion lock object, for
@@ -260,25 +255,21 @@ impl Kernel {
             cur_cpu: 0,
             round_active: false,
             smp_journal: Vec::new(),
-            bb_enabled: true,
             text: SharedText::default(),
             link_snapshots: true,
             snap_consulted: BTreeSet::new(),
-            reaped_bb: hvm::BbStats::default(),
         }
     }
 
-    /// Enables or disables decoded basic-block caching for spaces
-    /// created from now on, and reconfigures every live space (a
-    /// disabled cache clears silently, so switching is unobservable).
-    /// The shared-text table follows.
+    /// Enables or disables decoded basic-block caching for every space.
+    /// Disabling empties the shared-text table and every live space's
+    /// cache silently, so switching is unobservable.
     pub fn set_bbcache(&mut self, enabled: bool) {
-        self.bb_enabled = enabled;
+        self.text.set_enabled(enabled);
         if !enabled {
-            self.text.flush();
-        }
-        for proc in self.procs.values_mut() {
-            proc.aspace.bbcache_mut().configure(enabled);
+            for proc in self.procs.values_mut() {
+                proc.aspace.bbcache_mut().flush(None);
+            }
         }
     }
 
@@ -327,16 +318,6 @@ impl Kernel {
         proc.aspace
             .map_shared(base, len, prot, ino, 0)
             .map_err(|_| FsError::Busy)
-    }
-
-    /// Block-cache counters summed across exited and live processes.
-    /// `invalidations <= built` holds for this sum, not for each space.
-    pub fn bb_stats(&self) -> hvm::BbStats {
-        let mut total = self.reaped_bb;
-        for proc in self.procs.values() {
-            total.accumulate(proc.aspace.bbcache().stats());
-        }
-        total
     }
 
     /// Drains every cache's invalidation journal, those of processes
@@ -397,7 +378,8 @@ impl Kernel {
         std::mem::take(&mut self.lifecycle)
     }
 
-    /// The kernel-wide table of blocks decoded from shared file pages.
+    /// The kernel-wide table of blocks decoded from shared file pages,
+    /// which also keeps the block-cache totals (`built`, `hits`).
     pub fn shared_text(&self) -> &SharedText {
         &self.text
     }
@@ -411,12 +393,12 @@ impl Kernel {
     /// per-space counters are folded into the cumulative stats first,
     /// as an exit would), semaphores, pending waits, the scheduler
     /// round, the clock hand, the fork/exit journal, all frame/swap
-    /// residency and the shared-text table vanish. The table must: the
-    /// file system's power cut restarts its write epochs, so old stamps
-    /// would alias.
-    /// Configuration (CPU count, budgets, cache enablement), the exit
-    /// records and the monotonic pid generator survive — they
-    /// model the machine and its history, not its RAM.
+    /// residency and the shared-text table's blocks vanish. The blocks
+    /// must: the file system's power cut restarts its write epochs, so
+    /// old stamps would alias.
+    /// Configuration (CPU count, budgets, cache enablement), the block
+    /// totals, the exit records and the monotonic pid generator survive
+    /// — they model the machine and its history, not its RAM.
     pub fn power_cut(&mut self) {
         for (_, p) in std::mem::take(&mut self.procs) {
             self.fold_counters(&p.aspace);
@@ -478,7 +460,6 @@ impl Kernel {
         let mut proc = Process::new(pid, 0, uid);
         proc.aspace.arm_faults(self.faults.clone());
         proc.aspace.attach_pool(&self.pool);
-        proc.aspace.bbcache_mut().configure(self.bb_enabled);
         self.procs.insert(pid, proc);
         pid
     }
@@ -494,7 +475,6 @@ impl Kernel {
         proc.aspace = AddressSpace::new();
         proc.aspace.arm_faults(self.faults.clone());
         proc.aspace.attach_pool(&self.pool);
-        proc.aspace.bbcache_mut().configure(self.bb_enabled);
         proc.cpu = Cpu::new();
         proc.image_name = image.name.clone();
         if !image.text.is_empty() {
@@ -1647,7 +1627,6 @@ impl Kernel {
         self.stats.cow_copies += aspace.stats.cow_copies;
         self.stats.tlb_hits += aspace.stats.tlb_hits;
         self.stats.tlb_misses += aspace.stats.tlb_misses;
-        self.reaped_bb.accumulate(aspace.bbcache().stats());
     }
 
     /// `parent`'s exited, unwaited children, lowest pid first.

@@ -729,9 +729,9 @@ pub struct AddressSpace {
     resident: u64,
     /// Pages carrying `F_PINNED` (skips the unpin sweep when zero).
     pinned: u32,
-    /// Blocks decoded from this space's private text (DESIGN.md §12).
-    /// Disabled until the kernel configures it; invalidated in
-    /// lock-step with the TLB.
+    /// Blocks decoded from this space's private text (DESIGN.md §12),
+    /// invalidated in lock-step with the TLB. The kernel's table holds
+    /// the switch and the totals.
     bb: BbCache,
 }
 
@@ -761,7 +761,7 @@ impl Clone for AddressSpace {
             resident: self.resident,
             pinned: self.pinned,
             // Like the TLB on fork: the clone starts with a cold cache.
-            bb: self.bb.fresh_like(),
+            bb: BbCache::default(),
         }
     }
 }
@@ -860,8 +860,8 @@ impl AddressSpace {
     }
 
     /// Frees everything a dead process's space holds: pool charges,
-    /// the page-table allocations, and the block cache, which is left
-    /// disabled. Only the counters survive, for the reap to fold in.
+    /// the page-table allocations, and the block cache. Only the
+    /// counters survive, for the reap to fold in.
     pub fn release_all(&mut self) {
         self.surrender();
         self.entries = Vec::new();
@@ -1714,12 +1714,12 @@ impl MemBus<'_> {
         // W^X-style dirty hook: a store that can alter executable bytes
         // (the page is executable, or it aliases a shared file page some
         // block was decoded from, through any mapping) drops the
-        // affected blocks, charging the drop to this space, and moves
+        // affected blocks, journaling the drop in this space, and moves
         // the mutation stamp even when nothing dropped, so a block in
         // flight aborts before its next instruction (`Cpu::run_block`
         // re-checks after each store). Inside `run_block` this is the
         // only place the stamp moves.
-        if self.aspace.bb.enabled() {
+        if self.text.enabled() {
             let dropped = shared_dst.map_or(0, |(ino, fpage)| self.text.drop_page(ino, fpage));
             if can_exec || dropped > 0 {
                 let bb = &mut self.aspace.bb;
@@ -1740,9 +1740,10 @@ impl MemBus<'_> {
     /// work), or the first word does not decode.
     ///
     /// Shared text goes through the kernel's [`SharedText`] at the
-    /// page's current write epoch: a hit is counted here, not copied
-    /// into this space's cache; a stale block is dropped
-    /// (`shared-store`) and decoded again.
+    /// page's current write epoch, not copied into this space's cache;
+    /// a stale block is dropped (`shared-store`, journaled in this
+    /// space) and decoded again. Every entry counts one hit or one
+    /// build in the kernel's table.
     ///
     /// The build peeks at resident bytes without side effects: no TLB
     /// traffic, no reference bits, no chaos decisions, no fs stats —
@@ -1750,10 +1751,11 @@ impl MemBus<'_> {
     /// executes through [`hvm::Bus::fetch_check`].
     pub fn bb_block(&mut self, pc: u32) -> Option<Arc<[Instr]>> {
         let MemBus { aspace, shared, .. } = self;
-        if !aspace.bb.enabled() || !pc.is_multiple_of(4) {
+        if !self.text.enabled() || !pc.is_multiple_of(4) {
             return None;
         }
         if let Some(code) = aspace.bb.lookup(pc) {
+            self.text.hits += 1;
             return Some(code);
         }
         let slot = aspace.pages.get(vpn(pc))?;
@@ -1766,6 +1768,7 @@ impl MemBus<'_> {
             PageKind::Anon(frame) => {
                 let code = decode_block(&frame[off as usize..])?;
                 aspace.bb.insert(pc, code.clone());
+                self.text.built += 1;
                 return Some(code);
             }
             PageKind::Shared { ino, page } => (*ino, *page),
@@ -1782,7 +1785,7 @@ impl MemBus<'_> {
         let epoch = fs.write_epoch(ino, page);
         match self.text.lookup(ino, foff, epoch) {
             SharedLookup::Hit(code) => {
-                aspace.bb.count_hit();
+                self.text.hits += 1;
                 return Some(code);
             }
             SharedLookup::Stale => aspace.bb.note_dropped(pc - off, 1, "shared-store"),
@@ -1794,7 +1797,7 @@ impl MemBus<'_> {
         if flushed > 0 {
             aspace.bb.note_dropped(0, flushed, "capacity");
         }
-        aspace.bb.count_built();
+        self.text.built += 1;
         Some(code)
     }
 
@@ -1813,7 +1816,7 @@ impl MemBus<'_> {
 
     /// Accounts a memoized block dispatch as a cache hit.
     pub fn bb_count_hit(&mut self) {
-        self.aspace.bb.count_hit();
+        self.text.hits += 1;
     }
 }
 
@@ -1919,24 +1922,42 @@ mod tests {
     }
 
     /// A dead space holds no memory: releasing it drops every decoded
-    /// block, disables the cache, and empties the page table, keeping
-    /// only the counters.
+    /// block and empties the page table.
     #[test]
     fn release_all_frees_tables_and_cached_blocks() {
         let mut a = AddressSpace::new();
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
-        a.bbcache_mut().configure(true);
         let code: Arc<[Instr]> = vec![Instr::Syscall].into();
         a.bbcache_mut().insert(0x1000, code.clone());
-        assert!(a.bbcache_mut().lookup(0x1000).is_some());
         assert!(Arc::strong_count(&code) > 1, "cached");
         a.release_all();
         assert_eq!(Arc::strong_count(&code), 1, "no decoded block survives");
         assert!(a.bbcache().is_empty());
-        assert!(!a.bbcache().enabled());
         assert_eq!(a.page_count(), 0);
-        let kept = a.bbcache().stats();
-        assert_eq!((kept.built, kept.hits), (1, 1), "counters survive");
+    }
+
+    /// The block totals live in the kernel's one table, whichever space
+    /// looks: two spaces entering one shared-text block count one build
+    /// and one hit, and a space's release leaves the totals alone.
+    #[test]
+    fn block_totals_are_the_tables_not_the_spaces() {
+        let mut s = SharedFs::new();
+        let mut t = SharedText::default();
+        let ino = s.create_file("/text", 0o666, 0).unwrap();
+        s.fs.truncate(ino, u64::from(P)).unwrap();
+        let code = hvm::encode(Instr::Jr { rs: hvm::Reg(31) });
+        s.fs.write_at(ino, 0, &code.to_le_bytes()).unwrap();
+        let base = SharedFs::addr_of_ino(ino);
+        let mut spaces = [AddressSpace::new(), AddressSpace::new()];
+        for a in &mut spaces {
+            a.map_shared(base, P, Prot::RX, ino, 0).unwrap();
+            let mut bus = MemBus::new(a, &mut s, &mut t);
+            bus.load32(base).unwrap();
+            assert!(bus.bb_block(base).is_some());
+        }
+        assert_eq!((t.built, t.hits), (1, 1));
+        spaces[1].release_all();
+        assert_eq!((t.built, t.hits), (1, 1), "a release folds nothing");
     }
 
     #[test]
@@ -2472,7 +2493,6 @@ mod tests {
                 (addr, Some(file_page)) => a.map_shared(addr, P, prot, ino, file_page),
             };
             let mut a = AddressSpace::new();
-            a.bbcache_mut().configure(true);
             for k in 0..4 {
                 map(&mut a, k, Prot::RWX).unwrap();
                 let code: Vec<u8> = (0..P as usize / 4)
@@ -2482,7 +2502,6 @@ mod tests {
             }
             // Another process's writable view of the shared text.
             let mut b = AddressSpace::new();
-            b.bbcache_mut().configure(true);
             b.map_shared(shared, 2 * P, Prot::RW, ino, 0).unwrap();
             for (step, (op, k, slot, w, p)) in ops.into_iter().enumerate() {
                 let base = page(k).0;
@@ -2673,7 +2692,7 @@ mod tests {
             a.write_bytes(&mut s, data, &9u32.to_le_bytes()).unwrap();
             a.write_bytes(&mut s, shared + 8, &5u32.to_le_bytes())
                 .unwrap();
-            a.bbcache_mut().configure(cache);
+            t.set_enabled(cache);
             let reads = Arc::new(Mutex::new(Reads::default()));
             let monitor: MonitorRef = reads.clone();
             let mut cpu = Cpu::new();
@@ -2714,15 +2733,15 @@ mod tests {
                 referenced(data),
                 reads,
             );
-            (seen, a.bbcache().stats())
+            (seen, t.hits)
         };
         for armed in [false, true] {
             let (off, _) = run(false, u64::MAX, armed);
             for budget in [u64::MAX, 1, 3, 4] {
-                let (on, bb) = run(true, budget, armed);
+                let (on, hits) = run(true, budget, armed);
                 if budget == u64::MAX {
                     assert_eq!(
-                        bb.hits,
+                        hits,
                         u64::from(ITERS) - 1,
                         "the loop replays from the cache"
                     );

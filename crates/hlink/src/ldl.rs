@@ -116,8 +116,11 @@ pub enum FaultDisposition {
     Fatal,
 }
 
-/// Counters for the linking benchmarks (E2/E6).
-#[derive(Clone, Copy, Debug, Default)]
+/// Counters for the linking benchmarks (E2/E6): the machine-wide
+/// totals of every process's linking, kept once by the embedder and
+/// lent to each [`Ldl`] it binds (a process keeps only its
+/// [`LinkState`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LdlStats {
     /// Faults resolved by mapping or linking.
     pub faults_resolved: u64,
@@ -160,30 +163,6 @@ pub struct LdlStats {
     pub snapshot_rebuilds: u64,
 }
 
-impl LdlStats {
-    /// Adds `other`'s counters into `self` — the one place that knows
-    /// every field, so the embedder's reap/fold sites cannot silently
-    /// miss a counter added later.
-    pub fn absorb(&mut self, other: &LdlStats) {
-        self.faults_resolved += other.faults_resolved;
-        self.lazy_links += other.lazy_links;
-        self.init_links += other.init_links;
-        self.segments_mapped += other.segments_mapped;
-        self.symbols_resolved += other.symbols_resolved;
-        self.symbols_unresolved += other.symbols_unresolved;
-        self.trampolines += other.trampolines;
-        self.dir_scans += other.dir_scans;
-        self.cross_domain_resolutions += other.cross_domain_resolutions;
-        self.resolve_cache_hits += other.resolve_cache_hits;
-        self.link_retries += other.link_retries;
-        self.retry_backoff_steps += other.retry_backoff_steps;
-        self.snapshot_hits += other.snapshot_hits;
-        self.snapshot_misses += other.snapshot_misses;
-        self.snapshot_invalidations += other.snapshot_invalidations;
-        self.snapshot_rebuilds += other.snapshot_rebuilds;
-    }
-}
-
 /// Per-process dynamic-linking state (lives in the Hemlock runtime).
 #[derive(Clone, Debug, Default)]
 pub struct LinkState {
@@ -209,11 +188,6 @@ pub struct LinkState {
     /// exports never move, so a hit can never go stale, while a failure
     /// may later succeed once more modules load.
     resolve_cache: HashMap<(String, String), u32>,
-    /// Observable linker steps since the last drain; the embedder
-    /// prices them and appends them to its trace ring.
-    pub journal: Vec<TraceEvent>,
-    /// Statistics.
-    pub stats: LdlStats,
     /// Prelink-snapshot bookkeeping (DESIGN.md §15): where this image's
     /// snapshot lives (`None` ⇒ snapshots disabled for this process).
     snap_path: Option<String>,
@@ -257,15 +231,6 @@ impl LinkState {
         self.modules.get(name).filter(|m| m.contains(addr))
     }
 
-    /// A fork child's link state: its parent's links (shared public
-    /// mappings, COW copies of the private ones at identical
-    /// addresses), but not the parent's journal or counters.
-    pub fn fork_child(&self) -> LinkState {
-        let mut child = self.clone();
-        (child.journal, child.stats) = Default::default();
-        child
-    }
-
     /// Looks up a symbol among the image and every loaded module
     /// (used for the image's own resolution at init, which the paper
     /// performs eagerly).
@@ -290,6 +255,11 @@ pub struct Ldl<'a> {
     pub registry: &'a mut ModuleRegistry,
     /// This process's link state.
     pub state: &'a mut LinkState,
+    /// The machine-wide linker counters.
+    pub stats: &'a mut LdlStats,
+    /// Observable linker steps since the last drain; the embedder
+    /// prices them and appends them to its trace ring under `pid`.
+    pub journal: &'a mut Vec<TraceEvent>,
     /// The process being linked.
     pub pid: Pid,
 }
@@ -355,7 +325,7 @@ impl<'a> Ldl<'a> {
             self.state.snap_exe = image.name.clone();
             if self.kernel.first_snapshot_consult(&image.name) {
                 if let Some(restored) = self.try_snapshot_init()? {
-                    self.state.stats.init_links += 1;
+                    self.stats.init_links += 1;
                     return Ok(restored);
                 }
             }
@@ -408,8 +378,8 @@ impl<'a> Ldl<'a> {
             match looked {
                 Some(addr) => {
                     self.patch_site(None, p.addr, p.kind, addr.wrapping_add(p.addend as u32))?;
-                    self.state.stats.symbols_resolved += 1;
-                    self.state.journal.push(TraceEvent::SymbolResolved {
+                    self.stats.symbols_resolved += 1;
+                    self.journal.push(TraceEvent::SymbolResolved {
                         module: ROOT.to_string(),
                         symbol: p.symbol.clone(),
                         addr,
@@ -419,7 +389,7 @@ impl<'a> Ldl<'a> {
             }
         }
         self.state.image_pending = still;
-        self.state.stats.init_links += 1;
+        self.stats.init_links += 1;
         self.state.snap_warnings = warnings.clone();
         self.rebuild_snapshot();
         Ok(warnings)
@@ -454,14 +424,13 @@ impl<'a> Ldl<'a> {
         let snap = match loaded {
             Ok(Some(s)) => s,
             Ok(None) => {
-                self.state.stats.snapshot_misses += 1;
-                self.state.journal.push(TraceEvent::SnapshotMiss { exe });
+                self.stats.snapshot_misses += 1;
+                self.journal.push(TraceEvent::SnapshotMiss { exe });
                 return Ok(None);
             }
             Err(LinkError::BadSnapshot { why, .. }) => {
-                self.state.stats.snapshot_invalidations += 1;
-                self.state
-                    .journal
+                self.stats.snapshot_invalidations += 1;
+                self.journal
                     .push(TraceEvent::SnapshotInvalidated { exe, why });
                 return Ok(None);
             }
@@ -469,15 +438,14 @@ impl<'a> Ldl<'a> {
         };
         let scope = self.state.snap_scope;
         if let Err(why) = self.kernel.vfs.unpriced(|v| snap.validate(v, scope)) {
-            self.state.stats.snapshot_invalidations += 1;
-            self.state
-                .journal
+            self.stats.snapshot_invalidations += 1;
+            self.journal
                 .push(TraceEvent::SnapshotInvalidated { exe, why });
             return Ok(None);
         }
         self.apply_snapshot(&snap)?;
-        self.state.stats.snapshot_hits += 1;
-        self.state.journal.push(TraceEvent::SnapshotHit {
+        self.stats.snapshot_hits += 1;
+        self.journal.push(TraceEvent::SnapshotHit {
             exe,
             modules: snap.modules.len() as u32,
         });
@@ -624,8 +592,8 @@ impl<'a> Ldl<'a> {
         if let crate::snapshot::StoreOutcome::Written =
             crate::snapshot::store(&mut self.kernel.vfs, &path, &snap)
         {
-            self.state.stats.snapshot_rebuilds += 1;
-            self.state.journal.push(TraceEvent::SnapshotRebuilt {
+            self.stats.snapshot_rebuilds += 1;
+            self.journal.push(TraceEvent::SnapshotRebuilt {
                 exe: self.state.snap_exe.clone(),
                 modules: count,
             });
@@ -685,7 +653,7 @@ impl<'a> Ldl<'a> {
             ) {
                 Ok(found) => {
                     if attempt > 0 {
-                        self.state.journal.push(TraceEvent::RecoveryTaken {
+                        self.journal.push(TraceEvent::RecoveryTaken {
                             action: "ldl-retry",
                             retries: attempt,
                         });
@@ -694,8 +662,8 @@ impl<'a> Ldl<'a> {
                 }
                 Err(e) if attempt < MAX_LINK_RETRIES && Self::is_transient(&e) => {
                     attempt += 1;
-                    self.state.stats.link_retries += 1;
-                    self.state.stats.retry_backoff_steps += 1u64 << attempt;
+                    self.stats.link_retries += 1;
+                    self.stats.retry_backoff_steps += 1u64 << attempt;
                 }
                 Err(e) => return Err(e),
             }
@@ -729,7 +697,7 @@ impl<'a> Ldl<'a> {
         proc.aspace
             .map_shared(inst.base, inst.total_len, prot, ino, 0)
             .map_err(|_| LinkError::Fs(FsError::Busy))?;
-        self.state.journal.push(TraceEvent::SegmentMapped {
+        self.journal.push(TraceEvent::SegmentMapped {
             base: inst.base,
             module: Some(inst.name().to_string()),
         });
@@ -805,7 +773,7 @@ impl<'a> Ldl<'a> {
             if let Some(proc) = self.kernel.procs.get_mut(&self.pid) {
                 match proc.aspace.repage_shared(self.pid, addr) {
                     RepageOutcome::Repaged => {
-                        self.state.stats.faults_resolved += 1;
+                        self.stats.faults_resolved += 1;
                         return Ok(FaultDisposition::Resolved);
                     }
                     // Chaos failed the backing read: surface as an
@@ -827,8 +795,8 @@ impl<'a> Ldl<'a> {
             }
             let name = m.name().to_string();
             self.lazy_link(&name)?;
-            self.state.stats.faults_resolved += 1;
-            self.state.stats.lazy_links += 1;
+            self.stats.faults_resolved += 1;
+            self.stats.lazy_links += 1;
             return Ok(FaultDisposition::Resolved);
         }
         // Case 2: a pointer into the shared region.
@@ -848,9 +816,7 @@ impl<'a> Ldl<'a> {
                         let path = self.kernel.vfs.shared.fs.path_of(ino).unwrap_or_default();
                         return Err(LinkError::AccessDenied { path });
                     }
-                    self.state
-                        .journal
-                        .push(TraceEvent::AddrTranslated { addr, ino });
+                    self.journal.push(TraceEvent::AddrTranslated { addr, ino });
                     let record = self.registry.record(&mut self.kernel.vfs, ino).cloned();
                     if let Some(record) = record {
                         // The segment is a module: map it (possibly for
@@ -860,9 +826,9 @@ impl<'a> Ldl<'a> {
                         self.map_public_module(record, ino, ShareClass::DynamicPublic, &parent)?;
                     } else {
                         self.map_plain_segment(ino)?;
-                        self.state.stats.segments_mapped += 1;
+                        self.stats.segments_mapped += 1;
                     }
-                    self.state.stats.faults_resolved += 1;
+                    self.stats.faults_resolved += 1;
                     return Ok(FaultDisposition::Resolved);
                 }
                 Err(_) => return self.fall_through(addr),
@@ -905,8 +871,7 @@ impl<'a> Ldl<'a> {
         proc.aspace
             .map_shared(base, len, Prot::RW, ino, 0)
             .map_err(|_| LinkError::Fs(FsError::Busy))?;
-        self.state
-            .journal
+        self.journal
             .push(TraceEvent::SegmentMapped { base, module: None });
         Ok(())
     }
@@ -949,19 +914,19 @@ impl<'a> Ldl<'a> {
                     // paper's semantics but count the event so tools
                     // and tests can see it happened.
                     if ino.is_some() && !SharedFs::contains(addr) {
-                        self.state.stats.cross_domain_resolutions += 1;
+                        self.stats.cross_domain_resolutions += 1;
                     }
                     let value = addr.wrapping_add(p.addend as u32);
                     self.patch_site(Some(name), p.addr, p.kind, value)?;
-                    self.state.stats.symbols_resolved += 1;
-                    self.state.journal.push(TraceEvent::SymbolResolved {
+                    self.stats.symbols_resolved += 1;
+                    self.journal.push(TraceEvent::SymbolResolved {
                         module: name.to_string(),
                         symbol: p.symbol.clone(),
                         addr,
                     });
                 }
                 None => {
-                    self.state.stats.symbols_unresolved += 1;
+                    self.stats.symbols_unresolved += 1;
                     unresolved.push(p);
                 }
             }
@@ -1017,7 +982,7 @@ impl<'a> Ldl<'a> {
     pub fn resolve_scoped(&mut self, module: &str, symbol: &str) -> Result<Option<u32>, LinkError> {
         let key = (module.to_string(), symbol.to_string());
         if let Some(&addr) = self.state.resolve_cache.get(&key) {
-            self.state.stats.resolve_cache_hits += 1;
+            self.stats.resolve_cache_hits += 1;
             return Ok(Some(addr));
         }
         let resolved = self.resolve_scoped_uncached(module, symbol)?;
@@ -1152,7 +1117,7 @@ impl<'a> Ldl<'a> {
     ) -> Result<Option<u32>, LinkError> {
         for dir in dirs {
             if !self.state.dir_cache.contains_key(dir) {
-                self.state.stats.dir_scans += 1;
+                self.stats.dir_scans += 1;
                 let mut map = HashMap::new();
                 if let Ok(names) = self.kernel.vfs.readdir(dir) {
                     for file in names {
@@ -1251,7 +1216,7 @@ impl<'a> Ldl<'a> {
         if area.used > 0 {
             self.poke(area.base, &area.bytes())?;
             patched = area.base;
-            self.state.stats.trampolines += 1;
+            self.stats.trampolines += 1;
             match owner {
                 Some(name) => {
                     if let Some(m) = self.state.modules.get_mut(name) {
@@ -1303,21 +1268,6 @@ mod tests {
             ShareClass::DynamicPrivate,
             None,
         )
-    }
-
-    #[test]
-    fn a_fork_child_inherits_links_but_not_journal_or_counters() {
-        let mut parent = LinkState::default();
-        parent.insert_module(inst("m", 0x3000_0000, PAGE_SIZE));
-        parent.image_exports.insert("main".into(), 0x40);
-        parent.journal.push(TraceEvent::FaultTaken { addr: 4 });
-        parent.stats.lazy_links = 3;
-        let child = parent.fork_child();
-        assert_eq!(child.module_at(0x3000_0004).map(|m| m.name()), Some("m"));
-        assert_eq!(child.image_exports, parent.image_exports);
-        assert!(child.journal.is_empty());
-        assert_eq!(child.stats.lazy_links, 0);
-        assert_eq!(parent.stats.lazy_links, 3, "the parent keeps its own");
     }
 
     proptest! {

@@ -18,7 +18,6 @@
 //!   for the C compiler of the paper's toolchain.
 
 pub mod binfmt;
-pub mod dump;
 pub mod hasm;
 pub mod image;
 pub mod object;

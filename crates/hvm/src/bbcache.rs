@@ -31,11 +31,15 @@
 //!   each is decoded once per boot. Blocks are keyed by `(ino, file
 //!   offset)` and carry their page's file **write epoch** at decode
 //!   time, which catches at the next entry any write that did not drop
-//!   them at once. The kernel charges the table's hits, builds and
-//!   drops to the space that looked ([`BbCache::count_hit`] and so on).
+//!   them at once.
 //!
-//! Dropped blocks are counted once and journaled in the space's
-//! drainable journal, only when blocks actually dropped.
+//! Who counts what: the one [`SharedText`] also holds the cache switch
+//! and the kernel's totals, so every block entry, through either kind
+//! of table, counts one hit or one build there, whichever space looked.
+//! A drop is not counted: it is journaled in the drainable journal of
+//! the space that saw it (a shared block, of the space whose store or
+//! lookup dropped it), only when blocks actually dropped, and moves that
+//! space's mutation stamp; the embedder tallies the journal.
 //!
 //! Mid-block self-modification rides on the same mutation stamp: a
 //! guest store that could alter executable bytes moves it
@@ -106,29 +110,6 @@ pub fn decode_run(bytes: &[u8]) -> Vec<Instr> {
     out
 }
 
-/// Cache counters. Every block entry is either a hit or a fresh build.
-/// One space may drop a [`SharedText`] block another built, so
-/// `invalidations <= built` holds only summed over a kernel's spaces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BbStats {
-    /// Blocks decoded and inserted.
-    pub built: u64,
-    /// Lookups satisfied by a cached block.
-    pub hits: u64,
-    /// Cached blocks dropped by an invalidation event (each built block
-    /// is dropped at most once).
-    pub invalidations: u64,
-}
-
-impl BbStats {
-    /// Accumulates another counter set (reaping a dead space's cache).
-    pub fn accumulate(&mut self, other: BbStats) {
-        self.built += other.built;
-        self.hits += other.hits;
-        self.invalidations += other.invalidations;
-    }
-}
-
 /// One journaled invalidation event: `blocks` dropped at `addr`
 /// (page-aligned; 0 for whole-cache events) for `cause`. Only events
 /// that dropped at least one block are journaled.
@@ -177,14 +158,12 @@ impl std::hash::Hasher for FastHasher {
 
 type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
 
-/// A per-address-space cache of blocks decoded from private text. The
-/// default cache is empty and *disabled*: the owner opts in by calling
-/// [`BbCache::configure`]; a disabled cache never builds, never
-/// journals, and costs one branch per would-be hook. See the module
-/// docs for why the map needs no validation stamps.
+/// A per-address-space cache of blocks decoded from private text. It
+/// keeps no switch and no totals: the kernel's [`SharedText`] holds
+/// both. See the module docs for why the map needs no validation
+/// stamps.
 #[derive(Clone, Debug, Default)]
 pub struct BbCache {
-    enabled: bool,
     blocks: FastMap<u32, Arc<[Instr]>>,
     /// Entry PCs per virtual page number, for page-granular drops.
     by_page: FastMap<u32, Vec<u32>>,
@@ -192,36 +171,15 @@ pub struct BbCache {
     /// return for *any* pc, and by stores into executable bytes (see
     /// [`BbCache::mutation_stamp`]).
     mutation: u64,
-    stats: BbStats,
     journal: Vec<BbInvalidation>,
 }
 
 impl BbCache {
-    /// An empty cache with this one's configuration (fork children and
-    /// `Clone` start cold, like their TLBs).
-    pub fn fresh_like(&self) -> BbCache {
-        BbCache {
-            enabled: self.enabled,
-            ..BbCache::default()
-        }
-    }
-
-    /// Switches the cache on or off. Disabling clears silently (nothing
-    /// is observable about a cache that is not in use).
-    pub fn configure(&mut self, enabled: bool) {
-        if !enabled {
-            self.clear_silent();
-        }
-        self.enabled = enabled;
-        self.mutation += 1;
-    }
-
     /// A stamp covering every mutation that could change what
-    /// [`BbCache::lookup`] returns for any pc (inserts, drops, flushes,
-    /// enable toggles) and every guest store that could alter
-    /// executable bytes. A dispatcher may memoize `lookup` results with
-    /// the stamp they were returned under and reuse one — calling
-    /// [`BbCache::count_hit`] instead — strictly while the stamp still
+    /// [`BbCache::lookup`] returns for any pc (inserts, drops, flushes)
+    /// and every guest store that could alter executable bytes. A
+    /// dispatcher may memoize `lookup` results with the stamp they were
+    /// returned under and reuse one strictly while the stamp still
     /// equals the one memoized with it; [`crate::Cpu::run_block`] aborts
     /// its block when a store moves it.
     pub fn mutation_stamp(&self) -> u64 {
@@ -234,48 +192,21 @@ impl BbCache {
         self.mutation += 1;
     }
 
-    /// Accounts a dispatch served from a memoized [`BbCache::lookup`]
-    /// result (same stamp discipline as a real hit, without the map
-    /// walk) or from the kernel's [`SharedText`].
-    pub fn count_hit(&mut self) {
-        self.stats.hits += 1;
-    }
-
-    /// Accounts a block this space decoded into the kernel's
-    /// [`SharedText`].
-    pub fn count_built(&mut self) {
-        self.stats.built += 1;
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn stats(&self) -> BbStats {
-        self.stats
-    }
-
     /// Looks up the block entered at `pc`.
-    pub fn lookup(&mut self, pc: u32) -> Option<Arc<[Instr]>> {
-        let code = self.blocks.get(&pc)?.clone();
-        self.count_hit();
-        Some(code)
+    pub fn lookup(&self, pc: u32) -> Option<Arc<[Instr]>> {
+        self.blocks.get(&pc).cloned()
     }
 
     /// Inserts a freshly decoded block entered at `pc`. At
-    /// [`MAX_BLOCKS`] the whole cache is flushed first (counted,
-    /// journaled as `"capacity"`).
+    /// [`MAX_BLOCKS`] the whole cache is flushed first (journaled as
+    /// `"capacity"`).
     pub fn insert(&mut self, pc: u32, code: Arc<[Instr]>) {
-        if !self.enabled {
-            return;
-        }
         if self.blocks.len() >= MAX_BLOCKS {
             self.flush(Some("capacity"));
         }
         if self.blocks.insert(pc, code).is_none() {
             self.by_page.entry(pc / PAGE_SIZE).or_default().push(pc);
         }
-        self.count_built();
         self.mutation += 1;
     }
 
@@ -306,9 +237,10 @@ impl BbCache {
         self.invalidate_vpns(vp, 1, cause)
     }
 
-    /// Drops everything. With `Some(cause)` the drop is counted and
-    /// journaled (when non-empty); `None` is the silent teardown path
-    /// (exit/surrender, like the uncounted TLB flush on the same path).
+    /// Drops everything. With `Some(cause)` the drop is journaled (when
+    /// non-empty); `None` is the silent path (teardown, like the
+    /// uncounted TLB flush on the same path, and switching the cache
+    /// off).
     /// Returns blocks dropped.
     pub fn flush(&mut self, cause: Option<&'static str>) -> u64 {
         let n = self.blocks.len() as u64;
@@ -338,12 +270,9 @@ impl BbCache {
         self.blocks.is_empty()
     }
 
-    /// Disables the cache and frees every table it holds, keeping only
-    /// the counters. The owner's space is dead, so the cache must never
-    /// be switched back on. Silent, like the teardown
-    /// [`BbCache::flush`].
+    /// Frees every table the cache holds: the owner's space is dead.
+    /// Silent, like the teardown [`BbCache::flush`].
     pub fn release(&mut self) {
-        self.enabled = false;
         self.mutation += 1;
         self.blocks = FastMap::default();
         self.by_page = FastMap::default();
@@ -355,13 +284,12 @@ impl BbCache {
         self.by_page.clear();
     }
 
-    /// Counts and journals `blocks` dropped at `addr` for `cause`. The
-    /// kernel also calls this for [`SharedText`] blocks dropped on this
-    /// space's behalf; the drop moves the mutation stamp, so a dispatch
-    /// memo never outlives a block that left the table.
+    /// Journals `blocks` dropped at `addr` for `cause`. The kernel also
+    /// calls this for [`SharedText`] blocks this space saw drop; the
+    /// drop moves the mutation stamp, so a dispatch memo never outlives
+    /// a block that left the table.
     pub fn note_dropped(&mut self, addr: u32, blocks: u64, cause: &'static str) {
         self.mutation += 1;
-        self.stats.invalidations += blocks;
         self.journal.push(BbInvalidation {
             addr,
             blocks,
@@ -398,17 +326,39 @@ pub enum SharedLookup {
 /// keyed by `(ino, file offset)`: every process that maps the page
 /// shares them. Each block carries its page's write epoch at decode
 /// time. Bounded by the same [`MAX_BLOCKS`] whole-flush policy as
-/// [`BbCache`]; see the module docs for who counts what. The default
-/// table is empty and allocates nothing until the first insert.
+/// [`BbCache`]. It also holds the cache switch and the kernel's block
+/// totals (see the module docs). The default table is switched on,
+/// empty, and allocates nothing until the first insert.
 #[derive(Debug, Default)]
 pub struct SharedText {
     /// Each block with the write epoch it was decoded at.
     blocks: FastMap<(u32, u32), EpochBlock>,
     /// File offsets of the blocks per `(ino, file page)`, for page drops.
     by_page: FastMap<(u32, u32), Vec<u32>>,
+    /// Block caching is switched off, for this table and every space.
+    off: bool,
+    /// Blocks decoded, into this table or any space's [`BbCache`].
+    pub built: u64,
+    /// Block entries served by a cached block, from either kind of
+    /// table or from a dispatch memo (`hits + built` = entries).
+    pub hits: u64,
 }
 
 impl SharedText {
+    /// Switches block caching on or off. Switching off flushes this
+    /// table silently; the owner flushes each space's [`BbCache`] the
+    /// same way, since a cache that is not consulted is not kept exact.
+    pub fn set_enabled(&mut self, on: bool) {
+        self.off = !on;
+        if !on {
+            self.flush();
+        }
+    }
+
+    pub fn enabled(&self) -> bool {
+        !self.off
+    }
+
     /// The block at `off` in file `ino` if it was decoded at `epoch`,
     /// the page's current write epoch. A block decoded at another epoch
     /// is dropped and reported [`SharedLookup::Stale`].
@@ -448,8 +398,8 @@ impl SharedText {
         offs.len() as u64
     }
 
-    /// Drops every block and frees the table's memory; returns how many
-    /// blocks it held.
+    /// Drops every block and frees the table's memory, keeping the
+    /// switch and the totals; returns how many blocks it held.
     pub fn flush(&mut self) -> u64 {
         let n = self.blocks.len() as u64;
         self.blocks = FastMap::default();
@@ -492,12 +442,6 @@ mod tests {
         .into()
     }
 
-    fn armed() -> BbCache {
-        let mut bb = BbCache::default();
-        bb.configure(true);
-        bb
-    }
-
     #[test]
     fn decode_run_stops_after_terminator() {
         let bytes = words(&[
@@ -535,20 +479,8 @@ mod tests {
     }
 
     #[test]
-    fn each_entry_counts_one_hit_or_one_build() {
-        let mut bb = armed();
-        assert!(bb.lookup(0x1000).is_none());
-        assert_eq!(bb.stats(), BbStats::default(), "a miss counts nothing");
-        bb.insert(0x1000, block(3));
-        assert!(bb.lookup(0x1000).is_some());
-        assert!(bb.lookup(0x1000).is_some());
-        let s = bb.stats();
-        assert_eq!((s.built, s.hits), (1, 2));
-    }
-
-    #[test]
     fn page_invalidation_drops_and_journals_only_real_work() {
-        let mut bb = armed();
+        let mut bb = BbCache::default();
         assert_eq!(bb.invalidate_page(1, "unmap"), 0);
         assert!(bb.journal_is_empty(), "empty cache never journals");
         bb.insert(0x1000, block(1));
@@ -560,64 +492,58 @@ mod tests {
         let j = bb.drain_journal();
         assert_eq!(j.len(), 1);
         assert_eq!((j[0].addr, j[0].blocks, j[0].cause), (0x1000, 2, "unmap"));
-        assert!(bb.stats().invalidations <= bb.stats().built);
     }
 
     #[test]
     fn repeated_invalidation_of_a_page_spares_its_neighbour() {
-        let mut bb = armed();
+        let mut bb = BbCache::default();
         bb.insert(0x2000, block(1));
-        for round in 1..=3u64 {
+        for _ in 0..3 {
             bb.insert(0x1000, block(1));
             let stamp = bb.mutation_stamp();
             assert_eq!(bb.invalidate_page(1, "mprotect"), 1);
             assert_ne!(bb.mutation_stamp(), stamp, "a drop moves the stamp");
             assert!(bb.lookup(0x1000).is_none(), "no block outlives its page");
-            assert_eq!(bb.stats().invalidations, round);
+            let dropped = BbInvalidation {
+                addr: 0x1000,
+                blocks: 1,
+                cause: "mprotect",
+            };
+            assert_eq!(bb.drain_journal(), [dropped]);
         }
         assert!(
             bb.lookup(0x2000).is_some(),
             "the other page's block survives"
         );
-        assert!(bb.stats().invalidations <= bb.stats().built);
         // A rebuilt block at the invalidated page hits again.
         bb.insert(0x1000, block(1));
         assert!(bb.lookup(0x1000).is_some());
     }
 
     #[test]
-    fn silent_flush_counts_nothing() {
-        let mut bb = armed();
-        bb.insert(0x1000, block(1));
-        assert_eq!(bb.flush(None), 1);
-        assert_eq!(bb.stats().invalidations, 0);
-        assert!(bb.journal_is_empty());
-    }
-
-    #[test]
-    fn disabled_cache_is_inert() {
+    fn silent_flush_journals_nothing() {
         let mut bb = BbCache::default();
         bb.insert(0x1000, block(1));
-        assert!(bb.lookup(0x1000).is_none());
-        assert_eq!(bb.invalidate_page(1, "unmap"), 0);
-        assert_eq!(bb.stats(), BbStats::default());
+        assert_eq!(bb.flush(None), 1);
         assert!(bb.journal_is_empty());
     }
 
     #[test]
-    fn disabling_clears_silently() {
-        let mut bb = armed();
-        bb.insert(0x1000, block(1));
-        bb.configure(false);
-        assert!(bb.is_empty());
-        assert_eq!(bb.stats().invalidations, 0);
-        bb.configure(true);
-        assert!(bb.lookup(0x1000).is_none());
+    fn switching_off_empties_the_table_and_keeps_the_totals() {
+        let mut text = SharedText::default();
+        assert!(text.enabled(), "on by default");
+        text.insert(7, 0x2010, 0, block(1));
+        (text.built, text.hits) = (1, 2);
+        text.set_enabled(false);
+        assert!(!text.enabled() && text.is_empty());
+        assert_eq!((text.built, text.hits), (1, 2));
+        text.set_enabled(true);
+        assert!(matches!(text.lookup(7, 0x2010, 0), SharedLookup::Miss));
     }
 
     #[test]
-    fn capacity_flush_is_counted() {
-        let mut bb = armed();
+    fn capacity_flush_is_journaled() {
+        let mut bb = BbCache::default();
         for i in 0..MAX_BLOCKS {
             bb.insert(0x1000 + (i as u32) * 8, block(1));
         }
@@ -626,7 +552,7 @@ mod tests {
         assert_eq!(bb.len(), 1);
         let j = bb.drain_journal();
         assert_eq!(j.last().map(|e| e.cause), Some("capacity"));
-        assert_eq!(bb.stats().invalidations, MAX_BLOCKS as u64);
+        assert_eq!(j.iter().map(|e| e.blocks).sum::<u64>(), MAX_BLOCKS as u64);
     }
 
     #[test]

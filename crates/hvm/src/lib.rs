@@ -21,12 +21,11 @@
 pub mod bbcache;
 pub mod cpu;
 pub mod decode;
-pub mod disasm;
 pub mod encode;
 pub mod isa;
 pub mod regs;
 
-pub use bbcache::{BbCache, BbInvalidation, BbStats, SharedLookup, SharedText};
+pub use bbcache::{BbCache, BbInvalidation, SharedLookup, SharedText};
 pub use cpu::{Bus, Cpu, StepOutcome};
 pub use decode::{decode, DecodeError};
 pub use encode::encode;

@@ -42,6 +42,14 @@ if [ "$(grep -cE '(HashMap|BTreeMap)<Pid' crates/core/src/world.rs)" -gt 1 ]; th
   exit 1
 fi
 
+echo "==> the block cache and the linker each keep one set of totals (nothing per space or per process to fold)"
+if awk '/^pub struct (LinkState|BbCache) \{/{s=1} s && !/^ *\/\// && /(LdlStats|BbStats)/{print FILENAME":"FNR": "$0; bad=1} /^\}/{s=0} END{exit !bad}' \
+  crates/hlink/src/ldl.rs crates/hvm/src/bbcache.rs \
+  || grep -rnE 'reaped_ldl|reaped_bb|\.absorb\(|\.accumulate\(' crates/{core,hkernel,hlink,hvm}/src; then
+  echo "a per-space or per-process counter set is back: count in SharedText (blocks) or World's LdlStats (linker)" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 

@@ -11,9 +11,11 @@
 # .cargo/config.toml the same way. Each pair runs the two sides back to
 # back for `seconds` (default: BENCHMARK.json's run_seconds), and the
 # side that runs first alternates from pair to pair. The script prints
-# every pair's ops_per_s, op_p50_us, op_p99_us, setup_s, peak_rss_mib
-# and sim_ms_per_op, then each side's median and quartiles of those
-# metrics and the number of pairs the working tree won on ops_per_s.
+# every pair's ops_per_s, op_p50_us, op_p99_us, setup_s, peak_rss_mib,
+# sim_ms_per_op and ops timed (peak_rss_mib grows with the passes a run
+# completes, since perfbench keeps every sample), then each side's
+# median and quartiles of the first five and the number of pairs the
+# working tree won on ops_per_s.
 # It writes nothing under perfbench/ but the build output cargo keeps
 # in perfbench/target.
 #
@@ -55,7 +57,7 @@ metrics=(ops_per_s op_p50_us op_p99_us setup_s peak_rss_mib)
 
 printf 'parent/change per pair\n%-4s %-6s' pair first
 printf ' %21s' "${metrics[@]}"
-echo ' sim_ms_per_op'
+echo ' sim_ms_per_op ops_timed'
 
 wins=0
 for ((i = 1; i <= pairs; i++)); do
@@ -87,7 +89,7 @@ for ((i = 1; i <= pairs; i++)); do
   awk -v a="$oa" -v b="$ob" 'BEGIN { exit !(b > a) }' && wins=$((wins + 1))
   sa=$(metric "$a" sim_ms_per_op) sb=$(metric "$b" sim_ms_per_op)
   if [ "$sa" = "$sb" ]; then line+=" $sa"; else line+=" $sa -> $sb (MOVED)"; fi
-  echo "$line"
+  echo "$line $(jq -r '.attempted' "$a")/$(jq -r '.attempted' "$b")"
 done
 
 # quartiles <file>: median, q1 and q3 by linear interpolation.

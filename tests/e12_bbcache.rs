@@ -38,7 +38,7 @@ mod common;
 use common::{
     assert_same, half_budget, run_pressured, settle, sweep, Cell, Mask, Shape, Storage, WORKERS,
 };
-use hemlock::{ShareClass, World, WorldExit};
+use hemlock::{ShareClass, World, WorldExit, WorldStats};
 use proptest::prelude::*;
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
@@ -242,7 +242,7 @@ main:   addi sp, sp, -8
         "store-exec invalidation missing:\n{}",
         on_world.trace_dump()
     );
-    assert!(on_world.kernel.bb_stats().invalidations > 0);
+    assert!(on_world.stats().bblock_invalidations > 0);
 }
 
 /// Clock eviction under SMP pressure: the reclaim (running on the boot
@@ -267,9 +267,11 @@ fn eviction_drops_cached_blocks_built_on_other_cpus() {
         trace_cause_count(&on_world, "evict") > 0,
         "evictions must drop cached blocks"
     );
-    let bb = on_world.kernel.bb_stats();
-    assert!(bb.hits + bb.built > 0, "{bb:?}");
-    assert!(bb.invalidations <= bb.built, "{bb:?}");
+    assert!(stats.bblock_hits + stats.bblocks_built > 0, "{stats:?}");
+    assert!(
+        stats.bblock_invalidations <= stats.bblocks_built,
+        "{stats:?}"
+    );
 }
 
 /// `run_block` pins nothing across a text-epoch movement: the moment
@@ -419,8 +421,7 @@ spin:   addi r16, r16, -1
         while world.kernel.procs.len() < 2 {
             assert_eq!(world.run(1), WorldExit::StepLimit, "the parent forks");
         }
-        // Probe a copy, so the probes count no hits in the world.
-        let mut cache = world.kernel.procs[&pid].aspace.bbcache().clone();
+        let cache = world.kernel.procs[&pid].aspace.bbcache();
         let image = &world.link_state(pid).unwrap().image_exports;
         assert_eq!(image["main"] / 4096, image["spin"] / 4096, "one text page");
         let cached = ["main", "spin"].map(|s| cache.lookup(image[s]).is_some());
@@ -477,11 +478,11 @@ loop:   addi r16, r16, -1
     let mut built_before = 0;
     for round in 0..3 {
         assert_eq!(world.run(20), WorldExit::StepLimit, "still mid-loop");
+        built_before = world.kernel.shared_text().built;
         let proc = world.kernel.procs.get_mut(&pid).unwrap();
         let vp = proc.cpu.pc / hsfs::PAGE_SIZE;
         let bb = proc.aspace.bbcache_mut();
         let cached = bb.len();
-        built_before = bb.stats().built;
         let dropped = bb.invalidate_page(vp, "repeat-test");
         assert!(dropped > 0, "round {round}: the loop must be cached");
         assert_eq!(bb.len() as u64, cached as u64 - dropped);
@@ -497,10 +498,10 @@ loop:   addi r16, r16, -1
     assert_eq!(world.run_to_completion(), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(0));
     assert_eq!(trace_cause_count(&world, "repeat-test"), 3);
-    let bb = world.kernel.bb_stats();
+    let built = world.stats().bblocks_built;
     assert!(
-        bb.built > built_before,
-        "the loop must have been rebuilt after the last drop: {bb:?}"
+        built > built_before,
+        "the loop must have been rebuilt after the last drop: {built}"
     );
 }
 
@@ -618,8 +619,8 @@ main:   addi sp, sp, -8
         let offsets = ["b0", "b3", "b6"].map(|sym| export(&mut off_world, sym));
         assert_eq!(offsets, [0, 4, 0]);
 
-        let bb = on_world.kernel.bb_stats();
-        assert!(bb.hits > 0 && bb.invalidations > 0, "{bb:?}");
+        let s = on_world.stats();
+        assert!(s.bblock_hits > 0 && s.bblock_invalidations > 0, "{s:?}");
         assert!(trace_cause_count(&on_world, "store-exec") > 0);
     }
 }
@@ -692,9 +693,15 @@ fn a_power_cut_empties_the_shared_text_table() {
             .unwrap();
         let b = run_alone(&mut world, &caller);
         let before_cut = table_head(&world, (ino, func));
+        let kept = |s: WorldStats| {
+            let bblocks = (s.bblocks_built, s.bblock_hits, s.bblock_invalidations);
+            (bblocks, s.ldl)
+        };
+        let totals = kept(world.stats());
         world.power_cut();
         assert!(world.kernel.shared_text().is_empty(), "the cut empties it");
         world.reboot();
+        assert_eq!(kept(world.stats()), totals, "the totals outlive the cut");
         let on_disk = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap()
             [func as usize..func as usize + 4]
             .to_vec();
@@ -774,18 +781,14 @@ fn cache_can_be_disabled_mid_run() {
     let pid = world.spawn(&exe).unwrap();
     world.quantum = 50;
     assert_eq!(world.run(20), WorldExit::StepLimit);
-    let warm = world.kernel.bb_stats();
-    assert!(
-        warm.hits + warm.built > 0,
-        "cache must be warm before the switch"
-    );
+    let entries = |world: &World| {
+        let s = world.stats();
+        s.bblock_hits + s.bblocks_built
+    };
+    let warm = entries(&world);
+    assert!(warm > 0, "cache must be warm before the switch");
     world.set_bbcache(false);
     assert_eq!(world.run_to_completion(), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(0), "log: {:?}", world.log);
-    let cold = world.kernel.bb_stats();
-    assert_eq!(
-        cold.hits + cold.built,
-        warm.hits + warm.built,
-        "no entries after the switch"
-    );
+    assert_eq!(entries(&world), warm, "no entries after the switch");
 }

@@ -361,9 +361,9 @@ fn concurrent_children_share_one_public_cell() {
 #[test]
 fn forked_children_start_with_zeroed_linker_stats() {
     // The parent links `counter` lazily before it forks. Each child
-    // inherits the link (it takes no fault of its own) but not the
-    // counters that link produced, so every linker counter still
-    // equals its record tally.
+    // inherits the link (it takes no fault of its own), and the world's
+    // one set of linker counters counts that link once, so every
+    // linker counter still equals its record tally.
     let mut world = World::new();
     let exe = build_forkwait(&mut world);
     assert_eq!(run_prog(&mut world, &exe), (FORKWAIT_SUM, String::new()));

@@ -11,12 +11,15 @@
 //! * only injected-fault victims exit nonzero, and surviving processes
 //!   produce output identical to an injection-free run;
 //! * `World::audit` holds, and every recovery had an injection;
+//! * a failed `ldl` init is a clean exit: an init-time `Trampoline`
+//!   injection ends its victim with status 127 and exactly one
+//!   `LinkFailed` record, and status 127 means exactly that;
 //! * the entire outcome replays exactly from the seed.
 
 mod common;
 
 use common::{build_chaos, knobs, SETTLE_SLICES};
-use hemlock::{FaultPlan, FaultSite, Unsettled, WorldExit};
+use hemlock::{FaultPlan, FaultSite, TraceEvent, Unsettled, World, WorldExit};
 use proptest::prelude::*;
 
 /// Documented injection-rate bound for the settle guarantee: 5% per
@@ -39,6 +42,39 @@ struct Outcome {
     injected: u64,
     recovered: u64,
     link_retries: u64,
+    /// Per spawn slot: what the process's records say about its links.
+    links: Vec<Option<Links>>,
+    link_failures: u64,
+}
+
+/// One process's link records. Its init comes first (crt0 runs `ldl`
+/// init before `main`), so everything before its first `FaultTaken` is
+/// the init's.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Links {
+    /// Sites injected during init.
+    init_sites: Vec<&'static str>,
+    /// `LinkFailed` records during init.
+    init_failed: usize,
+    /// All of its `LinkFailed` records.
+    failed: usize,
+}
+
+fn links_of(world: &World, pid: hkernel::Pid) -> Links {
+    let mut links = Links::default();
+    let mut init = true;
+    for r in world.trace().records_for(pid) {
+        match r.event {
+            TraceEvent::FaultTaken { .. } => init = false,
+            TraceEvent::FaultInjected { site } if init => links.init_sites.push(site),
+            TraceEvent::LinkFailed { .. } => {
+                links.failed += 1;
+                links.init_failed += usize::from(init);
+            }
+            _ => {}
+        }
+    }
+    links
 }
 
 /// Runs the chaos scenario. `warm` prepends one injection-free run and
@@ -67,6 +103,7 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
     }
     let settled = world.run_to_settle(SETTLE_SLICES);
     world.audit().unwrap();
+    assert_eq!(world.trace().evicted(), 0, "every record stays readable");
     let stats = world.stats();
     Outcome {
         settled,
@@ -78,6 +115,11 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         injected: stats.faults_injected,
         recovered: stats.faults_recovered,
         link_retries: stats.ldl.link_retries,
+        links: pids
+            .iter()
+            .map(|p| p.map(|p| links_of(&world, p)))
+            .collect(),
+        link_failures: stats.link_failures,
     }
 }
 
@@ -127,6 +169,29 @@ fn check_contained(out: &Outcome, baseline: &Outcome) {
         "every recovery needs an injection ({} > {})",
         out.recovered,
         out.injected
+    );
+    let mut failed = 0;
+    for (exit, links) in out.exits.iter().zip(&out.links) {
+        let Some(links) = links else { continue };
+        failed += links.failed;
+        // A failed init is the process's one link failure and its end.
+        let init_failed = links.init_failed == 1;
+        assert_eq!(*exit == Some(127), init_failed, "{exit:?} {links:?}");
+        assert!(!init_failed || links.failed == 1, "{links:?}");
+        // A trampoline refused during init fails the init. A symbol
+        // hidden during init only leaves its reference pending (the
+        // program faults if it reaches it), so alone it fails nothing.
+        let sites = &links.init_sites;
+        if sites.contains(&"trampoline") {
+            assert_eq!(*exit, Some(127), "{links:?}");
+        }
+        if !sites.is_empty() && sites.iter().all(|&s| s == "symbol_resolve") {
+            assert_eq!(links.init_failed, 0, "{links:?}");
+        }
+    }
+    assert_eq!(
+        out.link_failures, failed as u64,
+        "link_failures is the tally"
     );
 }
 
@@ -204,6 +269,11 @@ fn full_rate_per_site_is_contained() {
         let plan = FaultPlan::new(42, 1_000_000).only(&[site]);
         let out = run_scenario_at(Some(plan), warm);
         check_contained(&out, baseline);
+        if site == FaultSite::Trampoline {
+            // `main` calls into the public module from private text, so
+            // every init needs a trampoline, and every init fails.
+            assert_eq!(out.exits, [Some(127); NPROCS]);
+        }
         // The swap sites only fire under memory pressure, which this
         // scenario (default frame budget) never creates, and the
         // shootdown site needs both pressure and a multi-CPU world;

@@ -222,6 +222,14 @@ fn full_rate_trampoline_faults_kill_only_the_programs_that_need_one() {
     let stats = world.stats();
     assert_eq!(stats.ldl.trampolines, 0);
     assert_eq!(stats.faults_injected, 2, "one draw per needed trampoline");
+    let failed: Vec<Pid> = world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == "LinkFailed")
+        .map(|r| r.pid)
+        .collect();
+    assert_eq!(failed, pids[..2], "one LinkFailed record per failed link");
+    assert_eq!(stats.link_failures, 2);
 }
 
 /// An overflow names the module whose area ran out: the image's as
