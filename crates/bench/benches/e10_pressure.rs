@@ -137,6 +137,7 @@ fn run_budget_cache(budget: Option<u64>, cpus: u32, cache: bool) -> (WorldStats,
         proc.aspace
             .write_bytes(
                 &mut world.kernel.vfs.shared,
+                &mut world.kernel.stats,
                 image_wid,
                 &(id as u32).to_le_bytes(),
             )

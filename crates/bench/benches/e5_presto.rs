@@ -98,6 +98,7 @@ fn run_job(workers: usize, sanitize: bool) -> World {
         proc.aspace
             .write_bytes(
                 &mut world.kernel.vfs.shared,
+                &mut world.kernel.stats,
                 wid_addr,
                 &(id as u32).to_le_bytes(),
             )

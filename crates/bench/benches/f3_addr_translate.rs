@@ -4,7 +4,7 @@
 
 use bench::report_detailed;
 use hemlock::SimTime;
-use hkernel::{AddressSpace, MemBus, Prot};
+use hkernel::{AddressSpace, KernelStats, MemBus, Prot};
 use hsfs::{AddrLookup, SharedFs, PAGE_SIZE};
 use hvm::Bus;
 
@@ -47,13 +47,14 @@ fn simulated_table() {
     let mut shared = SharedFs::new();
     let mut text = hvm::SharedText::default();
     aspace.map_anon(base, npages * PAGE_SIZE, Prot::RW).unwrap();
-    let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text);
+    let mut totals = KernelStats::default();
+    let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text, &mut totals);
     for pass in ["cold", "warm"] {
-        let before = bus.aspace.stats;
+        let before = *bus.totals;
         for i in 0..npages {
             bus.load32(base + i * PAGE_SIZE).unwrap();
         }
-        let s = bus.aspace.stats;
+        let s = *bus.totals;
         let (hits, misses) = (
             s.tlb_hits - before.tlb_hits,
             s.tlb_misses - before.tlb_misses,

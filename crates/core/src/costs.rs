@@ -52,7 +52,8 @@ impl std::fmt::Display for SimTime {
 /// Aggregated counters from every layer of one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldStats {
-    /// Kernel counters (instructions, syscalls, faults, forks).
+    /// Kernel counters (instructions, syscalls, faults, forks, and the
+    /// machine's TLB and copy-on-write totals).
     pub kernel: KernelStats,
     /// Root file system I/O.
     pub root_fs: FsStats,
@@ -62,13 +63,13 @@ pub struct WorldStats {
     pub addr_lookups: u64,
     /// Linear/B-tree probe steps.
     pub addr_probe_steps: u64,
-    /// Dynamic-linker counters summed over processes.
+    /// Dynamic-linker counters (one set for the whole machine).
     pub ldl: LdlStats,
-    /// Copy-on-write page copies.
+    /// Copy-on-write page copies (`kernel.cow_copies`).
     pub cow_copies: u64,
-    /// Software-TLB hits summed over live and reaped processes.
+    /// Software-TLB hits (`kernel.tlb_hits`).
     pub tlb_hits: u64,
-    /// Software-TLB misses summed over live and reaped processes.
+    /// Software-TLB misses (`kernel.tlb_misses`).
     pub tlb_misses: u64,
     /// Failures injected by an armed `hfault` plan (0 without chaos).
     pub faults_injected: u64,
@@ -83,13 +84,18 @@ pub struct WorldStats {
     /// Bytes of guest memory the sanitizer currently shadow-tracks
     /// (0 when unarmed).
     pub shadow_bytes: u64,
-    /// Pages evicted by the clock hand under memory pressure.
+    /// Pages evicted by the clock hand under memory pressure (the
+    /// `PageEvicted` tally). Like every pressure counter it is current
+    /// once the journals are drained: after `run`, `audit` or a halt.
     pub page_evictions: u64,
-    /// Dirty shared pages written back before eviction.
+    /// Dirty shared pages written back before eviction (the
+    /// `WritebackTaken` tally).
     pub page_writebacks: u64,
-    /// Anonymous pages written to the swap area.
+    /// Anonymous pages written to the swap area (the `PageEvicted`
+    /// records of kind `anon`).
     pub swap_outs: u64,
-    /// Pages brought back in after eviction.
+    /// Pages brought back in after eviction (the `PageSwappedIn`
+    /// tally).
     pub swap_ins: u64,
     /// Frames resident at snapshot time.
     pub resident_frames: u64,
@@ -97,7 +103,8 @@ pub struct WorldStats {
     pub peak_resident_frames: u64,
     /// Frame budget (pages) of the world's pool.
     pub frame_budget: u64,
-    /// Deterministic OOM kills taken.
+    /// Deterministic OOM kills taken (the `RecoveryTaken` records of
+    /// action `oom-kill`).
     pub oom_kills: u64,
     /// Pages invalidated in remote TLBs by the shootdown protocol
     /// (always 0 on a single-CPU world).

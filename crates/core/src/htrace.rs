@@ -155,6 +155,8 @@ pub struct TraceTallies {
     blocks_discarded: u64,
     blocks_scrubbed: u64,
     blocks_invalidated: u64,
+    swap_outs: u64,
+    oom_kills: u64,
 }
 
 impl TraceTallies {
@@ -169,6 +171,10 @@ impl TraceTallies {
             }
             TraceEvent::ScrubPass { blocks, .. } => self.blocks_scrubbed += blocks,
             TraceEvent::BlockInvalidated { blocks, .. } => self.blocks_invalidated += blocks,
+            TraceEvent::PageEvicted { kind: "anon", .. } => self.swap_outs += 1,
+            TraceEvent::RecoveryTaken {
+                action: "oom-kill", ..
+            } => self.oom_kills += 1,
             _ => {}
         }
     }
@@ -191,6 +197,16 @@ impl TraceTallies {
     /// `blocks` summed over `BlockInvalidated` records.
     pub fn blocks_invalidated(&self) -> u64 {
         self.blocks_invalidated
+    }
+
+    /// `PageEvicted` records of kind `anon`: pages written to swap.
+    pub fn swap_outs(&self) -> u64 {
+        self.swap_outs
+    }
+
+    /// `RecoveryTaken` records of action `oom-kill`.
+    pub fn oom_kills(&self) -> u64 {
+        self.oom_kills
     }
 }
 

@@ -1012,6 +1012,7 @@ impl World {
                             let oldv = u32::from_le_bytes([old[0], old[1], old[2], old[3]]);
                             match p.aspace.write_bytes(
                                 &mut self.kernel.vfs.shared,
+                                &mut self.kernel.stats,
                                 a0,
                                 &a1.to_le_bytes(),
                             ) {
@@ -1039,9 +1040,9 @@ impl World {
                     None => -14,
                 }
             }
-            SVC_HEAP_INIT => self.svc_heap(a0, a1, HeapOp::Init),
-            SVC_HEAP_ALLOC => self.svc_heap(a0, a1, HeapOp::Alloc),
-            SVC_HEAP_FREE => self.svc_heap(a0, a1, HeapOp::Free),
+            SVC_HEAP_INIT => self.svc_heap(pid, a0, a1, HeapOp::Init),
+            SVC_HEAP_ALLOC => self.svc_heap(pid, a0, a1, HeapOp::Alloc),
+            SVC_HEAP_FREE => self.svc_heap(pid, a0, a1, HeapOp::Free),
             SVC_PRINT_INT => {
                 let text = format!("{}\n", a0 as i32);
                 if let Some(p) = self.kernel.procs.get_mut(&pid) {
@@ -1153,11 +1154,21 @@ impl World {
         }
     }
 
-    fn svc_heap(&mut self, region_addr: u32, arg: u32, op: HeapOp) -> i32 {
+    /// The segment-heap services act with the caller's rights: every
+    /// one of them writes the segment, so a caller without write access
+    /// is denied. A failed `Alloc` answers a null pointer, the others a
+    /// negative errno.
+    fn svc_heap(&mut self, pid: Pid, region_addr: u32, arg: u32, op: HeapOp) -> i32 {
+        let fail = |errno: i32| if let HeapOp::Alloc = op { 0 } else { -errno };
         let (ino, off) = match self.kernel.vfs.shared.addr_to_ino(region_addr) {
             Ok(x) => x,
-            Err(e) => return -e.errno(),
+            Err(e) => return fail(e.errno()),
         };
+        let fs = &self.kernel.vfs.shared.fs;
+        let caller = self.kernel.procs.get(&pid);
+        if !caller.is_some_and(|p| matches!(fs.access(ino, p.uid, true), Ok(true))) {
+            return fail(FsError::PermissionDenied.errno());
+        }
         if let HeapOp::Init = op {
             // Grow the file so the heap region is materialized.
             let need = off as u64 + arg as u64;
@@ -1177,12 +1188,12 @@ impl World {
         }
         let bytes = match self.kernel.vfs.shared.fs.file_bytes_mut(ino) {
             Ok(b) => b,
-            Err(e) => return -e.errno(),
+            Err(e) => return fail(e.errno()),
         };
         if off as usize >= bytes.len() {
             // The region address lies beyond the backing file (possible
             // for alloc/free on a never-initialized heap address).
-            return -22;
+            return fail(22);
         }
         let region = &mut bytes[off as usize..];
         match op {
@@ -1212,8 +1223,7 @@ impl World {
     // --- system administration ---
 
     /// Everything that dies when the machine stops, cleanly or not:
-    /// processes (their cumulative counters folded in first, as a reap
-    /// would), their runtime records, semaphores, the scheduler
+    /// processes, their runtime records, semaphores, the scheduler
     /// round, frame and swap residency, all advisory locks, the
     /// in-kernel address table, and the module-metadata cache. On a
     /// clean halt the shared partition is flushed first, so nothing in
@@ -1609,14 +1619,7 @@ impl World {
 
     /// Gathers all counters for the cost model.
     pub fn stats(&self) -> WorldStats {
-        let mut cow = self.kernel.stats.cow_copies;
-        let mut tlb_hits = self.kernel.stats.tlb_hits;
-        let mut tlb_misses = self.kernel.stats.tlb_misses;
-        for p in self.kernel.procs.values() {
-            cow += p.aspace.stats.cow_copies;
-            tlb_hits += p.aspace.stats.tlb_hits;
-            tlb_misses += p.aspace.stats.tlb_misses;
-        }
+        let kernel = self.kernel.stats;
         let (races_detected, sync_edges, shadow_bytes) = match &self.sanitizer {
             Some(san) => {
                 let s = san.lock().unwrap();
@@ -1628,31 +1631,31 @@ impl World {
         let text = self.kernel.shared_text();
         let ldl = self.ldl_stats;
         WorldStats {
-            kernel: self.kernel.stats,
+            kernel,
             root_fs: self.kernel.vfs.root.stats,
             shared_fs: self.kernel.vfs.shared.fs.stats,
             addr_lookups: self.kernel.vfs.shared.addr_lookups,
             addr_probe_steps: self.kernel.vfs.shared.addr_probe_steps,
             ldl,
-            cow_copies: cow,
-            tlb_hits,
-            tlb_misses,
+            cow_copies: kernel.cow_copies,
+            tlb_hits: kernel.tlb_hits,
+            tlb_misses: kernel.tlb_misses,
             faults_injected: self.tallies.get("FaultInjected").count,
             faults_recovered: self.tallies.get("RecoveryTaken").count,
             races_detected,
             sync_edges,
             shadow_bytes,
-            page_evictions: pool.evictions,
-            page_writebacks: pool.writebacks,
-            swap_outs: pool.swap_outs,
-            swap_ins: pool.swap_ins,
+            page_evictions: self.tallies.get("PageEvicted").count,
+            page_writebacks: self.tallies.get("WritebackTaken").count,
+            swap_outs: self.tallies.swap_outs(),
+            swap_ins: self.tallies.get("PageSwappedIn").count,
             resident_frames: pool.resident,
             peak_resident_frames: pool.peak_resident,
             frame_budget: pool.capacity,
-            oom_kills: pool.oom_kills,
-            shootdowns: self.kernel.stats.shootdowns,
-            ipis: self.kernel.stats.ipis,
-            cross_cpu_steals: self.kernel.stats.cross_cpu_steals,
+            oom_kills: self.tallies.oom_kills(),
+            shootdowns: kernel.shootdowns,
+            ipis: kernel.ipis,
+            cross_cpu_steals: kernel.cross_cpu_steals,
             bblocks_built: text.built,
             bblock_hits: text.hits,
             bblock_invalidations: self.tallies.blocks_invalidated(),
@@ -1685,9 +1688,6 @@ impl World {
         let count = |kind| self.tallies.get(kind).count;
         let mut failed = Vec::new();
         for (counter, n, kind) in [
-            ("page_evictions", s.page_evictions, "PageEvicted"),
-            ("page_writebacks", s.page_writebacks, "WritebackTaken"),
-            ("swap_ins", s.swap_ins, "PageSwappedIn"),
             ("cross_cpu_steals", s.cross_cpu_steals, "CpuSteal"),
             (
                 "ldl.symbols_resolved",

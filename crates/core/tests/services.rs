@@ -207,6 +207,124 @@ fn segment_heap_services() {
     assert_eq!(run(&mut world, &exe2), 424242);
 }
 
+/// The heap services act with the caller's rights: a uid-1 guest can
+/// neither initialise, allocate from nor free into a root-owned 0600
+/// segment, and the segment is left as it was; root can.
+#[test]
+fn segment_heap_services_need_write_access() {
+    let mut world = World::new();
+    world
+        .kernel
+        .vfs
+        .create_file("/shared/private", 0o600, 0)
+        .unwrap();
+    let seg = world.kernel.vfs.path_to_addr("/shared/private").unwrap();
+    world
+        .install_template(
+            "/src/main.o",
+            &format!(
+                r#"
+                .module main
+                .text
+                .globl main
+                main:   li   a0, {seg}
+                        li   a1, 4096
+                        li   v0, 103        ; heap_init(seg, 4096)
+                        syscall
+                        or   a0, v0, r0
+                        li   v0, 106        ; print_int
+                        syscall
+                        li   a0, {seg}
+                        li   a1, 16
+                        li   v0, 104        ; alloc(16)
+                        syscall
+                        sltu a0, r0, v0     ; print whether it allocated
+                        li   v0, 106
+                        syscall
+                        li   a0, {seg}
+                        li   a1, {seg}
+                        li   v0, 105        ; free(seg)
+                        syscall
+                        or   a0, v0, r0
+                        li   v0, 106
+                        syscall
+                        li   v0, 0
+                        jr   ra
+                "#
+            ),
+        )
+        .unwrap();
+    let exe = world
+        .link("/bin/h", &[("/src/main.o", ShareClass::StaticPrivate)])
+        .unwrap();
+    let mut run_as = |uid| {
+        let pid = world.spawn_with(&exe, "/", uid, &[]).unwrap();
+        assert_eq!(world.run(500_000), WorldExit::AllExited, "{:?}", world.log);
+        assert_eq!(world.exit_code(pid), Some(0), "{:?}", world.log);
+        (
+            world.console(pid),
+            world.kernel.vfs.read_all("/shared/private").unwrap(),
+        )
+    };
+    let (denied, bytes) = run_as(1);
+    assert_eq!(denied, "-13\n0\n-13\n", "EACCES, no block, EACCES");
+    assert!(bytes.is_empty(), "a denied init grows nothing");
+    let (root, bytes) = run_as(0);
+    assert_eq!(bytes.len(), 4096, "root's init grows the segment");
+    assert!(
+        root.starts_with("0\n1\n"),
+        "root initialises and allocates: {root}"
+    );
+}
+
+/// A failed allocation is a null pointer, whatever failed: a heap never
+/// initialised in its segment, or an address with no segment at all.
+#[test]
+fn segment_heap_alloc_failure_is_null() {
+    let mut world = World::new();
+    world
+        .kernel
+        .vfs
+        .create_file("/shared/empty", 0o666, 1)
+        .unwrap();
+    let seg = world.kernel.vfs.path_to_addr("/shared/empty").unwrap();
+    let nowhere = seg + 7 * hsfs::SLOT_SIZE;
+    world
+        .install_template(
+            "/src/main.o",
+            &format!(
+                r#"
+                .module main
+                .text
+                .globl main
+                main:   li   a0, {seg}
+                        li   a1, 16
+                        li   v0, 104        ; alloc(16), no heap there
+                        syscall
+                        or   a0, v0, r0
+                        li   v0, 106        ; print_int
+                        syscall
+                        li   a0, {nowhere}
+                        li   a1, 16
+                        li   v0, 104        ; alloc(16), no segment there
+                        syscall
+                        or   a0, v0, r0
+                        li   v0, 106
+                        syscall
+                        li   v0, 0
+                        jr   ra
+                "#
+            ),
+        )
+        .unwrap();
+    let exe = world
+        .link("/bin/h", &[("/src/main.o", ShareClass::StaticPrivate)])
+        .unwrap();
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(world.run(500_000), WorldExit::AllExited, "{:?}", world.log);
+    assert_eq!(world.console(pid), "0\n0\n");
+}
+
 #[test]
 fn setenv_inherited_by_fork_children() {
     let mut world = World::new();

@@ -97,11 +97,14 @@ pub struct KernelStats {
     pub forks: u64,
     /// Scheduler dispatches.
     pub dispatches: u64,
-    /// Copy-on-write page copies accumulated from exited processes.
+    /// Pages copied on write, by a guest store or a kernel-side write
+    /// (the machine total: the bus and `write_bytes` count here).
     pub cow_copies: u64,
-    /// Software-TLB hits accumulated from exited processes.
+    /// Bus accesses whose translation the software TLB served (the
+    /// machine total).
     pub tlb_hits: u64,
-    /// Software-TLB misses accumulated from exited processes.
+    /// Bus accesses that walked the page table and refilled the TLB
+    /// (the machine total).
     pub tlb_misses: u64,
     /// Inter-processor interrupts sent by the TLB-shootdown protocol
     /// (one per remote CPU notified; a chaos-dropped IPI counts its
@@ -389,20 +392,18 @@ impl Kernel {
         &self.pool
     }
 
-    /// The power cut, kernel side: every process dies instantly (their
-    /// per-space counters are folded into the cumulative stats first,
-    /// as an exit would), semaphores, pending waits, the scheduler
-    /// round, the clock hand, the fork/exit journal, all frame/swap
-    /// residency and the shared-text table's blocks vanish. The blocks
-    /// must: the file system's power cut restarts its write epochs, so
-    /// old stamps would alias.
-    /// Configuration (CPU count, budgets, cache enablement), the block
-    /// totals, the exit records and the monotonic pid generator survive
-    /// — they model the machine and its history, not its RAM.
+    /// The power cut, kernel side: every process dies instantly, and
+    /// semaphores, pending waits, the scheduler round, the clock hand,
+    /// the fork/exit journal, all frame/swap residency and the
+    /// shared-text table's blocks vanish. The blocks must: the file
+    /// system's power cut restarts its write epochs, so old stamps
+    /// would alias.
+    /// Configuration (CPU count, budgets, cache enablement), the
+    /// activity and block totals, the exit records and the monotonic
+    /// pid generator survive — they model the machine and its history,
+    /// not its RAM.
     pub fn power_cut(&mut self) {
-        for (_, p) in std::mem::take(&mut self.procs) {
-            self.fold_counters(&p.aspace);
-        }
+        self.procs.clear();
         self.waitable.clear();
         self.exited_bb.clear();
         self.lifecycle.clear();
@@ -492,12 +493,12 @@ impl Kernel {
         )?;
         proc.brk = round(image.data_base + image.data.len() as u32 + image.bss_size);
         proc.heap_end = proc.brk;
-        let aspace = &mut proc.aspace;
+        let (aspace, shared, totals) = (&mut proc.aspace, &mut self.vfs.shared, &mut self.stats);
         if !image.text.is_empty() {
-            aspace.write_bytes(&mut self.vfs.shared, image.text_base, &image.text)?;
+            aspace.write_bytes(shared, totals, image.text_base, &image.text)?;
         }
         if !image.data.is_empty() {
-            aspace.write_bytes(&mut self.vfs.shared, image.data_base, &image.data)?;
+            aspace.write_bytes(shared, totals, image.data_base, &image.data)?;
         }
         proc.cpu.pc = image.entry;
         proc.cpu.set_reg(Reg::SP, layout::STACK_TOP - 64);
@@ -744,7 +745,6 @@ impl Kernel {
         // The mass reclaim tears down every translation the victim had
         // cached: one remote invalidation covering its resident set.
         self.shootdown(pid, cpu, 0, resident as u32);
-        self.pool.count_oom_kill();
         RunEvent::OomKill { pid, resident }
     }
 
@@ -846,11 +846,15 @@ impl Kernel {
                     uid: proc.uid,
                     cpu,
                 };
-                let (aspace, shared, text) =
-                    (&mut proc.aspace, &mut self.vfs.shared, &mut self.text);
+                let (aspace, shared, text, totals) = (
+                    &mut proc.aspace,
+                    &mut self.vfs.shared,
+                    &mut self.text,
+                    &mut self.stats,
+                );
                 let mut bus = match &self.monitor {
-                    Some(monitor) => MemBus::observed(aspace, shared, text, ctx, monitor),
-                    None => MemBus::attributed(aspace, shared, text, ctx),
+                    Some(monitor) => MemBus::observed(aspace, shared, text, totals, ctx, monitor),
+                    None => MemBus::attributed(aspace, shared, text, totals, ctx),
                 };
                 // Fast path: replay decoded blocks, capped at the
                 // remaining budget so blocks never straddle a (sub-)
@@ -977,7 +981,7 @@ impl Kernel {
     fn copy_out(&mut self, pid: Pid, addr: u32, data: &[u8]) -> Result<(), i32> {
         let proc = self.procs.get_mut(&pid).ok_or(-EFAULT)?;
         proc.aspace
-            .write_bytes(&mut self.vfs.shared, addr, data)
+            .write_bytes(&mut self.vfs.shared, &mut self.stats, addr, data)
             .map_err(|_| -EFAULT)
     }
 
@@ -1596,16 +1600,14 @@ impl Kernel {
     // --- exit / wait / wake machinery ---
 
     /// The one exit path (`exit`, the OOM killer, the embedder's kills):
-    /// a live `pid` leaves the table, its counters folded, its frames
-    /// and locks released, its status and console kept as an exit
-    /// record that a live parent may wait for. Any other pid is left
-    /// alone. A waiting parent is woken by the poll in `step_system`.
+    /// a live `pid` leaves the table, its frames and locks released,
+    /// its status and console kept as an exit record that a live parent
+    /// may wait for. Any other pid is left alone. A waiting parent is woken by the poll in `step_system`.
     pub fn finalize_exit(&mut self, pid: Pid, code: i32) {
         let Some(mut p) = self.procs.remove(&pid) else {
             return;
         };
         p.aspace.release_all();
-        self.fold_counters(&p.aspace);
         Self::drain_bb_journal(pid, &mut p.aspace, &mut self.exited_bb);
         self.waitable.retain(|&(parent, _)| parent != pid);
         if self.procs.contains_key(&p.ppid) {
@@ -1619,14 +1621,6 @@ impl Kernel {
         for sem in self.sems.values_mut() {
             sem.waiters.retain(|&w| w != pid);
         }
-    }
-
-    /// Folds a departing space's counters into the kernel totals (exit
-    /// and power cut).
-    fn fold_counters(&mut self, aspace: &AddressSpace) {
-        self.stats.cow_copies += aspace.stats.cow_copies;
-        self.stats.tlb_hits += aspace.stats.tlb_hits;
-        self.stats.tlb_misses += aspace.stats.tlb_misses;
     }
 
     /// `parent`'s exited, unwaited children, lowest pid first.
@@ -1735,7 +1729,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvm::{encode, Instr};
+    use hvm::{encode, Bus, Instr};
 
     /// Builds an ExecImage from encoded instructions and data.
     fn image(text: &[Instr], data: &[u8]) -> ExecImage {
@@ -2000,6 +1994,46 @@ mod tests {
         k.power_cut();
         assert!(k.drain_lifecycle().is_empty(), "a power cut empties it");
         assert!(k.procs.is_empty(), "the child died unjournaled");
+    }
+
+    /// The TLB and copy-on-write totals have one home, the kernel's
+    /// stats: a parent and its fork child each count their accesses
+    /// there once, the one copy their shared data page needs counts
+    /// once, and neither an exit nor a power cut adds anything again.
+    #[test]
+    fn memory_totals_count_each_event_once() {
+        let mut k = Kernel::new();
+        let pid = k.spawn(1);
+        // fork(); both sides park.
+        let mut prog = fork_split(0);
+        prog.extend(park());
+        k.exec_image(pid, &image(&prog, &[1, 2, 3, 4])).unwrap();
+        assert_eq!(run_to_completion(&mut k).last(), Some(&RunEvent::Deadlock));
+        let child = pid + 1;
+        let mem = |s: &KernelStats| (s.tlb_hits, s.tlb_misses, s.cow_copies);
+        let before = mem(&k.stats);
+        // The child stores first, so it takes the copy; the parent's
+        // store then finds the frame its own.
+        for p in [child, pid] {
+            let proc = k.procs.get_mut(&p).unwrap();
+            proc.aspace.tlb_migrate_flush();
+            let mut bus = MemBus::new(
+                &mut proc.aspace,
+                &mut k.vfs.shared,
+                &mut k.text,
+                &mut k.stats,
+            );
+            bus.load32(layout::DATA_BASE).unwrap(); // a miss
+            bus.store32(layout::DATA_BASE, p).unwrap(); // a hit
+        }
+        let (hits, misses, copies) = before;
+        let after = (hits + 2, misses + 2, copies + 1);
+        assert_eq!(mem(&k.stats), after);
+        k.finalize_exit(child, 0);
+        assert_eq!(mem(&k.stats), after, "an exit adds nothing");
+        k.power_cut();
+        assert!(k.procs.is_empty());
+        assert_eq!(mem(&k.stats), after, "a power cut adds nothing");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! pressure-induced traffic is counted and charged.
 
 use crate::event::TraceEvent;
+use crate::kernel::KernelStats;
 use crate::layout::{
     DEFAULT_FRAME_BUDGET, DEFAULT_SWAP_PAGES, PAGES_PER_SWAP_FILE, SWAP_FILE_PREFIX,
 };
@@ -199,22 +200,9 @@ impl fmt::Display for MemError {
     }
 }
 
-/// Memory-related counters for the cost model and the fork benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Pages copied by copy-on-write.
-    pub cow_copies: u64,
-    /// Pages mapped over their lifetime.
-    pub pages_mapped: u64,
-    /// Pages unmapped.
-    pub pages_unmapped: u64,
-    /// Bus accesses whose translation was served by the software TLB.
-    pub tlb_hits: u64,
-    /// Bus accesses that walked the page table (and refilled the TLB).
-    pub tlb_misses: u64,
-}
-
-/// Counter snapshot of a [`FramePool`].
+/// State snapshot of a [`FramePool`]. Its pressure traffic is not
+/// counted here: the pool journals one record per eviction, writeback
+/// and swap-in, and the runtime's counters are those records' tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Frame budget (pages).
@@ -225,20 +213,10 @@ pub struct PoolStats {
     pub resident: u64,
     /// High-water mark of `resident`.
     pub peak_resident: u64,
-    /// Pages evicted by the clock hand.
-    pub evictions: u64,
-    /// Dirty shared pages written back before eviction.
-    pub writebacks: u64,
-    /// Anonymous pages written to the swap area.
-    pub swap_outs: u64,
-    /// Pages brought back in after an eviction (anonymous or shared).
-    pub swap_ins: u64,
     /// Swap-area budget (pages).
     pub swap_pages: u32,
     /// Distinct swap slots currently allocated.
     pub swap_used: u32,
-    /// Deterministic OOM kills taken when pool and swap were exhausted.
-    pub oom_kills: u64,
 }
 
 #[derive(Debug)]
@@ -246,11 +224,6 @@ struct PoolInner {
     capacity: u64,
     resident: u64,
     peak_resident: u64,
-    evictions: u64,
-    writebacks: u64,
-    swap_outs: u64,
-    swap_ins: u64,
-    oom_kills: u64,
     swap_pages: u32,
     next_slot: u32,
     free_slots: Vec<u32>,
@@ -290,11 +263,6 @@ impl FramePool {
             capacity: capacity.max(1),
             resident: 0,
             peak_resident: 0,
-            evictions: 0,
-            writebacks: 0,
-            swap_outs: 0,
-            swap_ins: 0,
-            oom_kills: 0,
             swap_pages,
             next_slot: 0,
             free_slots: Vec::new(),
@@ -336,20 +304,15 @@ impl FramePool {
         inner.resident > inner.capacity
     }
 
-    /// Counter snapshot.
+    /// State snapshot.
     pub fn stats(&self) -> PoolStats {
         let inner = self.lock();
         PoolStats {
             capacity: inner.capacity,
             resident: inner.resident,
             peak_resident: inner.peak_resident,
-            evictions: inner.evictions,
-            writebacks: inner.writebacks,
-            swap_outs: inner.swap_outs,
-            swap_ins: inner.swap_ins,
             swap_pages: inner.swap_pages,
             swap_used: inner.next_slot - inner.free_slots.len() as u32,
-            oom_kills: inner.oom_kills,
         }
     }
 
@@ -362,9 +325,9 @@ impl FramePool {
     /// Power-cut reset: frames and swap slots are volatile, so nothing
     /// is resident and no swap slot is allocated after a crash (the
     /// swap *files* on the shared partition are reclaimed separately by
-    /// boot-time fsck). Configuration (capacity, swap budget) and
-    /// cumulative counters survive — they describe the machine and
-    /// its history, not the lost state.
+    /// boot-time fsck). Configuration (capacity, swap budget) and the
+    /// residency peak survive — they describe the machine and its
+    /// history, not the lost state.
     pub fn reset_volatile(&self) {
         let mut inner = self.lock();
         inner.resident = 0;
@@ -373,11 +336,6 @@ impl FramePool {
         inner.slot_refs.clear();
         inner.swap_files.clear();
         inner.journal.clear();
-    }
-
-    /// Counts a deterministic OOM kill.
-    pub fn count_oom_kill(&self) {
-        self.lock().oom_kills += 1;
     }
 
     fn charge(&self, pages: u64) {
@@ -391,32 +349,10 @@ impl FramePool {
         inner.resident = inner.resident.saturating_sub(pages);
     }
 
-    fn count_eviction(&self, pid: Pid, addr: u32, kind: &'static str) {
-        let mut inner = self.lock();
-        inner.evictions += 1;
-        inner
-            .journal
-            .push((pid, TraceEvent::PageEvicted { addr, kind }));
-    }
-
-    fn count_writeback(&self, pid: Pid, addr: u32) {
-        let mut inner = self.lock();
-        inner.writebacks += 1;
-        inner
-            .journal
-            .push((pid, TraceEvent::WritebackTaken { addr }));
-    }
-
-    fn count_swap_out(&self) {
-        self.lock().swap_outs += 1;
-    }
-
-    fn count_swap_in(&self, pid: Pid, addr: u32) {
-        let mut inner = self.lock();
-        inner.swap_ins += 1;
-        inner
-            .journal
-            .push((pid, TraceEvent::PageSwappedIn { addr }));
+    /// Journals one pressure record (`PageEvicted`, `WritebackTaken`,
+    /// `PageSwappedIn`): the record is the count.
+    fn journal(&self, pid: Pid, event: TraceEvent) {
+        self.lock().journal.push((pid, event));
     }
 
     /// Allocates a swap slot (refcount 1), or `None` when swap is full.
@@ -717,8 +653,6 @@ pub struct AddressSpace {
     entries: Vec<Option<PageEntry>>,
     free: Vec<u32>,
     tlb: Tlb,
-    /// Counters (cow copies count against the space that triggered them).
-    pub stats: MemStats,
     /// Chaos hook: unarmed (inert) unless a fault plan is installed.
     faults: hfault::FaultHandle,
     /// The frame pool this space draws from. A fresh space gets a
@@ -755,7 +689,6 @@ impl Clone for AddressSpace {
             entries: self.entries.clone(),
             free: self.free.clone(),
             tlb: self.tlb.clone(),
-            stats: self.stats,
             faults: self.faults.clone(),
             pool: self.pool.clone(),
             resident: self.resident,
@@ -847,7 +780,6 @@ impl AddressSpace {
                 self.pool.slot_unref(slot);
             }
         }
-        let mapped = self.pages.len() as u64;
         self.pages.clear();
         self.entries.clear();
         self.free.clear();
@@ -856,12 +788,10 @@ impl AddressSpace {
         // above (lazy ASID-style reuse; nothing will run here again).
         self.bb.flush(None);
         self.pinned = 0;
-        self.stats.pages_unmapped += mapped;
     }
 
     /// Frees everything a dead process's space holds: pool charges,
-    /// the page-table allocations, and the block cache. Only the
-    /// counters survive, for the reap to fold in.
+    /// the page-table allocations, and the block cache.
     pub fn release_all(&mut self) {
         self.surrender();
         self.entries = Vec::new();
@@ -900,7 +830,12 @@ impl AddressSpace {
         *pinned += 1;
         *resident += 1;
         pool.charge(1);
-        pool.count_swap_in(pid, addr & !(PAGE_SIZE - 1));
+        pool.journal(
+            pid,
+            TraceEvent::PageSwappedIn {
+                addr: addr & !(PAGE_SIZE - 1),
+            },
+        );
         RepageOutcome::Repaged
     }
 
@@ -984,18 +919,15 @@ impl AddressSpace {
                     if faults.should_inject(hfault::FaultSite::SwapWrite) {
                         return EvictOutcome::Injected;
                     }
-                    pool.count_writeback(pid, addr);
+                    pool.journal(pid, TraceEvent::WritebackTaken { addr });
                 }
                 entry.flags = (entry.flags & !(F_RESIDENT | F_REFERENCED | F_DIRTY)) | F_EVICTED;
-                pool.count_eviction(
-                    pid,
-                    addr,
-                    if dirty {
-                        "shared-dirty"
-                    } else {
-                        "shared-clean"
-                    },
-                );
+                let kind = if dirty {
+                    "shared-dirty"
+                } else {
+                    "shared-clean"
+                };
+                pool.journal(pid, TraceEvent::PageEvicted { addr, kind });
             }
             PageKind::Anon(frame) => {
                 let Some(swap_slot) = pool.alloc_swap_slot() else {
@@ -1022,8 +954,8 @@ impl AddressSpace {
                 }
                 entry.kind = PageKind::Swapped { slot: swap_slot };
                 entry.flags &= !(F_RESIDENT | F_REFERENCED | F_DIRTY);
-                pool.count_swap_out();
-                pool.count_eviction(pid, addr, "anon");
+                // An `anon` eviction is the swap-out.
+                pool.journal(pid, TraceEvent::PageEvicted { addr, kind: "anon" });
             }
             PageKind::Zero | PageKind::Swapped { .. } => return EvictOutcome::NotResident,
         }
@@ -1115,7 +1047,6 @@ impl AddressSpace {
             let slot = self.alloc_slot(PageEntry::new(PageKind::Zero, prot));
             self.pages.insert(p, slot);
         }
-        self.stats.pages_mapped += pages as u64;
         self.tlb.flush();
         // No block to drop: the range was unmapped, and `unmap` dropped
         // every block on it.
@@ -1155,7 +1086,6 @@ impl AddressSpace {
             ));
             self.pages.insert(p, slot);
         }
-        self.stats.pages_mapped += pages as u64;
         self.tlb.flush();
         // No block to drop, as in `map_anon`.
         Ok(())
@@ -1184,7 +1114,6 @@ impl AddressSpace {
             }
             self.free.push(slot);
         }
-        self.stats.pages_unmapped += pages as u64;
         self.tlb.flush();
         self.bb.invalidate_vpns(first, pages, "unmap");
         Ok(())
@@ -1240,7 +1169,6 @@ impl AddressSpace {
         // deterministic sequence across fork.
         let mut child = self.clone();
         child.tlb = Tlb::default();
-        child.stats = MemStats::default();
         child
     }
 
@@ -1295,10 +1223,12 @@ impl AddressSpace {
         Ok(out)
     }
 
-    /// Kernel-side write of guest memory (ignores protection).
+    /// Kernel-side write of guest memory (ignores protection). A page it
+    /// copies on write counts in the kernel's `totals`.
     pub fn write_bytes(
         &mut self,
         shared: &mut SharedFs,
+        totals: &mut KernelStats,
         addr: u32,
         data: &[u8],
     ) -> Result<(), MemError> {
@@ -1345,7 +1275,7 @@ impl AddressSpace {
                 }
                 PageKind::Anon(frame) => {
                     if Arc::strong_count(frame) > 1 {
-                        self.stats.cow_copies += 1;
+                        totals.cow_copies += 1;
                     }
                     Arc::make_mut(frame)[off..off + take]
                         .copy_from_slice(&data[written..written + take]);
@@ -1414,6 +1344,9 @@ pub struct MemBus<'a> {
     pub shared: &'a mut SharedFs,
     /// The kernel's blocks decoded from shared file pages.
     text: &'a mut SharedText,
+    /// The kernel's totals, where the bus counts TLB hits and misses
+    /// and copy-on-write copies.
+    pub totals: &'a mut KernelStats,
     /// Sanitizer hook: observes data accesses that hit shared pages.
     monitor: Option<&'a MonitorRef>,
     /// Who is driving the bus (meaningful only when `monitor` is armed).
@@ -1430,8 +1363,9 @@ impl<'a> MemBus<'a> {
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
         text: &'a mut SharedText,
+        totals: &'a mut KernelStats,
     ) -> MemBus<'a> {
-        MemBus::attributed(aspace, shared, text, AccessCtx::default())
+        MemBus::attributed(aspace, shared, text, totals, AccessCtx::default())
     }
 
     /// An unobserved bus that still knows who is driving it, so
@@ -1441,12 +1375,14 @@ impl<'a> MemBus<'a> {
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
         text: &'a mut SharedText,
+        totals: &'a mut KernelStats,
         ctx: AccessCtx,
     ) -> MemBus<'a> {
         MemBus {
             aspace,
             shared,
             text,
+            totals,
             monitor: None,
             ctx,
             text_vpn: TLB_INVALID,
@@ -1459,12 +1395,13 @@ impl<'a> MemBus<'a> {
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
         text: &'a mut SharedText,
+        totals: &'a mut KernelStats,
         ctx: AccessCtx,
         monitor: &'a MonitorRef,
     ) -> MemBus<'a> {
         MemBus {
             monitor: Some(monitor),
-            ..MemBus::attributed(aspace, shared, text, ctx)
+            ..MemBus::attributed(aspace, shared, text, totals, ctx)
         }
     }
 }
@@ -1483,11 +1420,11 @@ impl MemBus<'_> {
         let vp = vpn(addr);
         let slot = match self.aspace.tlb.lookup(vp) {
             Some(slot) => {
-                self.aspace.stats.tlb_hits += 1;
+                self.totals.tlb_hits += 1;
                 slot
             }
             None => {
-                self.aspace.stats.tlb_misses += 1;
+                self.totals.tlb_misses += 1;
                 let slot = self
                     .aspace
                     .pages
@@ -1563,9 +1500,12 @@ impl MemBus<'_> {
                 let mut frame = zero_frame();
                 Arc::make_mut(&mut frame).copy_from_slice(&bytes[base..base + PAGE_SIZE as usize]);
                 self.aspace.pool.slot_unref(swap_slot);
-                self.aspace
-                    .pool
-                    .count_swap_in(self.ctx.pid, addr & !(PAGE_SIZE - 1));
+                self.aspace.pool.journal(
+                    self.ctx.pid,
+                    TraceEvent::PageSwappedIn {
+                        addr: addr & !(PAGE_SIZE - 1),
+                    },
+                );
                 Some(frame)
             }
         };
@@ -1653,7 +1593,7 @@ impl MemBus<'_> {
             }
             PageKind::Anon(frame) => {
                 if Arc::strong_count(frame) > 1 {
-                    self.aspace.stats.cow_copies += 1;
+                    self.totals.cow_copies += 1;
                 }
                 Arc::make_mut(frame)[off..off + data.len()].copy_from_slice(data);
             }
@@ -1853,7 +1793,7 @@ impl Bus for MemBus<'_> {
         self.ctx.pc = addr;
         let vp = vpn(addr);
         if vp == self.text_vpn && self.aspace.tlb.lookup(vp).is_some() {
-            self.aspace.stats.tlb_hits += 1;
+            self.totals.tlb_hits += 1;
             return Ok(());
         }
         self.translate(addr, Access::Exec)?;
@@ -1865,7 +1805,7 @@ impl Bus for MemBus<'_> {
     /// so the TLB still holds that page and each is the tag-compare hit
     /// `fetch_check` counts above.
     fn fetch_hits(&mut self, n: u64) {
-        self.aspace.stats.tlb_hits += n;
+        self.totals.tlb_hits += n;
     }
     /// The block cache's mutation stamp: inside `run_block` only a
     /// store into executable bytes moves it (see `store`).
@@ -1904,8 +1844,10 @@ mod tests {
     fn map_read_write_anon() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
-        a.write_bytes(&mut s, 0x1ffe, &[1, 2, 3, 4]).unwrap(); // spans pages
+        a.write_bytes(&mut s, &mut totals, 0x1ffe, &[1, 2, 3, 4])
+            .unwrap(); // spans pages
         assert_eq!(a.read_bytes(&s, 0x1ffe, 4).unwrap(), vec![1, 2, 3, 4]);
     }
 
@@ -1942,6 +1884,7 @@ mod tests {
     #[test]
     fn block_totals_are_the_tables_not_the_spaces() {
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         let ino = s.create_file("/text", 0o666, 0).unwrap();
         s.fs.truncate(ino, u64::from(P)).unwrap();
@@ -1951,7 +1894,7 @@ mod tests {
         let mut spaces = [AddressSpace::new(), AddressSpace::new()];
         for a in &mut spaces {
             a.map_shared(base, P, Prot::RX, ino, 0).unwrap();
-            let mut bus = MemBus::new(a, &mut s, &mut t);
+            let mut bus = MemBus::new(a, &mut s, &mut t, &mut totals);
             bus.load32(base).unwrap();
             assert!(bus.bb_block(base).is_some());
         }
@@ -1977,10 +1920,11 @@ mod tests {
     fn bus_protection_checks() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::R).unwrap();
         a.map_anon(0x2000, P, Prot::NONE).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         assert!(bus.load32(0x1000).is_ok());
         assert_eq!(
             bus.store32(0x1000, 1),
@@ -2017,6 +1961,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut b = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         let ino = s.create_file("/seg", 0o666, 0).unwrap();
         s.fs.truncate(ino, (2 * P) as u64).unwrap();
@@ -2024,11 +1969,11 @@ mod tests {
         a.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
         b.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.store32(base + 8, 0xCAFE_F00D).unwrap();
         }
         // Process B sees A's store instantly (genuine write sharing).
-        let mut bus_b = MemBus::new(&mut b, &mut s, &mut t);
+        let mut bus_b = MemBus::new(&mut b, &mut s, &mut t, &mut totals);
         assert_eq!(bus_b.load32(base + 8).unwrap(), 0xCAFE_F00D);
         // And the bytes are the file's bytes.
         assert_eq!(
@@ -2041,12 +1986,13 @@ mod tests {
     fn shared_mapping_beyond_file_faults() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         let ino = s.create_file("/small", 0o666, 0).unwrap();
         s.fs.truncate(ino, P as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         a.map_shared(base, 2 * P, Prot::RW, ino, 0).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         assert!(bus.load32(base).is_ok());
         assert!(bus.load32(base + P).is_err());
     }
@@ -2055,30 +2001,40 @@ mod tests {
     fn fork_clone_is_cow() {
         let mut parent = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         parent.map_anon(0x1000, P, Prot::RW).unwrap();
-        parent.write_bytes(&mut s, 0x1000, b"parent data").unwrap();
+        parent
+            .write_bytes(&mut s, &mut totals, 0x1000, b"parent data")
+            .unwrap();
         let mut child = parent.fork_clone();
         // Child sees parent's data.
         assert_eq!(child.read_bytes(&s, 0x1000, 6).unwrap(), b"parent");
         // Child write triggers a copy; parent unaffected.
-        child.write_bytes(&mut s, 0x1000, b"child!").unwrap();
-        assert_eq!(child.stats.cow_copies, 1);
+        child
+            .write_bytes(&mut s, &mut totals, 0x1000, b"child!")
+            .unwrap();
+        assert_eq!(totals.cow_copies, 1);
         assert_eq!(parent.read_bytes(&s, 0x1000, 6).unwrap(), b"parent");
         // Second child write copies nothing further.
-        child.write_bytes(&mut s, 0x1004, b"x").unwrap();
-        assert_eq!(child.stats.cow_copies, 1);
+        child
+            .write_bytes(&mut s, &mut totals, 0x1004, b"x")
+            .unwrap();
+        assert_eq!(totals.cow_copies, 1);
     }
 
     #[test]
     fn fork_shares_public_pages() {
         let mut parent = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let ino = s.create_file("/pub", 0o666, 0).unwrap();
         s.fs.truncate(ino, P as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         parent.map_shared(base, P, Prot::RW, ino, 0).unwrap();
         let mut child = parent.fork_clone();
-        child.write_bytes(&mut s, base, b"from child").unwrap();
+        child
+            .write_bytes(&mut s, &mut totals, base, b"from child")
+            .unwrap();
         assert_eq!(parent.read_bytes(&s, base, 10).unwrap(), b"from child");
     }
 
@@ -2086,14 +2042,15 @@ mod tests {
     fn set_prot_enables_lazy_link_trap() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::NONE).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             assert!(matches!(bus.load32(0x1000), Err(Fault::Protection { .. })));
         }
         a.set_prot(0x1000, P, Prot::RWX).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         assert!(bus.load32(0x1000).is_ok());
         assert!(bus.fetch(0x1000).is_ok());
     }
@@ -2124,8 +2081,10 @@ mod tests {
     fn read_cstr_and_bounds() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
-        a.write_bytes(&mut s, 0x1000, b"/shared/db\0").unwrap();
+        a.write_bytes(&mut s, &mut totals, 0x1000, b"/shared/db\0")
+            .unwrap();
         assert_eq!(a.read_cstr(&s, 0x1000).unwrap(), "/shared/db");
         assert!(a.read_cstr(&s, 0x9000).is_err());
     }
@@ -2134,14 +2093,15 @@ mod tests {
     fn tlb_warm_second_access_hits() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         bus.load32(0x1000).unwrap(); // cold: page walk + fill
         bus.load32(0x1004).unwrap(); // warm: same page, served by TLB
-        assert_eq!(a.stats.tlb_misses, 1);
-        assert_eq!(a.stats.tlb_hits, 1);
+        assert_eq!(totals.tlb_misses, 1);
+        assert_eq!(totals.tlb_hits, 1);
         assert!(a.tlb_cached(0x1000));
     }
 
@@ -2149,16 +2109,17 @@ mod tests {
     fn tlb_invalidated_by_unmap() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.load32(0x1000).unwrap();
         }
         assert!(a.tlb_cached(0x1000));
         a.unmap(0x1000, P).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         assert_eq!(
             bus.load32(0x1000),
             Err(Fault::Unmapped {
@@ -2172,16 +2133,17 @@ mod tests {
     fn tlb_invalidated_by_set_prot() {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.load32(0x1000).unwrap();
         }
         assert!(a.tlb_cached(0x1000));
         a.set_prot(0x1000, P, Prot::NONE).unwrap();
         assert!(!a.tlb_cached(0x1000));
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         // The new protection takes effect immediately — no stale grant.
         assert_eq!(
             bus.load32(0x1000),
@@ -2199,10 +2161,11 @@ mod tests {
         // access to them is a TLB hit, not a page-table walk.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, 3 * P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             for vpn in 1..4 {
                 bus.load32(vpn * P).unwrap();
             }
@@ -2211,13 +2174,13 @@ mod tests {
         assert!(a.tlb_cached(0x1000), "page below the range stays warm");
         assert!(!a.tlb_cached(0x2000), "the changed page is invalidated");
         assert!(a.tlb_cached(0x3000), "page above the range stays warm");
-        let misses_before = a.stats.tlb_misses;
+        let misses_before = totals.tlb_misses;
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.load32(0x1000).unwrap();
             bus.load32(0x3000).unwrap();
         }
-        assert_eq!(a.stats.tlb_misses, misses_before, "no re-walk of neighbors");
+        assert_eq!(totals.tlb_misses, misses_before, "no re-walk of neighbors");
 
         // Eviction likewise drops only the evicted page's entry.
         let pool = FramePool::new(64, 16);
@@ -2225,7 +2188,7 @@ mod tests {
         a.attach_pool(&pool);
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.store32(0x1000, 7).unwrap();
             bus.store32(0x2000, 9).unwrap();
         }
@@ -2242,10 +2205,11 @@ mod tests {
     fn tlb_cold_on_both_sides_of_fork() {
         let mut parent = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         parent.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut parent, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut parent, &mut s, &mut t, &mut totals);
             bus.store32(0x1000, 0xAA55).unwrap();
         }
         assert!(parent.tlb_cached(0x1000));
@@ -2255,12 +2219,12 @@ mod tests {
         assert!(!child.tlb_cached(0x1000));
         // A warm-TLB child write still copies, leaving the parent intact.
         {
-            let mut bus = MemBus::new(&mut child, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut child, &mut s, &mut t, &mut totals);
             bus.load32(0x1000).unwrap();
             bus.store32(0x1000, 0x1234).unwrap();
         }
-        assert_eq!(child.stats.cow_copies, 1);
-        let mut bus = MemBus::new(&mut parent, &mut s, &mut t);
+        assert_eq!(totals.cow_copies, 1);
+        let mut bus = MemBus::new(&mut parent, &mut s, &mut t, &mut totals);
         assert_eq!(bus.load32(0x1000).unwrap(), 0xAA55);
     }
 
@@ -2271,15 +2235,16 @@ mod tests {
         // page's entry.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
-            let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+            let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
             bus.store32(0x1000, 7).unwrap();
         }
         a.unmap(0x1000, P).unwrap();
         a.map_anon(0x2000, P, Prot::RW).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         assert_eq!(bus.load32(0x2000).unwrap(), 0); // fresh zero frame
         assert!(bus.load32(0x1000).is_err());
     }
@@ -2289,12 +2254,13 @@ mod tests {
         // A full 1 MB module segment maps and is addressable end to end.
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut t = SharedText::default();
         let ino = s.create_file("/big", 0o666, 0).unwrap();
         s.fs.truncate(ino, SLOT_SIZE as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
         a.map_shared(base, SLOT_SIZE, Prot::RW, ino, 0).unwrap();
-        let mut bus = MemBus::new(&mut a, &mut s, &mut t);
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
         bus.store32(base + SLOT_SIZE - 4, 7).unwrap();
         assert_eq!(bus.load32(base + SLOT_SIZE - 4).unwrap(), 7);
     }
@@ -2361,6 +2327,7 @@ mod tests {
         ) {
             const PROTS: [Prot; 4] = [Prot::NONE, Prot::R, Prot::RW, Prot::RX];
             let mut s = SharedFs::new();
+            let mut totals = KernelStats::default();
             let mut a = AddressSpace::new();
             let mut model = Model::new();
             for (op, first, pages, p) in ops {
@@ -2404,7 +2371,7 @@ mod tests {
                     _ => {
                         // A host store materializes a private page.
                         if let Some((false, _, resident)) = model.get_mut(&first) {
-                            a.write_bytes(&mut s, addr, &[1]).unwrap();
+                            a.write_bytes(&mut s, &mut totals, addr, &[1]).unwrap();
                             *resident = true;
                         }
                     }
@@ -2479,6 +2446,7 @@ mod tests {
             let word = |w: usize| words.get(w).copied().unwrap_or(u32::MAX);
             let prots = [Prot::RX, Prot::RWX, Prot::RW];
             let mut s = SharedFs::new();
+            let mut totals = KernelStats::default();
             let mut text = SharedText::default();
             let ino = s.create_file("/text", 0o666, 0).unwrap();
             s.fs.truncate(ino, u64::from(2 * P)).unwrap();
@@ -2498,7 +2466,7 @@ mod tests {
                 let code: Vec<u8> = (0..P as usize / 4)
                     .flat_map(|i| word((i * 7 + k) % 5).to_le_bytes())
                     .collect();
-                a.write_bytes(&mut s, page(k).0, &code).unwrap();
+                a.write_bytes(&mut s, &mut totals, page(k).0, &code).unwrap();
             }
             // Another process's writable view of the shared text.
             let mut b = AddressSpace::new();
@@ -2522,14 +2490,14 @@ mod tests {
                         let _ = a.set_prot(base, P, prots[p]);
                     }
                     3 => {
-                        let _ = a.write_bytes(&mut s, addr, &bytes);
+                        let _ = a.write_bytes(&mut s, &mut totals, addr, &bytes);
                     }
                     4 => {
-                        let _ = MemBus::new(&mut a, &mut s, &mut text).store32(addr, word(w));
+                        let _ = MemBus::new(&mut a, &mut s, &mut text, &mut totals).store32(addr, word(w));
                     }
                     5 => {
                         let at = shared + (k as u32 % 2) * P + slot * 4;
-                        let _ = MemBus::new(&mut b, &mut s, &mut text).store32(at, word(w));
+                        let _ = MemBus::new(&mut b, &mut s, &mut text, &mut totals).store32(at, word(w));
                     }
                     6 => {
                         a.unpin_all();
@@ -2537,14 +2505,14 @@ mod tests {
                     }
                     7 => {
                         a.repage_shared(0, base);
-                        let _ = MemBus::new(&mut a, &mut s, &mut text).load32(addr);
+                        let _ = MemBus::new(&mut a, &mut s, &mut text, &mut totals).load32(addr);
                     }
                     8 => a.tlb_migrate_flush(),
                     _ => {
                         // The child's write un-shares a COW page under
                         // the parent; either side carries on.
                         let mut child = a.fork_clone();
-                        let _ = child.write_bytes(&mut s, addr, &bytes);
+                        let _ = child.write_bytes(&mut s, &mut totals, addr, &bytes);
                         if p == 0 {
                             a = child;
                         }
@@ -2559,10 +2527,10 @@ mod tests {
                     }
                     let pcs = (base..base + P).step_by(4);
                     let warm: Vec<_> = {
-                        let mut bus = MemBus::new(&mut a, &mut s, &mut text);
+                        let mut bus = MemBus::new(&mut a, &mut s, &mut text, &mut totals);
                         pcs.clone().map(|pc| bus.bb_block(pc)).collect()
                     };
-                    let mut bus = MemBus::new(&mut cold, &mut s, &mut cold_text);
+                    let mut bus = MemBus::new(&mut cold, &mut s, &mut cold_text, &mut totals);
                     for (pc, warm) in pcs.zip(warm) {
                         prop_assert_eq!(
                             warm.as_deref(),
@@ -2677,6 +2645,7 @@ mod tests {
         let run = |cache: bool, budget: u64, armed: bool| {
             let mut a = AddressSpace::new();
             let mut s = SharedFs::new();
+            let mut totals = KernelStats::default();
             let mut t = SharedText::default();
             let ino = s.create_file("/db", 0o666, 0).unwrap();
             s.fs.truncate(ino, u64::from(P)).unwrap();
@@ -2688,9 +2657,10 @@ mod tests {
                 .iter()
                 .flat_map(|i| hvm::encode(*i).to_le_bytes())
                 .collect();
-            a.write_bytes(&mut s, TEXT, &text).unwrap();
-            a.write_bytes(&mut s, data, &9u32.to_le_bytes()).unwrap();
-            a.write_bytes(&mut s, shared + 8, &5u32.to_le_bytes())
+            a.write_bytes(&mut s, &mut totals, TEXT, &text).unwrap();
+            a.write_bytes(&mut s, &mut totals, data, &9u32.to_le_bytes())
+                .unwrap();
+            a.write_bytes(&mut s, &mut totals, shared + 8, &5u32.to_le_bytes())
                 .unwrap();
             t.set_enabled(cache);
             let reads = Arc::new(Mutex::new(Reads::default()));
@@ -2707,9 +2677,9 @@ mod tests {
                     ..AccessCtx::default()
                 };
                 let mut bus = if armed {
-                    MemBus::observed(&mut a, &mut s, &mut t, ctx, &monitor)
+                    MemBus::observed(&mut a, &mut s, &mut t, &mut totals, ctx, &monitor)
                 } else {
-                    MemBus::attributed(&mut a, &mut s, &mut t, ctx)
+                    MemBus::attributed(&mut a, &mut s, &mut t, &mut totals, ctx)
                 };
                 loop {
                     let out = match bus.bb_block(cpu.pc) {
@@ -2727,8 +2697,8 @@ mod tests {
             let seen = (
                 outcome,
                 cpu.clone(),
-                a.stats.tlb_hits,
-                a.stats.tlb_misses,
+                totals.tlb_hits,
+                totals.tlb_misses,
                 referenced(TEXT),
                 referenced(data),
                 reads,

@@ -1,7 +1,7 @@
 //! Property tests for the address-space allocator and copy-on-write —
 //! the memory substrate under every mapping the linkers create.
 
-use hkernel::{AddressSpace, Prot};
+use hkernel::{AddressSpace, KernelStats, Prot};
 use hsfs::{SharedFs, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -32,23 +32,25 @@ proptest! {
         writes in proptest::collection::vec((0u32..8, any::<u8>()), 1..24),
     ) {
         let mut shared = SharedFs::new();
+        let mut totals = KernelStats::default();
         let mut parent = AddressSpace::new();
         let base = 0x1000_0000;
         parent.map_anon(base, 8 * PAGE_SIZE, Prot::RW).unwrap();
         for p in 0..8u32 {
             parent
-                .write_bytes(&mut shared, base + p * PAGE_SIZE, &[p as u8; 16])
+                .write_bytes(&mut shared, &mut totals, base + p * PAGE_SIZE, &[p as u8; 16])
                 .unwrap();
         }
         let mut child = parent.fork_clone();
         let mut dirtied = std::collections::HashSet::new();
         for (page, val) in writes {
             child
-                .write_bytes(&mut shared, base + page * PAGE_SIZE + 64, &[val])
+                .write_bytes(&mut shared, &mut totals, base + page * PAGE_SIZE + 64, &[val])
                 .unwrap();
             dirtied.insert(page);
         }
-        prop_assert_eq!(child.stats.cow_copies as usize, dirtied.len());
+        // The parent's writes had no sharer to copy away from.
+        prop_assert_eq!(totals.cow_copies as usize, dirtied.len());
         for p in 0..8u32 {
             let addr = base + p * PAGE_SIZE;
             let parent_bytes = parent.read_bytes(&shared, addr, 16).unwrap();

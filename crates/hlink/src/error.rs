@@ -58,6 +58,10 @@ pub enum LinkError {
     /// Access rights forbid mapping the segment ("access rights
     /// permitting, [the handler] maps the named segment").
     AccessDenied { path: String },
+    /// A symbol lookup for `module` (a module, or `<image>`) failed
+    /// outright, as an injected `SymbolResolve` fault does. Finding no
+    /// definition is not this error: that reference stays pending.
+    LookupFailed { module: String, symbol: String },
     /// A prelink snapshot failed to decode or validate: truncated or
     /// corrupt bytes, a bad envelope, or a malformed record. Never
     /// fatal — the loader falls back to full resolution and rebuilds
@@ -141,6 +145,9 @@ impl fmt::Display for LinkError {
                 )
             }
             LinkError::AccessDenied { path } => write!(f, "access denied: {path}"),
+            LinkError::LookupFailed { module, symbol } => {
+                write!(f, "lookup of `{symbol}` for `{module}` failed")
+            }
             LinkError::BadSnapshot { path, why } => {
                 write!(f, "bad prelink snapshot {path}: {why}")
             }

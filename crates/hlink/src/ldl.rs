@@ -363,19 +363,20 @@ impl<'a> Ldl<'a> {
         let pendings = std::mem::take(&mut self.state.image_pending);
         let mut still = Vec::new();
         for p in pendings {
-            // Chaos: a SymbolResolve injection hides the symbol from this
-            // eager pass; the reference stays pending and the program
-            // faults (and is cleanly killed) if it ever reaches it.
-            let looked = if self
+            // Chaos: a SymbolResolve injection fails this eager pass, and
+            // with it the init. Image references are not revisited, so a
+            // reference left pending here would be a jump to address 0.
+            if self
                 .kernel
                 .faults_handle()
                 .should_inject(hfault::FaultSite::SymbolResolve)
             {
-                None
-            } else {
-                self.state.lookup_global(&p.symbol)
-            };
-            match looked {
+                return Err(LinkError::LookupFailed {
+                    module: IMAGE.to_string(),
+                    symbol: p.symbol,
+                });
+            }
+            match self.state.lookup_global(&p.symbol) {
                 Some(addr) => {
                     self.patch_site(None, p.addr, p.kind, addr.wrapping_add(p.addend as u32))?;
                     self.stats.symbols_resolved += 1;
@@ -748,7 +749,12 @@ impl<'a> Ldl<'a> {
                 name: obj.name.clone(),
             })?;
         proc.aspace
-            .write_bytes(&mut self.kernel.vfs.shared, base, &inst.bytes)
+            .write_bytes(
+                &mut self.kernel.vfs.shared,
+                &mut self.kernel.stats,
+                base,
+                &inst.bytes,
+            )
             .map_err(|_| LinkError::OutOfPrivateSpace {
                 name: obj.name.clone(),
             })?;
@@ -1177,7 +1183,12 @@ impl<'a> Ldl<'a> {
                 what: "process vanished while patching",
             })?;
         proc.aspace
-            .write_bytes(&mut self.kernel.vfs.shared, addr, bytes)
+            .write_bytes(
+                &mut self.kernel.vfs.shared,
+                &mut self.kernel.stats,
+                addr,
+                bytes,
+            )
             .map_err(|_| LinkError::Unresolvable { addr })
     }
 

@@ -149,6 +149,7 @@ fn main() {
         proc.aspace
             .write_bytes(
                 &mut world.kernel.vfs.shared,
+                &mut world.kernel.stats,
                 image_wid,
                 &(id as u32).to_le_bytes(),
             )

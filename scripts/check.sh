@@ -50,6 +50,15 @@ if awk '/^pub struct (LinkState|BbCache) \{/{s=1} s && !/^ *\/\// && /(LdlStats|
   exit 1
 fi
 
+echo "==> the memory layer counts once (TLB/COW totals in KernelStats, pressure counters from record tallies)"
+if awk '/^pub struct AddressSpace \{/{s=1} s && !/^ *\/\// && /^ *(pub )?stats:/{print FILENAME":"FNR": "$0; bad=1}
+        /^struct PoolInner \{/{p=1} p && !/^ *\/\// && /^ *(evictions|writebacks|swap_outs|swap_ins|oom_kills):/{print FILENAME":"FNR": "$0; bad=1}
+        /^\}/{s=0; p=0} END{exit !bad}' crates/hkernel/src/mem.rs \
+  || grep -rnE 'fold_counters|MemStats' crates/hkernel/src; then
+  echo "a per-space or pool-side counter is back: count TLB/COW in the kernel's KernelStats, read pressure from the trace tallies" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 

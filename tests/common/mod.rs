@@ -477,6 +477,7 @@ pub fn spawn_workers(world: &mut World, exe: &str, ids: Range<usize>) -> Vec<Pid
         proc.aspace
             .write_bytes(
                 &mut world.kernel.vfs.shared,
+                &mut world.kernel.stats,
                 wid,
                 &(id as u32).to_le_bytes(),
             )

@@ -8,7 +8,7 @@
 //!    fault → translate → map → resolve → restart.
 
 use hemlock::{ShareClass, TraceEvent, World, WorldExit};
-use hkernel::{AddressSpace, MemBus, Prot};
+use hkernel::{AddressSpace, KernelStats, MemBus, Prot};
 use hsfs::{SharedFs, PAGE_SIZE};
 use hvm::Bus;
 
@@ -59,14 +59,15 @@ fn warm_second_access_translates_via_tlb() {
     let base = 0x1000_0000;
     aspace.map_anon(base, PAGE_SIZE, Prot::RW).unwrap();
     assert!(!aspace.tlb_cached(base), "nothing cached before first use");
-    let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text);
+    let mut totals = KernelStats::default();
+    let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text, &mut totals);
     bus.load32(base).unwrap();
-    assert_eq!(bus.aspace.stats.tlb_misses, 1, "cold access walks");
-    assert_eq!(bus.aspace.stats.tlb_hits, 0);
+    assert_eq!(bus.totals.tlb_misses, 1, "cold access walks");
+    assert_eq!(bus.totals.tlb_hits, 0);
     assert!(bus.aspace.tlb_cached(base), "first walk refilled the TLB");
     bus.load32(base + 4).unwrap();
-    assert_eq!(bus.aspace.stats.tlb_misses, 1, "warm access must not walk");
-    assert_eq!(bus.aspace.stats.tlb_hits, 1, "warm access hits the TLB");
+    assert_eq!(bus.totals.tlb_misses, 1, "warm access must not walk");
+    assert_eq!(bus.totals.tlb_hits, 1, "warm access hits the TLB");
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //! * only injected-fault victims exit nonzero, and surviving processes
 //!   produce output identical to an injection-free run;
 //! * `World::audit` holds, and every recovery had an injection;
-//! * a failed `ldl` init is a clean exit: an init-time `Trampoline`
-//!   injection ends its victim with status 127 and exactly one
-//!   `LinkFailed` record, and status 127 means exactly that;
+//! * a failed `ldl` init is a clean exit: an init-time `Trampoline` or
+//!   `SymbolResolve` injection ends its victim with status 127 and
+//!   exactly one `LinkFailed` record, and status 127 means exactly that;
 //! * the entire outcome replays exactly from the seed.
 
 mod common;
@@ -178,15 +178,11 @@ fn check_contained(out: &Outcome, baseline: &Outcome) {
         let init_failed = links.init_failed == 1;
         assert_eq!(*exit == Some(127), init_failed, "{exit:?} {links:?}");
         assert!(!init_failed || links.failed == 1, "{links:?}");
-        // A trampoline refused during init fails the init. A symbol
-        // hidden during init only leaves its reference pending (the
-        // program faults if it reaches it), so alone it fails nothing.
+        // A trampoline refused or a symbol lookup failed during init
+        // fails the init.
         let sites = &links.init_sites;
-        if sites.contains(&"trampoline") {
+        if sites.contains(&"trampoline") || sites.contains(&"symbol_resolve") {
             assert_eq!(*exit, Some(127), "{links:?}");
-        }
-        if !sites.is_empty() && sites.iter().all(|&s| s == "symbol_resolve") {
-            assert_eq!(links.init_failed, 0, "{links:?}");
         }
     }
     assert_eq!(
@@ -269,10 +265,11 @@ fn full_rate_per_site_is_contained() {
         let plan = FaultPlan::new(42, 1_000_000).only(&[site]);
         let out = run_scenario_at(Some(plan), warm);
         check_contained(&out, baseline);
-        if site == FaultSite::Trampoline {
+        if matches!(site, FaultSite::Trampoline | FaultSite::SymbolResolve) {
             // `main` calls into the public module from private text, so
-            // every init needs a trampoline, and every init fails.
-            assert_eq!(out.exits, [Some(127); NPROCS]);
+            // every init looks that symbol up and needs a trampoline for
+            // it, and every init fails.
+            assert_eq!(out.exits, [Some(127); NPROCS], "{site:?}");
         }
         // The swap sites only fire under memory pressure, which this
         // scenario (default frame budget) never creates, and the
@@ -342,4 +339,33 @@ fn transient_faults_are_absorbed_by_retry() {
         NPROCS,
         "absorbed faults leave output untouched"
     );
+}
+
+/// A symbol lookup that fails during init fails that init: the program
+/// exits 127 with one `LinkFailed` record naming the image and the
+/// symbol, and never runs `main` with the call left unpatched.
+#[test]
+fn init_time_lookup_failure_is_a_clean_exit() {
+    let mut world = common::world();
+    let exe = build_chaos(&mut world);
+    world.arm_faults(FaultPlan::new(7, 1_000_000).only(&[FaultSite::SymbolResolve]));
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(world.run_to_settle(SETTLE_SLICES), Ok(WorldExit::AllExited));
+    assert_eq!(world.exit_code(pid), Some(127), "{:?}", world.log);
+    let records: Vec<_> = world.trace().records_for(pid).map(|r| &r.event).collect();
+    let causes: Vec<_> = records
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::LinkFailed { cause, .. } => Some(cause.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(causes, ["lookup of `triple` for `<image>` failed"]);
+    assert!(
+        !records
+            .iter()
+            .any(|e| matches!(e, TraceEvent::FaultTaken { .. })),
+        "no jump through the unpatched call: {records:?}"
+    );
+    world.audit().unwrap();
 }
