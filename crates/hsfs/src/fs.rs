@@ -7,9 +7,7 @@
 //! can derive each file's virtual address directly from its inode number.
 
 use crate::error::FsError;
-use crate::journal::{
-    fnv1a, CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats,
-};
+use crate::journal::{CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats};
 use crate::path as fspath;
 use crate::stats::FsStats;
 use crate::tools::RepairSource;
@@ -1222,6 +1220,9 @@ impl FileSystem {
     /// metadata, names, directory entries, symlink targets, and file
     /// contents. Volatile state (locks, stats, epochs, the journal) is
     /// excluded — two digests match iff the recoverable trees match.
+    /// It hashes with byte-wise FNV-1a, not the disk path's block hash,
+    /// so the oracle that crash and corruption tests compare stays
+    /// independent of the checksum they test.
     pub fn state_digest(&self) -> u64 {
         let mut buf = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
@@ -1419,6 +1420,18 @@ fn block_images(
             bytes: content[s..(s + bs).min(content.len())].to_vec(),
         });
     }
+}
+
+/// Byte-wise FNV-1a 64, the published function: the hash of
+/// [`FileSystem::state_digest`] only. The disk path hashes with
+/// `journal::block_hash`, a word-at-a-time variant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// What one [`FileSystem::scrub`] pass saw and did.
@@ -1675,6 +1688,26 @@ mod tests {
         let ino = f.resolve("/d").unwrap();
         assert_eq!(f.read_at(ino, 0, 1), Err(FsError::IsADirectory));
         assert_eq!(f.write_at(ino, 0, b"x"), Err(FsError::IsADirectory));
+    }
+
+    #[test]
+    fn the_digest_hash_is_published_fnv1a() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn a_state_digest_hashes_no_disk_block() {
+        let mut f = fs();
+        f.enable_durability();
+        let ino = f.create_file("/a", 0o644, 0).unwrap();
+        f.write_at(ino, 0, &[3; 3 * crate::BLOCK_SIZE as usize])
+            .unwrap();
+        let hashed = || crate::journal::HASHED_BYTES.with(|n| n.get());
+        let before = hashed();
+        assert_eq!(f.disk_digest(), Some(f.state_digest()));
+        assert_eq!(hashed(), before);
     }
 
     /// The block cache and the snapshot fast path treat a moved content

@@ -139,7 +139,7 @@ pub enum RecKind {
 
 impl Payload {
     /// Canonical byte encoding, checksummed into each journal record. A
-    /// `WriteBlock` encodes its header and its block's FNV-1a in place
+    /// `WriteBlock` encodes its header and its [`block_hash`] in place
     /// of the bytes, and returns that hash, so the home write can stamp
     /// the block without hashing it again; other payloads return `None`.
     fn encode(&self, out: &mut Vec<u8>) -> Option<u64> {
@@ -208,7 +208,7 @@ impl Payload {
                 out.extend_from_slice(&nlink.to_le_bytes());
             }
             Payload::WriteBlock { ino, offset, bytes } => {
-                let hash = fnv1a(bytes);
+                let hash = block_hash(bytes);
                 out.push(9);
                 out.extend_from_slice(&ino.to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
@@ -224,17 +224,30 @@ impl Payload {
 
 #[cfg(test)]
 thread_local! {
-    /// Bytes [`fnv1a`] has hashed on this thread: tests pin how often a
-    /// block is hashed.
+    /// Bytes [`block_hash`] has hashed on this thread: tests pin how
+    /// often a block is hashed.
     pub(crate) static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// FNV-1a 64-bit — the journal's record checksum.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// The disk path's one hash: journal record checksums, integrity
+/// stamps, replay, scrub and repair. FNV-1a's xor-multiply step taken
+/// over 64-bit little-endian words, then over the bytes of an
+/// EOF-short tail, so a 4 KiB block costs 512 multiplies rather than
+/// 4096. Any single changed word or byte changes the result (each
+/// step is a bijection of the state); differences confined to the top
+/// bit of an even number of words cancel (DESIGN.md §14).
+pub(crate) fn block_hash(bytes: &[u8]) -> u64 {
     #[cfg(test)]
     HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let mut le = [0; 8];
+        le.copy_from_slice(w);
+        h ^= u64::from_le_bytes(le);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    for &b in words.remainder() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -257,12 +270,12 @@ pub struct Record {
 fn checksum(txid: u64, payload: &Payload) -> (u64, Option<u64>) {
     let mut buf = txid.to_le_bytes().to_vec();
     let block = payload.encode(&mut buf);
-    (fnv1a(&buf), block)
+    (block_hash(&buf), block)
 }
 
 impl Record {
     /// Seals `payload` into transaction `txid`, returning the record and
-    /// its block's FNV-1a (`None` unless a `WriteBlock`).
+    /// its block's hash (`None` unless a `WriteBlock`).
     fn sealed(txid: u64, payload: Payload) -> (Record, Option<u64>) {
         let (crc, block) = checksum(txid, &payload);
         let rec = Record {
@@ -280,7 +293,7 @@ impl Record {
     }
 
     /// [`Record::valid`], keeping what the check hashed: `None` for a
-    /// torn or mismatching record, else `Some` of the block's FNV-1a
+    /// torn or mismatching record, else `Some` of the block's hash
     /// (`Some(None)` for a payload without a block).
     pub(crate) fn checked(&self) -> Option<Option<u64>> {
         if self.torn {
@@ -637,7 +650,7 @@ impl Durable {
     }
 
     /// The block image the write *intends* to leave on disk, with its
-    /// FNV-1a: `bytes` and their hash `block` when the write covers the
+    /// hash: `bytes` and their hash `block` when the write covers the
     /// current block, else the current block with `bytes` spliced over
     /// its front (a `WriteBlock` never shrinks, so any stale tail beyond
     /// the write survives), hashed afresh.
@@ -648,7 +661,7 @@ impl Durable {
         }
         let mut img = cur.to_vec();
         img[..bytes.len()].copy_from_slice(bytes);
-        let crc = fnv1a(&img);
+        let crc = block_hash(&img);
         (img, crc)
     }
 
@@ -689,7 +702,7 @@ impl Durable {
     /// preserving detection of any corruption already under them).
     fn restamp_from_disk(&mut self, ino: Ino, offset: u64) {
         let bytes = self.disk.block(ino, offset).to_vec();
-        let crc = fnv1a(&bytes);
+        let crc = block_hash(&bytes);
         self.stamp(ino, offset, bytes, crc);
     }
 
@@ -768,7 +781,7 @@ impl Durable {
     }
 
     /// Applies one home block write whose bytes hash to `block`,
-    /// returning the block image it intends and that image's FNV-1a
+    /// returning the block image it intends and that image's hash
     /// (`None` when the file is not on disk). A write past EOF
     /// zero-fills the gap from the old EOF to its block, which is
     /// legitimate new data: each gap block is re-stamped from disk —
@@ -803,7 +816,7 @@ impl Durable {
     /// integrity region — the single chokepoint shared by the write
     /// pipeline and journal replay (a replayed block is re-stamped, so
     /// recovery re-blesses exactly the newest committed data). `block`
-    /// is a `WriteBlock`'s FNV-1a as its journal record sealed or
+    /// is a `WriteBlock`'s block hash as its journal record sealed or
     /// checked it; the stamp reuses it whenever the write covers the
     /// block.
     pub(crate) fn apply_home(&mut self, p: &Payload, block: Option<u64>) {
@@ -816,7 +829,7 @@ impl Durable {
         }
         match p {
             Payload::WriteBlock { ino, offset, bytes } => {
-                let block = block.unwrap_or_else(|| fnv1a(bytes));
+                let block = block.unwrap_or_else(|| block_hash(bytes));
                 if let Some((good, crc)) = self.write_block(p, block) {
                     self.stamp(*ino, *offset, good, crc);
                 }
@@ -858,7 +871,7 @@ impl Durable {
         };
         let (ino, offset) = (*ino, *offset);
         self.data_blocks_written += 1;
-        let block = block.unwrap_or_else(|| fnv1a(bytes));
+        let block = block.unwrap_or_else(|| block_hash(bytes));
         let (intended, h) = self.intended_block(ino, offset, bytes, block);
         if intended.is_empty() {
             self.write_disk(p);
@@ -971,7 +984,7 @@ impl Durable {
     /// repair source, or `None` when no intact copy exists.
     pub(crate) fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<RepairSource> {
         let s = self.stamps.get(&(ino, offset))?;
-        let (bytes, src) = if fnv1a(&s.replica) == s.crc {
+        let (bytes, src) = if block_hash(&s.replica) == s.crc {
             (s.replica.clone(), RepairSource::Replica)
         } else {
             (
@@ -1080,7 +1093,7 @@ impl Durable {
 fn block_fault(disk: &FileSystem, key: (Ino, u64), s: &Stamp) -> Option<&'static str> {
     if s.claim != key {
         Some("address-stamp")
-    } else if fnv1a(disk.block(key.0, key.1)) != s.crc {
+    } else if block_hash(disk.block(key.0, key.1)) != s.crc {
         Some("checksum")
     } else {
         None
@@ -1094,7 +1107,7 @@ mod tests {
 
     const BS: usize = crate::BLOCK_SIZE as usize;
 
-    /// Bytes `f` makes [`fnv1a`] hash on this thread.
+    /// Bytes `f` makes [`block_hash`] hash on this thread.
     fn hashed(f: impl FnOnce()) -> u64 {
         let before = HASHED_BYTES.with(|n| n.get());
         f();
@@ -1139,7 +1152,7 @@ mod tests {
                 bytes: bytes.clone(),
             },
         );
-        assert_eq!(block, Some(fnv1a(&bytes)));
+        assert_eq!(block, Some(block_hash(&bytes)));
         assert_eq!(r.checked(), Some(block));
         let stays_valid = |alter: &dyn Fn(&mut Payload)| {
             let mut t = r.clone();
@@ -1211,7 +1224,7 @@ mod tests {
         let mut d = Durable::new(disk);
         d.stamp_all();
         let bytes = vec![1; 100];
-        let block = Some(fnv1a(&bytes));
+        let block = Some(block_hash(&bytes));
         d.apply_home(
             &Payload::WriteBlock {
                 ino,
@@ -1223,8 +1236,71 @@ mod tests {
         let mut intended = vec![7; BS];
         intended[..100].fill(1);
         assert_eq!(d.disk().block(ino, 0), intended.as_slice());
-        assert_eq!(d.stamps[&(ino, 0)].crc, fnv1a(&intended));
+        assert_eq!(d.stamps[&(ino, 0)].crc, block_hash(&intended));
         assert!(d.verify_full().is_empty());
+    }
+
+    /// A 4 KiB block of varied bytes; no two adjacent words are equal.
+    fn test_block() -> Vec<u8> {
+        (0..BS).map(|i| (i * 31 + i / 256 + 5) as u8).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_block_hash() {
+        let mut bytes = test_block();
+        let clean = block_hash(&bytes);
+        for i in 0..BS {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                assert_ne!(block_hash(&bytes), clean, "byte {i} bit {bit}");
+                bytes[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_byte_counts_at_every_length() {
+        // Lengths past one block and every tail length 0..8: an
+        // EOF-short block hashes its tail byte by byte.
+        let mut bytes = test_block();
+        bytes.extend_from_slice(&[9; 4]);
+        for len in 1..=BS + 4 {
+            let b = &mut bytes[..len];
+            let clean = block_hash(b);
+            b[len - 1] ^= 0x01;
+            assert_ne!(block_hash(b), clean, "length {len}");
+            b[len - 1] ^= 0x01;
+        }
+    }
+
+    #[test]
+    fn swapping_two_unequal_words_changes_the_block_hash() {
+        let bytes = test_block();
+        let clean = block_hash(&bytes);
+        let swapped = |i: usize, j: usize| {
+            let mut t = bytes.clone();
+            for k in 0..8 {
+                t.swap(i * 8 + k, j * 8 + k);
+            }
+            block_hash(&t)
+        };
+        let words = BS / 8;
+        for i in 0..words - 1 {
+            assert_ne!(swapped(i, i + 1), clean, "words {i} and {}", i + 1);
+        }
+        for (i, j) in [(0, words - 1), (3, 300), (100, 165)] {
+            assert_ne!(swapped(i, j), clean, "words {i} and {j}");
+        }
+        // The limit DESIGN.md §14 names: a difference confined to the
+        // top bit passes through every multiply unchanged, so two words
+        // that differ only there swap unseen.
+        let mut top = bytes.clone();
+        top.copy_within(..8, 8);
+        top[15] ^= 0x80;
+        let mut topswap = top.clone();
+        topswap[7] ^= 0x80;
+        topswap[15] ^= 0x80;
+        assert_eq!(block_hash(&topswap), block_hash(&top));
     }
 
     #[test]

@@ -59,6 +59,15 @@ if awk '/^pub struct AddressSpace \{/{s=1} s && !/^ *\/\// && /^ *(pub )?stats:/
   exit 1
 fi
 
+echo "==> hsfs has one block hash (journal::block_hash) and one digest hash (fs.rs's byte-wise fnv1a)"
+if awk '/^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/{f=$0; sub(/^ *(pub(\([a-z]+\))? )?fn /, "", f); sub(/[^a-z_0-9].*/, "", f)}
+        /0x[0-9a-fA-F_]*01[bB]3/ && !(FILENAME ~ /journal\.rs$/ && f == "block_hash") && !(FILENAME ~ /\/fs\.rs$/ && f == "fnv1a") {print FILENAME":"FNR": "$0; bad=1}
+        END{exit !bad}' crates/hsfs/src/*.rs \
+  || grep -rnE '\bfnv1a *\(' crates/hsfs/src --exclude=fs.rs; then
+  echo "a second hash in hsfs: hash disk blocks with journal::block_hash; byte-wise fnv1a is state_digest's alone" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 

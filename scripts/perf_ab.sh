@@ -10,12 +10,16 @@
 # each from its own checkout root, so both pick up the root
 # .cargo/config.toml the same way. Each pair runs the two sides back to
 # back for `seconds` (default: BENCHMARK.json's run_seconds), and the
-# side that runs first alternates from pair to pair. The script prints
-# every pair's ops_per_s, op_p50_us, op_p99_us, setup_s, peak_rss_mib,
-# sim_ms_per_op and ops timed (peak_rss_mib grows with the passes a run
-# completes, since perfbench keeps every sample), then each side's
-# median and quartiles of the first five and the number of pairs the
-# working tree won on ops_per_s.
+# side that runs first alternates from pair to pair.
+#
+# The metrics, their directions and their bounds are BENCHMARK.json's
+# end-to-end list. The script prints every pair's value of each metric
+# (flagging a moved sim_ms_per_op) and each run's passes, i.e. ops
+# timed ÷ ops per pass (peak_rss_mib grows with the passes a run
+# completes, since perfbench keeps every sample); then each side's
+# median and quartiles per metric, the number of pairs the working tree
+# won on ops_per_s, and one verdict line per metric that flags a change
+# median worse than the parent's by more than the metric's bound.
 # It writes nothing under perfbench/ but the build output cargo keeps
 # in perfbench/target.
 #
@@ -33,8 +37,10 @@ if [ -n "${RUSTFLAGS:-}" ]; then
   exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
-seconds=${5:-$(jq -r '.run_seconds' "$root/BENCHMARK.json")}
-mapfile -t cmd < <(jq -r '.command[]' "$root/BENCHMARK.json")
+bench=$root/BENCHMARK.json
+seconds=${5:-$(jq -r '.run_seconds' "$bench")}
+mapfile -t cmd < <(jq -r '.command[]' "$bench")
+mapfile -t metrics < <(jq -r '.end_to_end[].name' "$bench")
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -47,17 +53,20 @@ for side in "$work/parent" "$root"; do
   (cd "$side" && cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml)
 done
 
-# run <dir> <out>: one timed run; the last stdout line is the JSON result.
+# run <dir> <out>: one timed run; the last stdout line is the JSON
+# result, and the passes (ops timed ÷ the ops per pass the stderr
+# header names) go to <out>.passes.
 run() {
   (cd "$1" && "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-    2>/dev/null | tail -n 1 >"$2")
+    2>"$2.err" | tail -n 1 >"$2")
+  per=$(sed -n 's/.*(\([0-9]*\) ops per pass).*/\1/p' "$2.err" | head -n 1)
+  echo $(($(jq -r '.attempted' "$2") / per)) >"$2.passes"
 }
 metric() { jq -r ".metrics.$2.value" "$1"; }
-metrics=(ops_per_s op_p50_us op_p99_us setup_s peak_rss_mib)
 
 printf 'parent/change per pair\n%-4s %-6s' pair first
 printf ' %21s' "${metrics[@]}"
-echo ' sim_ms_per_op ops_timed'
+echo ' passes'
 
 wins=0
 for ((i = 1; i <= pairs; i++)); do
@@ -83,13 +92,14 @@ for ((i = 1; i <= pairs; i++)); do
     va=$(metric "$a" "$m") vb=$(metric "$b" "$m")
     echo "$va" >>"$work/$m.parent"
     echo "$vb" >>"$work/$m.change"
-    line+=$(printf ' %21s' "$(printf '%.6g/%.6g' "$va" "$vb")")
+    cell=$(printf '%.6g/%.6g' "$va" "$vb")
+    # The simulated clock is deterministic: any move is a behaviour change.
+    if [ "$m" = sim_ms_per_op ] && [ "$va" != "$vb" ]; then cell+='!MOVED'; fi
+    line+=$(printf ' %21s' "$cell")
   done
   oa=$(metric "$a" ops_per_s) ob=$(metric "$b" ops_per_s)
   awk -v a="$oa" -v b="$ob" 'BEGIN { exit !(b > a) }' && wins=$((wins + 1))
-  sa=$(metric "$a" sim_ms_per_op) sb=$(metric "$b" sim_ms_per_op)
-  if [ "$sa" = "$sb" ]; then line+=" $sa"; else line+=" $sa -> $sb (MOVED)"; fi
-  echo "$line $(jq -r '.attempted' "$a")/$(jq -r '.attempted' "$b")"
+  echo "$line $(cat "$a.passes")/$(cat "$b.passes")"
 done
 
 # quartiles <file>: median, q1 and q3 by linear interpolation.
@@ -98,7 +108,20 @@ quartiles() {
     function q(p,  h, l) { h = 1 + (NR - 1) * p; l = int(h); return v[l] + (h - l) * (v[l + (l < NR)] - v[l]) }
     END { printf "median %.6g (q1 %.6g, q3 %.6g, IQR %.3g)", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
 }
+median() { quartiles "$1" | awk '{ print $2 }'; }
 for m in "${metrics[@]}"; do
   echo "$m: parent $(quartiles "$work/$m.parent")  change $(quartiles "$work/$m.change")"
 done
 echo "change won $wins of $pairs pairs on ops_per_s ($workload, seed $seed, ${seconds} s runs, parent $rev)"
+
+# One verdict per metric: the change median against the parent median,
+# in the metric's own direction, beside its bound.
+while read -r m better bound; do
+  awk -v m="$m" -v p="$(median "$work/$m.parent")" -v c="$(median "$work/$m.change")" \
+    -v better="$better" -v bound="$bound" 'BEGIN {
+      d = p == 0 ? (c == 0 ? 0 : 1) : (c - p) / p
+      worse = better == "higher" ? -d : d
+      printf "%-14s %s-is-better, bound %g%%: %.6g -> %.6g (%+.1f%%) %s\n", m, better, bound * 100, p, c, d * 100,
+        (worse > bound ? "WORSE BEYOND BOUND" : "within bound")
+    }'
+done < <(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$bench")
