@@ -83,24 +83,113 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// Computes the CRC-32 (IEEE, reflected) of `data`, eight bytes per step.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc: u32 = !0;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+/// Bytes per lane: `crc32` folds each block of four lanes at once.
+const CRC32_LANE: usize = 256;
+
+/// The fold table, built at compile time: `CRC32_SHIFT[k][b]` is the
+/// register `b << 8k` advanced through one lane of zero bytes (a
+/// multiplication by x^(8·256) mod P), so four lookups carry a lane's
+/// CRC past the lane that follows it.
+static CRC32_SHIFT: [[u32; 256]; 4] = crc32_shift_table();
+
+const fn crc32_shift_table() -> [[u32; 256]; 4] {
+    // The shift is linear over GF(2): advance each one-bit register
+    // through a lane of zero bytes, then xor those images per byte value.
+    let t0 = crc32_tables()[0];
+    let mut basis = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut crc = 1u32 << i;
+        let mut n = 0;
+        while n < CRC32_LANE {
+            crc = (crc >> 8) ^ t0[(crc & 0xFF) as usize];
+            n += 1;
+        }
+        basis[i] = crc;
+        i += 1;
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    let mut s = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if b & (1 << bit) != 0 {
+                    s[k][b] ^= basis[8 * k + bit];
+                }
+                bit += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    s
+}
+
+/// Advances the CRC register `crc` through one lane of zero bytes.
+fn crc32_shift(crc: u32) -> u32 {
+    let s = &CRC32_SHIFT;
+    s[0][(crc & 0xFF) as usize]
+        ^ s[1][((crc >> 8) & 0xFF) as usize]
+        ^ s[2][((crc >> 16) & 0xFF) as usize]
+        ^ s[3][(crc >> 24) as usize]
+}
+
+/// Folds eight bytes into the CRC register `crc` (one slicing-by-8 step).
+#[inline(always)]
+fn crc32_step8(crc: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let v = u64::from_le_bytes(*w) ^ crc as u64;
+    t[7][(v & 0xFF) as usize]
+        ^ t[6][((v >> 8) & 0xFF) as usize]
+        ^ t[5][((v >> 16) & 0xFF) as usize]
+        ^ t[4][((v >> 24) & 0xFF) as usize]
+        ^ t[3][((v >> 32) & 0xFF) as usize]
+        ^ t[2][((v >> 40) & 0xFF) as usize]
+        ^ t[1][((v >> 48) & 0xFF) as usize]
+        ^ t[0][(v >> 56) as usize]
+}
+
+/// Computes the CRC-32 (IEEE, reflected) of `data`.
+///
+/// Each block of four 256-byte lanes runs four independent slicing-by-8
+/// registers, lane 0 seeded with the running CRC and the others with 0.
+/// The CRC register is linear over GF(2), so a lane's register carried
+/// past the next lane by `crc32_shift` and xored with that lane's
+/// zero-seeded register is the register of both lanes run in series:
+/// the fold returns exactly the byte-at-a-time value. The bytes after
+/// the last block take eight-byte steps, then single bytes.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    let (blocks, rest) = data.as_chunks::<{ 4 * CRC32_LANE }>();
+    for block in blocks {
+        let (l0, l) = block.split_at(CRC32_LANE);
+        let (l1, l) = l.split_at(CRC32_LANE);
+        let (l2, l3) = l.split_at(CRC32_LANE);
+        let (mut c0, mut c1, mut c2, mut c3) = (crc, 0, 0, 0);
+        for (((w0, w1), w2), w3) in l0
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .zip(l1.as_chunks::<8>().0)
+            .zip(l2.as_chunks::<8>().0)
+            .zip(l3.as_chunks::<8>().0)
+        {
+            c0 = crc32_step8(c0, w0);
+            c1 = crc32_step8(c1, w1);
+            c2 = crc32_step8(c2, w2);
+            c3 = crc32_step8(c3, w3);
+        }
+        crc = crc32_shift(crc32_shift(crc32_shift(c0) ^ c1) ^ c2) ^ c3;
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        crc = crc32_step8(crc, w);
+    }
+    let t0 = &CRC32_TABLES[0];
+    for &b in tail {
+        crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -657,19 +746,24 @@ mod tests {
         !crc
     }
 
-    #[test]
-    fn crc32_matches_bitwise_reference() {
+    /// `n` pseudo-random bytes (xorshift32).
+    fn noise(n: usize) -> Vec<u8> {
         let mut x: u32 = 0x9E37_79B9;
-        let data: Vec<u8> = (0..4108)
+        (0..n)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 17;
                 x ^= x << 5;
                 x as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference() {
+        let data = noise(4108);
         // Every length through 4100 covers every remainder after the
-        // 8-byte steps, from empty to many steps.
+        // 8-byte steps, from empty to many steps, and up to four blocks.
         for len in 0..=4100 {
             let s = &data[..len];
             assert_eq!(crc32(s), crc32_bitwise(s), "length {len}");
@@ -680,6 +774,45 @@ mod tests {
                 let s = &data[off..off + len];
                 assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} length {len}");
             }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_block_edges() {
+        // One, four and eight four-lane blocks with the lengths just
+        // around them, and a 36 KiB instance file plus a short tail,
+        // each starting at every offset within a word.
+        let big = 36 * 1024;
+        let data = noise(big + 16);
+        let lens = (1020..=1030)
+            .chain(4090..=4110)
+            .chain(8185..=8200)
+            .chain(big + 1..=big + 7);
+        for len in lens {
+            for off in 0..8 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_shift_advances_through_one_lane_of_zeros() {
+        let t0 = &CRC32_TABLES[0];
+        let mut x: u32 = 1;
+        let mut regs = vec![0, 1, 0x8000_0000, !0];
+        regs.extend((0..64).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        }));
+        for c in regs {
+            let mut slow = c;
+            for _ in 0..CRC32_LANE {
+                slow = (slow >> 8) ^ t0[(slow & 0xFF) as usize];
+            }
+            assert_eq!(crc32_shift(c), slow, "register {c:#010x}");
         }
     }
 

@@ -17,6 +17,8 @@
 //! * [`hasm`] — a two-pass assembler producing [`Object`]s, standing in
 //!   for the C compiler of the paper's toolchain.
 
+#![forbid(unsafe_code)]
+
 pub mod binfmt;
 pub mod hasm;
 pub mod image;

@@ -726,24 +726,54 @@ impl Durable {
         }
     }
 
-    /// Adjusts the checksum region for a resize `old → new`: drops
-    /// stamps beyond the new EOF and re-stamps only the blocks whose
-    /// bytes the resize actually changed.
-    fn resize_stamps(&mut self, ino: Ino, old: u64, new: u64) {
+    /// The new stamps of the blocks a resize `old → new` changes (the
+    /// truncated straddler or the zero-extended range), read before the
+    /// resize lands: each block's offset, claim, and the image its stamp
+    /// starts from. A block with no stamp, or whose stamp still matches
+    /// the disk, starts from the disk. A block whose disk bytes already
+    /// disagree with its stamp keeps its stamp's intent, so the resize
+    /// does not bless the rot: its intact replica, or else the disk bytes
+    /// if they still hash to the stamp (only the replica is damaged).
+    /// With no intact copy the block is left out and its old stamp stays.
+    fn resize_plan(&self, ino: Ino, old: u64, new: u64) -> Vec<(u64, (Ino, u64), Vec<u8>)> {
         let bs = crate::BLOCK_SIZE as u64;
-        self.drop_stamps(ino, new);
         let keep = old.min(new);
-        // Blocks overlapping [keep, new): the truncated straddler or the
-        // zero-extended range.
-        let start = if keep.is_multiple_of(bs) {
-            keep
-        } else {
-            keep - keep % bs
-        };
-        let mut o = start;
-        while o < new {
-            self.restamp_from_disk(ino, o);
-            o += bs;
+        (keep - keep % bs..new)
+            .step_by(bs as usize)
+            .filter_map(|o| {
+                let disk = self.disk.block(ino, o);
+                let (claim, img) = match self.stamps.get(&(ino, o)) {
+                    Some(s) if s.claim != (ino, o) || s.replica != disk => {
+                        if block_hash(&s.replica) == s.crc {
+                            (s.claim, s.replica.clone())
+                        } else if block_hash(disk) == s.crc {
+                            (s.claim, disk.to_vec())
+                        } else {
+                            return None;
+                        }
+                    }
+                    _ => ((ino, o), disk.to_vec()),
+                };
+                Some((o, claim, img))
+            })
+            .collect()
+    }
+
+    /// Adjusts the checksum region once a resize to `new` has landed:
+    /// drops stamps beyond the new EOF and stamps each block of `plan`
+    /// (see [`Durable::resize_plan`]). Its image is cut or zero-extended
+    /// to the block's new length, as the resize did to the disk, and
+    /// keeps its claim; it verifies only if the disk now holds it, so
+    /// scrub heals carried-over rot at the file's new length.
+    fn resize_stamps(&mut self, ino: Ino, new: u64, plan: Vec<(u64, (Ino, u64), Vec<u8>)>) {
+        self.drop_stamps(ino, new);
+        for (o, claim, mut img) in plan {
+            img.resize(self.disk.block(ino, o).len(), 0);
+            let crc = block_hash(&img);
+            self.stamp(ino, o, img, crc);
+            if let Some(s) = self.stamps.get_mut(&(ino, o)) {
+                s.claim = claim;
+            }
         }
     }
 
@@ -836,9 +866,10 @@ impl Durable {
             }
             Payload::SetSize { ino, size } => {
                 let old = self.disk_file_len(*ino).unwrap_or(0);
+                let plan = self.resize_plan(*ino, old, *size);
                 self.write_disk(p);
                 if self.disk_file_len(*ino).is_some() {
-                    self.resize_stamps(*ino, old, *size);
+                    self.resize_stamps(*ino, *size, plan);
                 }
             }
             Payload::SetInode { ino, .. } => {

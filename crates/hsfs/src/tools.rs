@@ -612,6 +612,89 @@ mod tests {
         assert!(matches!(v2, RepairVerdict::Healed(..)), "{v2:?}");
     }
 
+    /// Rot under a partial last block survives a resize: growing,
+    /// keeping or shrinking the file does not re-stamp the rotted block
+    /// from the disk, so fsck still reports it and heals it from the
+    /// replica at the file's new length.
+    #[test]
+    fn resize_does_not_bless_rot_under_a_partial_block() {
+        for size in [65536, 3000, 1000] {
+            let mut s = populated();
+            let ino = s.fs.resolve("/standalone").unwrap();
+            s.fs.write_at(ino, 0, &[7u8; 3000]).unwrap();
+            s.fs.barrier();
+            assert!(s
+                .fs
+                .corrupt_block_for_test(ino, 0, crate::CorruptKind::BitRot));
+            assert_eq!(fsck_shared(&mut s).len(), 1, "rot seen before the resize");
+            s.fs.truncate(ino, size).unwrap();
+            s.fs.barrier();
+            let issues = fsck_shared(&mut s);
+            assert_eq!(
+                issues,
+                vec![FsckIssue::CorruptBlock {
+                    ino,
+                    offset: 0,
+                    reason: "checksum"
+                }],
+                "resize to {size}"
+            );
+            let v = fsck_repair(&mut s, &issues[0]);
+            assert!(
+                matches!(v, RepairVerdict::Healed(RepairSource::Replica, _)),
+                "resize to {size}: {v:?}"
+            );
+            assert!(fsck_shared(&mut s).is_empty(), "resize to {size}: healed");
+            assert_eq!(
+                s.fs.disk_digest(),
+                Some(s.fs.state_digest()),
+                "resize to {size}: disk image equals the live tree"
+            );
+        }
+    }
+
+    /// A resize of a clean file re-stamps its straddling block from the
+    /// disk: the new block verifies, and rot after the resize is caught.
+    #[test]
+    fn clean_resize_restamps_the_straddling_block() {
+        for size in [65536, 3000, 1000] {
+            let mut s = populated();
+            let ino = s.fs.resolve("/standalone").unwrap();
+            s.fs.write_at(ino, 0, &[7u8; 3000]).unwrap();
+            s.fs.barrier();
+            s.fs.truncate(ino, size).unwrap();
+            s.fs.barrier();
+            assert!(fsck_shared(&mut s).is_empty(), "resize to {size}: clean");
+            assert!(s
+                .fs
+                .corrupt_block_for_test(ino, 0, crate::CorruptKind::BitRot));
+            assert_eq!(fsck_shared(&mut s).len(), 1, "resize to {size}: rot seen");
+        }
+    }
+
+    /// A resize of a block whose replica is damaged but whose disk bytes
+    /// still hash to the stamp takes its new stamp from the disk: fsck
+    /// stays clean, and later rot heals from the fresh replica.
+    #[test]
+    fn resize_keeps_an_intact_disk_block_when_its_replica_is_damaged() {
+        for size in [65536, 3000, 1000] {
+            let mut s = populated();
+            let ino = s.fs.resolve("/standalone").unwrap();
+            s.fs.write_at(ino, 0, &[7u8; 3000]).unwrap();
+            s.fs.barrier();
+            assert!(s.fs.corrupt_replica_for_test(ino, 0));
+            s.fs.truncate(ino, size).unwrap();
+            s.fs.barrier();
+            assert!(fsck_shared(&mut s).is_empty(), "resize to {size}: clean");
+            assert!(s
+                .fs
+                .corrupt_block_for_test(ino, 0, crate::CorruptKind::BitRot));
+            let report = fsck_report(&mut s, false);
+            assert_eq!(report.repaired(), 1, "resize to {size}: {report:?}");
+            assert_eq!(s.fs.disk_digest(), Some(s.fs.state_digest()));
+        }
+    }
+
     /// The structured report carries kind + ino + block + repaired flag
     /// for every finding — no log-string parsing needed.
     #[test]

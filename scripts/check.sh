@@ -68,6 +68,24 @@ if awk '/^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/{f=$0; sub(/^ *(pub(\([a-z]+\))? )
   exit 1
 fi
 
+echo "==> one CRC-32 routine (hobj::binfmt::crc32): no CRC polynomial or table elsewhere in crates/, no unsafe in hobj"
+# A hex literal is compared with its underscores and leading zeros
+# dropped: the reflected and normal IEEE polynomials and the first
+# non-zero entry of the byte table; a 256-entry u32 array is a table.
+if ! find crates -name '*.rs' ! -path crates/hobj/src/binfmt.rs -print0 | xargs -0 awk '
+        { rest = $0
+          while (match(rest, /0[xX][0-9a-fA-F_]+/)) {
+            lit = tolower(substr(rest, RSTART + 2, RLENGTH - 2)); gsub(/_/, "", lit); sub(/^0+/, "", lit)
+            if (lit == "edb88320" || lit == "4c11db7" || lit == "77073096") { print FILENAME":"FNR": "$0; bad = 1 }
+            rest = substr(rest, RSTART + RLENGTH)
+          } }
+        /\[u32; *256\]/ { print FILENAME":"FNR": "$0; bad = 1 }
+        END { exit bad }' \
+  || ! grep -q '^#!\[forbid(unsafe_code)\]' crates/hobj/src/lib.rs; then
+  echo "a second CRC-32 (or unsafe code in hobj): checksum with hobj::binfmt::crc32" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 
