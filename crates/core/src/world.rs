@@ -1508,13 +1508,12 @@ impl World {
     /// partition for residual crash damage and self-heal it before the
     /// first map, surfacing each repair as an [`TraceEvent::FsckRepaired`]
     /// record (at zero cost — administrative work is not billed to
-    /// guests; the address-table counters the check perturbs are
-    /// restored afterward, so simulated time is unchanged).
+    /// guests). The check reads the address table without probing it;
+    /// the repairs resolve paths, so the file-system counters they move
+    /// are restored afterward and simulated time is unchanged.
     fn fsck_at_boot(&mut self) {
-        let sfs = &mut self.kernel.vfs.shared;
-        let (lookups, probes) = (sfs.addr_lookups, sfs.addr_probe_steps);
-        let fs_stats = sfs.fs.stats;
-        let issues = hsfs::tools::fsck_boot(sfs);
+        let fs_stats = self.kernel.vfs.shared.fs.stats;
+        let issues = hsfs::tools::fsck_boot(&mut self.kernel.vfs.shared);
         for issue in &issues {
             use hsfs::tools::RepairVerdict;
             let verdict = hsfs::tools::fsck_repair(&mut self.kernel.vfs.shared, issue);
@@ -1539,10 +1538,7 @@ impl World {
             self.log.push(format!("fsck: {detail}"));
             self.publish(0, TraceEvent::FsckRepaired { detail });
         }
-        let sfs = &mut self.kernel.vfs.shared;
-        sfs.addr_lookups = lookups;
-        sfs.addr_probe_steps = probes;
-        sfs.fs.stats = fs_stats;
+        self.kernel.vfs.shared.fs.stats = fs_stats;
     }
 
     /// Enumerates every shared segment, annotated with whether it is a

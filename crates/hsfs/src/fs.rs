@@ -342,6 +342,21 @@ impl FileSystem {
         })
     }
 
+    /// The first component of [`FileSystem::path_of`] (`""` for the root),
+    /// found without building the path; `None` exactly where it fails.
+    pub(crate) fn top_name(&self, ino: Ino) -> Option<&str> {
+        let (mut name, mut cur) = ("", ino);
+        // One more step than `path_of`'s hop limit, to reach the root.
+        for _ in 0..=4096 {
+            if cur == ROOT_INO {
+                return Some(name);
+            }
+            let node = self.inode(cur).ok()?;
+            (name, cur) = (&node.name, node.parent);
+        }
+        None
+    }
+
     // --- creation / removal ---
 
     fn insert_child(
@@ -1615,6 +1630,11 @@ mod tests {
         let ino = f.create_file("/u/proj/lib/mod.o", 0o644, 0).unwrap();
         assert_eq!(f.path_of(ino).unwrap(), "/u/proj/lib/mod.o");
         assert_eq!(f.path_of(ROOT_INO).unwrap(), "/");
+        assert_eq!(f.top_name(ino), Some("u"));
+        assert_eq!(f.top_name(ROOT_INO), Some(""));
+        let gone = ino + 1;
+        assert!(f.path_of(gone).is_err());
+        assert_eq!(f.top_name(gone), None);
     }
 
     #[test]

@@ -208,26 +208,19 @@ impl SharedFs {
     /// boot-time initialization that lets the mapping "survive system
     /// crashes without requiring modifications to on-disk data
     /// structures."
+    ///
+    /// One walk in inode order, building no paths: the prelink area,
+    /// which never holds table slots (see `create_file`), is recognised
+    /// by each file's top-level name.
     pub fn boot_scan(&mut self) {
+        let fs = &self.fs;
         self.linear.clear();
-        self.btree.clear();
-        let mut files = Vec::new();
-        self.fs.for_each_inode(|ino, kind| {
-            if *kind == NodeKind::File {
-                files.push(ino);
+        fs.for_each_inode(|ino, kind| {
+            if *kind == NodeKind::File && fs.top_name(ino) != Some(&crate::PRELINK_DIR_INNER[1..]) {
+                self.linear.push((Self::addr_of_ino(ino), ino));
             }
         });
-        for ino in files {
-            // The prelink area never holds table slots (see `create_file`).
-            if self
-                .fs
-                .path_of(ino)
-                .is_ok_and(|p| crate::is_prelink_path(&p))
-            {
-                continue;
-            }
-            self.register(ino);
-        }
+        self.btree = self.linear.iter().copied().collect();
     }
 
     /// Number of registered address slots.

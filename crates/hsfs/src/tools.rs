@@ -211,37 +211,55 @@ impl FsckReport {
 /// Checks the address table against the file system, returning every
 /// inconsistency found. A clean partition returns an empty list.
 pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
+    fsck_walk(sfs, false)
+}
+
+/// The boot-time variant of [`fsck_shared`]: everything it checks, plus
+/// crash-orphaned swap files. At boot, no process can own a swap page,
+/// so any surviving `/.kswap{N}` file is leakage to be reclaimed.
+pub fn fsck_boot(sfs: &mut SharedFs) -> Vec<FsckIssue> {
+    fsck_walk(sfs, true)
+}
+
+/// The one walk behind [`fsck_shared`] and [`fsck_boot`]: each file is
+/// classified by its top-level name (`FileSystem::top_name`) and checked
+/// against one sorted copy of the table, unpriced. Only a file an issue
+/// names gets its path built. Orphan swap files come last.
+fn fsck_walk(sfs: &mut SharedFs, boot: bool) -> Vec<FsckIssue> {
+    let table = sfs.table_inos();
+    let fs = &sfs.fs;
+    let path = |ino| fs.path_of(ino).unwrap_or_default();
     let mut issues = Vec::new();
-    let mut files = Vec::new();
-    sfs.fs.for_each_inode(|ino, kind| {
-        if *kind == NodeKind::File {
-            files.push(ino);
+    let mut orphans = Vec::new();
+    fs.for_each_inode(|ino, kind| {
+        if *kind != NodeKind::File {
+            return;
         }
-    });
-    for &ino in &files {
-        let path = sfs.fs.path_of(ino).unwrap_or_default();
+        let top = fs.top_name(ino);
         // Prelink snapshot records never hold a table slot (kernel
         // cache metadata, not address-mapped), so a missing entry is
         // the expected state, not an inconsistency.
-        if !crate::is_prelink_path(&path) {
-            let addr = SharedFs::addr_of_ino(ino);
-            if sfs.addr_to_ino(addr).is_err() {
-                issues.push(FsckIssue::MissingTableEntry { ino, path });
-            }
+        if top != Some(&crate::PRELINK_DIR_INNER[1..]) && table.binary_search(&ino).is_err() {
+            issues.push(FsckIssue::MissingTableEntry {
+                ino,
+                path: path(ino),
+            });
         }
-        if let Ok(meta) = sfs.fs.metadata(ino) {
-            if meta.size > crate::shared::SLOT_SIZE as u64 {
-                issues.push(FsckIssue::Oversized {
-                    ino,
-                    size: meta.size,
-                });
-            }
+        let size = fs.metadata(ino).map_or(0, |m| m.size);
+        if size > SLOT_SIZE as u64 {
+            issues.push(FsckIssue::Oversized { ino, size });
         }
-    }
-    // Table entries without a backing file, in slot order (`files` is
-    // in inode order).
-    for ino in sfs.table_inos() {
-        if files.binary_search(&ino).is_err() {
+        // An entry name holds no `/`, so this is `SWAP_PATH_PREFIX`.
+        if boot && top.is_some_and(|t| t.starts_with(&crate::SWAP_PATH_PREFIX[1..])) {
+            orphans.push(FsckIssue::OrphanSwapFile {
+                ino,
+                path: path(ino),
+            });
+        }
+    });
+    // Table entries without a backing file, in slot order.
+    for &ino in &table {
+        if !fs.metadata(ino).is_ok_and(|m| m.kind == NodeKind::File) {
             issues.push(FsckIssue::StaleTableEntry { ino });
         }
     }
@@ -254,27 +272,7 @@ pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
             reason: c.reason,
         });
     }
-    issues
-}
-
-/// The boot-time variant of [`fsck_shared`]: everything it checks, plus
-/// crash-orphaned swap files. At boot, no process can own a swap page,
-/// so any surviving `/.kswap{N}` file is leakage to be reclaimed.
-pub fn fsck_boot(sfs: &mut SharedFs) -> Vec<FsckIssue> {
-    let mut issues = fsck_shared(sfs);
-    let mut files = Vec::new();
-    sfs.fs.for_each_inode(|ino, kind| {
-        if *kind == NodeKind::File {
-            files.push(ino);
-        }
-    });
-    for ino in files {
-        if let Ok(path) = sfs.fs.path_of(ino) {
-            if path.starts_with(crate::SWAP_PATH_PREFIX) {
-                issues.push(FsckIssue::OrphanSwapFile { ino, path });
-            }
-        }
-    }
+    issues.append(&mut orphans);
     issues
 }
 
@@ -284,8 +282,9 @@ pub fn fsck_boot(sfs: &mut SharedFs) -> Vec<FsckIssue> {
 pub fn fsck_repair(sfs: &mut SharedFs, issue: &FsckIssue) -> RepairVerdict {
     match issue {
         FsckIssue::MissingTableEntry { ino, path } => {
-            // Re-register just this slot (the full boot scan would also
-            // work; per-issue repair keeps the verdicts precise).
+            // A full boot scan rather than a push of this one slot: the
+            // scan keeps the linear table in inode order, and the priced
+            // cost of every later probe depends on that order.
             sfs.boot_scan();
             RepairVerdict::Repaired(format!("reregistered ino {ino} ({path})"))
         }
@@ -329,12 +328,7 @@ pub fn fsck_repair(sfs: &mut SharedFs, issue: &FsckIssue) -> RepairVerdict {
 /// issue set), repair each issue, and return the machine-readable
 /// report. This is what the kernel consumes at reboot.
 pub fn fsck_report(sfs: &mut SharedFs, boot: bool) -> FsckReport {
-    let issues = if boot {
-        fsck_boot(sfs)
-    } else {
-        fsck_shared(sfs)
-    };
-    let findings = issues
+    let findings = fsck_walk(sfs, boot)
         .iter()
         .map(|issue| {
             let (repaired, detail) = match fsck_repair(sfs, issue) {
@@ -384,6 +378,7 @@ pub fn format_listing(segs: &[SegmentInfo]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AddrLookup;
 
     fn populated() -> SharedFs {
         let mut s = SharedFs::new();
@@ -740,6 +735,186 @@ mod tests {
         // the disk twin — so no page is poisoned and reads succeed.)
         assert!(s.fs.read_at(ino, 0, 4).is_ok());
         assert_eq!(s.fs.poisoned_blocks(), 0);
+    }
+
+    /// The path-based table the boot scan must build: every file in
+    /// inode order whose path `is_prelink_path` rejects.
+    fn reference_table(s: &SharedFs) -> Vec<Ino> {
+        let mut inos = Vec::new();
+        s.fs.for_each_inode(|ino, kind| {
+            let prelink = s.fs.path_of(ino).is_ok_and(|p| crate::is_prelink_path(&p));
+            if *kind == NodeKind::File && !prelink {
+                inos.push(ino);
+            }
+        });
+        inos
+    }
+
+    /// The address table as lookups see it: the linear table in probe
+    /// order (a hit after `i + 1` steps is entry `i`) and every slot the
+    /// B-tree maps, in slot order.
+    fn observed_tables(s: &mut SharedFs) -> (Vec<Option<Ino>>, Vec<Ino>) {
+        let mut linear = vec![None; s.slot_count()];
+        let mut btree = Vec::new();
+        for slot in 0..crate::shared::SHARED_INODES {
+            let addr = SharedFs::addr_of_ino(slot);
+            s.lookup = AddrLookup::Linear;
+            let steps = s.addr_probe_steps;
+            if let Ok((ino, _)) = s.addr_to_ino(addr) {
+                linear[(s.addr_probe_steps - steps - 1) as usize] = Some(ino);
+            }
+            s.lookup = AddrLookup::BTree;
+            if let Ok((ino, _)) = s.addr_to_ino(addr) {
+                btree.push(ino);
+            }
+        }
+        s.lookup = AddrLookup::Linear;
+        (linear, btree)
+    }
+
+    /// The path-based check `fsck_walk` must equal: each file's path
+    /// built, the prelink area found by `is_prelink_path`, swap files by
+    /// `SWAP_PATH_PREFIX`, and every table entry found by a priced probe.
+    fn reference_fsck(s: &mut SharedFs, boot: bool) -> Vec<FsckIssue> {
+        let mut files = Vec::new();
+        s.fs.for_each_inode(|ino, kind| {
+            if *kind == NodeKind::File {
+                files.push(ino);
+            }
+        });
+        let mut issues = Vec::new();
+        for &ino in &files {
+            let path = s.fs.path_of(ino).unwrap_or_default();
+            let addr = SharedFs::addr_of_ino(ino);
+            if !crate::is_prelink_path(&path) && s.addr_to_ino(addr).is_err() {
+                issues.push(FsckIssue::MissingTableEntry { ino, path });
+            }
+            let size = s.fs.metadata(ino).unwrap().size;
+            if size > SLOT_SIZE as u64 {
+                issues.push(FsckIssue::Oversized { ino, size });
+            }
+        }
+        for slot in 0..crate::shared::SHARED_INODES {
+            if let Ok((ino, _)) = s.addr_to_ino(SharedFs::addr_of_ino(slot)) {
+                if !files.contains(&ino) {
+                    issues.push(FsckIssue::StaleTableEntry { ino });
+                }
+            }
+        }
+        for c in s.fs.verify_blocks_full() {
+            issues.push(FsckIssue::CorruptBlock {
+                ino: c.ino,
+                offset: c.offset,
+                reason: c.reason,
+            });
+        }
+        if boot {
+            for &ino in &files {
+                let path = s.fs.path_of(ino).unwrap();
+                if path.starts_with(crate::SWAP_PATH_PREFIX) {
+                    issues.push(FsckIssue::OrphanSwapFile { ino, path });
+                }
+            }
+        }
+        issues
+    }
+
+    /// A partition holding every `FsckIssue` kind at once, among names
+    /// that look like the prelink or swap areas but are not, and files
+    /// four levels deep in each area.
+    fn every_issue_kind() -> SharedFs {
+        let mut s = populated();
+        for dir in [
+            "/a/.prelink",
+            "/n1/n2/n3",
+            "/.prelink/p2/p3",
+            "/.kswapdir/k2/k3",
+        ] {
+            s.fs.mkdir_all(dir, 0o777, 0).unwrap();
+        }
+        let registered = [
+            "/.prelinkX",
+            "/a/.prelink/x",
+            "/n1/n2/n3/n4",
+            "/.prelink/rec",
+            "/.prelink/p2/p3/p4",
+            "/.kswap0",
+            "/.kswapdir/inner",
+            "/.kswapdir/k2/k3/k4",
+            "/a/.kswap1",
+            "/gone",
+            "/n1/n2/n3/gone",
+        ];
+        for path in registered {
+            s.create_file(path, 0o666, 0).unwrap();
+        }
+        // Files the table never saw.
+        let unregistered = [
+            "/.prelinkY",
+            "/a/.prelink/lost",
+            "/n1/n2/n3/lost",
+            "/.prelink/p2/p3/lost",
+            "/.kswapdir/k2/k3/lost",
+        ];
+        for path in unregistered {
+            s.fs.create_file(path, 0o666, 0).unwrap();
+        }
+        // Files removed behind the table's back.
+        s.fs.unlink("/gone").unwrap();
+        s.fs.unlink("/n1/n2/n3/gone").unwrap();
+        let deep = s.fs.resolve("/n1/n2/n3/n4").unwrap();
+        s.fs.force_size_for_test(deep, SLOT_SIZE as u64 + 4096);
+        let ino = s.fs.resolve("/standalone").unwrap();
+        s.fs.write_at(ino, 0, &[3u8; 4096]).unwrap();
+        assert!(s
+            .fs
+            .corrupt_block_for_test(ino, 0, crate::CorruptKind::BitRot));
+        s.fs.symlink("/.prelink/rec", "/link", 0).unwrap();
+        s
+    }
+
+    /// The one walk by top-level name finds what building every path
+    /// found: the same boot-scan tables, and the same issues in the
+    /// same order, online and at boot, under either lookup structure.
+    #[test]
+    fn top_name_walk_matches_path_based_reference() {
+        let base = every_issue_kind();
+        let expected = reference_fsck(&mut base.clone(), true);
+        let kinds: std::collections::HashSet<FsckKind> =
+            expected.iter().map(FsckIssue::kind).collect();
+        assert_eq!(kinds.len(), 5, "every issue kind: {expected:?}");
+        for lookup in [AddrLookup::Linear, AddrLookup::BTree] {
+            for boot in [false, true] {
+                let mut s = base.clone();
+                s.lookup = lookup;
+                let want = reference_fsck(&mut s.clone(), boot);
+                let counters = (s.addr_lookups, s.addr_probe_steps);
+                let got = if boot {
+                    fsck_boot(&mut s)
+                } else {
+                    fsck_shared(&mut s)
+                };
+                assert_eq!(got, want, "{lookup:?}, boot {boot}");
+                assert_eq!((s.addr_lookups, s.addr_probe_steps), counters);
+            }
+        }
+        let mut s = base.clone();
+        s.boot_scan();
+        let want = reference_table(&s);
+        let (linear, btree) = observed_tables(&mut s);
+        assert_eq!(
+            linear,
+            want.iter().map(|&ino| Some(ino)).collect::<Vec<_>>()
+        );
+        assert_eq!(btree, want);
+        // Repaired, both checks are clean and the table is the scan's.
+        let mut s = base;
+        let report = fsck_report(&mut s, true);
+        assert_eq!(report.findings.len(), expected.len());
+        assert!(fsck_boot(&mut s).is_empty());
+        assert!(reference_fsck(&mut s.clone(), true).is_empty());
+        let want = reference_table(&s);
+        assert_eq!(observed_tables(&mut s).1, want);
     }
 
     /// `MissingTableEntry` repair restores the mapping and is clean on

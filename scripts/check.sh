@@ -86,6 +86,17 @@ if ! find crates -name '*.rs' ! -path crates/hobj/src/binfmt.rs -print0 | xargs 
   exit 1
 fi
 
+echo "==> boot builds no paths and fsck does not probe the priced table"
+# The boot scan classifies files by top-level name (FileSystem::top_name);
+# fsck reads SharedFs::table_inos. Test code in tools.rs may probe.
+if awk '/fn boot_scan\(/{b=1} b && /path_of\(/{print FILENAME":"FNR": "$0; bad=1} b && /^    \}$/{b=0}
+        END{exit !bad}' crates/hsfs/src/shared.rs \
+  || awk '/^ *#\[cfg\(test\)\]/{t=1; next} t && /^}/{t=0; next} t && /^[^ ].*;$/{t=0; next}
+          !t && /addr_to_ino\(/{print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' crates/hsfs/src/tools.rs; then
+  echo "a path built in SharedFs::boot_scan or a priced probe in fsck: classify by FileSystem::top_name, read SharedFs::table_inos" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 

@@ -100,6 +100,37 @@ fn segments_are_perusable_and_cleanable() {
     assert!(tools::fsck_shared(&mut world.kernel.vfs.shared).is_empty());
 }
 
+/// A clean reboot prices nothing: the boot scan and boot fsck read the
+/// address table without probing it, so neither its lookup and probe
+/// counters nor the shared partition's I/O counters move.
+#[test]
+fn clean_reboot_leaves_priced_counters_unchanged() {
+    let mut world = World::new();
+    let exe = build_counter(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, 1);
+    assert_eq!(run_prog(&mut world, &exe).0, 2);
+    world
+        .kernel
+        .vfs
+        .mkdir_all("/shared/jobs/a/b", 0o777, 1)
+        .unwrap();
+    for path in ["/shared/jobs/a/b/seg", "/shared/jobs/top", "/shared/solo"] {
+        world.kernel.vfs.create_file(path, 0o666, 1).unwrap();
+    }
+    let segments = world.list_segments().len();
+    assert!(segments >= 4, "{segments} segments");
+    let sfs = &world.kernel.vfs.shared;
+    let before = (sfs.addr_lookups, sfs.addr_probe_steps, sfs.slot_count());
+    let fs_stats = sfs.fs.stats;
+    world.reboot();
+    let sfs = &world.kernel.vfs.shared;
+    let after = (sfs.addr_lookups, sfs.addr_probe_steps, sfs.slot_count());
+    assert_eq!(after, before, "(addr_lookups, addr_probe_steps, slots)");
+    assert_eq!(sfs.fs.stats, fs_stats);
+    assert!(tools::fsck_shared(&mut world.kernel.vfs.shared).is_empty());
+    assert_eq!(run_prog(&mut world, &exe).0, 3);
+}
+
 #[test]
 fn fsck_detects_and_boot_scan_repairs_crash_damage() {
     let mut world = World::new();
