@@ -45,7 +45,7 @@ fn simulated_table() {
     let base = 0x1000_0000u32;
     let mut aspace = AddressSpace::new();
     let mut shared = SharedFs::new();
-    let mut text = hvm::SharedText::default();
+    let mut text = hvm::BlockTable::default();
     aspace.map_anon(base, npages * PAGE_SIZE, Prot::RW).unwrap();
     let mut totals = KernelStats::default();
     let mut bus = MemBus::new(&mut aspace, &mut shared, &mut text, &mut totals);

@@ -1239,7 +1239,7 @@ impl World {
         self.runtime.clear();
         let discarded = self.kernel.vfs.shared.fs.power_cut();
         self.kernel.power_cut();
-        self.kernel.vfs.shared.linear_table_clear_for_test();
+        self.kernel.vfs.shared.clear_table();
         self.registry.clear_cache();
         self.powered = false;
         if crash {
@@ -1256,7 +1256,7 @@ impl World {
     }
 
     /// Pulls the plug (DESIGN.md §13): every process dies mid-
-    /// instruction, all volatile kernel state — TLBs, block caches,
+    /// instruction, all volatile kernel state — TLBs, the block table,
     /// advisory locks, frame pool, swap slots, the in-kernel address
     /// table — vanishes, and any disk write not yet flushed by a
     /// barrier is discarded. The simulated disk (the flushed prefix of
@@ -1624,7 +1624,7 @@ impl World {
             None => (0, 0, 0),
         };
         let pool = self.kernel.frame_pool().stats();
-        let text = self.kernel.shared_text();
+        let blocks = self.kernel.block_table();
         let ldl = self.ldl_stats;
         WorldStats {
             kernel,
@@ -1652,8 +1652,8 @@ impl World {
             shootdowns: kernel.shootdowns,
             ipis: kernel.ipis,
             cross_cpu_steals: kernel.cross_cpu_steals,
-            bblocks_built: text.built,
-            bblock_hits: text.hits,
+            bblocks_built: blocks.built,
+            bblock_hits: blocks.hits,
             bblock_invalidations: self.tallies.blocks_invalidated(),
             crashes: self.tallies.get("CrashTaken").count,
             journal_replays: self.tallies.get("JournalReplayed").count,

@@ -247,18 +247,19 @@ pub enum TraceEvent {
         /// Modules recorded in the new snapshot.
         modules: u32,
     },
-    /// A TLB-parity event dropped decoded basic blocks from a process's
-    /// block cache (DESIGN.md §12). Pure host-speed diagnostics: zero
-    /// cost, and emitted only when blocks were actually dropped (a
-    /// cache-off run records none).
+    /// Decoded basic blocks left the kernel's block table, found by this
+    /// process (DESIGN.md §12). Pure host-speed diagnostics: zero cost,
+    /// and emitted only when blocks were actually dropped (a cache-off
+    /// run records none).
     BlockInvalidated {
-        /// First affected virtual address (page-aligned; 0 for
-        /// whole-cache events like a capacity flush).
+        /// First affected virtual address (page-aligned; 0 for a
+        /// whole-table capacity flush).
         addr: u32,
         /// Decoded blocks dropped by this event.
         blocks: u64,
-        /// Which invalidation edge fired (`"unmap"`, `"mprotect"`,
-        /// `"evict"`, `"host-store"`, `"store-exec"`, `"capacity"`, ...).
+        /// Why: `"stale"` (an entry found its block's epoch moved),
+        /// `"store-exec"` (a store into a shared file page with blocks)
+        /// or `"capacity"`.
         cause: &'static str,
     },
 }

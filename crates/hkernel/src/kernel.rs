@@ -18,7 +18,7 @@ use hsfs::fs::{LockKind, NodeKind};
 use hsfs::path as fspath;
 use hsfs::vfs::{Mount, Vfs, Vnode};
 use hsfs::{FsError, PAGE_SIZE};
-use hvm::{Cpu, Fault, Instr, Reg, SharedText, StepOutcome};
+use hvm::{BlockTable, Bus, Cpu, Fault, Instr, Reg, Source, StepOutcome};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -155,8 +155,6 @@ pub struct Kernel {
     /// `(parent, child)` for every exited child its live parent has not
     /// yet waited for; a parent's entries go when it exits.
     waitable: BTreeSet<(Pid, Pid)>,
-    /// `BlockInvalidated` records of processes that have since exited.
-    exited_bb: Vec<(Pid, TraceEvent)>,
     /// Forks and exits since the last drain, in occurrence order.
     lifecycle: Vec<Lifecycle>,
     next_pid: Pid,
@@ -186,10 +184,10 @@ pub struct Kernel {
     /// Cross-CPU scheduler records (`TlbShootdown`, `CpuSteal`) since
     /// the last drain. Empty on a single-CPU kernel.
     smp_journal: Vec<(Pid, TraceEvent)>,
-    /// Blocks decoded from shared file pages, for every process, with
-    /// the block-cache switch (on by default) and the block totals
+    /// Every decoded block, keyed by text source, with the block-cache
+    /// switch (on by default), the block totals and the drop journal
     /// (DESIGN.md §12). Emptied by power cuts and `set_bbcache(false)`.
-    text: SharedText,
+    blocks: BlockTable,
     /// Prelink snapshot caching (DESIGN.md §15): on by default, the
     /// linker consults it before every init-time resolve.
     link_snapshots: bool,
@@ -243,7 +241,6 @@ impl Kernel {
             procs: BTreeMap::new(),
             exits: BTreeMap::new(),
             waitable: BTreeSet::new(),
-            exited_bb: Vec::new(),
             lifecycle: Vec::new(),
             next_pid: 1,
             sems: BTreeMap::new(),
@@ -258,22 +255,17 @@ impl Kernel {
             cur_cpu: 0,
             round_active: false,
             smp_journal: Vec::new(),
-            text: SharedText::default(),
+            blocks: BlockTable::default(),
             link_snapshots: true,
             snap_consulted: BTreeSet::new(),
         }
     }
 
     /// Enables or disables decoded basic-block caching for every space.
-    /// Disabling empties the shared-text table and every live space's
-    /// cache silently, so switching is unobservable.
+    /// Disabling empties the block table silently, so switching is
+    /// unobservable.
     pub fn set_bbcache(&mut self, enabled: bool) {
-        self.text.set_enabled(enabled);
-        if !enabled {
-            for proc in self.procs.values_mut() {
-                proc.aspace.bbcache_mut().flush(None);
-            }
-        }
+        self.blocks.set_enabled(enabled);
     }
 
     /// Enables or disables prelink snapshot caching (DESIGN.md §15).
@@ -323,31 +315,19 @@ impl Kernel {
             .map_err(|_| FsError::Busy)
     }
 
-    /// Drains every cache's invalidation journal, those of processes
-    /// that exited since the last drain included, in pid order
-    /// (deterministic), as `BlockInvalidated` records of their owners.
+    /// Drains the block table's drop journal, in occurrence order, as
+    /// `BlockInvalidated` records of the pids that found the drops.
     pub fn drain_bb_events(&mut self) -> Vec<(Pid, TraceEvent)> {
-        let mut out = std::mem::take(&mut self.exited_bb);
-        for (&pid, proc) in self.procs.iter_mut() {
-            Self::drain_bb_journal(pid, &mut proc.aspace, &mut out);
-        }
-        // Stable: each owner's records keep their journal order.
-        out.sort_by_key(|&(pid, _)| pid);
-        out
-    }
-
-    fn drain_bb_journal(pid: Pid, aspace: &mut AddressSpace, out: &mut Vec<(Pid, TraceEvent)>) {
-        let bb = aspace.bbcache_mut();
-        if !bb.journal_is_empty() {
-            out.extend(bb.drain_journal().into_iter().map(|ev| {
-                let event = TraceEvent::BlockInvalidated {
-                    addr: ev.addr,
-                    blocks: ev.blocks,
-                    cause: ev.cause,
-                };
-                (pid, event)
-            }));
-        }
+        let journal = self.blocks.drain_journal().into_iter();
+        let record = |ev: hvm::BbInvalidation| {
+            let event = TraceEvent::BlockInvalidated {
+                addr: ev.addr,
+                blocks: ev.blocks,
+                cause: ev.cause,
+            };
+            (ev.pid, event)
+        };
+        journal.map(record).collect()
     }
 
     /// Sets the number of simulated CPUs (clamped to `1..=64`). The
@@ -381,10 +361,10 @@ impl Kernel {
         std::mem::take(&mut self.lifecycle)
     }
 
-    /// The kernel-wide table of blocks decoded from shared file pages,
-    /// which also keeps the block-cache totals (`built`, `hits`).
-    pub fn shared_text(&self) -> &SharedText {
-        &self.text
+    /// The kernel's table of decoded blocks, which also keeps the
+    /// block-cache totals (`built`, `hits`).
+    pub fn block_table(&self) -> &BlockTable {
+        &self.blocks
     }
 
     /// The kernel's frame pool (budget configuration and statistics).
@@ -394,9 +374,9 @@ impl Kernel {
 
     /// The power cut, kernel side: every process dies instantly, and
     /// semaphores, pending waits, the scheduler round, the clock hand,
-    /// the fork/exit journal, all frame/swap residency and the
-    /// shared-text table's blocks vanish. The blocks must: the file
-    /// system's power cut restarts its write epochs, so old stamps
+    /// the fork/exit journal, all frame/swap residency and the block
+    /// table's blocks and unread journal vanish. The blocks must: the
+    /// file system's power cut restarts its write epochs, so old stamps
     /// would alias.
     /// Configuration (CPU count, budgets, cache enablement), the
     /// activity and block totals, the exit records and the monotonic
@@ -405,7 +385,6 @@ impl Kernel {
     pub fn power_cut(&mut self) {
         self.procs.clear();
         self.waitable.clear();
-        self.exited_bb.clear();
         self.lifecycle.clear();
         self.sems.clear();
         self.rr_cursor = 0;
@@ -415,7 +394,8 @@ impl Kernel {
         self.cur_cpu = 0;
         self.round_active = false;
         self.smp_journal.clear();
-        self.text.flush();
+        self.blocks.flush();
+        self.blocks.drain_journal();
         self.pool.reset_volatile();
         self.vfs.unlock_everything();
     }
@@ -473,6 +453,9 @@ impl Kernel {
         // invariant: exec is a host-side embedder call whose pid came
         // from `spawn`; the embedder owns the lifecycle between the two.
         let proc = self.procs.get_mut(&pid).expect("exec of a live process");
+        // The new space counts its text epochs from zero again, so the
+        // old image's blocks must not outlive it.
+        self.blocks.drop_source(Source::space(pid));
         proc.aspace = AddressSpace::new();
         proc.aspace.arm_faults(self.faults.clone());
         proc.aspace.attach_pool(&self.pool);
@@ -825,14 +808,14 @@ impl Kernel {
         // stamp they were returned under, way chosen by the entry
         // pc's word index. A guest loop re-enters the same few blocks
         // every iteration (a scan loop is two: the bound check and the
-        // body); while the cache's mutation stamp stands still, `lookup`
-        // would provably return the same `Arc` for that pc, so we skip
-        // the map walk, account the hit, and lend the memo's code to
-        // `run_block` without touching its refcount. The memo lives
-        // strictly within this slice (no other process runs mid-slice)
-        // and is cleared on any non-retiring outcome — syscalls and
-        // faults can mutate mappings and files without touching this
-        // address space's stamp.
+        // body); while the table's mutation stamp (the bus's text
+        // epoch) stands still, `bb_block` would provably return the same
+        // `Arc` for that pc, so we skip the page and map walks, account
+        // the hit, and lend the memo's code to `run_block` without
+        // touching its refcount. The memo lives strictly within this
+        // slice (no other process runs mid-slice) and is cleared on any
+        // non-retiring outcome — syscalls and faults can renew epochs,
+        // and change mappings and files, without moving the stamp.
         let mut memo: [MemoWay; MEMO_WAYS] = Default::default();
         while steps < budget {
             let (block_ran, outcome) = {
@@ -846,15 +829,15 @@ impl Kernel {
                     uid: proc.uid,
                     cpu,
                 };
-                let (aspace, shared, text, totals) = (
+                let (aspace, shared, blocks, totals) = (
                     &mut proc.aspace,
                     &mut self.vfs.shared,
-                    &mut self.text,
+                    &mut self.blocks,
                     &mut self.stats,
                 );
                 let mut bus = match &self.monitor {
-                    Some(monitor) => MemBus::observed(aspace, shared, text, totals, ctx, monitor),
-                    None => MemBus::attributed(aspace, shared, text, totals, ctx),
+                    Some(monitor) => MemBus::observed(aspace, shared, blocks, totals, ctx, monitor),
+                    None => MemBus::attributed(aspace, shared, blocks, totals, ctx),
                 };
                 // Fast path: replay decoded blocks, capped at the
                 // remaining budget so blocks never straddle a (sub-)
@@ -881,7 +864,7 @@ impl Kernel {
                     let left = budget - steps - ran;
                     let way = &mut memo[(pc >> 2) as usize % MEMO_WAYS];
                     let (n, out) = match way {
-                        Some((mpc, stamp, code)) if *mpc == pc && *stamp == bus.bb_stamp() => {
+                        Some((mpc, stamp, code)) if *mpc == pc && *stamp == bus.text_epoch() => {
                             bus.bb_count_hit();
                             proc.cpu.run_block(&mut bus, code, left)
                         }
@@ -892,7 +875,7 @@ impl Kernel {
                                 // (store-to-exec) must invalidate the
                                 // memo, and re-stamping afterwards
                                 // would hide it.
-                                let (_, _, code) = way.insert((pc, bus.bb_stamp(), code));
+                                let (_, _, code) = way.insert((pc, bus.text_epoch(), code));
                                 proc.cpu.run_block(&mut bus, code, left)
                             }
                             None => break Some(proc.cpu.step(&mut bus)),
@@ -1608,7 +1591,7 @@ impl Kernel {
             return;
         };
         p.aspace.release_all();
-        Self::drain_bb_journal(pid, &mut p.aspace, &mut self.exited_bb);
+        self.blocks.drop_source(Source::space(pid));
         self.waitable.retain(|&(parent, _)| parent != pid);
         if self.procs.contains_key(&p.ppid) {
             self.waitable.insert((p.ppid, pid));
@@ -1831,6 +1814,30 @@ mod tests {
 
     use Instr::*;
 
+    /// `exec_image` restarts the space's text epochs, so it drops the
+    /// pid's private blocks first: a new image laid out like the old
+    /// one is decoded from its own bytes, never served the old image's
+    /// block at the same pc and epoch. The exit drops the rest.
+    #[test]
+    fn exec_and_exit_drop_the_pids_private_blocks() {
+        let mut k = Kernel::new();
+        let pid = k.spawn(1);
+        let private = |k: &Kernel| {
+            let src = Source::space(pid);
+            k.block_table().keys().filter(|&(s, _)| s == src).count()
+        };
+        k.exec_image(pid, &image(&sys(Sys::Exit, 5), &[])).unwrap();
+        // Two instructions of the first block, then the quantum ends.
+        assert_eq!(k.step_system(2), RunEvent::Quantum(pid));
+        assert_eq!(private(&k), 1);
+        k.exec_image(pid, &image(&sys(Sys::Exit, 9), &[])).unwrap();
+        assert_eq!(private(&k), 0, "the exec dropped the old image's block");
+        run_to_completion(&mut k);
+        assert_eq!(k.exit_code(pid), Some(9), "the new image's bytes ran");
+        assert_eq!(private(&k), 0, "the exit dropped the new image's block");
+        assert_eq!(k.block_table().built, 2);
+    }
+
     #[test]
     fn run_to_settle_bounds_a_spinning_system() {
         let mut k = Kernel::new();
@@ -2020,7 +2027,7 @@ mod tests {
             let mut bus = MemBus::new(
                 &mut proc.aspace,
                 &mut k.vfs.shared,
-                &mut k.text,
+                &mut k.blocks,
                 &mut k.stats,
             );
             bus.load32(layout::DATA_BASE).unwrap(); // a miss

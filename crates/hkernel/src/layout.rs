@@ -43,12 +43,6 @@ pub const STACK_SIZE: u32 = 0x10_0000;
 pub const DEFAULT_FRAME_BUDGET: u64 = 65_536;
 /// Default swap-area budget in pages (also 256 MB worth).
 pub const DEFAULT_SWAP_PAGES: u32 = 65_536;
-/// Path prefix of the kernel-owned swap files on the shared partition.
-/// Swap lives in `hsfs` deliberately: swapped pages stay addressable to
-/// kernel-side copies exactly like every other backing file, and `fsck`
-/// sees a consistent segment table. The files are mode 0600, uid 0, so
-/// no guest can map them.
-pub const SWAP_FILE_PREFIX: &str = "/.kswap";
 /// Pages per swap file (one full 1 MB segment slot).
 pub const PAGES_PER_SWAP_FILE: u32 = hsfs::SLOT_SIZE / hsfs::PAGE_SIZE;
 

@@ -24,19 +24,17 @@
 //! pages are dropped and re-faulted through the full user-level fault
 //! protocol, dirty shared pages are written back first, and anonymous
 //! pages swap to kernel-owned files on the shared partition
-//! ([`crate::layout::SWAP_FILE_PREFIX`]). First-touch materialization is
+//! ([`hsfs::SWAP_PATH_PREFIX`]). First-touch materialization is
 //! free (it models the eager mapping the simulator always did); only
 //! pressure-induced traffic is counted and charged.
 
 use crate::event::TraceEvent;
 use crate::kernel::KernelStats;
-use crate::layout::{
-    DEFAULT_FRAME_BUDGET, DEFAULT_SWAP_PAGES, PAGES_PER_SWAP_FILE, SWAP_FILE_PREFIX,
-};
+use crate::layout::{DEFAULT_FRAME_BUDGET, DEFAULT_SWAP_PAGES, PAGES_PER_SWAP_FILE};
 use crate::monitor::{AccessCtx, MonitorRef};
 use crate::process::Pid;
-use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE, SLOT_SIZE};
-use hvm::bbcache::{BbCache, SharedLookup, SharedText};
+use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE, SLOT_SIZE, SWAP_PATH_PREFIX};
+use hvm::bbcache::{BlockLookup, BlockTable, Source};
 use hvm::{Access, Bus, Fault, Instr};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -142,15 +140,25 @@ pub struct PageEntry {
     pub prot: Prot,
     /// Residency/eviction state (`F_*` bits).
     flags: u8,
+    /// The text epoch a private block decoded from this page must carry
+    /// (DESIGN.md §12): fresh from the space's counter when the page is
+    /// mapped, and renewed whenever its protection or its bytes may
+    /// change. Eviction and swap-in keep it: the bytes stay the same.
+    epoch: u64,
 }
 
 impl PageEntry {
-    fn new(kind: PageKind, prot: Prot) -> PageEntry {
+    fn new(kind: PageKind, prot: Prot, epoch: u64) -> PageEntry {
         let flags = match kind {
             PageKind::Anon(_) => F_RESIDENT,
             _ => 0,
         };
-        PageEntry { kind, prot, flags }
+        PageEntry {
+            kind,
+            prot,
+            flags,
+            epoch,
+        }
     }
 
     /// True if the page holds a physical frame (or aliases resident
@@ -415,7 +423,7 @@ impl FramePool {
             if next > file {
                 return Ok(());
             }
-            let path = format!("{SWAP_FILE_PREFIX}{next}");
+            let path = format!("{SWAP_PATH_PREFIX}{next}");
             let ino = shared.create_file(&path, 0o600, 0)?;
             shared.fs.truncate(ino, SLOT_SIZE as u64)?;
             self.lock().swap_files.push(ino);
@@ -663,13 +671,12 @@ pub struct AddressSpace {
     resident: u64,
     /// Pages carrying `F_PINNED` (skips the unpin sweep when zero).
     pinned: u32,
-    /// Blocks decoded from this space's private text (DESIGN.md §12),
-    /// invalidated in lock-step with the TLB. The kernel's table holds
-    /// the switch and the totals.
-    bb: BbCache,
+    /// The last text epoch handed to a page entry; see
+    /// [`AddressSpace::fresh_epoch`].
+    epochs: u64,
 }
 
-// The block caches index by this geometry; keep them in sync.
+// The block table indexes by this geometry; keep them in sync.
 const _: () = assert!(PAGE_SIZE == hvm::bbcache::PAGE_SIZE);
 
 impl Clone for AddressSpace {
@@ -693,8 +700,7 @@ impl Clone for AddressSpace {
             pool: self.pool.clone(),
             resident: self.resident,
             pinned: self.pinned,
-            // Like the TLB on fork: the clone starts with a cold cache.
-            bb: BbCache::default(),
+            epochs: self.epochs,
         }
     }
 }
@@ -784,19 +790,23 @@ impl AddressSpace {
         self.entries.clear();
         self.free.clear();
         self.tlb.flush();
-        // Teardown drops blocks silently, like the uncounted TLB flush
-        // above (lazy ASID-style reuse; nothing will run here again).
-        self.bb.flush(None);
         self.pinned = 0;
     }
 
-    /// Frees everything a dead process's space holds: pool charges,
-    /// the page-table allocations, and the block cache.
+    /// Frees everything a dead process's space holds: pool charges and
+    /// the page-table allocations.
     pub fn release_all(&mut self) {
         self.surrender();
         self.entries = Vec::new();
         self.free = Vec::new();
-        self.bb.release();
+    }
+
+    /// A text epoch no page of this space has carried: the counter only
+    /// moves up, so a block decoded from a page of this space before
+    /// the call can never match a page given the new epoch.
+    fn fresh_epoch(&mut self) -> u64 {
+        self.epochs += 1;
+        self.epochs
     }
 
     /// Restores an evicted shared page after its fault bounced through
@@ -905,7 +915,6 @@ impl AddressSpace {
             faults,
             pool,
             resident,
-            bb,
             ..
         } = self;
         let entry = entries[slot as usize].as_mut().expect("live slot");
@@ -960,7 +969,6 @@ impl AddressSpace {
             PageKind::Zero | PageKind::Swapped { .. } => return EvictOutcome::NotResident,
         }
         tlb.invalidate(page_vpn);
-        bb.invalidate_page(page_vpn, "evict");
         *resident -= 1;
         pool.credit(1);
         EvictOutcome::Evicted
@@ -1010,17 +1018,6 @@ impl AddressSpace {
         self.tlb.flush();
     }
 
-    /// The decoded basic-block cache (counters, journal, test hooks).
-    pub fn bbcache(&self) -> &BbCache {
-        &self.bb
-    }
-
-    /// Mutable access to the block cache (kernel configuration, journal
-    /// drains, and tests).
-    pub fn bbcache_mut(&mut self) -> &mut BbCache {
-        &mut self.bb
-    }
-
     fn check_range(addr: u32, len: u32) -> Result<(u32, u32), MemError> {
         if !addr.is_multiple_of(PAGE_SIZE) || len == 0 {
             return Err(MemError::Unaligned { addr });
@@ -1042,14 +1039,13 @@ impl AddressSpace {
         if self.faults.should_inject(hfault::FaultSite::FrameAlloc) {
             return Err(MemError::NoFrames { addr });
         }
+        let epoch = self.fresh_epoch();
         for p in first..first + pages {
             // Demand-zero: no frame until first touch.
-            let slot = self.alloc_slot(PageEntry::new(PageKind::Zero, prot));
+            let slot = self.alloc_slot(PageEntry::new(PageKind::Zero, prot, epoch));
             self.pages.insert(p, slot);
         }
         self.tlb.flush();
-        // No block to drop: the range was unmapped, and `unmap` dropped
-        // every block on it.
         Ok(())
     }
 
@@ -1074,6 +1070,7 @@ impl AddressSpace {
         if self.faults.should_inject(hfault::FaultSite::FrameAlloc) {
             return Err(MemError::NoFrames { addr });
         }
+        let epoch = self.fresh_epoch();
         for (i, p) in (first..first + pages).enumerate() {
             // Shared pages alias file bytes; residency starts on first
             // touch (free) and is dropped/restored by eviction.
@@ -1083,11 +1080,11 @@ impl AddressSpace {
                     page: file_page + i as u32,
                 },
                 prot,
+                epoch,
             ));
             self.pages.insert(p, slot);
         }
         self.tlb.flush();
-        // No block to drop, as in `map_anon`.
         Ok(())
     }
 
@@ -1115,7 +1112,6 @@ impl AddressSpace {
             self.free.push(slot);
         }
         self.tlb.flush();
-        self.bb.invalidate_vpns(first, pages, "unmap");
         Ok(())
     }
 
@@ -1129,12 +1125,14 @@ impl AddressSpace {
                 });
             }
         }
+        let epoch = self.fresh_epoch();
         for p in first..first + pages {
             let slot = self.pages.get(p).expect("checked");
-            self.entry_at_slot_mut(slot).prot = prot;
+            let entry = self.entry_at_slot_mut(slot);
+            entry.prot = prot;
+            entry.epoch = epoch;
         }
         self.tlb.invalidate_range(first, pages);
-        self.bb.invalidate_vpns(first, pages, "mprotect");
         Ok(())
     }
 
@@ -1159,8 +1157,8 @@ impl AddressSpace {
     /// Both TLBs start cold: the parent's is flushed (its cached
     /// translations predate the COW sharing) and the child's is empty.
     /// The parent keeps its decoded blocks: COW keeps its bytes, and a
-    /// later store into its text drops the page like any other store.
-    /// The child's block cache starts cold via `Clone`.
+    /// later store into its text renews the page's epoch like any other
+    /// store. The child, under its own pid, starts with none.
     pub fn fork_clone(&mut self) -> AddressSpace {
         self.tlb.flush();
         // `Clone` charges the pool for the child's resident mappings and
@@ -1224,7 +1222,10 @@ impl AddressSpace {
     }
 
     /// Kernel-side write of guest memory (ignores protection). A page it
-    /// copies on write counts in the kernel's `totals`.
+    /// copies on write counts in the kernel's `totals`. A host poke can
+    /// patch text in place (the linkers do, for trampolines and GOT
+    /// slots), so every page it writes gets a fresh text epoch; blocks
+    /// decoded from shared pages catch the stamped write epoch.
     pub fn write_bytes(
         &mut self,
         shared: &mut SharedFs,
@@ -1232,6 +1233,7 @@ impl AddressSpace {
         addr: u32,
         data: &[u8],
     ) -> Result<(), MemError> {
+        let epoch = self.fresh_epoch();
         let mut written = 0usize;
         let mut a = addr;
         while written < data.len() {
@@ -1240,6 +1242,7 @@ impl AddressSpace {
                 .get(vpn(a))
                 .ok_or(MemError::NotMapped { addr: a })?;
             let entry = self.entries[slot as usize].as_mut().expect("live slot");
+            entry.epoch = epoch;
             let off = (a % PAGE_SIZE) as usize;
             let take = ((PAGE_SIZE as usize) - off).min(data.len() - written);
             // A kernel-side poke needs real bytes: materialize
@@ -1304,15 +1307,6 @@ impl AddressSpace {
             written += take;
             a = a.wrapping_add(take as u32);
         }
-        // A host poke can patch text in place (the linkers do, for
-        // trampolines and GOT slots): drop any decoded blocks covering
-        // the written range. Blocks decoded from shared pages catch the
-        // stamped write epoch at their next entry.
-        if !data.is_empty() {
-            let first = vpn(addr);
-            let pages = vpn(addr + (data.len() as u32 - 1)) - first + 1;
-            self.bb.invalidate_vpns(first, pages, "host-store");
-        }
         Ok(())
     }
 
@@ -1342,8 +1336,8 @@ pub struct MemBus<'a> {
     pub aspace: &'a mut AddressSpace,
     /// The shared partition backing public mappings.
     pub shared: &'a mut SharedFs,
-    /// The kernel's blocks decoded from shared file pages.
-    text: &'a mut SharedText,
+    /// The kernel's table of decoded blocks.
+    blocks: &'a mut BlockTable,
     /// The kernel's totals, where the bus counts TLB hits and misses
     /// and copy-on-write copies.
     pub totals: &'a mut KernelStats,
@@ -1362,10 +1356,10 @@ impl<'a> MemBus<'a> {
     pub fn new(
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
-        text: &'a mut SharedText,
+        blocks: &'a mut BlockTable,
         totals: &'a mut KernelStats,
     ) -> MemBus<'a> {
-        MemBus::attributed(aspace, shared, text, totals, AccessCtx::default())
+        MemBus::attributed(aspace, shared, blocks, totals, AccessCtx::default())
     }
 
     /// An unobserved bus that still knows who is driving it, so
@@ -1374,14 +1368,14 @@ impl<'a> MemBus<'a> {
     pub fn attributed(
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
-        text: &'a mut SharedText,
+        blocks: &'a mut BlockTable,
         totals: &'a mut KernelStats,
         ctx: AccessCtx,
     ) -> MemBus<'a> {
         MemBus {
             aspace,
             shared,
-            text,
+            blocks,
             totals,
             monitor: None,
             ctx,
@@ -1394,14 +1388,14 @@ impl<'a> MemBus<'a> {
     pub fn observed(
         aspace: &'a mut AddressSpace,
         shared: &'a mut SharedFs,
-        text: &'a mut SharedText,
+        blocks: &'a mut BlockTable,
         totals: &'a mut KernelStats,
         ctx: AccessCtx,
         monitor: &'a MonitorRef,
     ) -> MemBus<'a> {
         MemBus {
             monitor: Some(monitor),
-            ..MemBus::attributed(aspace, shared, text, totals, ctx)
+            ..MemBus::attributed(aspace, shared, blocks, totals, ctx)
         }
     }
 }
@@ -1586,6 +1580,12 @@ impl MemBus<'_> {
             "CPU enforces alignment"
         );
         let can_exec = entry.prot.can_exec();
+        if can_exec {
+            // New bytes in executable text: the page's private blocks
+            // are stale from here on.
+            self.aspace.epochs += 1;
+            entry.epoch = self.aspace.epochs;
+        }
         let mut shared_dst: Option<(Ino, u32)> = None;
         match &mut entry.kind {
             PageKind::Zero | PageKind::Swapped { .. } => {
@@ -1651,23 +1651,26 @@ impl MemBus<'_> {
                 }
             }
         }
-        // W^X-style dirty hook: a store that can alter executable bytes
-        // (the page is executable, or it aliases a shared file page some
-        // block was decoded from, through any mapping) drops the
-        // affected blocks, journaling the drop in this space, and moves
-        // the mutation stamp even when nothing dropped, so a block in
-        // flight aborts before its next instruction (`Cpu::run_block`
-        // re-checks after each store). Inside `run_block` this is the
-        // only place the stamp moves.
-        if self.text.enabled() {
-            let dropped = shared_dst.map_or(0, |(ino, fpage)| self.text.drop_page(ino, fpage));
+        // W^X-style dirty hook: a store into a shared file page drops
+        // the blocks decoded from it at once, journaling the drop under
+        // this pid, since a process that maps the page elsewhere may be
+        // running them. A store that can alter executable bytes (the
+        // page is executable, or some block was decoded from it) also
+        // moves the mutation stamp, even when nothing dropped, so a
+        // block in flight aborts before its next instruction
+        // (`Cpu::run_block` re-checks after each store). Inside
+        // `run_block` this is the only place the stamp moves.
+        if self.blocks.enabled() {
+            let dropped = shared_dst.map_or(0, |(ino, fpage)| {
+                self.blocks.drop_page(Source::file(ino), fpage)
+            });
+            if dropped > 0 {
+                let page = addr & !(PAGE_SIZE - 1);
+                self.blocks
+                    .note_dropped(self.ctx.pid, page, dropped, "store-exec");
+            }
             if can_exec || dropped > 0 {
-                let bb = &mut self.aspace.bb;
-                bb.note_text_store();
-                bb.invalidate_page(vpn(addr), "store-exec");
-                if dropped > 0 {
-                    bb.note_dropped(addr & !(PAGE_SIZE - 1), dropped, "store-exec");
-                }
+                self.blocks.note_text_store();
             }
         }
         Ok(())
@@ -1679,84 +1682,78 @@ impl MemBus<'_> {
     /// (the slow path must surface the exact fault or do the residency
     /// work), or the first word does not decode.
     ///
-    /// Shared text goes through the kernel's [`SharedText`] at the
-    /// page's current write epoch, not copied into this space's cache;
-    /// a stale block is dropped (`shared-store`, journaled in this
-    /// space) and decoded again. Every entry counts one hit or one
-    /// build in the kernel's table.
+    /// The block is keyed by its text source: `(ino, file offset)` for a
+    /// shared page, checked against the file's write epoch, and `(pid,
+    /// pc)` for a private one, checked against the page entry's text
+    /// epoch. A stale block is dropped (`stale`, journaled under this
+    /// pid) and decoded again. Every entry counts one hit or one build
+    /// in the kernel's table.
     ///
     /// The build peeks at resident bytes without side effects: no TLB
     /// traffic, no reference bits, no chaos decisions, no fs stats —
     /// those all happen (identically to the slow path) when the block
     /// executes through [`hvm::Bus::fetch_check`].
     pub fn bb_block(&mut self, pc: u32) -> Option<Arc<[Instr]>> {
-        let MemBus { aspace, shared, .. } = self;
-        if !self.text.enabled() || !pc.is_multiple_of(4) {
+        let MemBus {
+            aspace,
+            shared,
+            blocks,
+            ctx,
+            ..
+        } = self;
+        if !blocks.enabled() || !pc.is_multiple_of(4) {
             return None;
         }
-        if let Some(code) = aspace.bb.lookup(pc) {
-            self.text.hits += 1;
-            return Some(code);
-        }
-        let slot = aspace.pages.get(vpn(pc))?;
+        // A TLB hit is a page-table walk's answer without the walk.
+        let vp = vpn(pc);
+        let slot = aspace.tlb.lookup(vp).or_else(|| aspace.pages.get(vp))?;
         let entry = aspace.entries[slot as usize].as_ref()?;
         if entry.flags & F_RESIDENT == 0 || !entry.prot.can_exec() {
             return None;
         }
         let off = pc % PAGE_SIZE;
-        let (ino, page) = match &entry.kind {
-            PageKind::Anon(frame) => {
-                let code = decode_block(&frame[off as usize..])?;
-                aspace.bb.insert(pc, code.clone());
-                self.text.built += 1;
-                return Some(code);
+        let (src, at, epoch, bytes) = match &entry.kind {
+            PageKind::Anon(frame) => (
+                Source::space(ctx.pid),
+                pc,
+                entry.epoch,
+                &frame[off as usize..],
+            ),
+            PageKind::Shared { ino, page } => {
+                let fs = &shared.fs;
+                // Poisoned backing block: decline — the slow path
+                // surfaces the precise `Eio` fault.
+                if fs.is_poisoned(*ino, *page) {
+                    return None;
+                }
+                let file = fs.file_bytes(*ino).ok()?;
+                let foff = page * PAGE_SIZE + off;
+                let end = ((page + 1) * PAGE_SIZE) as usize;
+                let bytes = file.get(foff as usize..end.min(file.len()))?;
+                (Source::file(*ino), foff, fs.write_epoch(*ino, *page), bytes)
             }
-            PageKind::Shared { ino, page } => (*ino, *page),
             PageKind::Zero | PageKind::Swapped { .. } => return None,
         };
-        let fs = &shared.fs;
-        // Poisoned backing block: decline — the slow path surfaces the
-        // precise `Eio` fault.
-        if fs.is_poisoned(ino, page) {
-            return None;
-        }
-        let file = fs.file_bytes(ino).ok()?;
-        let foff = page * PAGE_SIZE + off;
-        let epoch = fs.write_epoch(ino, page);
-        match self.text.lookup(ino, foff, epoch) {
-            SharedLookup::Hit(code) => {
-                self.text.hits += 1;
+        match blocks.lookup(src, at, epoch) {
+            BlockLookup::Hit(code) => {
+                blocks.hits += 1;
                 return Some(code);
             }
-            SharedLookup::Stale => aspace.bb.note_dropped(pc - off, 1, "shared-store"),
-            SharedLookup::Miss => {}
+            BlockLookup::Stale => blocks.note_dropped(ctx.pid, pc - off, 1, "stale"),
+            BlockLookup::Miss => {}
         }
-        let end = (foff + PAGE_SIZE - off) as usize;
-        let code = decode_block(file.get(foff as usize..end.min(file.len()))?)?;
-        let flushed = self.text.insert(ino, foff, epoch, code.clone());
+        let code = decode_block(bytes)?;
+        let flushed = blocks.insert(src, at, epoch, code.clone());
         if flushed > 0 {
-            aspace.bb.note_dropped(0, flushed, "capacity");
+            blocks.note_dropped(ctx.pid, 0, flushed, "capacity");
         }
-        self.text.built += 1;
+        blocks.built += 1;
         Some(code)
-    }
-
-    /// The block cache's mutation stamp — see
-    /// [`hvm::bbcache::BbCache::mutation_stamp`]. A dispatcher may
-    /// reuse a previous [`MemBus::bb_block`] result without re-entering
-    /// the cache strictly while this stamp stands still. Mid-slice,
-    /// only the running process mutates its own address space, and
-    /// every path that could stale a cached block (stores to source
-    /// pages, map changes, evictions, flushes) moves the stamp; cross-
-    /// process mutations happen between slices, outside any memo's
-    /// lifetime.
-    pub fn bb_stamp(&self) -> u64 {
-        self.aspace.bb.mutation_stamp()
     }
 
     /// Accounts a memoized block dispatch as a cache hit.
     pub fn bb_count_hit(&mut self) {
-        self.text.hits += 1;
+        self.blocks.hits += 1;
     }
 }
 
@@ -1807,10 +1804,11 @@ impl Bus for MemBus<'_> {
     fn fetch_hits(&mut self, n: u64) {
         self.totals.tlb_hits += n;
     }
-    /// The block cache's mutation stamp: inside `run_block` only a
-    /// store into executable bytes moves it (see `store`).
+    /// The block table's mutation stamp: inside `run_block` only a
+    /// store into executable bytes moves it (see `store`). The kernel's
+    /// dispatch memo keys on it too.
     fn text_epoch(&mut self) -> u64 {
-        self.aspace.bb.mutation_stamp()
+        self.blocks.mutation_stamp()
     }
     fn load8(&mut self, addr: u32) -> Result<u8, Fault> {
         Ok(self.load(addr, 1, Access::Read)? as u8)
@@ -1863,19 +1861,21 @@ mod tests {
         assert_eq!(a.page_count(), 1);
     }
 
-    /// A dead space holds no memory: releasing it drops every decoded
-    /// block and empties the page table.
+    /// A dead space holds no memory: releasing it returns its frames
+    /// and empties the page table.
     #[test]
-    fn release_all_frees_tables_and_cached_blocks() {
+    fn release_all_frees_tables() {
+        let pool = FramePool::new(64, 16);
         let mut a = AddressSpace::new();
+        a.attach_pool(&pool);
         a.map_anon(0x1000, 2 * P, Prot::RW).unwrap();
-        let code: Arc<[Instr]> = vec![Instr::Syscall].into();
-        a.bbcache_mut().insert(0x1000, code.clone());
-        assert!(Arc::strong_count(&code) > 1, "cached");
+        let mut totals = KernelStats::default();
+        a.write_bytes(&mut SharedFs::new(), &mut totals, 0x1000, &[1])
+            .unwrap();
+        assert_eq!(pool.resident(), 1);
         a.release_all();
-        assert_eq!(Arc::strong_count(&code), 1, "no decoded block survives");
-        assert!(a.bbcache().is_empty());
-        assert_eq!(a.page_count(), 0);
+        assert_eq!((a.page_count(), pool.resident()), (0, 0));
+        assert!(a.entries.is_empty() && a.entries.capacity() == 0);
     }
 
     /// The block totals live in the kernel's one table, whichever space
@@ -1885,7 +1885,7 @@ mod tests {
     fn block_totals_are_the_tables_not_the_spaces() {
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         let ino = s.create_file("/text", 0o666, 0).unwrap();
         s.fs.truncate(ino, u64::from(P)).unwrap();
         let code = hvm::encode(Instr::Jr { rs: hvm::Reg(31) });
@@ -1901,6 +1901,85 @@ mod tests {
         assert_eq!((t.built, t.hits), (1, 1));
         spaces[1].release_all();
         assert_eq!((t.built, t.hits), (1, 1), "a release folds nothing");
+    }
+
+    /// A private text page and its first block: `addi v0, r0, 1; jr ra`
+    /// at `TEXT`, mapped with `prot`.
+    fn private_text(prot: Prot) -> (AddressSpace, SharedFs, BlockTable, KernelStats) {
+        let mut a = AddressSpace::new();
+        a.attach_pool(&FramePool::new(64, 16));
+        let mut s = SharedFs::new();
+        let mut totals = KernelStats::default();
+        a.map_anon(TEXT, P, prot).unwrap();
+        let code = [ret(1), Instr::Jr { rs: hvm::Reg(31) }];
+        let bytes: Vec<u8> = code
+            .iter()
+            .flat_map(|i| hvm::encode(*i).to_le_bytes())
+            .collect();
+        a.write_bytes(&mut s, &mut totals, TEXT, &bytes).unwrap();
+        (a, s, BlockTable::default(), totals)
+    }
+
+    const TEXT: u32 = 0x0040_0000;
+
+    /// `addi v0, r0, imm`.
+    fn ret(imm: u16) -> Instr {
+        Instr::Addi {
+            rt: hvm::Reg(2),
+            rs: hvm::Reg(0),
+            imm,
+        }
+    }
+
+    /// Eviction and swap-in move a private page's bytes to swap and
+    /// back unchanged, so they keep its text epoch: the block decoded
+    /// before the eviction serves the entry after the swap-in, with no
+    /// rebuild and no drop.
+    #[test]
+    fn a_swapped_in_text_page_is_entered_without_a_rebuild() {
+        let (mut a, mut s, mut t, mut totals) = private_text(Prot::RX);
+        let first = MemBus::new(&mut a, &mut s, &mut t, &mut totals)
+            .bb_block(TEXT)
+            .unwrap();
+        assert_eq!(a.evict_page(1, vpn(TEXT), &mut s), EvictOutcome::Evicted);
+        assert!(matches!(
+            a.entry(TEXT).unwrap().kind,
+            PageKind::Swapped { .. }
+        ));
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
+        assert!(bus.bb_block(TEXT).is_none(), "the slow path swaps it in");
+        bus.fetch(TEXT).unwrap();
+        let again = bus.bb_block(TEXT).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "the same decode");
+        assert_eq!((t.built, t.hits), (1, 1));
+        assert!(t.drain_journal().is_empty(), "nothing dropped");
+        assert_eq!(
+            a.pool().drain_events().len(),
+            2,
+            "one eviction, one swap-in"
+        );
+    }
+
+    /// RX → RW → a guest store → RX: no step stores into executable
+    /// bytes, but each `set_prot` renews the page's text epoch, so the
+    /// next entry finds the old block stale and decodes the new bytes.
+    #[test]
+    fn a_page_made_writable_stored_and_made_executable_again_is_decoded_again() {
+        let (mut a, mut s, mut t, mut totals) = private_text(Prot::RX);
+        let old = MemBus::new(&mut a, &mut s, &mut t, &mut totals).bb_block(TEXT);
+        assert_eq!(old.unwrap()[0], ret(1));
+        a.set_prot(TEXT, P, Prot::RW).unwrap();
+        let stamp = t.mutation_stamp();
+        let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
+        bus.store32(TEXT, hvm::encode(ret(77))).unwrap();
+        assert_eq!(t.mutation_stamp(), stamp, "no executable byte changed");
+        a.set_prot(TEXT, P, Prot::RX).unwrap();
+        let new = MemBus::new(&mut a, &mut s, &mut t, &mut totals).bb_block(TEXT);
+        assert_eq!(new.unwrap()[0], ret(77));
+        assert_eq!((t.built, t.hits), (2, 0));
+        let dropped = t.drain_journal();
+        assert_eq!(dropped.len(), 1);
+        assert_eq!((dropped[0].addr, dropped[0].cause), (TEXT, "stale"));
     }
 
     #[test]
@@ -1921,7 +2000,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::R).unwrap();
         a.map_anon(0x2000, P, Prot::NONE).unwrap();
         let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -1962,7 +2041,7 @@ mod tests {
         let mut b = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         let ino = s.create_file("/seg", 0o666, 0).unwrap();
         s.fs.truncate(ino, (2 * P) as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
@@ -1987,7 +2066,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         let ino = s.create_file("/small", 0o666, 0).unwrap();
         s.fs.truncate(ino, P as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
@@ -2043,7 +2122,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::NONE).unwrap();
         {
             let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2094,7 +2173,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         assert!(!a.tlb_cached(0x1000));
         let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2110,7 +2189,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
             let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2134,7 +2213,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
             let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2162,7 +2241,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, 3 * P, Prot::RW).unwrap();
         {
             let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2206,7 +2285,7 @@ mod tests {
         let mut parent = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         parent.map_anon(0x1000, P, Prot::RW).unwrap();
         {
             let mut bus = MemBus::new(&mut parent, &mut s, &mut t, &mut totals);
@@ -2236,7 +2315,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         a.map_anon(0x1000, P, Prot::RW).unwrap();
         {
             let mut bus = MemBus::new(&mut a, &mut s, &mut t, &mut totals);
@@ -2255,7 +2334,7 @@ mod tests {
         let mut a = AddressSpace::new();
         let mut s = SharedFs::new();
         let mut totals = KernelStats::default();
-        let mut t = SharedText::default();
+        let mut t = BlockTable::default();
         let ino = s.create_file("/big", 0o666, 0).unwrap();
         s.fs.truncate(ino, SLOT_SIZE as u64).unwrap();
         let base = SharedFs::addr_of_ino(ino);
@@ -2415,19 +2494,20 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-        /// A warm block cache answers every `bb_block` exactly as a cold
+        /// A warm block table answers every `bb_block` exactly as a cold
         /// one: after each random map, unmap, mprotect, host write,
         /// guest store (into private text, and into shared text through
-        /// another space's mapping), eviction, re-fault, migration or
-        /// fork, every pc of every mapped page gets the same block, or the
-        /// same refusal,
-        /// from the warm space and kernel table as from a cache-cold
-        /// clone with an empty table. Private blocks carry no stamp, so
-        /// the eager page drops alone must keep them exact.
+        /// another space's mapping), eviction, re-fault, migration, fork,
+        /// or store into a page made writable and then executable again,
+        /// every pc of every mapped page gets the same block, or the same
+        /// refusal, from the warm space and table as from a cache-cold
+        /// clone with an empty table. Nothing drops a private block when
+        /// its page changes, so the text epochs alone must keep the
+        /// table exact.
         #[test]
         fn warm_block_cache_answers_like_a_cold_one(
             ops in proptest::collection::vec(
-                (0u8..10, 0usize..4, 0u32..P / 4, 0usize..5, 0usize..3),
+                (0u8..11, 0usize..4, 0u32..P / 4, 0usize..5, 0usize..3),
                 1..24,
             ),
         ) {
@@ -2447,7 +2527,7 @@ mod tests {
             let prots = [Prot::RX, Prot::RWX, Prot::RW];
             let mut s = SharedFs::new();
             let mut totals = KernelStats::default();
-            let mut text = SharedText::default();
+            let mut text = BlockTable::default();
             let ino = s.create_file("/text", 0o666, 0).unwrap();
             s.fs.truncate(ino, u64::from(2 * P)).unwrap();
             let shared = SharedFs::addr_of_ino(ino);
@@ -2508,7 +2588,7 @@ mod tests {
                         let _ = MemBus::new(&mut a, &mut s, &mut text, &mut totals).load32(addr);
                     }
                     8 => a.tlb_migrate_flush(),
-                    _ => {
+                    9 => {
                         // The child's write un-shares a COW page under
                         // the parent; either side carries on.
                         let mut child = a.fork_clone();
@@ -2517,9 +2597,17 @@ mod tests {
                             a = child;
                         }
                     }
+                    _ => {
+                        // Writable, a guest store, executable again: no
+                        // step of it stores into executable bytes.
+                        if a.set_prot(base, P, Prot::RW).is_ok() {
+                            let _ = MemBus::new(&mut a, &mut s, &mut text, &mut totals).store32(addr, word(w));
+                            a.set_prot(base, P, prots[p % 2]).unwrap();
+                        }
+                    }
                 }
                 let mut cold = a.clone();
-                let mut cold_text = SharedText::default();
+                let mut cold_text = BlockTable::default();
                 for k in 0..4 {
                     let base = page(k).0;
                     if a.entry(base).is_none() {
@@ -2646,7 +2734,7 @@ mod tests {
             let mut a = AddressSpace::new();
             let mut s = SharedFs::new();
             let mut totals = KernelStats::default();
-            let mut t = SharedText::default();
+            let mut t = BlockTable::default();
             let ino = s.create_file("/db", 0o666, 0).unwrap();
             s.fs.truncate(ino, u64::from(P)).unwrap();
             let shared = SharedFs::addr_of_ino(ino);

@@ -984,8 +984,11 @@ impl FileSystem {
             return;
         };
         // Swap-file content is dead after any crash (the processes
-        // whose pages it holds died with them) — never journal it.
-        if inode.name.starts_with(&crate::SWAP_PATH_PREFIX[1..]) {
+        // whose pages it holds died with them) — never journal it. Swap
+        // files are what boot fsck reclaims: the files under a top-level
+        // entry named like `SWAP_PATH_PREFIX`, whatever their own name.
+        let swap = &crate::SWAP_PATH_PREFIX[1..];
+        if self.top_name(ino).is_some_and(|top| top.starts_with(swap)) {
             return;
         }
         let Node::File { content } = &inode.node else {

@@ -37,11 +37,15 @@ pub use shared::{AddrLookup, SharedFs, SHARED_BASE, SHARED_END, SHARED_INODES, S
 pub use stats::FsStats;
 pub use vfs::Vfs;
 
-/// Path prefix of the kernel-owned swap files on the shared partition
-/// (see `hkernel::layout::SWAP_FILE_PREFIX`). Their content is volatile
-/// by definition — the processes whose pages they hold die with the
-/// machine — so the write pipeline never journals it, and boot-time
-/// `fsck` reclaims any such file left by a crash.
+/// Path prefix of the kernel-owned swap files on the shared partition,
+/// which the kernel's frame pool creates as `/.kswap{N}`. Swap lives in
+/// `hsfs` deliberately: swapped pages stay addressable to kernel-side
+/// copies exactly like every other backing file, and `fsck` sees a
+/// consistent segment table. The files are mode 0600, uid 0, so no
+/// guest can map them. Their content is volatile by definition — the
+/// processes whose pages they hold die with the machine — so the write
+/// pipeline never journals it, and boot-time `fsck` reclaims any such
+/// file left by a crash.
 pub const SWAP_PATH_PREFIX: &str = "/.kswap";
 
 /// System area on the shared partition holding prelink snapshots

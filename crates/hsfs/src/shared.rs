@@ -13,13 +13,12 @@
 //! Each file's virtual address is derived from its inode number:
 //! `SHARED_BASE + ino * SLOT_SIZE`. The linear address→inode table is kept
 //! exactly as described (and rebuilt by a boot-time scan, so it survives
-//! simulated crashes); a B-tree variant — the structure the paper plans
-//! for its 64-bit successor — is provided alongside for the ablation
-//! benchmark.
+//! simulated crashes). A B-tree lookup — the structure the paper plans
+//! for its 64-bit successor — is priced alongside for the ablation
+//! benchmark; it answers from the same table.
 
 use crate::error::FsError;
 use crate::fs::{FileSystem, FsConfig, Ino, Metadata, NodeKind};
-use std::collections::BTreeMap;
 
 /// Bottom of the shared region (Figure 3).
 pub const SHARED_BASE: u32 = 0x3000_0000;
@@ -36,7 +35,8 @@ pub enum AddrLookup {
     /// The paper's linear table, scanned on every lookup.
     #[default]
     Linear,
-    /// The B-tree the paper plans for 64-bit systems.
+    /// The B-tree the paper plans for 64-bit systems: the same answers
+    /// as the linear table, at a flat ~log2(1024) probes each.
     BTree,
 }
 
@@ -49,8 +49,6 @@ pub struct SharedFs {
     /// Linear table: `(base_addr, ino)` pairs in insertion order — scanned
     /// sequentially, as in the paper's prototype.
     linear: Vec<(u32, Ino)>,
-    /// B-tree keyed by base address (ablation alternative).
-    btree: BTreeMap<u32, Ino>,
     /// Active lookup structure.
     pub lookup: AddrLookup,
     /// Count of address-table lookups (for the cost model).
@@ -76,7 +74,6 @@ impl SharedFs {
         SharedFs {
             fs,
             linear: Vec::new(),
-            btree: BTreeMap::new(),
             lookup: AddrLookup::Linear,
             addr_lookups: 0,
             addr_probe_steps: 0,
@@ -94,15 +91,12 @@ impl SharedFs {
     }
 
     fn register(&mut self, ino: Ino) {
-        let base = Self::addr_of_ino(ino);
-        self.linear.push((base, ino));
-        self.btree.insert(base, ino);
+        self.linear.push((Self::addr_of_ino(ino), ino));
     }
 
     fn unregister(&mut self, ino: Ino) {
         let base = Self::addr_of_ino(ino);
         self.linear.retain(|&(b, _)| b != base);
-        self.btree.remove(&base);
     }
 
     /// Creates a file and registers its address slot.
@@ -165,27 +159,13 @@ impl SharedFs {
         }
         self.addr_lookups += 1;
         let slot_base = addr - (addr - SHARED_BASE) % SLOT_SIZE;
-        let ino = match self.lookup {
-            AddrLookup::Linear => {
-                let mut found = None;
-                for (i, &(base, ino)) in self.linear.iter().enumerate() {
-                    if base == slot_base {
-                        found = Some(ino);
-                        self.addr_probe_steps += i as u64 + 1;
-                        break;
-                    }
-                }
-                if found.is_none() {
-                    self.addr_probe_steps += self.linear.len() as u64;
-                }
-                found
-            }
-            AddrLookup::BTree => {
-                self.addr_probe_steps += 10; // ~log2(1024) comparisons
-                self.btree.get(&slot_base).copied()
-            }
+        // A base maps one inode, so its first entry is the answer.
+        let hit = self.linear.iter().position(|&(base, _)| base == slot_base);
+        self.addr_probe_steps += match self.lookup {
+            AddrLookup::Linear => hit.map_or(self.linear.len(), |i| i + 1) as u64,
+            AddrLookup::BTree => 10, // ~log2(1024) comparisons
         };
-        let ino = ino.ok_or(FsError::BadAddress)?;
+        let (_, ino) = self.linear[hit.ok_or(FsError::BadAddress)?];
         Ok((ino, addr - slot_base))
     }
 
@@ -220,7 +200,6 @@ impl SharedFs {
                 self.linear.push((Self::addr_of_ino(ino), ino));
             }
         });
-        self.btree = self.linear.iter().copied().collect();
     }
 
     /// Number of registered address slots.
@@ -240,18 +219,17 @@ impl SharedFs {
         entries.into_iter().map(|(_, ino)| ino).collect()
     }
 
-    /// Retires a single table entry (both structures) without touching
-    /// the file system — the repair for a stale entry found by fsck.
+    /// Retires a single table entry without touching the file system —
+    /// the repair for a stale entry found by fsck.
     pub(crate) fn drop_table_entry(&mut self, ino: Ino) {
         self.unregister(ino);
     }
 
     /// Drops the in-kernel address table without touching the file
-    /// system — simulates the state right after a crash, before the
-    /// boot-time scan runs. Test/diagnostic use only.
-    pub fn linear_table_clear_for_test(&mut self) {
+    /// system: the state right after a power cut, before the boot-time
+    /// scan runs.
+    pub fn clear_table(&mut self) {
         self.linear.clear();
-        self.btree.clear();
     }
 }
 
@@ -318,12 +296,41 @@ mod tests {
         s.create_file("/m/b", 0o666, 0).unwrap();
         let addr = s.path_to_addr("/m/b").unwrap();
         // Simulate a crash: the in-kernel table is lost, the "disk" survives.
-        s.linear.clear();
-        s.btree.clear();
+        s.clear_table();
         assert_eq!(s.addr_to_ino(addr), Err(FsError::BadAddress));
         s.boot_scan();
         assert_eq!(s.addr_to_path(addr).unwrap().0, "/m/b");
         assert_eq!(s.slot_count(), 2);
+    }
+
+    /// A barrier journals every file's mapped-store dirt except swap
+    /// content, and swap is exactly what boot fsck reclaims: the files
+    /// under a top-level `.kswap*` entry. A user file deeper down keeps
+    /// an acknowledged store across a power cut, whatever its name.
+    #[test]
+    fn a_barrier_journals_mapped_stores_to_every_file_but_swap() {
+        let mut s = SharedFs::new();
+        s.fs.mkdir("/data", 0o755, 0).unwrap();
+        s.fs.mkdir("/.kswapdir", 0o755, 0).unwrap();
+        let paths = [
+            "/data/seg",
+            "/data/.kswapnotes",
+            "/.kswap0",
+            "/.kswapdir/inner",
+        ];
+        let inos = paths.map(|path| s.create_file(path, 0o600, 0).unwrap());
+        for ino in inos {
+            s.fs.write_at(ino, 0, &[1u8; 4096]).unwrap();
+        }
+        s.fs.barrier();
+        for ino in inos {
+            s.fs.file_bytes_mut(ino).unwrap()[0] = 9;
+        }
+        s.fs.barrier();
+        s.fs.power_cut();
+        s.fs.replay_journal();
+        let first = inos.map(|ino| s.fs.file_bytes(ino).unwrap()[0]);
+        assert_eq!(first, [9, 9, 1, 1], "{paths:?}");
     }
 
     #[test]

@@ -416,7 +416,7 @@ mod tests {
         let mut s = populated();
         // Simulate a crash that loses the in-kernel table.
         let before = list_segments(&mut s).len();
-        s.linear_table_clear_for_test();
+        s.clear_table();
         let issues = fsck_shared(&mut s);
         assert_eq!(
             issues
@@ -922,7 +922,7 @@ mod tests {
     #[test]
     fn missing_entry_repair_is_idempotent() {
         let mut s = populated();
-        s.linear_table_clear_for_test();
+        s.clear_table();
         let issues = fsck_shared(&mut s);
         assert!(!issues.is_empty());
         let first = issues[0].clone();

@@ -42,11 +42,26 @@ if [ "$(grep -cE '(HashMap|BTreeMap)<Pid' crates/core/src/world.rs)" -gt 1 ]; th
   exit 1
 fi
 
-echo "==> the block cache and the linker each keep one set of totals (nothing per space or per process to fold)"
-if awk '/^pub struct (LinkState|BbCache) \{/{s=1} s && !/^ *\/\// && /(LdlStats|BbStats)/{print FILENAME":"FNR": "$0; bad=1} /^\}/{s=0} END{exit !bad}' \
-  crates/hlink/src/ldl.rs crates/hvm/src/bbcache.rs \
-  || grep -rnE 'reaped_ldl|reaped_bb|\.absorb\(|\.accumulate\(' crates/{core,hkernel,hlink,hvm}/src; then
-  echo "a per-space or per-process counter set is back: count in SharedText (blocks) or World's LdlStats (linker)" >&2
+echo "==> one decoded-block table (keyed by text source: no block map in an address space, no journal to collect per process)"
+# The table's journal is the only one: BbInvalidation lives in
+# hvm/src/bbcache.rs, and a BlockInvalidated record is made only where
+# the kernel drains that journal (patterns that match one are fine).
+if grep -rnE 'BbCache|BbStats|exited_bb|reaped_bb' crates/{core,hkernel,hlink,hvm}/src \
+  || awk '/^pub struct AddressSpace \{/{s=1} s && !/^ *\/\// && /(Instr|BlockTable|Map<)/{print FILENAME":"FNR": "$0; bad=1} /^\}/{s=0} END{exit !bad}' \
+    crates/hkernel/src/mem.rs \
+  || find crates/{core,hkernel,hlink,hvm}/src -name '*.rs' ! -path crates/hvm/src/bbcache.rs ! -path crates/hkernel/src/event.rs -print0 \
+    | xargs -0 awk 'FNR == 1 {f = ""} /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/{f=$0; sub(/^ *(pub(\([a-z]+\))? )?fn /, "", f); sub(/[^a-z_0-9].*/, "", f)}
+        !/^ *(\/\/|pub use )/ && (/BbInvalidation/ || (/BlockInvalidated \{/ && !/\.\./)) && f != "drain_bb_events" {print FILENAME":"FNR": "$0; bad=1}
+        END{exit !bad}'; then
+  echo "a second block structure or drop journal: key blocks by text source in the kernel's BlockTable and journal drops there" >&2
+  exit 1
+fi
+
+echo "==> the linker keeps one set of totals (nothing per process to fold)"
+if awk '/^pub struct LinkState \{/{s=1} s && !/^ *\/\// && /LdlStats/{print FILENAME":"FNR": "$0; bad=1} /^\}/{s=0} END{exit !bad}' \
+  crates/hlink/src/ldl.rs \
+  || grep -rnE 'reaped_ldl|\.absorb\(|\.accumulate\(' crates/{core,hkernel,hlink,hvm}/src; then
+  echo "a per-process linker counter set is back: count in World's LdlStats" >&2
   exit 1
 fi
 

@@ -3,8 +3,9 @@
 //!
 //! The cache is a host-speed optimization: `Cpu::run_block` executes
 //! straight-line decoded runs instead of fetch→decode→dispatch per
-//! instruction, and `hkernel` drops cached blocks on exactly the events
-//! that already invalidate the TLB. Nothing the guest — or the cost
+//! instruction, and `hkernel` keeps one table of them, keyed by text
+//! source and checked at every entry against the source page's epoch.
+//! Nothing the guest — or the cost
 //! model, or the sanitizer, or the chaos engine — can observe is allowed
 //! to change. That is a lattice check (`tests/lattice.rs`): cache-on
 //! and cache-off cells, pressured or not, on one or four CPUs, armed or
@@ -17,20 +18,20 @@
 //!    swept at a random quantum, CPU count and budget.
 //! 2. **Invalidation edges**: a guest store into a cached executable
 //!    page aborts the in-flight block (self-modifying code executes the
-//!    *new* bytes), clock eviction under SMP pressure drops the victim's
-//!    blocks, fork keeps the parent's blocks and starts the child cold, and
-//!    no block survives an invalidation of its page, however often the
-//!    page is invalidated.
+//!    *new* bytes), clock eviction and swap-in under SMP pressure keep
+//!    the victims' blocks, fork keeps the parent's blocks and starts the
+//!    child cold, and no block survives a renewal of its page's epoch,
+//!    however often the page is renewed.
 //!    A block never outlives a text-epoch movement: the partial run
 //!    retires exactly the instructions that executed and hands control
 //!    back to the dispatch loop. The kernel's dispatch memo matches the
 //!    cache-off run with more hot blocks than ways, colliding in one
 //!    way, and a store into the loop's own text.
 //! 3. **Shared text is decoded once per boot**: blocks decoded from a
-//!    public module's pages live in one kernel-wide table that every
-//!    process uses. A store by one process reaches every later one, and
-//!    neither a power cut nor inode reuse can hand out a block decoded
-//!    from other bytes.
+//!    public module's pages are keyed by file, so every process uses
+//!    them. A store by one process reaches every later one, neither a
+//!    power cut nor inode reuse can hand out a block decoded from other
+//!    bytes, and once every process has exited only they remain.
 //! 4. **The switch** reconfigures live processes too.
 
 mod common;
@@ -39,6 +40,7 @@ use common::{
     assert_same, half_budget, run_pressured, settle, sweep, Cell, Mask, Shape, Storage, WORKERS,
 };
 use hemlock::{ShareClass, World, WorldExit, WorldStats};
+use hvm::Source;
 use proptest::prelude::*;
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
@@ -138,11 +140,8 @@ fn text_key(world: &mut World, instance: &str, symbol: &str) -> (u32, u32) {
 
 /// The first instruction of the kernel's block at `key`, if it has one.
 fn table_head(world: &World, key: (u32, u32)) -> Option<hvm::Instr> {
-    world
-        .kernel
-        .shared_text()
-        .get(key.0, key.1)
-        .map(|code| code[0])
+    let table = world.kernel.block_table();
+    table.get(Source::file(key.0), key.1).map(|code| code[0])
 }
 
 /// `addi v0, r0, imm`: the first instruction of `func`, or of `donor`.
@@ -246,14 +245,17 @@ main:   addi sp, sp, -8
 }
 
 /// Clock eviction under SMP pressure: the reclaim (running on the boot
-/// CPU) evicts text pages whose blocks were built by victims on other
-/// CPUs. The blocks drop with the page — visibly, via `BlockInvalidated
-/// cause=evict` — and the victims re-fault, re-page, rebuild, and still
-/// compute the same answers (a lattice check). Blocks are budget-capped so none is ever
-/// mid-flight across a sub-quantum when a remote reclaim runs: the
-/// "pinning" discipline is that eviction always lands between blocks.
+/// CPU) swaps out private text pages whose blocks were built by victims
+/// on other CPUs. Eviction and swap-in move the bytes to swap and back
+/// unchanged, so they keep the page's text epoch and drop nothing: the
+/// victims' next touches swap their text back in, their entries find
+/// the blocks they built before (none is found stale or dropped), and
+/// they still compute the same answers (a lattice check). Blocks are
+/// budget-capped so none is ever mid-flight across a sub-quantum when a
+/// remote reclaim runs: the "pinning" discipline is that eviction always
+/// lands between blocks.
 #[test]
-fn eviction_drops_cached_blocks_built_on_other_cpus() {
+fn evicted_text_is_entered_again_without_a_rebuild() {
     let budget = half_budget(common::world());
     let mut world = common::world();
     world.set_bbcache(true);
@@ -263,14 +265,23 @@ fn eviction_drops_cached_blocks_built_on_other_cpus() {
     let stats = on_world.stats();
     assert!(stats.page_evictions > 0, "budget {budget} must bind");
     assert!(stats.shootdowns > 0, "reclaim must cross CPUs");
-    assert!(
-        trace_cause_count(&on_world, "evict") > 0,
-        "evictions must drop cached blocks"
-    );
-    assert!(stats.bblock_hits + stats.bblocks_built > 0, "{stats:?}");
-    assert!(
-        stats.bblock_invalidations <= stats.bblocks_built,
-        "{stats:?}"
+    let text = hkernel::layout::TEXT_BASE..hkernel::layout::TEXT_END;
+    let text_swap_ins = on_world
+        .trace()
+        .records()
+        .filter_map(|r| match r.event {
+            hemlock::TraceEvent::PageSwappedIn { addr } => Some(addr),
+            _ => None,
+        })
+        .filter(|addr| text.contains(addr))
+        .count();
+    assert!(text_swap_ins > 0, "private text must swap back in");
+    assert!(stats.bblock_hits > 0, "{stats:?}");
+    assert_eq!(
+        stats.bblock_invalidations,
+        0,
+        "eviction and swap-in drop no block:\n{}",
+        on_world.trace_dump()
     );
 }
 
@@ -353,7 +364,8 @@ sw r8, 256(r0)\naddi r8, r8, 1\naddi r8, r8, 1\njr ra\n";
 }
 
 /// Fork COW sharing leaves the parent's decoded blocks exact: COW keeps
-/// its bytes, and a store into its text would drop the page anyway. So
+/// its bytes, and a store into its text would renew the page's epoch
+/// anyway. So
 /// the fork drops nothing (no `fork` record), the parent re-enters the
 /// loop it decoded before the fork as hits, never decoding a block
 /// twice, the child starts cold, and the forked world matches its
@@ -421,10 +433,10 @@ spin:   addi r16, r16, -1
         while world.kernel.procs.len() < 2 {
             assert_eq!(world.run(1), WorldExit::StepLimit, "the parent forks");
         }
-        let cache = world.kernel.procs[&pid].aspace.bbcache();
+        let table = world.kernel.block_table();
         let image = &world.link_state(pid).unwrap().image_exports;
         assert_eq!(image["main"] / 4096, image["spin"] / 4096, "one text page");
-        let cached = ["main", "spin"].map(|s| cache.lookup(image[s]).is_some());
+        let cached = ["main", "spin"].map(|s| table.get(Source::space(pid), image[s]).is_some());
         let replay = settle(&mut world, &[pid], Mask::Nothing);
         (cached, replay, world)
     };
@@ -448,14 +460,14 @@ spin:   addi r16, r16, -1
     assert_eq!(cached, [true, true], "main's and spin's blocks survive");
 }
 
-/// Repeated invalidation of a hot page: every drop takes all of the
-/// page's blocks with it, so no block decoded before an invalidation
-/// can be found after it, however often the page is invalidated. That
-/// is why private blocks need no per-page generation stamp, whose
-/// wraparound the test name recalls. We warm the cache, invalidate the
-/// loop's page three times with a run in between, and after each drop
-/// probe every word of the page; the world still finishes correctly,
-/// with the loop rebuilt.
+/// Repeated renewal of a hot page's text epoch: the page's epoch only
+/// moves up, so no block decoded before a renewal matches after it,
+/// however often the page is renewed — no ABA match, the hazard of a
+/// wrapping per-page generation that the test name recalls. We warm the
+/// loop, then three times rewrite its page in place with its own bytes
+/// (a host poke, as the linkers make) and run on: each time the loop's
+/// next entry finds its block stale, drops it and decodes the page
+/// again, and the world still finishes correctly.
 #[test]
 fn generation_wraparound_flushes_instead_of_aba_matching() {
     const SPINNER: &str = r#"
@@ -475,34 +487,35 @@ loop:   addi r16, r16, -1
         .unwrap();
     let pid = world.spawn(&exe).unwrap();
     world.quantum = 50;
-    let mut built_before = 0;
+    assert_eq!(world.run(20), WorldExit::StepLimit, "still mid-loop");
     for round in 0..3 {
+        let kernel = &mut world.kernel;
+        let proc = kernel.procs.get_mut(&pid).unwrap();
+        let page = proc.cpu.pc & !(hsfs::PAGE_SIZE - 1);
+        let shared = &mut kernel.vfs.shared;
+        let bytes = proc
+            .aspace
+            .read_bytes(shared, page, hsfs::PAGE_SIZE as usize)
+            .unwrap();
+        proc.aspace
+            .write_bytes(shared, &mut kernel.stats, page, &bytes)
+            .unwrap();
+        let (built, stale) = (
+            world.stats().bblocks_built,
+            trace_cause_count(&world, "stale"),
+        );
         assert_eq!(world.run(20), WorldExit::StepLimit, "still mid-loop");
-        built_before = world.kernel.shared_text().built;
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        let vp = proc.cpu.pc / hsfs::PAGE_SIZE;
-        let bb = proc.aspace.bbcache_mut();
-        let cached = bb.len();
-        let dropped = bb.invalidate_page(vp, "repeat-test");
-        assert!(dropped > 0, "round {round}: the loop must be cached");
-        assert_eq!(bb.len() as u64, cached as u64 - dropped);
-        let base = vp * hsfs::PAGE_SIZE;
-        for pc in (base..base + hsfs::PAGE_SIZE).step_by(4) {
-            assert!(
-                bb.lookup(pc).is_none(),
-                "round {round}: a block at {pc:#x} survived its page's drop"
-            );
-        }
+        assert!(
+            trace_cause_count(&world, "stale") > stale,
+            "round {round}: the loop's block outlived its page's renewal"
+        );
+        assert!(
+            world.stats().bblocks_built > built,
+            "round {round}: the loop must be decoded again"
+        );
     }
-
     assert_eq!(world.run_to_completion(), WorldExit::AllExited);
     assert_eq!(world.exit_code(pid), Some(0));
-    assert_eq!(trace_cause_count(&world, "repeat-test"), 3);
-    let built = world.stats().bblocks_built;
-    assert!(
-        built > built_before,
-        "the loop must have been rebuilt after the last drop: {built}"
-    );
 }
 
 /// The kernel's dispatch memo (four ways of block code, indexed by
@@ -664,7 +677,7 @@ fn a_store_into_shared_text_reaches_every_later_process() {
     assert_eq!(off_heads, [None; 3], "cache off decodes nothing");
     assert_eq!(trace_cause_pids(&on_world, "store-exec"), [b]);
     assert!(
-        trace_cause_pids(&on_world, "shared-store").is_empty(),
+        trace_cause_pids(&on_world, "stale").is_empty(),
         "nothing was left for a lazy epoch check to find"
     );
 }
@@ -699,7 +712,7 @@ fn a_power_cut_empties_the_shared_text_table() {
         };
         let totals = kept(world.stats());
         world.power_cut();
-        assert!(world.kernel.shared_text().is_empty(), "the cut empties it");
+        assert!(world.kernel.block_table().is_empty(), "the cut empties it");
         world.reboot();
         assert_eq!(kept(world.stats()), totals, "the totals outlive the cut");
         let on_disk = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap()
@@ -754,7 +767,7 @@ donor:  .word 0
         let replay = settle(&mut world, &[a, b], Mask::Nothing);
         let new = text_key(&mut world, "/shared/lib/twomod", "func");
         assert_eq!(new, old, "the new instance reuses the inode");
-        let stale = trace_cause_pids(&world, "shared-store");
+        let stale = trace_cause_pids(&world, "stale");
         (replay, [held, table_head(&world, new)], stale, b)
     };
     let (on, heads, stale, b) = run(true);
@@ -767,6 +780,23 @@ donor:  .word 0
     );
     assert_eq!(heads, [Some(ret(1)), Some(ret(2))]);
     assert_eq!(stale, [b], "the old block was found stale and dropped");
+}
+
+/// An exit takes the process's private blocks with it: once every
+/// process has exited, the table holds only blocks decoded from the
+/// public module's file, which a later process may still enter, and
+/// none keyed by a dead pid.
+#[test]
+fn after_every_exit_the_table_holds_only_file_blocks() {
+    let mut world = World::new();
+    let caller = link_against(&mut world, ("patchmod", PATCHMOD), ("caller", CALLER));
+    let pids = [0; 2].map(|_| run_alone(&mut world, &caller));
+    assert_eq!(pids.map(|pid| world.exit_code(pid)), [Some(1); 2]);
+    let keys: Vec<_> = world.kernel.block_table().keys().collect();
+    assert!(!keys.is_empty(), "func's block stays for later callers");
+    assert!(keys.iter().all(|(src, _)| src.is_file()), "{keys:?}");
+    let built = world.stats().bblocks_built;
+    assert!(built > keys.len() as u64, "private blocks were built too");
 }
 
 // --- 4. the switch ----------------------------------------------------

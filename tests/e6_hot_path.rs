@@ -55,7 +55,7 @@ fn warm_second_access_translates_via_tlb() {
     // refills the TLB; the second load of the same page is a pure hit.
     let mut aspace = AddressSpace::new();
     let mut shared = SharedFs::new();
-    let mut text = hvm::SharedText::default();
+    let mut text = hvm::BlockTable::default();
     let base = 0x1000_0000;
     aspace.map_anon(base, PAGE_SIZE, Prot::RW).unwrap();
     assert!(!aspace.tlb_cached(base), "nothing cached before first use");

@@ -138,7 +138,7 @@ fn fsck_detects_and_boot_scan_repairs_crash_damage() {
     assert_eq!(run_prog(&mut world, &exe).0, 1);
     let n_segments = world.list_segments().len();
     // Lose the table mid-flight (no reboot): fsck reports every segment.
-    world.kernel.vfs.shared.linear_table_clear_for_test();
+    world.kernel.vfs.shared.clear_table();
     let issues = tools::fsck_shared(&mut world.kernel.vfs.shared);
     assert_eq!(issues.len(), n_segments);
     world.kernel.vfs.shared.boot_scan();
