@@ -377,7 +377,8 @@ impl Kernel {
     /// the fork/exit journal, all frame/swap residency and the block
     /// table's blocks and unread journal vanish. The blocks must: the
     /// file system's power cut restarts its write epochs, so old stamps
-    /// would alias.
+    /// would alias. The root file system's advisory locks go too; the
+    /// shared partition's go in its own `FileSystem::power_cut`.
     /// Configuration (CPU count, budgets, cache enablement), the
     /// activity and block totals, the exit records and the monotonic
     /// pid generator survive — they model the machine and its history,
@@ -397,7 +398,7 @@ impl Kernel {
         self.blocks.flush();
         self.blocks.drain_journal();
         self.pool.reset_volatile();
-        self.vfs.unlock_everything();
+        self.vfs.root.unlock_everything();
     }
 
     /// Arms deterministic fault injection across the whole kernel: both

@@ -13,6 +13,7 @@ use crate::stats::FsStats;
 use crate::tools::RepairSource;
 use hfault::{FaultHandle, FaultSite};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// An inode number (slot index).
 pub type Ino = u32;
@@ -99,10 +100,9 @@ enum Node {
     Symlink { target: String },
 }
 
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A held advisory lock (an unlocked inode has no entry).
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum LockState {
-    #[default]
-    Unlocked,
     Shared(BTreeSet<u64>),
     Exclusive(u64),
 }
@@ -117,16 +117,21 @@ struct Inode {
     /// Reliable whenever hard links are disabled (the shared partition).
     parent: Ino,
     name: String,
-    lock: LockState,
 }
 
 /// The in-memory file system.
 #[derive(Clone, Debug)]
 pub struct FileSystem {
     config: FsConfig,
-    slots: Vec<Option<Inode>>,
+    /// The inodes, copy-on-write: the disk twin starts as a copy of the
+    /// `Arc`s, and [`FileSystem::inode_mut`], the one write path,
+    /// copies an inode only while the other side still shares it.
+    slots: Vec<Option<Arc<Inode>>>,
     free: Vec<Ino>,
     live: u32,
+    /// Advisory locks, by inode. Volatile RAM state: never in the disk
+    /// twin, emptied by a power cut, and an inode's entry goes with it.
+    locks: BTreeMap<Ino, LockState>,
     /// I/O accounting for the cost model.
     pub stats: FsStats,
     /// Chaos hook: unarmed (inert) unless a fault plan is installed.
@@ -180,13 +185,13 @@ impl FileSystem {
             uid: 0,
             parent: ROOT_INO,
             name: String::new(),
-            lock: LockState::Unlocked,
         };
         FileSystem {
             config,
-            slots: vec![Some(root)],
+            slots: vec![Some(Arc::new(root))],
             free: Vec::new(),
             live: 1,
+            locks: BTreeMap::new(),
             stats: FsStats::default(),
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
@@ -209,14 +214,17 @@ impl FileSystem {
     fn inode(&self, ino: Ino) -> Result<&Inode, FsError> {
         self.slots
             .get(ino as usize)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .ok_or(FsError::NotFound)
     }
 
+    /// The one write path into an inode: copies it first if the disk
+    /// twin (or the live tree, on the twin's side) still shares it.
     fn inode_mut(&mut self, ino: Ino) -> Result<&mut Inode, FsError> {
         self.slots
             .get_mut(ino as usize)
             .and_then(Option::as_mut)
+            .map(Arc::make_mut)
             .ok_or(FsError::NotFound)
     }
 
@@ -239,6 +247,7 @@ impl FileSystem {
         {
             self.live -= 1;
             self.free.push(ino);
+            self.locks.remove(&ino);
             if !self.poisoned.is_empty() {
                 // Removing the file discards its damage with it.
                 self.poisoned.retain(|&(i, _)| i != ino);
@@ -797,16 +806,16 @@ impl FileSystem {
     /// incompatible with current holders. Re-acquisition by the same
     /// owner is idempotent (no upgrade/downgrade).
     pub fn try_lock(&mut self, ino: Ino, kind: LockKind, owner: u64) -> Result<(), FsError> {
-        let inode = self.inode_mut(ino)?;
-        match (&mut inode.lock, kind) {
-            (LockState::Unlocked, LockKind::Exclusive) => {
-                inode.lock = LockState::Exclusive(owner);
-                Ok(())
-            }
-            (LockState::Unlocked, LockKind::Shared) => {
-                inode.lock = LockState::Shared(BTreeSet::from([owner]));
-                Ok(())
-            }
+        self.inode(ino)?;
+        let Some(lock) = self.locks.get_mut(&ino) else {
+            let lock = match kind {
+                LockKind::Shared => LockState::Shared(BTreeSet::from([owner])),
+                LockKind::Exclusive => LockState::Exclusive(owner),
+            };
+            self.locks.insert(ino, lock);
+            return Ok(());
+        };
+        match (&mut *lock, kind) {
             (LockState::Shared(holders), LockKind::Shared) => {
                 holders.insert(owner);
                 Ok(())
@@ -815,7 +824,7 @@ impl FileSystem {
             (LockState::Shared(holders), LockKind::Exclusive)
                 if holders.len() == 1 && holders.contains(&owner) =>
             {
-                inode.lock = LockState::Exclusive(owner);
+                *lock = LockState::Exclusive(owner);
                 Ok(())
             }
             _ => Err(FsError::WouldBlock),
@@ -824,34 +833,18 @@ impl FileSystem {
 
     /// Releases `owner`'s lock (idempotent).
     pub fn unlock(&mut self, ino: Ino, owner: u64) -> Result<(), FsError> {
-        let inode = self.inode_mut(ino)?;
-        match &mut inode.lock {
-            LockState::Exclusive(cur) if *cur == owner => inode.lock = LockState::Unlocked,
-            LockState::Shared(holders) => {
-                holders.remove(&owner);
-                if holders.is_empty() {
-                    inode.lock = LockState::Unlocked;
-                }
+        self.inode(ino)?;
+        if let Some(lock) = self.locks.get_mut(&ino) {
+            if !release_owner(lock, owner) {
+                self.locks.remove(&ino);
             }
-            _ => {}
         }
         Ok(())
     }
 
     /// Releases every lock held by `owner` (process exit cleanup).
     pub fn unlock_all(&mut self, owner: u64) {
-        for slot in self.slots.iter_mut().flatten() {
-            match &mut slot.lock {
-                LockState::Exclusive(cur) if *cur == owner => slot.lock = LockState::Unlocked,
-                LockState::Shared(holders) => {
-                    holders.remove(&owner);
-                    if holders.is_empty() {
-                        slot.lock = LockState::Unlocked;
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.locks.retain(|_, lock| release_owner(lock, owner));
     }
 
     /// Visits every live inode (used by the shared layer's boot scan).
@@ -888,19 +881,17 @@ impl FileSystem {
         }
     }
 
-    /// A volatile-stripped copy of the current tree: the disk image a
-    /// fresh [`Durable`] twin starts from. Locks, stats, epochs, and the
-    /// fault plan are all RAM-side state and do not survive onto disk.
-    fn snapshot_for_disk(&self) -> FileSystem {
-        let mut slots = self.slots.clone();
-        for s in slots.iter_mut().flatten() {
-            s.lock = LockState::Unlocked;
-        }
+    /// The disk image a fresh [`Durable`] twin starts from: the same
+    /// inodes, shared (one `Arc` per slot, no bytes copied), without the
+    /// RAM-side state — locks, stats, epochs and the fault plan do not
+    /// survive onto disk.
+    pub(crate) fn snapshot_for_disk(&self) -> FileSystem {
         FileSystem {
             config: self.config,
-            slots,
+            slots: self.slots.clone(),
             free: self.free.clone(),
             live: self.live,
+            locks: BTreeMap::new(),
             stats: FsStats::default(),
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
@@ -1034,29 +1025,26 @@ impl FileSystem {
 
     /// The power cut: adopts the disk image (the live tree's un-flushed
     /// RAM state is gone), clears all advisory locks, and re-twins. The
-    /// on-disk journal survives for [`FileSystem::replay_journal`].
-    /// Returns the number of discarded block writes.
+    /// new twin shares every inode with the adopted tree until either
+    /// side writes it. The on-disk journal survives for
+    /// [`FileSystem::replay_journal`]. Returns the number of discarded
+    /// block writes.
     pub fn power_cut(&mut self) -> u64 {
         self.unlock_everything();
         // Poison is re-derived by boot verification against the adopted
         // disk image; stale entries must not outlive the old tree.
         self.poisoned.clear();
-        let Some(mut d) = self.durable.take() else {
+        let Some(d) = self.durable.take() else {
             return 0;
         };
         let discarded = d.discarded();
-        let twin = d.take_disk(FileSystem::new(self.config));
-        self.content_stamp = self.content_stamp.max(twin.content_stamp) + 1;
-        self.slots = twin.slots;
-        self.free = twin.free;
-        self.live = twin.live;
+        let (disk, twin) = d.power_cut();
+        self.content_stamp = self.content_stamp.max(disk.content_stamp) + 1;
+        self.slots = disk.slots;
+        self.free = disk.free;
+        self.live = disk.live;
         self.write_epochs.clear();
-        let mut nd = Durable::new(self.snapshot_for_disk());
-        nd.journal = std::mem::take(&mut d.journal);
-        // The integrity region is on-disk state and survives the
-        // cut — it still describes the adopted image.
-        nd.adopt_integrity(&mut d);
-        self.durable = Some(Box::new(nd));
+        self.durable = Some(Box::new(twin));
         discarded
     }
 
@@ -1105,9 +1093,7 @@ impl FileSystem {
 
     /// Releases every advisory lock (locks are volatile kernel state).
     pub fn unlock_everything(&mut self) {
-        for slot in self.slots.iter_mut().flatten() {
-            slot.lock = LockState::Unlocked;
-        }
+        self.locks.clear();
     }
 
     /// Applies one physical record, last-writer-wins: the only code that
@@ -1131,23 +1117,20 @@ impl FileSystem {
                 if self.slots.len() <= idx {
                     self.slots.resize_with(idx + 1, || None);
                 }
-                let refresh = match (&mut self.slots[idx], kind) {
-                    (Some(inode), RecKind::File) if matches!(inode.node, Node::File { .. }) => true,
-                    (Some(inode), RecKind::Dir) if matches!(inode.node, Node::Dir { .. }) => true,
-                    (Some(inode), RecKind::Symlink(t)) => {
-                        if let Node::Symlink { target } = &mut inode.node {
-                            *target = t.clone();
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                };
+                let refresh = self.inode(*ino).is_ok_and(|inode| {
+                    matches!(
+                        (&inode.node, kind),
+                        (Node::File { .. }, RecKind::File)
+                            | (Node::Dir { .. }, RecKind::Dir)
+                            | (Node::Symlink { .. }, RecKind::Symlink(_))
+                    )
+                });
                 if refresh {
-                    // invariant: `refresh` is only true when the match
-                    // above saw `Some(inode)` in this very slot.
-                    let inode = self.slots[idx].as_mut().expect("checked above");
+                    let inode = self.inode_mut(*ino).expect("checked above");
+                    if let (Node::Symlink { target }, RecKind::Symlink(t)) = (&mut inode.node, kind)
+                    {
+                        *target = t.clone();
+                    }
                     inode.mode = *mode;
                     inode.uid = *uid;
                     inode.parent = *parent;
@@ -1157,6 +1140,8 @@ impl FileSystem {
                         self.live += 1;
                         self.free.retain(|&i| i != *ino);
                     }
+                    // A new inode starts unlocked.
+                    self.locks.remove(ino);
                     let node = match kind {
                         RecKind::File => Node::File {
                             content: Vec::new(),
@@ -1166,15 +1151,14 @@ impl FileSystem {
                         },
                         RecKind::Symlink(t) => Node::Symlink { target: t.clone() },
                     };
-                    self.slots[idx] = Some(Inode {
+                    self.slots[idx] = Some(Arc::new(Inode {
                         node,
                         nlink: 1,
                         mode: *mode,
                         uid: *uid,
                         parent: *parent,
                         name: name.clone(),
-                        lock: LockState::Unlocked,
-                    });
+                    }));
                 }
             }
             Payload::ClearInode { ino } => self.release(*ino),
@@ -1417,6 +1401,17 @@ impl FileSystem {
     /// Number of poisoned pages (0 in every healthy run).
     pub fn poisoned_blocks(&self) -> u64 {
         self.poisoned.len() as u64
+    }
+}
+
+/// Removes `owner` from a held lock; false when no holder is left.
+fn release_owner(lock: &mut LockState, owner: u64) -> bool {
+    match lock {
+        LockState::Exclusive(cur) => *cur != owner,
+        LockState::Shared(holders) => {
+            holders.remove(&owner);
+            !holders.is_empty()
+        }
     }
 }
 
@@ -1691,6 +1686,112 @@ mod tests {
         f.unlock_all(9);
         f.try_lock(a, LockKind::Exclusive, 1).unwrap();
         f.try_lock(b, LockKind::Exclusive, 1).unwrap();
+    }
+
+    #[test]
+    fn a_reused_inode_number_starts_unlocked() {
+        let mut f = fs();
+        let a = f.create_file("/a", 0o644, 0).unwrap();
+        f.try_lock(a, LockKind::Exclusive, 9).unwrap();
+        f.unlink("/a").unwrap();
+        let b = f.create_file("/b", 0o644, 0).unwrap();
+        assert_eq!(a, b, "the new file takes the freed number");
+        f.try_lock(b, LockKind::Exclusive, 1).unwrap();
+    }
+
+    #[test]
+    fn a_power_cut_releases_every_lock() {
+        let mut f = fs();
+        f.enable_durability();
+        let a = f.create_file("/a", 0o644, 0).unwrap();
+        let b = f.create_file("/b", 0o644, 0).unwrap();
+        f.try_lock(a, LockKind::Exclusive, 9).unwrap();
+        f.try_lock(b, LockKind::Shared, 8).unwrap();
+        f.try_lock(b, LockKind::Shared, 9).unwrap();
+        f.barrier();
+        f.power_cut();
+        f.try_lock(a, LockKind::Exclusive, 1).unwrap();
+        f.try_lock(b, LockKind::Exclusive, 1).unwrap();
+    }
+
+    #[test]
+    fn unlock_all_releases_only_that_owner() {
+        let mut f = fs();
+        let a = f.create_file("/a", 0o644, 0).unwrap();
+        let b = f.create_file("/b", 0o644, 0).unwrap();
+        f.try_lock(a, LockKind::Shared, 9).unwrap();
+        f.try_lock(a, LockKind::Shared, 8).unwrap();
+        f.try_lock(b, LockKind::Exclusive, 7).unwrap();
+        f.unlock_all(9);
+        assert_eq!(
+            f.try_lock(a, LockKind::Exclusive, 1),
+            Err(FsError::WouldBlock),
+            "owner 8 still holds its shared lock"
+        );
+        f.try_lock(a, LockKind::Exclusive, 8).unwrap();
+        assert_eq!(
+            f.try_lock(b, LockKind::Shared, 1),
+            Err(FsError::WouldBlock),
+            "owner 7 still holds its exclusive lock"
+        );
+    }
+
+    #[test]
+    fn locking_a_missing_inode_is_not_found() {
+        let mut f = fs();
+        let a = f.create_file("/a", 0o644, 0).unwrap();
+        f.unlink("/a").unwrap();
+        assert_eq!(f.try_lock(a, LockKind::Shared, 1), Err(FsError::NotFound));
+        assert_eq!(
+            f.try_lock(a + 5, LockKind::Exclusive, 1),
+            Err(FsError::NotFound)
+        );
+        assert_eq!(f.unlock(a, 1), Err(FsError::NotFound));
+    }
+
+    /// Whether the live tree and its disk twin hold one copy of `ino`.
+    fn shared_with_disk(f: &FileSystem, ino: Ino) -> bool {
+        let disk = f.durable.as_ref().expect("durable").disk();
+        match (f.slots.get(ino as usize), disk.slots.get(ino as usize)) {
+            (Some(Some(live)), Some(Some(twin))) => Arc::ptr_eq(live, twin),
+            _ => false,
+        }
+    }
+
+    /// After a clean power cut the twin copies no inode; a store copies
+    /// the one inode it writes, and the disk sees it only at a barrier.
+    #[test]
+    fn a_clean_power_cut_shares_every_inode_until_a_write() {
+        let mut f = fs();
+        f.enable_durability();
+        f.mkdir_all("/d/e", 0o755, 0).unwrap();
+        f.symlink("/d", "/s", 0).unwrap();
+        let inos = ["/a", "/d/b", "/d/e/c"].map(|p| {
+            let ino = f.create_file(p, 0o644, 0).unwrap();
+            f.write_at(ino, 0, &[ino as u8; 5000]).unwrap();
+            ino
+        });
+        f.barrier();
+        f.power_cut();
+        f.replay_journal();
+        let mut all = Vec::new();
+        f.for_each_inode(|ino, _| all.push(ino));
+        assert_eq!(all.len(), 7);
+        assert!(all.iter().all(|&ino| shared_with_disk(&f, ino)));
+        let disk = f.disk_digest();
+        f.file_bytes_mut(inos[1]).unwrap()[4999] ^= 0xff;
+        for &ino in &all {
+            assert_eq!(shared_with_disk(&f, ino), ino != inos[1], "ino {ino}");
+        }
+        assert_eq!(
+            f.disk_digest(),
+            disk,
+            "an un-barriered store reached the disk"
+        );
+        assert_ne!(Some(f.state_digest()), disk);
+        f.barrier();
+        assert_eq!(f.disk_digest(), Some(f.state_digest()));
+        assert!(!shared_with_disk(&f, inos[1]));
     }
 
     #[test]

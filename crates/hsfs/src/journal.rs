@@ -434,8 +434,8 @@ pub struct Durable {
 impl Durable {
     /// A fresh durable state around `disk` (a volatile-stripped snapshot
     /// of the live file system at enable time). Starts with an empty
-    /// integrity region: [`Durable::stamp_all`] (enable path) or
-    /// [`Durable::adopt_integrity`] (power-cut re-twin) fills it.
+    /// integrity region: [`Durable::stamp_all`] (enable path) fills it,
+    /// or [`Durable::power_cut`] carries the old twin's over.
     pub(crate) fn new(disk: FileSystem) -> Durable {
         Durable {
             disk: Box::new(disk),
@@ -462,23 +462,32 @@ impl Durable {
         &self.disk
     }
 
-    /// Takes the disk image out at a power cut, leaving `empty` behind.
-    /// The twin is being dismantled: its journal and integrity region
-    /// move onto the fresh twin next.
-    pub(crate) fn take_disk(&mut self, empty: FileSystem) -> FileSystem {
-        std::mem::replace(&mut *self.disk, empty)
-    }
-
-    /// Carries the integrity state (the integrity region and write-amp
-    /// counters) from a pre-power-cut twin onto this fresh one. The
-    /// region is on-disk state: it describes the *expected* block
-    /// contents and must survive the crash so boot verification can tell
-    /// adopted corruption from legitimate data.
-    pub(crate) fn adopt_integrity(&mut self, old: &mut Durable) {
-        self.integrity = old.integrity;
-        self.stamps = std::mem::take(&mut old.stamps);
-        self.data_blocks_written = old.data_blocks_written;
-        self.integrity_blocks_written = old.integrity_blocks_written;
+    /// Dismantles the twin at a power cut. Returns the disk image, which
+    /// the machine boots into, and a fresh twin that shares its inodes.
+    /// What is on disk moves onto the fresh twin: the journal, and the
+    /// integrity region with its write-amplification counters. The
+    /// region still describes the expected block contents, so boot
+    /// verification can tell adopted corruption from legitimate data.
+    /// The device state (crash plan, death, pending dirt) starts over.
+    pub(crate) fn power_cut(self) -> (FileSystem, Durable) {
+        let Durable {
+            disk,
+            journal,
+            integrity,
+            stamps,
+            data_blocks_written,
+            integrity_blocks_written,
+            ..
+        } = self;
+        let twin = Durable {
+            journal,
+            integrity,
+            stamps,
+            data_blocks_written,
+            integrity_blocks_written,
+            ..Durable::new(disk.snapshot_for_disk())
+        };
+        (*disk, twin)
     }
 
     /// Whether the integrity machinery is on.

@@ -361,13 +361,6 @@ impl Vfs {
         self.shared.fs.unlock_all(owner);
     }
 
-    /// Drops every advisory lock on both mounts regardless of owner —
-    /// lock state is volatile and dies with the machine at a power cut.
-    pub fn unlock_everything(&mut self) {
-        self.root.unlock_everything();
-        self.shared.fs.unlock_everything();
-    }
-
     /// Full path (in the unified namespace) of a vnode.
     pub fn path_of(&self, v: Vnode) -> Result<String, FsError> {
         match v.mount {

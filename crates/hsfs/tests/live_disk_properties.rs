@@ -70,14 +70,24 @@ const PRELUDE: [Op; 12] = [
 
 proptest! {
     /// After every operation the live tree equals the disk image, and
-    /// a power cut plus journal replay reproduces that tree.
+    /// a power cut plus journal replay reproduces that tree. One cut
+    /// also lands mid-sequence: the ops after it run on a tree that
+    /// starts out sharing every inode with its twin.
     #[test]
     fn live_tree_equals_disk_after_every_op(
-        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 0..40)
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 0..40),
+        cut in 0usize..40,
     ) {
         let mut fs = FileSystem::new(FsConfig::root());
         fs.enable_durability();
         for (i, op) in PRELUDE.into_iter().chain(ops).enumerate() {
+            if i == PRELUDE.len() + cut {
+                let digest = fs.state_digest();
+                fs.power_cut();
+                fs.replay_journal();
+                prop_assert_eq!(fs.state_digest(), digest, "cut before {:?}", op);
+                prop_assert_eq!(fs.disk_digest(), Some(digest));
+            }
             let r = apply(&mut fs, op);
             prop_assert!(i >= PRELUDE.len() || r.is_ok(), "prelude {:?}: {:?}", op, r);
             prop_assert_eq!(Some(fs.state_digest()), fs.disk_digest(), "after {:?}", op);

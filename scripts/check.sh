@@ -112,6 +112,16 @@ if awk '/fn boot_scan\(/{b=1} b && /path_of\(/{print FILENAME":"FNR": "$0; bad=1
   exit 1
 fi
 
+echo "==> the disk twin shares the live tree's inodes (slots hold Arcs; advisory locks live in FileSystem::locks)"
+# A lock in the inode would un-share it from the twin on every
+# try_lock/unlock, and inodes held by value make each re-twin a deep copy.
+if awk '/^(pub(\([a-z]+\))? )?struct Inode \{/{i=1} i && !/^ *\/\// && /^ *(pub(\([a-z]+\))? )?lock *:/{print FILENAME":"FNR": "$0; bad=1}
+        /^(pub(\([a-z]+\))? )?struct FileSystem \{/{f=1} f && !/^ *\/\// && /^ *(pub(\([a-z]+\))? )?slots *: *Vec *< *Option *< *Inode *>/{print FILENAME":"FNR": "$0; bad=1}
+        /^\}/{i=0; f=0} END{exit !bad}' crates/hsfs/src/fs.rs; then
+  echo "a lock field in Inode or inodes held by value in FileSystem::slots: keep locks in FileSystem::locks and slots as Option<Arc<Inode>>" >&2
+  exit 1
+fi
+
 echo "==> scripts/perf_ab.sh parses (syntax only: host-speed A/Bs are too noisy for CI)"
 bash -n scripts/perf_ab.sh
 
