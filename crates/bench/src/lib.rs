@@ -33,6 +33,7 @@ pub fn report(id: &str, title: &str, rows: &[(String, SimTime)]) {
 /// [`report`] with a per-row free-form `detail` string (empty = none):
 /// volatile counts that humans want next to the number but that must
 /// not leak into the regression-gate key.
+#[expect(clippy::disallowed_methods, reason = "names the bench gate's file")]
 pub fn report_detailed(id: &str, title: &str, rows: &[(String, SimTime, String)]) {
     eprintln!("\n=== {id}: {title} ===");
     for (label, t, detail) in rows {

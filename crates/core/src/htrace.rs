@@ -9,11 +9,12 @@
 //! an experiment (E6 in particular) misbehaves.
 //!
 //! The vocabulary is [`TraceEvent`], defined in `hkernel` so every layer
-//! journals it directly. Every record carries the simulated-time cost of
-//! its step, decided by [`crate::CostModel::price`] alone, so a dump
-//! doubles as a cost breakdown of the fault path. Beside the bounded
-//! ring, [`TraceTallies`] keep exact per-kind totals that never evict.
+//! journals it directly. A record enters a ring only through
+//! `TraceBuffer::publish`, which stamps it with its step's simulated cost
+//! by [`crate::CostModel::price`] alone (a dump doubles as a cost
+//! breakdown) and counts it in [`TraceTallies`], which never evict.
 
+use crate::CostModel;
 use hkernel::Pid;
 pub use hkernel::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
@@ -61,8 +62,22 @@ impl TraceBuffer {
         }
     }
 
+    /// Prices `event` with [`CostModel::price`], counts it in
+    /// `tallies`, then appends it.
+    pub(crate) fn publish(
+        &mut self,
+        costs: &CostModel,
+        tallies: &mut TraceTallies,
+        pid: Pid,
+        event: TraceEvent,
+    ) {
+        let cost_ns = costs.price(&event);
+        tallies.add(&event, cost_ns);
+        self.record(pid, cost_ns, event);
+    }
+
     /// Appends a record, evicting the oldest if full.
-    pub fn record(&mut self, pid: Pid, cost_ns: u64, event: TraceEvent) {
+    fn record(&mut self, pid: Pid, cost_ns: u64, event: TraceEvent) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.evicted += 1;
@@ -161,7 +176,7 @@ pub struct TraceTallies {
 
 impl TraceTallies {
     /// Counts one published record.
-    pub(crate) fn add(&mut self, event: &TraceEvent, cost_ns: u64) {
+    fn add(&mut self, event: &TraceEvent, cost_ns: u64) {
         let tally = self.kinds.entry(event.kind()).or_default();
         tally.count += 1;
         tally.cost_ns += cost_ns;

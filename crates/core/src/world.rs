@@ -347,13 +347,11 @@ impl World {
         self.publish(pid, TraceEvent::RecoveryTaken { action, retries: 0 });
     }
 
-    /// The one way a record reaches the trace ring: priced by
-    /// [`CostModel::price`], counted in the never-evicting tallies, then
-    /// appended.
+    /// The one way a record reaches the trace ring: priced, counted in the
+    /// never-evicting tallies and appended by [`TraceBuffer::publish`].
     fn publish(&mut self, pid: Pid, event: TraceEvent) {
-        let cost_ns = self.costs.price(&event);
-        self.tallies.add(&event, cost_ns);
-        self.trace.record(pid, cost_ns, event);
+        self.trace
+            .publish(&self.costs, &mut self.tallies, pid, event);
     }
 
     // --- memory pressure ---

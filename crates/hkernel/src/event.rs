@@ -261,6 +261,8 @@ pub enum TraceEvent {
         /// `"store-exec"` (a store into a shared file page with blocks)
         /// or `"capacity"`.
         cause: &'static str,
+        /// Proof that the drop came out of the block table's journal.
+        journaled: hvm::Journaled,
     },
 }
 
@@ -421,6 +423,7 @@ impl fmt::Display for TraceEvent {
                 addr,
                 blocks,
                 cause,
+                ..
             } => {
                 write!(
                     f,

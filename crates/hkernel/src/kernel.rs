@@ -317,6 +317,7 @@ impl Kernel {
 
     /// Drains the block table's drop journal, in occurrence order, as
     /// `BlockInvalidated` records of the pids that found the drops.
+    #[expect(clippy::disallowed_methods, reason = "the drop journal's one reader")]
     pub fn drain_bb_events(&mut self) -> Vec<(Pid, TraceEvent)> {
         let journal = self.blocks.drain_journal().into_iter();
         let record = |ev: hvm::BbInvalidation| {
@@ -324,6 +325,7 @@ impl Kernel {
                 addr: ev.addr,
                 blocks: ev.blocks,
                 cause: ev.cause,
+                journaled: ev.journaled,
             };
             (ev.pid, event)
         };
@@ -396,7 +398,6 @@ impl Kernel {
         self.round_active = false;
         self.smp_journal.clear();
         self.blocks.flush();
-        self.blocks.drain_journal();
         self.pool.reset_volatile();
         self.vfs.root.unlock_everything();
     }

@@ -1936,6 +1936,7 @@ mod tests {
     /// before the eviction serves the entry after the swap-in, with no
     /// rebuild and no drop.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "checks the journaled drops")]
     fn a_swapped_in_text_page_is_entered_without_a_rebuild() {
         let (mut a, mut s, mut t, mut totals) = private_text(Prot::RX);
         let first = MemBus::new(&mut a, &mut s, &mut t, &mut totals)
@@ -1964,6 +1965,7 @@ mod tests {
     /// bytes, but each `set_prot` renews the page's text epoch, so the
     /// next entry finds the old block stale and decodes the new bytes.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "checks the journaled drops")]
     fn a_page_made_writable_stored_and_made_executable_again_is_decoded_again() {
         let (mut a, mut s, mut t, mut totals) = private_text(Prot::RX);
         let old = MemBus::new(&mut a, &mut s, &mut t, &mut totals).bb_block(TEXT);

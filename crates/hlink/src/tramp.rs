@@ -116,6 +116,7 @@ pub enum PatchError {
 /// patched to a trampoline from `area` instead (see
 /// [`TrampolineArea::get`] for `admit`); the caller copies
 /// [`TrampolineArea::bytes`] into the area.
+#[expect(clippy::disallowed_methods, reason = "hlink's one relocation patcher")]
 pub fn patch(
     bytes: &mut [u8],
     off: u32,

@@ -128,6 +128,7 @@ impl RelocKind {
 
 /// Patches `section[offset..offset+4]` (little-endian) with relocation
 /// `kind`, given the resolved value and the word's own virtual address.
+#[expect(clippy::disallowed_methods, reason = "tramp::patch's word patcher")]
 pub fn patch_word(
     section: &mut [u8],
     offset: u32,
@@ -151,6 +152,7 @@ pub fn patch_word(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the fixups themselves")]
 mod tests {
     use super::*;
     use hvm::{decode, Instr, Reg};

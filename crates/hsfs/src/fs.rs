@@ -1758,8 +1758,8 @@ mod tests {
         }
     }
 
-    /// After a clean power cut the twin copies no inode; a store copies
-    /// the one inode it writes, and the disk sees it only at a barrier.
+    /// After a clean power cut the twin copies no inode, nor does a lock;
+    /// a store copies the one inode it writes, seen by disk at a barrier.
     #[test]
     fn a_clean_power_cut_shares_every_inode_until_a_write() {
         let mut f = fs();
@@ -1777,7 +1777,11 @@ mod tests {
         let mut all = Vec::new();
         f.for_each_inode(|ino, _| all.push(ino));
         assert_eq!(all.len(), 7);
-        assert!(all.iter().all(|&ino| shared_with_disk(&f, ino)));
+        let all_shared = |f: &FileSystem| all.iter().all(|&ino| shared_with_disk(f, ino));
+        assert!(all_shared(&f));
+        f.try_lock(inos[0], LockKind::Exclusive, 1).unwrap();
+        f.unlock(inos[0], 1).unwrap();
+        assert!(all_shared(&f), "a lock is volatile and un-shares no inode");
         let disk = f.disk_digest();
         f.file_bytes_mut(inos[1]).unwrap()[4999] ^= 0xff;
         for &ino in &all {

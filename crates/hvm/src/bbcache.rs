@@ -120,7 +120,13 @@ pub struct BbInvalidation {
     pub addr: u32,
     pub blocks: u64,
     pub cause: &'static str,
+    pub journaled: Journaled,
 }
+
+/// Proof that a drop came out of a [`BlockTable`]'s journal: only the
+/// table can make one, so a record built from it reports a real drop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Journaled(());
 
 /// A deterministic, dependency-free hasher for the table's small
 /// integer keys (sources, offsets, page numbers). The default `HashMap`
@@ -226,7 +232,7 @@ impl BlockTable {
     pub fn set_enabled(&mut self, on: bool) {
         self.off = !on;
         if !on {
-            self.flush();
+            self.drop_all();
         }
     }
 
@@ -287,7 +293,7 @@ impl BlockTable {
     /// first; returns the blocks that flush dropped.
     pub fn insert(&mut self, src: Source, off: u32, epoch: u64, code: Arc<[Instr]>) -> u64 {
         let flushed = if self.blocks.len() >= MAX_BLOCKS {
-            self.flush()
+            self.drop_all()
         } else {
             0
         };
@@ -329,10 +335,16 @@ impl BlockTable {
         offs.len() as u64
     }
 
-    /// Drops every block and frees the table's memory, keeping the
-    /// switch, the totals and the journal; returns how many blocks it
-    /// held.
+    /// Drops every block and the journal of drops that describes them
+    /// (the power cut: nothing is left to publish), keeping the switch
+    /// and the totals; returns how many blocks it held.
     pub fn flush(&mut self) -> u64 {
+        self.journal = Vec::new();
+        self.drop_all()
+    }
+
+    /// Drops every block and frees its memory, keeping the journal.
+    fn drop_all(&mut self) -> u64 {
         let n = self.blocks.len() as u64;
         self.blocks = FastMap::default();
         self.by_page = FastMap::default();
@@ -347,6 +359,7 @@ impl BlockTable {
             addr,
             blocks,
             cause,
+            journaled: Journaled(()),
         });
     }
 
@@ -555,6 +568,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test of the journal itself")]
     fn the_journal_keeps_occurrence_order_across_pids() {
         let mut t = BlockTable::default();
         t.note_dropped(5, 0x1000, 1, "stale");
@@ -562,5 +576,8 @@ mod tests {
         let pids: Vec<u32> = t.drain_journal().iter().map(|ev| ev.pid).collect();
         assert_eq!(pids, [5, 2]);
         assert!(t.drain_journal().is_empty());
+        t.note_dropped(5, 0, 1, "stale");
+        t.flush();
+        assert!(t.drain_journal().is_empty(), "a flush takes the journal");
     }
 }

@@ -25,7 +25,7 @@ pub mod encode;
 pub mod isa;
 pub mod regs;
 
-pub use bbcache::{BbInvalidation, BlockLookup, BlockTable, Source};
+pub use bbcache::{BbInvalidation, BlockLookup, BlockTable, Journaled, Source};
 pub use cpu::{Bus, Cpu, StepOutcome};
 pub use decode::{decode, DecodeError};
 pub use encode::encode;

@@ -384,6 +384,7 @@ impl ProptestConfig {
 /// environment variable (real proptest's knob, used by the chaos CI job
 /// to crank coverage up) overrides any per-test config when it parses to
 /// a positive number.
+#[expect(clippy::disallowed_methods, reason = "real proptest's case knob")]
 pub fn resolved_cases(config: &ProptestConfig) -> u32 {
     parse_cases(std::env::var("PROPTEST_CASES").ok().as_deref()).unwrap_or(config.cases)
 }

@@ -13,8 +13,8 @@
 #![allow(dead_code)]
 
 use hemlock::{
-    FaultPlan, FaultSite, RaceRecord, ShareClass, TraceBuffer, TraceRecord, Unsettled, World,
-    WorldExit, WorldStats,
+    FaultPlan, FaultSite, RaceRecord, ShareClass, TraceBuffer, TraceEvent, TraceRecord, Unsettled,
+    World, WorldExit, WorldStats,
 };
 use hkernel::Pid;
 use std::ops::Range;
@@ -110,6 +110,18 @@ pub fn trace_count(world: &World, kind: &str) -> u64 {
 /// Summed cost of one kind of trace record over the whole run.
 pub fn trace_cost(world: &World, kind: &str) -> u64 {
     world.tallies().get(kind).cost_ns
+}
+
+/// The pid of every retained `BlockInvalidated` record with `cause`, in order.
+pub fn block_drop_pids(world: &World, cause: &str) -> Vec<Pid> {
+    let found =
+        |e: &TraceEvent| matches!(e, TraceEvent::BlockInvalidated { cause: c, .. } if *c == cause);
+    world
+        .trace()
+        .records()
+        .filter(|r| found(&r.event))
+        .map(|r| r.pid)
+        .collect()
 }
 
 // --- the persistent counter module -----------------------------------------

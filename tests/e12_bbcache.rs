@@ -37,27 +37,15 @@
 mod common;
 
 use common::{
-    assert_same, half_budget, run_pressured, settle, sweep, Cell, Mask, Shape, Storage, WORKERS,
+    assert_same, block_drop_pids, half_budget, run_pressured, settle, sweep, Cell, Mask, Shape,
+    Storage, WORKERS,
 };
 use hemlock::{ShareClass, World, WorldExit, WorldStats};
 use hvm::Source;
 use proptest::prelude::*;
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
-    trace_cause_pids(world, cause).len() as u64
-}
-
-/// The pid of every `BlockInvalidated` record with `cause`, in order.
-fn trace_cause_pids(world: &World, cause: &str) -> Vec<hkernel::Pid> {
-    world
-        .trace()
-        .records()
-        .filter(|r| match &r.event {
-            hemlock::TraceEvent::BlockInvalidated { cause: c, .. } => *c == cause,
-            _ => false,
-        })
-        .map(|r| r.pid)
-        .collect()
+    block_drop_pids(world, cause).len() as u64
 }
 
 /// A public function and a donor instruction to patch its first word
@@ -675,9 +663,9 @@ fn a_store_into_shared_text_reaches_every_later_process() {
     // first entry was a table miss that decoded the patched word.
     assert_eq!(heads, [Some(ret(1)), None, Some(ret(77))]);
     assert_eq!(off_heads, [None; 3], "cache off decodes nothing");
-    assert_eq!(trace_cause_pids(&on_world, "store-exec"), [b]);
+    assert_eq!(block_drop_pids(&on_world, "store-exec"), [b]);
     assert!(
-        trace_cause_pids(&on_world, "stale").is_empty(),
+        block_drop_pids(&on_world, "stale").is_empty(),
         "nothing was left for a lazy epoch check to find"
     );
 }
@@ -767,7 +755,7 @@ donor:  .word 0
         let replay = settle(&mut world, &[a, b], Mask::Nothing);
         let new = text_key(&mut world, "/shared/lib/twomod", "func");
         assert_eq!(new, old, "the new instance reuses the inode");
-        let stale = trace_cause_pids(&world, "stale");
+        let stale = block_drop_pids(&world, "stale");
         (replay, [held, table_head(&world, new)], stale, b)
     };
     let (on, heads, stale, b) = run(true);

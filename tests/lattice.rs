@@ -24,8 +24,8 @@
 mod common;
 
 use common::{
-    run_cell, sweep, Cell, Shape, EAGER_CHAIN_DEPTH, EAGER_CHAIN_MODULES, FORKWAIT_CHILDREN,
-    FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES, SHARED_TEXT_SUM,
+    block_drop_pids, run_cell, sweep, Cell, Shape, EAGER_CHAIN_DEPTH, EAGER_CHAIN_MODULES,
+    FORKWAIT_CHILDREN, FORKWAIT_SUM, RWHO_READERS, RWHO_SUM, SHAPES, SHARED_TEXT_SUM,
 };
 use proptest::prelude::*;
 
@@ -101,19 +101,7 @@ fn shared_text() {
     // With the cache on, the readers shared the block and the patcher's
     // store dropped it: one `store-exec` record, and its pid is the
     // patcher's, the third child.
-    let store_exec: Vec<_> = world
-        .trace()
-        .records()
-        .filter(|r| {
-            let cause = match &r.event {
-                hemlock::TraceEvent::BlockInvalidated { cause, .. } => *cause,
-                _ => "",
-            };
-            cause == "store-exec"
-        })
-        .map(|r| r.pid)
-        .collect();
-    assert_eq!(store_exec, [4]);
+    assert_eq!(block_drop_pids(&world, "store-exec"), [4]);
     assert!(stats[0].bblock_hits > 0, "{:?}", stats[0]);
 }
 
