@@ -1,27 +1,28 @@
 //! Shared helpers for the experiment benchmarks.
 //!
 //! Every bench prints one **simulated-time** table (the deterministic
-//! cost-model numbers EXPERIMENTS.md records — these are what
-//! correspond to the paper's claims) and appends its rows to
-//! `BENCH_JSON_OUT` when that names a file. Host wall time is
-//! perfbench's job (`perfbench/`, `BENCHMARK.json`).
+//! cost-model numbers behind the paper's claims), which
+//! `scripts/bench_compare.sh` renders into EXPERIMENTS.md, and appends
+//! its rows to `BENCH_JSON_OUT` when that names a file. Host wall time
+//! is perfbench's job (`perfbench/`, `BENCHMARK.json`).
 
 use hemlock::{CostModel, SimTime, World, WorldExit};
 use std::io::Write;
 
-/// Prints one experiment's simulated results in a stable format that
-/// EXPERIMENTS.md quotes. When `BENCH_JSON_OUT` names a file, each row
-/// is also appended there as one JSON line (`{"bench":"<id>/<label>",
-/// "sim_ns":<n>}`) — `scripts/bench_compare.sh` collects these into the
-/// committed `BENCH_*.json` baselines, keyed by the `bench` field. The
-/// values are cost-model simulated time, so they are exactly
-/// reproducible across machines.
+/// Prints one experiment's simulated results to stderr as a markdown
+/// table under an `=== <id>: <title> ===` line. `scripts/bench_compare.sh`
+/// splices that table, as printed, between EXPERIMENTS.md's
+/// `<!-- bench:<id> -->` markers and fails if the committed file
+/// differs. When `BENCH_JSON_OUT` names a file, each row is also
+/// appended there as one JSON line (`{"bench":"<id>/<label>",
+/// "sim_ns":<n>}`), which the same script gates exactly against the
+/// committed `BENCH_2.json`. The values are cost-model simulated time,
+/// so they are exactly reproducible across machines.
 ///
-/// The label is the comparison key: keep it *stable* across runs whose
-/// cost behavior should be comparable. Volatile observables (eviction
-/// counts, peak frames, ...) belong in the `detail` field of
-/// [`report_detailed`], which rides along in the baseline without
-/// participating in row matching.
+/// The label is the row's key: keep it *stable* across runs whose cost
+/// behavior should be comparable. Other observables (eviction counts,
+/// peak frames, ...) belong in the `detail` field of
+/// [`report_detailed`].
 pub fn report(id: &str, title: &str, rows: &[(String, SimTime)]) {
     let detailed: Vec<(String, SimTime, String)> = rows
         .iter()
@@ -31,21 +32,21 @@ pub fn report(id: &str, title: &str, rows: &[(String, SimTime)]) {
 }
 
 /// [`report`] with a per-row free-form `detail` string (empty = none):
-/// volatile counts that humans want next to the number but that must
-/// not leak into the regression-gate key.
+/// counts that readers want next to the number. A detail is printed in
+/// the table's third column and carried in the JSON row, but it is not
+/// part of the row's key.
 #[expect(clippy::disallowed_methods, reason = "names the bench gate's file")]
 pub fn report_detailed(id: &str, title: &str, rows: &[(String, SimTime, String)]) {
     eprintln!("\n=== {id}: {title} ===");
-    for (label, t, detail) in rows {
-        if detail.is_empty() {
-            eprintln!("  {label:<48} {t}");
-        } else {
-            eprintln!("  {label:<48} {t}  [{detail}]");
+    if rows.iter().any(|(_, _, detail)| !detail.is_empty()) {
+        eprintln!("| row | sim time | detail |\n|---|---:|---|");
+        for (label, t, detail) in rows {
+            eprintln!("| {label} | {t} | {detail} |");
         }
-    }
-    if let ([(_, a, _), ..], [.., (_, b, _)]) = (rows, rows) {
-        if b.0 > 0 && rows.len() > 1 {
-            eprintln!("  ratio (first/last): {:.2}x", a.0 as f64 / b.0 as f64);
+    } else {
+        eprintln!("| row | sim time |\n|---|---:|");
+        for (label, t, _) in rows {
+            eprintln!("| {label} | {t} |");
         }
     }
     if let Ok(path) = std::env::var("BENCH_JSON_OUT") {

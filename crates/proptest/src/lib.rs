@@ -45,11 +45,6 @@ impl TestRng {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`; `bound` must be nonzero.
     pub fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound

@@ -1,40 +1,41 @@
 #!/usr/bin/env bash
-# Deterministic bench-regression gate.
+# Deterministic bench gate: the one place simulated numbers reach the
+# repository.
 #
-# Runs every bench in crates/bench (each prints one cost-model
-# simulated-time table, exactly reproducible on any machine) and
-# collects the per-row numbers emitted via BENCH_JSON_OUT into a JSON
-# baseline:
+# Runs every bench in crates/bench. Each prints its cost-model
+# simulated-time table to stderr as markdown under an `=== ID: title ===`
+# line (`bench::report_detailed`), and appends its rows to BENCH_JSON_OUT,
+# which this script sorts into one JSON baseline:
 #
-#     { "<bench id>/<row label>": {"sim_ns":<n>}, ... }
+#     { "<bench id>/<row label>": {"sim_ns":<n>[,"detail":"<d>"]}, ... }
 #
-# Rows are matched by the *structural* "bench" key of each emitted JSON
-# line — labels are stable identifiers, and volatile observables
-# (eviction counts, peak frames) travel in the separate "detail" field,
-# which is carried into the baseline for humans but never participates
-# in matching or comparison.
-#
-# If the baseline file BENCH_2.json is already committed, the row
-# *sets* must match exactly in both directions — a baseline row with no
-# current counterpart fails the gate, and so does a current row absent
-# from the baseline (new rows must be committed deliberately by
-# regenerating) — and a row that grew by more than 10 percent fails.
-# The fresh results are then written to the baseline path — simulated
-# time is deterministic, so the file only changes when the code's cost
-# behavior actually changed, and `git diff` shows exactly which rows
-# moved.
+# Simulated time is exactly reproducible on any machine, so the gate is
+# exact. With BENCH_2.json committed it writes nothing and fails if
+#   - the fresh baseline differs from BENCH_2.json in any byte: a row
+#     whose sim_ns moved by 1 ns, a dropped row or a new one; or
+#   - EXPERIMENTS.md, with each bench's table spliced between
+#     `<!-- bench:ID -->` and `<!-- /bench -->`, differs from the
+#     committed file.
+# Without BENCH_2.json it writes both files, so the regeneration is
+# `rm BENCH_2.json && bash scripts/bench_compare.sh`, and `git diff`
+# shows exactly which rows and cells moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT=BENCH_2.json
-TOL=10
+DOC=EXPERIMENTS.md
 
 jsonl=$(mktemp)
+tables=$(mktemp)
 new_json=$(mktemp)
-trap 'rm -f "$jsonl" "$new_json"' EXIT
+new_doc=$(mktemp)
+trap 'rm -f "$jsonl" "$tables" "$new_json" "$new_doc"' EXIT
 
 echo "==> running benches ..."
-BENCH_JSON_OUT="$jsonl" cargo bench -q -p bench >/dev/null
+if ! BENCH_JSON_OUT="$jsonl" cargo bench -q -p bench 2>"$tables" >/dev/null; then
+    cat "$tables" >&2
+    exit 1
+fi
 
 if ! [ -s "$jsonl" ]; then
     echo "bench_compare: benches emitted no rows" >&2
@@ -66,66 +67,43 @@ LC_ALL=C sort "$jsonl" | awk -F'"' '
         print "}"
     }' > "$new_json"
 
-# "key<TAB>sim_ns" pairs from a baseline-format JSON object.
-parse() {
-    awk -F'"' '/"sim_ns":/ {
-        v = $0
-        sub(/.*"sim_ns":/, "", v)
-        sub(/[^0-9].*/, "", v)
-        if ($2 != "" && v != "") print $2 "\t" v
-    }' "$1"
-}
+# EXPERIMENTS.md with each bench's table (the `|` lines under its
+# `=== ID: title ===` line) between that id's markers. Every table needs
+# a marker, and every marker a table and a closing marker.
+awk -v doc="$DOC" '
+    NR == FNR {
+        if (/^=== /) { id = $2; sub(/:$/, "", id) } else if (/^\|/) table[id] = table[id] $0 "\n"
+        next
+    }
+    /^<!-- \/bench -->$/ { inside = 0 }
+    inside { next }
+    { print }
+    /^<!-- bench:[^ ]+ -->$/ {
+        id = $2; sub(/^bench:/, "", id)
+        if (!(id in table)) { print "bench_compare: no bench prints table " id > "/dev/stderr"; bad = 1 }
+        printf "%s", table[id]
+        used[id] = 1
+        inside = 1
+    }
+    END {
+        for (id in table) if (!(id in used)) { print "bench_compare: no <!-- bench:" id " --> marker in " doc > "/dev/stderr"; bad = 1 }
+        if (inside) { print "bench_compare: a <!-- bench:ID --> marker is never closed in " doc > "/dev/stderr"; bad = 1 }
+        exit bad
+    }' "$tables" "$DOC" > "$new_doc"
 
 if [ -f "$OUT" ]; then
-    # Shape-check the committed baseline before comparing. A truncated,
-    # hand-edited, or merge-mangled file would otherwise surface as a
-    # confusing MISSING/NEW storm — or an abrupt `set -e` death with no
-    # hint — so name the offending lines and the fix instead.
-    bad=$(awk '
-        /^[{}],?$/ { next }
-        /^  "[^"]+": \{"sim_ns":[0-9]+(,"detail":"[^"]*")?\},?$/ { next }
-        { printf "  line %d: %s\n", NR, $0 }' "$OUT")
-    if ! [ -s "$OUT" ] || [ -n "$bad" ]; then
-        echo "bench_compare: baseline $OUT is malformed (empty or unparseable rows):" >&2
-        [ -n "$bad" ] && echo "$bad" | head -5 >&2
-        echo "bench_compare: regenerate it with: rm $OUT && bash scripts/bench_compare.sh" >&2
-        echo "bench_compare: then commit the regenerated baseline" >&2
-        exit 1
-    fi
-    echo "==> comparing against $OUT (tolerance ${TOL}%)"
+    echo "==> comparing against $OUT and $DOC (exact)"
     status=0
-    if ! awk -F'\t' -v tol="$TOL" '
-        NR == FNR { base[$1] = $2; next }
-        { cur[$1] = $2 }
-        END {
-            fail = 0
-            for (k in base) {
-                if (!(k in cur)) {
-                    printf "MISSING   %s (baseline %s, no longer reported)\n", k, base[k]
-                    fail = 1
-                } else if (base[k] + 0 > 0 && cur[k] + 0 > base[k] * (1 + tol / 100)) {
-                    printf "REGRESSED %s: %s -> %s (+%.1f%%)\n", k, base[k], cur[k], (cur[k] / base[k] - 1) * 100
-                    fail = 1
-                }
-            }
-            for (k in cur) {
-                if (!(k in base)) {
-                    printf "NEW       %s = %s (not in baseline)\n", k, cur[k]
-                    fail = 1
-                }
-            }
-            exit fail
-        }' <(parse "$OUT") <(parse "$new_json"); then
-        status=1
-    fi
+    diff -u --label "$OUT (committed)" --label "$OUT (benches)" "$OUT" "$new_json" || status=1
+    diff -u --label "$DOC (committed)" --label "$DOC (benches)" "$DOC" "$new_doc" || status=1
     if [ "$status" -ne 0 ]; then
-        echo "bench_compare: FAILED (>${TOL}% regression, dropped row, or unbaselined row vs $OUT)" >&2
-        echo "bench_compare: if intentional, regenerate with: rm $OUT && bash scripts/bench_compare.sh" >&2
+        echo "bench_compare: FAILED (a simulated row or a rendered table differs; '-' is committed, '+' is what the benches print)" >&2
+        echo "bench_compare: if intentional, regenerate both with: rm $OUT && bash scripts/bench_compare.sh" >&2
         exit 1
     fi
-    cp "$new_json" "$OUT"
-    echo "bench_compare: OK ($(parse "$OUT" | wc -l) rows within ${TOL}%)"
+    echo "bench_compare: OK ($(grep -c '"sim_ns"' "$OUT") rows and every $DOC table exact)"
 else
     cp "$new_json" "$OUT"
-    echo "bench_compare: baseline created at $OUT ($(parse "$OUT" | wc -l) rows); commit it"
+    cp "$new_doc" "$DOC"
+    echo "bench_compare: wrote $OUT ($(grep -c '"sim_ns"' "$OUT") rows) and $DOC's tables; commit both"
 fi

@@ -80,6 +80,9 @@ bash -n scripts/perf_ab.sh
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> bench gate (every BENCH_2.json row and every rendered EXPERIMENTS.md table exact: seconds once built, before the long suites)"
+bash scripts/bench_compare.sh
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -117,8 +120,5 @@ cargo fmt --all --check
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
-
-echo "==> bench regression gate"
-bash scripts/bench_compare.sh
 
 echo "All checks passed."
